@@ -49,7 +49,7 @@ from .symmetries import (
     scale_field,
     scaling_bound_factor,
 )
-from .flows import BlowUpError, FlowSpec, Trajectory, evolve, linear_propagator, step
+from .flows import BlowUpError, FlowSpec, Trajectory, evolve, linear_propagator
 from .equicont import (
     FieldFamily,
     NotEquicontinuousError,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import band_profile
-from .norms import ModulationParams, bracket
+from .norms import ModulationParams, bracket, lp_norm
 
 
 class NotEquicontinuousError(RuntimeError):
@@ -55,9 +55,13 @@ class FieldFamily:
         return np.array([wk * band_profile(f) for f in self.members])
 
     def sup_norm(self) -> float:
-        """Supremum of member modulation norms (unweighted)."""
-        terms = self.band_terms()
-        return float(np.max(np.sum(terms**self.mp.p, axis=1) ** (1.0 / self.mp.p)))
+        """Supremum of member modulation norms (unweighted): the family bound A."""
+        return _sup_lp(self.band_terms(), self.mp.p)
+
+
+def _sup_lp(terms: np.ndarray, p: float) -> float:
+    """Largest l^p norm over the rows (members) of a band-term array."""
+    return float(np.max(lp_norm(terms, p)))
 
 
 def _sup_tail(terms: np.ndarray, kmax: int, K: int, p: float, strict: bool) -> float:
@@ -65,7 +69,7 @@ def _sup_tail(terms: np.ndarray, kmax: int, K: int, p: float, strict: bool) -> f
     mask = ks > K if strict else ks >= K
     if not mask.any():
         return 0.0
-    return float(np.max(np.sum(terms[:, mask] ** p, axis=1) ** (1.0 / p)))
+    return _sup_lp(terms[:, mask], p)
 
 
 def equicontinuity_tail(Q: FieldFamily, K: int) -> float:
@@ -109,7 +113,7 @@ def build_weights(Q: FieldFamily, floor_ratio: float = EDGE_FLOOR_RATIO) -> Weig
     kmax = Q.grid.kmax
     p = Q.mp.p
     terms = Q.band_terms()
-    A = float(np.max(np.sum(terms**p, axis=1) ** (1.0 / p)))
+    A = _sup_lp(terms, p)
     edge = _sup_tail(terms, kmax, kmax, p, strict=False)
     if edge > floor_ratio * A:
         raise NotEquicontinuousError(
@@ -172,8 +176,8 @@ def verify_weights(w, Q: FieldFamily) -> WeightCheck:
     mono = bool(np.all(np.diff(cpos) >= -tol))
     grows = bool(cpos[-1] > cpos[0] + tol)
     terms = Q.band_terms()
-    A = float(np.max(np.sum(terms**p, axis=1) ** (1.0 / p)))
-    weighted = float(np.max(np.sum((c[None, :] * terms) ** p, axis=1) ** (1.0 / p)))
+    A = _sup_lp(terms, p)
+    weighted = _sup_lp(c[None, :] * terms, p)
     ratio = weighted / A if A > 0 else 0.0
     return WeightCheck(
         symmetric_bounded=sym and bounded,

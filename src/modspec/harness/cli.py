@@ -6,7 +6,11 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import ConfigError, ExperimentConfig, load_config
+from ..conserved import SeriesDivergenceError
+from ..equicont import NotEquicontinuousError
+from ..flows import BlowUpError
+from .config import ConfigError, config_from_dict, read_config
+from .reports import write_summary
 from . import experiments
 
 DRIVERS = {
@@ -44,26 +48,43 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
-def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
-    try:
-        cfg = load_config(args.config) if args.config else ExperimentConfig()
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def _config(args):
+    """The config file (or the defaults) with the command-line overrides, validated once."""
+    doc = read_config(args.config) if args.config else {"version": 1}
     if args.seed is not None:
-        cfg.seed = args.seed
+        doc["seed"] = args.seed
     if args.dt is not None:
-        cfg.dt = args.dt
+        doc["dt"] = args.dt
     if args.grid is not None:
         try:
             n_str, l_str = args.grid.split(",")
-            cfg.grid_n, cfg.grid_length = int(n_str), float(l_str)
+            doc["grid_n"], doc["grid_length"] = int(n_str), float(l_str)
         except ValueError:
-            print(f"error: --grid expects N,L, got {args.grid!r}", file=sys.stderr)
-            return 2
+            raise ConfigError(f"--grid expects N,L, got {args.grid!r}") from None
+    return config_from_dict(doc)
 
-    result = DRIVERS[args.command](cfg)
+
+def main(argv=None) -> int:
+    """Exit 0 if every criterion passed, 1 if one failed, 2 on a config or usage
+    error, 3 on a numerical breakdown (recorded in the summary)."""
+    args = _parser().parse_args(argv)
+    try:
+        cfg = _config(args)
+        result = DRIVERS[args.command](cfg)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (SeriesDivergenceError, BlowUpError, NotEquicontinuousError) as exc:
+        error = {"type": type(exc).__name__, "message": str(exc)}
+        if isinstance(exc, BlowUpError):
+            error["last_good_time"] = float(exc.last_good_time)
+        args.out.mkdir(parents=True, exist_ok=True)
+        json_path = args.out / f"{args.command}_summary.json"
+        write_summary(json_path, [], {"config": cfg.to_dict(), "error": error})
+        print(f"numerical breakdown: {error['type']}: {error['message']}", file=sys.stderr)
+        print(f"summary -> {json_path}")
+        return 3
+
     csv_path, json_path = result.write(args.out)
     for e in result.summary:
         status = "PASS" if e.passed else "FAIL"

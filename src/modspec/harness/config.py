@@ -9,8 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..flows import FlowSpec
 from ..grid import (
-    Field,
     GridSpec,
     band_indicator_field,
     gaussian_field,
@@ -24,6 +24,38 @@ class ConfigError(ValueError):
 
 
 DEFAULT_FAMILY = {"kind": "gaussian", "width": 1.0, "amplitude": 0.3, "center_freq": 0.0}
+
+# Every pass/fail threshold a driver reads, with its default.  A config's
+# `tolerances` map may override these keys and no others.  galilei_distance
+# depends on the equation.
+TOLERANCES = {
+    "conservation_drift": 1e-5,
+    "trace_imag": 1e-8,
+    "normequiv_bracket": 10.0,
+    "normequiv_sweep_tail": 1e-6,
+    "normequiv_unresolved": 1e-10,
+    "apriori_ratio": 2.0,
+    "apriori_equi_factor": 2.0,
+    "apriori_small_norm": 1.0,
+    "apriori_eps_target": 0.25,
+    "apriori_large_constant": 50.0,
+    "galilei_distance": {"mkdv": 1e-5, "nls": 1e-6},
+    "scaling_constant": 10.0,
+    "embedding_constant": 10.0,
+    "tails_stability": 3.0,
+}
+
+_WIDTHS = [1.0, 2.0, 4.0]
+
+# Initial-data families: kind -> the keys its descriptor may set, with defaults.
+# gaussian also takes `widths`, the widths of run_apriori's equicontinuous family.
+FAMILIES = {
+    "gaussian": {"width": 1.0, "amplitude": 0.3, "center_freq": 0.0, "widths": _WIDTHS},
+    "gaussian_mix": {"widths": _WIDTHS, "amplitude": 0.3, "center_freq": 0.0},
+    "soliton": {"amplitude": 1.0, "shift": 0.0},
+    "band_indicator": {"lo": 0.0, "hi": 1.0, "amplitude": 1.0},
+    "random_band": {"kmin": -4, "kmax": 4, "amplitude": 0.3, "count": 1},
+}
 
 
 @dataclass
@@ -55,11 +87,25 @@ class ExperimentConfig:
         return make_grid(self.grid_n, self.grid_length)
 
     def snapshot_times(self) -> list:
-        return [self.t_final * i / (self.snapshots - 1) for i in range(self.snapshots)] \
+        """Evenly spaced times over [0, t_final]; each must be a multiple of dt."""
+        times = [self.t_final * i / (self.snapshots - 1) for i in range(self.snapshots)] \
             if self.snapshots > 1 else [0.0]
+        for t in times:
+            self.check_time(t, "snapshot time")
+        return times
 
-    def tolerance(self, name: str, default: float) -> float:
-        return float(self.tolerances.get(name, default))
+    def check_time(self, t: float, what: str) -> None:
+        """Raise ConfigError unless t is a whole number of steps, as evolve requires."""
+        dt = abs(self.dt)
+        if abs(round(t / dt) * dt - t) > 1e-6 * dt:
+            raise ConfigError(f"{what} {t} is not a multiple of dt = {self.dt}")
+
+    def tolerance(self, name: str) -> float:
+        """The config's value for a TOLERANCES key, else the table's default."""
+        if name in self.tolerances:
+            return float(self.tolerances[name])
+        default = TOLERANCES[name]
+        return float(default[self.equation] if isinstance(default, dict) else default)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -90,20 +136,45 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
             raise ConfigError(
                 f"field '{key}' must be {_TYPES[key]}, got {type(val).__name__}"
             )
+        if isinstance(val, float) and not math.isfinite(val):
+            raise ConfigError(f"field '{key}' must be finite, got {val}")
     cfg = ExperimentConfig(**doc)
     if cfg.version != 1:
         raise ConfigError(f"unsupported config version {cfg.version}")
+    try:
+        cfg.grid()
+        FlowSpec(cfg.equation, cfg.sign, cfg.dt)
+    except ValueError as exc:  # the grid's and the flow's own checks of these fields
+        raise ConfigError(str(exc)) from None
+    for name, val in cfg.tolerances.items():
+        if name not in TOLERANCES:
+            raise ConfigError(f"unknown tolerance key {name!r}")
+        if not isinstance(val, (int, float)) or isinstance(val, bool) or not math.isfinite(val):
+            raise ConfigError(f"tolerance '{name}' must be a finite number, got {val!r}")
+    family_params(cfg.family)
     return cfg
 
 
-def load_config(path) -> ExperimentConfig:
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+def _reject_constant(token):
+    raise ConfigError(f"non-finite number {token} is not allowed")
+
+
+def read_config(path) -> dict:
+    """Parse a JSON config file into a document for config_from_dict."""
     try:
-        doc = json.loads(text)
+        with open(path, encoding="utf-8") as fh:
+            return json.loads(fh.read(), parse_constant=_reject_constant)
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read: {exc.strerror}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: malformed JSON at line {exc.lineno} column {exc.colno}: "
                           f"{exc.msg}") from None
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def load_config(path) -> ExperimentConfig:
+    doc = read_config(path)
     try:
         return config_from_dict(doc)
     except ConfigError as exc:
@@ -113,29 +184,37 @@ def load_config(path) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # initial-data families
 
+def family_params(descriptor: dict) -> tuple:
+    """Check a family descriptor against FAMILIES; return (kind, parameters with defaults)."""
+    kind = descriptor.get("kind")
+    if kind not in FAMILIES:
+        raise ConfigError(f"unknown family kind {kind!r}")
+    defaults = FAMILIES[kind]
+    for key, val in descriptor.items():
+        if key == "kind":
+            continue
+        if key not in defaults:
+            raise ConfigError(f"family kind {kind!r} has no key {key!r}; "
+                              f"allowed: {', '.join(defaults)}")
+        want = (int, float) if isinstance(defaults[key], float) else type(defaults[key])
+        if not isinstance(val, want) or isinstance(val, bool):
+            raise ConfigError(f"family key {key!r} must be {want}, got {type(val).__name__}")
+    return kind, {**defaults, **{k: v for k, v in descriptor.items() if k != "kind"}}
+
+
 def build_family(descriptor: dict, grid: GridSpec, rng: np.random.Generator) -> list:
     """Realize a family descriptor as a list of Fields."""
-    kind = descriptor.get("kind")
-    d = {k: v for k, v in descriptor.items() if k != "kind"}
+    kind, d = family_params(descriptor)
     if kind == "gaussian":
-        return [gaussian_field(grid, d.get("width", 1.0), d.get("amplitude", 0.3),
-                               d.get("center_freq", 0.0))]
+        return [gaussian_field(grid, d["width"], d["amplitude"], d["center_freq"])]
     if kind == "gaussian_mix":
-        amp = d.get("amplitude", 0.3)
-        cf = d.get("center_freq", 0.0)
-        return [gaussian_field(grid, w, amp, cf) for w in d.get("widths", [1.0, 2.0, 4.0])]
+        return [gaussian_field(grid, w, d["amplitude"], d["center_freq"]) for w in d["widths"]]
     if kind == "soliton":
-        return [sech_field(grid, d.get("amplitude", 1.0), d.get("shift", 0.0))]
+        return [sech_field(grid, d["amplitude"], d["shift"])]
     if kind == "band_indicator":
-        return [band_indicator_field(grid, d.get("lo", 0.0), d.get("hi", 1.0),
-                                     d.get("amplitude", 1.0))]
-    if kind == "random_band":
-        return [
-            random_band_field(grid, d.get("kmin", -4), d.get("kmax", 4),
-                              d.get("amplitude", 0.3), rng)
-            for _ in range(d.get("count", 1))
-        ]
-    raise ConfigError(f"unknown family kind {kind!r}")
+        return [band_indicator_field(grid, d["lo"], d["hi"], d["amplitude"])]
+    return [random_band_field(grid, d["kmin"], d["kmax"], d["amplitude"], rng)
+            for _ in range(d["count"])]
 
 
 def random_suite(grid: GridSpec, size: int, rng: np.random.Generator,

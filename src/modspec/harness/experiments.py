@@ -25,6 +25,7 @@ from ..norms import (
     admissible_sigma,
     bracket,
     hs_functional,
+    lp_norm,
     modulation_norm,
     sobolev_norm,
 )
@@ -36,14 +37,33 @@ from ..symmetries import (
     scale_field,
     scaling_bound_factor,
 )
-from .config import ExperimentConfig, build_family, random_suite
-from .reports import RunResult, SummaryEntry
+from .config import (
+    FAMILIES,
+    ConfigError,
+    ExperimentConfig,
+    build_family,
+    family_params,
+    random_suite,
+)
+from .reports import RunResult, criterion
 
 log = logging.getLogger(__name__)
 
 
-def _mps(cfg: ExperimentConfig):
-    return [ModulationParams(float(p), float(s)) for p, s in cfg.ps]
+# the (p, s) ranges a driver can require: ModulationParams property -> inequality
+_PS_RANGES = {"main_range": "s < 3/2 - 1/p", "equiv_range": "s < 2 - 1/p"}
+
+
+def _mps(cfg: ExperimentConfig, ps_range: str | None = None) -> list:
+    """cfg.ps as ModulationParams, each inside `ps_range` when one is named."""
+    try:
+        mps = [ModulationParams(float(p), float(s)) for p, s in cfg.ps]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"ps: {exc}") from None
+    for mp in mps:
+        if ps_range and not getattr(mp, ps_range):
+            raise ConfigError(f"(p, s) = ({mp.p}, {mp.s}) violates {_PS_RANGES[ps_range]}")
+    return mps
 
 
 def _rel_drift(values, t0_value):
@@ -51,18 +71,10 @@ def _rel_drift(values, t0_value):
     return max(abs(v - t0_value) for v in values) / scale
 
 
-def _lp(terms, p):
-    terms = np.asarray(terms, dtype=float)
-    return float(np.sum(terms**p) ** (1.0 / p))
-
-
 # ---------------------------------------------------------------------------
 
 def run_conservation(cfg: ExperimentConfig) -> RunResult:
-    """Evolve the data and track the determinant functionals at each (t, kappa).
-
-    Tolerance keys: conservation_drift (1e-5), trace_imag (1e-8).
-    """
+    """Evolve the data and track the determinant functionals at each (t, kappa)."""
     grid = cfg.grid()
     rng = np.random.default_rng(cfg.seed)
     members = build_family(cfg.family, grid, rng)
@@ -70,7 +82,7 @@ def run_conservation(cfg: ExperimentConfig) -> RunResult:
     times = cfg.snapshot_times()
     kappas = [float(k) for k in cfg.kappas]
     all_k = sorted({k for k in kappas} | {2.0 * k for k in kappas})
-    tol = cfg.tolerance("conservation_drift", 1e-5)
+    tol = cfg.tolerance("conservation_drift")
 
     header = ["member", "t", "kappa", "alpha_full", "beta_full", "alpha2", "alpha4",
               "beta2", "hs_functional", "spectral_radius"]
@@ -114,31 +126,27 @@ def run_conservation(cfg: ExperimentConfig) -> RunResult:
             b_series = [alphas[(t, k)] - 0.5 * alphas[(t, 2.0 * k)] for t in times]
             da = _rel_drift(a_series, a_series[0])
             db = _rel_drift(b_series, b_series[0])
-            summary.append(SummaryEntry(f"alpha_drift[m{mi},kappa={k:g}]", da, tol, da <= tol))
-            summary.append(SummaryEntry(f"beta_drift[m{mi},kappa={k:g}]", db, tol, db <= tol))
+            summary.append(criterion(f"alpha_drift[m{mi},kappa={k:g}]", da, tol))
+            summary.append(criterion(f"beta_drift[m{mi},kappa={k:g}]", db, tol))
         # discretized traces should be essentially real before their Re is taken
-        imag_tol = cfg.tolerance("trace_imag", 1e-8)
-        summary.append(SummaryEntry(f"trace_imag_rel[m{mi}]", worst_imag, imag_tol,
-                                    worst_imag <= imag_tol))
+        summary.append(criterion(f"trace_imag_rel[m{mi}]", worst_imag,
+                                 cfg.tolerance("trace_imag")))
     return RunResult("conserve", header, rows, summary, {"config": cfg.to_dict()})
 
 
 # ---------------------------------------------------------------------------
 
 def run_norm_equivalence(cfg: ExperimentConfig) -> RunResult:
-    """Compare the banded norm of u(t) with the boosted quadratic-functional norm.
-
-    Tolerance keys: normequiv_bracket (10), normequiv_sweep_tail (1e-6),
-    normequiv_unresolved (1e-10).
-    """
+    """Compare the banded norm of u(t) with the boosted quadratic-functional norm."""
     grid = cfg.grid()
     rng = np.random.default_rng(cfg.seed)
     members = build_family(cfg.family, grid, rng)
     fs = FlowSpec(cfg.equation, cfg.sign, cfg.dt)
     times = cfg.snapshot_times()
     boosts = [int(k) for k in cfg.boosts]
-    bracket_tol = cfg.tolerance("normequiv_bracket", 10.0)
-    tail_tol = cfg.tolerance("normequiv_sweep_tail", 1e-6)
+    mps = _mps(cfg, "equiv_range")
+    bracket_tol = cfg.tolerance("normequiv_bracket")
+    tail_tol = cfg.tolerance("normequiv_sweep_tail")
 
     trajs = [evolve(u0, fs, times) for u0 in members]
     header = ["member", "t", "p", "s", "weighted", "lhs", "rhs", "ratio"]
@@ -148,12 +156,9 @@ def run_norm_equivalence(cfg: ExperimentConfig) -> RunResult:
     unresolved = max(
         unresolved_mass_fraction(u) for traj in trajs for u in traj.fields
     )
-    summary.append(SummaryEntry("unresolved_mass_fraction", unresolved,
-                                cfg.tolerance("normequiv_unresolved", 1e-10),
-                                unresolved <= cfg.tolerance("normequiv_unresolved", 1e-10)))
-    for mp in _mps(cfg):
-        if not mp.equiv_range:
-            raise ValueError(f"(p, s) = ({mp.p}, {mp.s}) violates s < 2 - 1/p")
+    summary.append(criterion("unresolved_mass_fraction", unresolved,
+                             cfg.tolerance("normequiv_unresolved")))
+    for mp in mps:
         modes = {"unit": None}
         w_built = build_weights(FieldFamily(members, mp))
         modes["built"] = w_built
@@ -168,7 +173,7 @@ def run_norm_equivalence(cfg: ExperimentConfig) -> RunResult:
                     rhs_terms = c_boost * bracket(ks_boost) ** mp.s * np.sqrt(
                         [max(boosted_beta2(u, float(k), 0.5), 0.0) for k in boosts]
                     )
-                    rhs = _lp(rhs_terms, mp.p)
+                    rhs = float(lp_norm(rhs_terms, mp.p))
                     if lhs == 0.0 and rhs == 0.0:
                         ratio = 1.0  # zero data, equal by convention
                     else:
@@ -180,16 +185,14 @@ def run_norm_equivalence(cfg: ExperimentConfig) -> RunResult:
                         ks = np.arange(-kmax, kmax + 1)
                         terms = (1.0 if warr is None else warr) * bracket(ks) ** mp.s \
                             * band_profile(u)
-                        tail = _lp(terms[np.abs(ks) > kb], mp.p)
+                        tail = float(lp_norm(terms[np.abs(ks) > kb], mp.p))
                         max_tail_frac = max(max_tail_frac, tail / lhs)
                     rows.append((mi, ti, mp.p, mp.s, mode, lhs, rhs, ratio))
             hi, lo = max(ratios), min(ratios)
             cbr = max(hi, 1.0 / lo if lo > 0 else np.inf)
             tag = f"p={mp.p:g},s={mp.s:g},{mode}"
-            summary.append(SummaryEntry(f"ratio_bracket[{tag}]", cbr, bracket_tol,
-                                        cbr <= bracket_tol))
-            summary.append(SummaryEntry(f"sweep_tail_fraction[{tag}]", max_tail_frac,
-                                        tail_tol, max_tail_frac <= tail_tol))
+            summary.append(criterion(f"ratio_bracket[{tag}]", cbr, bracket_tol))
+            summary.append(criterion(f"sweep_tail_fraction[{tag}]", max_tail_frac, tail_tol))
     return RunResult("normequiv", header, rows, summary, {"config": cfg.to_dict()})
 
 
@@ -199,26 +202,25 @@ def run_apriori(cfg: ExperimentConfig) -> RunResult:
     """Global-in-time norm bounds over an amplitude sweep, plus the weighted family clause.
 
     Data whose norm exceeds apriori_small_norm is rescaled into the small
-    regime first; see _apriori_large_data.  Tolerance keys: apriori_ratio (2),
-    apriori_equi_factor (2), apriori_small_norm (1.0), apriori_eps_target
-    (0.25), apriori_large_constant (50).
+    regime first; see _apriori_large_data.
     """
     grid = cfg.grid()
     rng = np.random.default_rng(cfg.seed)
     fs = FlowSpec(cfg.equation, cfg.sign, cfg.dt)
     times = cfg.snapshot_times()
-    ratio_tol = cfg.tolerance("apriori_ratio", 2.0)
-    equi_tol = cfg.tolerance("apriori_equi_factor", 2.0)
+    mps = _mps(cfg, "main_range")
+    ratio_tol = cfg.tolerance("apriori_ratio")
+    equi_tol = cfg.tolerance("apriori_equi_factor")
 
-    small_norm = cfg.tolerance("apriori_small_norm", 1.0)
-    eps_target = cfg.tolerance("apriori_eps_target", 0.25)
-    large_tol = cfg.tolerance("apriori_large_constant", 50.0)
+    small_norm = cfg.tolerance("apriori_small_norm")
+    eps_target = cfg.tolerance("apriori_eps_target")
+    large_tol = cfg.tolerance("apriori_large_constant")
+    # the equicontinuous family clause: gaussians of these widths
+    widths = family_params(cfg.family)[1].get("widths", FAMILIES["gaussian"]["widths"])
 
     header = ["p", "s", "eps", "t", "norm", "weighted_norm"]
     rows, summary = [], []
-    for mp in _mps(cfg):
-        if not mp.main_range:
-            raise ValueError(f"(p, s) = ({mp.p}, {mp.s}) violates s < 3/2 - 1/p")
+    for mp in mps:
         cexp = apriori_exponent(mp)
         worst_plain = 0.0
         worst_normalized = 0.0
@@ -239,13 +241,10 @@ def run_apriori(cfg: ExperimentConfig) -> RunResult:
             worst_normalized = max(worst_normalized, max(norms) / ((1.0 + n0) ** cexp * n0))
         tag = f"p={mp.p:g},s={mp.s:g}"
         if worst_plain > 0.0:
-            summary.append(SummaryEntry(f"sup_ratio[{tag}]", worst_plain, ratio_tol,
-                                        worst_plain <= ratio_tol))
-            summary.append(SummaryEntry(f"normalized_ratio[{tag}]", worst_normalized,
-                                        ratio_tol, worst_normalized <= ratio_tol))
+            summary.append(criterion(f"sup_ratio[{tag}]", worst_plain, ratio_tol))
+            summary.append(criterion(f"normalized_ratio[{tag}]", worst_normalized, ratio_tol))
 
         # equicontinuous family: weighted norms stay within the factor-2 budget
-        widths = cfg.family.get("widths", [1.0, 2.0, 4.0])
         amp = float(cfg.amplitudes[0])
         fam_fields = [gaussian_field(grid, w, amp) for w in widths]
         wseq = build_weights(FieldFamily(fam_fields, mp))
@@ -259,8 +258,7 @@ def run_apriori(cfg: ExperimentConfig) -> RunResult:
                 rows.append((mp.p, mp.s, amp, ti, modulation_norm(u, mp), wn))
                 wt = max(wt, wn)
         factor = wt / w0
-        summary.append(SummaryEntry(f"equicontinuity_factor[{tag}]", factor, equi_tol,
-                                    factor <= equi_tol))
+        summary.append(criterion(f"equicontinuity_factor[{tag}]", factor, equi_tol))
     return RunResult("apriori", header, rows, summary, {"config": cfg.to_dict()})
 
 
@@ -281,7 +279,7 @@ def _apriori_large_data(u0, n0, mp, cexp, fs, times, eps_target, ratio_tol, larg
     while pad < need:
         pad *= 2
     if pad > 64:
-        raise ValueError(f"rescaling pad {pad} exceeds the budget; data too large")
+        raise ConfigError(f"rescaling pad {pad} exceeds the budget; data too large")
     u_small = scale_field(u0, lam0, pad=pad)
     n_small = modulation_norm(u_small, mp)
     traj = evolve(u_small, fs, times)
@@ -293,31 +291,25 @@ def _apriori_large_data(u0, n0, mp, cexp, fs, times, eps_target, ratio_tol, larg
     large_const = implied / ((1.0 + n0) ** cexp * n0)
     tag = f"p={mp.p:g},s={mp.s:g},norm={n0:.3g}"
     return [
-        SummaryEntry(f"rescaled_norm[{tag}]", n_small, 2.0 * eps_target,
-                     n_small <= 2.0 * eps_target),
-        SummaryEntry(f"rescaled_sup_ratio[{tag}]", sup_small / n_small, ratio_tol,
-                     sup_small / n_small <= ratio_tol),
-        SummaryEntry(f"large_data_constant[{tag}]", large_const, large_tol,
-                     large_const <= large_tol),
+        criterion(f"rescaled_norm[{tag}]", n_small, 2.0 * eps_target),
+        criterion(f"rescaled_sup_ratio[{tag}]", sup_small / n_small, ratio_tol),
+        criterion(f"large_data_constant[{tag}]", large_const, large_tol),
     ]
 
 
 # ---------------------------------------------------------------------------
 
 def run_galilei(cfg: ExperimentConfig) -> RunResult:
-    """Two-path check: boost-then-evolve against evolve-then-boost.
-
-    Tolerance key: galilei_distance (1e-5 for mkdv, 1e-6 for nls).
-    """
+    """Two-path check: boost-then-evolve against evolve-then-boost."""
     grid = cfg.grid()
     rng = np.random.default_rng(cfg.seed)
     u0 = build_family(cfg.family, grid, rng)[0]
     eq = cfg.equation
     if eq not in ("mkdv", "nls"):
-        raise ValueError("galilei consistency applies to the mkdv and nls flows")
-    default_tol = 1e-5 if eq == "mkdv" else 1e-6
-    tol = cfg.tolerance("galilei_distance", default_tol)
+        raise ConfigError("galilei consistency applies to the mkdv and nls flows")
+    tol = cfg.tolerance("galilei_distance")
     T = cfg.t_final
+    cfg.check_time(T, "t_final")
 
     header = ["k", "dt", "distance"]
     rows, summary = [], []
@@ -336,23 +328,19 @@ def run_galilei(cfg: ExperimentConfig) -> RunResult:
             dist = float(np.sqrt(np.sum(np.abs(path1.values - path2.values) ** 2) * grid.dx))
             rows.append((k, dt, dist))
             if dt == cfg.dt:
-                summary.append(SummaryEntry(f"two_path_distance[k={k:g}]", dist, tol,
-                                            dist <= tol))
+                summary.append(criterion(f"two_path_distance[k={k:g}]", dist, tol))
     return RunResult("galilei", header, rows, summary, {"config": cfg.to_dict()})
 
 
 # ---------------------------------------------------------------------------
 
 def run_scaling(cfg: ExperimentConfig) -> RunResult:
-    """Scaling-factor and Sobolev-embedding constants over a random suite.
-
-    Tolerance keys: scaling_constant (10), embedding_constant (10).
-    """
+    """Scaling-factor and Sobolev-embedding constants over a random suite."""
     grid = cfg.grid()
     rng = np.random.default_rng(cfg.seed)
     suite = random_suite(grid, cfg.suite_size, rng)
-    sc_tol = cfg.tolerance("scaling_constant", 10.0)
-    emb_tol = cfg.tolerance("embedding_constant", 10.0)
+    sc_tol = cfg.tolerance("scaling_constant")
+    emb_tol = cfg.tolerance("embedding_constant")
 
     header = ["check", "field", "p", "s", "lam", "ratio"]
     rows, summary = [], []
@@ -370,41 +358,35 @@ def run_scaling(cfg: ExperimentConfig) -> RunResult:
             worst_emb = max(worst_emb, remb)
             rows.append(("embedding", i, mp.p, mp.s, 0.0, remb))
         tag = f"p={mp.p:g},s={mp.s:g}"
-        summary.append(SummaryEntry(f"scaling_constant[{tag}]", worst_sc, sc_tol,
-                                    np.isfinite(worst_sc) and worst_sc <= sc_tol))
-        summary.append(SummaryEntry(f"embedding_constant[{tag}]", worst_emb, emb_tol,
-                                    np.isfinite(worst_emb) and worst_emb <= emb_tol))
+        summary.append(criterion(f"scaling_constant[{tag}]", worst_sc, sc_tol))
+        summary.append(criterion(f"embedding_constant[{tag}]", worst_emb, emb_tol))
 
     # analytic cross-check: scaled gaussian spectrum is exactly the dilated gaussian
     g1 = gaussian_field(grid, 1.0, 1.0)
     lam = 2.0
     fl = scale_field(g1, lam)
     err = float(np.max(np.abs(fl.spectrum - np.exp(-(lam * fl.grid.xi) ** 2 / 2.0))))
-    summary.append(SummaryEntry("gaussian_scaling_spectrum_error", err, 1e-10, err <= 1e-10))
+    summary.append(criterion("gaussian_scaling_spectrum_error", err, 1e-10))
     return RunResult("scaling", header, rows, summary, {"config": cfg.to_dict()})
 
 
 # ---------------------------------------------------------------------------
 
 def run_tails(cfg: ExperimentConfig) -> RunResult:
-    """High-order tail inequalities: sextic-and-up and quartic band aggregates.
-
-    Tolerance key: tails_stability (3).
-    """
+    """High-order tail inequalities: sextic-and-up and quartic band aggregates."""
     grid = cfg.grid()
     rng = np.random.default_rng(cfg.seed)
     fs = FlowSpec(cfg.equation, cfg.sign, cfg.dt)
     times = cfg.snapshot_times()
     boosts = [int(k) for k in cfg.boosts]
-    stab_tol = cfg.tolerance("tails_stability", 3.0)
+    mps = _mps(cfg, "main_range")
+    stab_tol = cfg.tolerance("tails_stability")
     kp_half = SpectralParameter(0.5, cfg.sign)
     kp_one = SpectralParameter(1.0, cfg.sign)
 
     header = ["p", "s", "eps", "t", "k", "beta2", "beta4", "beta_geq6", "tail2", "tail3"]
     rows, summary = [], []
-    for mp in _mps(cfg):
-        if not mp.main_range:
-            raise ValueError(f"(p, s) = ({mp.p}, {mp.s}) violates s < 3/2 - 1/p")
+    for mp in mps:
         ratio6_by_eps, ratio4_by_eps = [], []
         skipped = 0
         for eps in cfg.amplitudes:
@@ -439,23 +421,20 @@ def run_tails(cfg: ExperimentConfig) -> RunResult:
                     rows.append((mp.p, mp.s, eps, ti, k, b2, b4, b6,
                                  tail_bound(u, kf, 2), tail_bound(u, kf, 3)))
                 if t6:
-                    r6s.append(_lp(t6, mp.p) / M**3)
-                    r4s.append(_lp(t4, mp.p) / M**2)
+                    r6s.append(float(lp_norm(t6, mp.p)) / M**3)
+                    r4s.append(float(lp_norm(t4, mp.p)) / M**2)
             ratio6_by_eps.append(max(r6s) if r6s else np.nan)
             ratio4_by_eps.append(max(r4s) if r4s else np.nan)
         tag = f"p={mp.p:g},s={mp.s:g}"
         stab6 = max(ratio6_by_eps) / min(ratio6_by_eps) if min(ratio6_by_eps) > 0 else 1.0
         stab4 = max(ratio4_by_eps) / min(ratio4_by_eps) if min(ratio4_by_eps) > 0 else 1.0
-        summary.append(SummaryEntry(f"sextic_constant[{tag}]", max(ratio6_by_eps),
-                                    np.inf, np.isfinite(max(ratio6_by_eps))))
-        summary.append(SummaryEntry(f"quartic_constant[{tag}]", max(ratio4_by_eps),
-                                    np.inf, np.isfinite(max(ratio4_by_eps))))
-        summary.append(SummaryEntry(f"sextic_eps_stability[{tag}]", stab6, stab_tol,
-                                    stab6 <= stab_tol))
-        summary.append(SummaryEntry(f"quartic_eps_stability[{tag}]", stab4, stab_tol,
-                                    stab4 <= stab_tol))
+        # the constants are reported, not bounded: only a non-finite one fails
+        summary.append(criterion(f"sextic_constant[{tag}]", max(ratio6_by_eps), np.inf))
+        summary.append(criterion(f"quartic_constant[{tag}]", max(ratio4_by_eps), np.inf))
+        summary.append(criterion(f"sextic_eps_stability[{tag}]", stab6, stab_tol))
+        summary.append(criterion(f"quartic_eps_stability[{tag}]", stab4, stab_tol))
         if skipped:
-            summary.append(SummaryEntry(f"skipped_boosts[{tag}]", float(skipped), 0.0, False))
+            summary.append(criterion(f"skipped_boosts[{tag}]", skipped, 0.0))
     return RunResult("tails", header, rows, summary, {"config": cfg.to_dict()})
 
 
@@ -465,9 +444,10 @@ def run_weights(cfg: ExperimentConfig) -> RunResult:
     """Build and verify the equicontinuity weights; check growth under a wider window."""
     grid = cfg.grid()
     rng = np.random.default_rng(cfg.seed)
-    fam = cfg.family if cfg.family.get("kind") != "gaussian" else {
-        "kind": "gaussian_mix", "widths": [1.0, 2.0, 4.0],
-        "amplitude": cfg.family.get("amplitude", 0.3),
+    kind, params = family_params(cfg.family)
+    # a single gaussian is no family: use the default mix at the same amplitude
+    fam = cfg.family if kind != "gaussian" else {
+        "kind": "gaussian_mix", "amplitude": params["amplitude"],
     }
     mp = _mps(cfg)[0]
     members = build_family(fam, grid, rng)
@@ -483,12 +463,12 @@ def run_weights(cfg: ExperimentConfig) -> RunResult:
     header = ["k", "c_k"]
     rows = [(k, c) for k, c in zip(range(0, grid.kmax + 1), w.as_array()[grid.kmax:])]
     summary = [
-        SummaryEntry("symmetric_bounded", float(chk.symmetric_bounded), 1.0, chk.symmetric_bounded),
-        SummaryEntry("quadruple_step", float(chk.quadruple_step), 1.0, chk.quadruple_step),
-        SummaryEntry("monotone", float(chk.monotone), 1.0, chk.monotone),
-        SummaryEntry("grows", float(chk.grows), 1.0, chk.grows),
-        SummaryEntry("weighted_ratio", chk.weighted_ratio, 2.0, chk.within_factor_two),
-        SummaryEntry("threshold_growth_with_window", float(grew), 1.0, grew),
+        criterion("symmetric_bounded", float(chk.symmetric_bounded), 1.0, ok=chk.symmetric_bounded),
+        criterion("quadruple_step", float(chk.quadruple_step), 1.0, ok=chk.quadruple_step),
+        criterion("monotone", float(chk.monotone), 1.0, ok=chk.monotone),
+        criterion("grows", float(chk.grows), 1.0, ok=chk.grows),
+        criterion("weighted_ratio", chk.weighted_ratio, 2.0, ok=chk.within_factor_two),
+        criterion("threshold_growth_with_window", float(grew), 1.0, ok=grew),
     ]
     meta = {"config": cfg.to_dict(), "thresholds": list(w.thresholds),
             "thresholds_wide": list(w2.thresholds)}

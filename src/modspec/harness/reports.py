@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -27,10 +28,30 @@ class SummaryEntry:
     def to_dict(self) -> dict:
         return {
             "criterion": self.criterion,
-            "measured": self.measured,
-            "threshold": self.threshold,
+            "measured": _finite_or_none(self.measured),
+            "threshold": _finite_or_none(self.threshold),
             "pass": bool(self.passed),
         }
+
+
+def _finite_or_none(value: float):
+    """Strict JSON has no NaN or infinity; such a value is written as null."""
+    return value if math.isfinite(value) else None
+
+
+def criterion(name: str, measured, threshold, ok=None) -> SummaryEntry:
+    """The one pass/fail rule: measured <= threshold, or the verdict `ok` when given.
+
+    A non-finite measurement never passes.
+    """
+    measured, threshold = float(measured), float(threshold)
+    passed = math.isfinite(measured) and (measured <= threshold if ok is None else bool(ok))
+    return SummaryEntry(name, measured, threshold, passed)
+
+
+def _all_passed(entries) -> bool:
+    """True when at least one criterion was checked and every one passed."""
+    return bool(entries) and all(e.passed for e in entries)
 
 
 @dataclass
@@ -43,7 +64,7 @@ class RunResult:
 
     @property
     def all_pass(self) -> bool:
-        return all(e.passed for e in self.summary)
+        return _all_passed(self.summary)
 
     def write(self, out_dir) -> tuple:
         out = Path(out_dir)
@@ -68,10 +89,10 @@ def write_csv(path, header, rows) -> None:
 def write_summary(path, entries, meta=None) -> None:
     doc = {
         "criteria": [e.to_dict() for e in entries],
-        "all_pass": all(e.passed for e in entries),
+        "all_pass": _all_passed(entries),
     }
     if meta:
         doc["meta"] = meta
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")

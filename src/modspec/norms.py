@@ -19,6 +19,11 @@ def bracket(x):
     return np.sqrt(4.0 + np.abs(x) ** 2)
 
 
+def lp_norm(terms, p: float):
+    """(sum terms**p)**(1/p) over the last axis: the l^p sum of nonnegative band terms."""
+    return np.sum(np.asarray(terms, dtype=float) ** p, axis=-1) ** (1.0 / p)
+
+
 @dataclass(frozen=True)
 class ModulationParams:
     """Exponent pair (p, s) with validity flags for the supported ranges."""
@@ -60,7 +65,7 @@ def modulation_norm(f: Field, mp: ModulationParams, weights: np.ndarray | None =
                 f"weights must cover all {2 * kmax + 1} resolved bands, got {weights.shape}"
             )
         terms = weights * terms
-    return float(np.sum(terms ** mp.p) ** (1.0 / mp.p))
+    return float(lp_norm(terms, mp.p))
 
 
 def sobolev_norm(f: Field, sigma: float) -> float:

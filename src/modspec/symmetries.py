@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, make_grid
+from .grid import Field, inverse_transform, make_grid
 from .norms import ModulationParams, bracket
 from . import conserved
 
@@ -61,10 +61,7 @@ def galilei_boost(u: Field, b: BoostSpec) -> Field:
         spec = spec * phase0 * np.exp(-1j * (g.xi + k) * shift)
         return Field.from_spectrum(g, spec)
     # off-lattice wave number: translate spectrally, modulate pointwise
-    translated = u.spectrum * np.exp(-1j * g.xi * shift)
-    vals = np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(translated))) * (
-        g.dxi * g.n / np.sqrt(2.0 * np.pi)
-    )
+    vals = inverse_transform(u.spectrum * np.exp(-1j * g.xi * shift), g)
     return Field(g, phase0 * np.exp(-1j * k * g.x) * vals)
 
 

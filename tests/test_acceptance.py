@@ -39,6 +39,7 @@ from modspec import (
     verify_weights,
 )
 from modspec.harness.config import config_from_dict, random_suite
+from modspec.harness.reports import criterion
 from modspec.harness import (
     run_apriori,
     run_conservation,
@@ -52,11 +53,10 @@ L_REF = 32 * math.pi
 
 
 def check(tag, measured, threshold, ok=None):
-    if ok is None:
-        ok = measured <= threshold
-    print(f"[{'PASS' if ok else 'FAIL'}] {tag}: measured {measured:.6g} "
+    passed = criterion(tag, measured, threshold, ok).passed
+    print(f"[{'PASS' if passed else 'FAIL'}] {tag}: measured {measured:.6g} "
           f"(threshold {threshold:.6g})")
-    assert ok, f"{tag}: {measured} vs {threshold}"
+    assert passed, f"{tag}: {measured} vs {threshold}"
 
 
 @pytest.fixture(scope="module")

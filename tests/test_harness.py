@@ -19,7 +19,7 @@ from modspec.harness import (
 )
 from modspec.harness.cli import main
 from modspec.harness.config import build_family, config_from_dict
-from modspec.harness.reports import fmt, write_csv
+from modspec.harness.reports import criterion, fmt, write_csv
 
 
 def small_cfg(**over):
@@ -81,6 +81,29 @@ def test_config_type_validation():
 def test_unknown_family_kind(grid_small, rng):
     with pytest.raises(ConfigError, match="kind"):
         build_family({"kind": "plane_wave"}, grid_small, rng)
+    with pytest.raises(ConfigError, match="widht"):
+        build_family({"kind": "gaussian", "widht": 9}, grid_small, rng)
+
+
+@pytest.mark.parametrize("over, match", [
+    ({"tolerances": {"conservation_drif": 1e-30}}, "conservation_drif"),
+    ({"tolerances": {"conservation_drift": True}}, "conservation_drift"),
+    ({"tolerances": {"conservation_drift": "1e-5"}}, "conservation_drift"),
+    ({"family": {"kind": "gaussian", "widht": 9}}, "widht"),
+    ({"family": {"kind": "soliton", "widths": [1.0]}}, "widths"),
+    ({"family": {"kind": "plane_wave"}}, "kind"),
+    ({"family": {"kind": "random_band", "count": 2.5}}, "count"),
+])
+def test_config_rejects_bad_nested_maps(over, match):
+    with pytest.raises(ConfigError, match=match):
+        config_from_dict({"version": 1, **over})
+
+
+def test_tolerance_defaults_and_overrides():
+    assert small_cfg().tolerance("conservation_drift") == 1e-5
+    assert small_cfg(tolerances={"conservation_drift": 1}).tolerance("conservation_drift") == 1.0
+    assert small_cfg(equation="mkdv").tolerance("galilei_distance") == 1e-5
+    assert small_cfg(equation="nls").tolerance("galilei_distance") == 1e-6
 
 
 def test_all_family_kinds_build(grid_small, rng):
@@ -97,6 +120,20 @@ def test_all_family_kinds_build(grid_small, rng):
 
 # ---------------------------------------------------------------------------
 # reports
+
+@pytest.mark.parametrize("measured", [math.nan, math.inf, -math.inf])
+def test_criterion_fails_non_finite(measured):
+    assert not criterion("c", measured, 1.0).passed
+    assert not criterion("c", measured, math.inf).passed
+    assert not criterion("c", measured, 1.0, ok=True).passed
+
+
+def test_criterion_verdicts():
+    assert criterion("c", 1e300, math.inf).passed
+    assert criterion("c", 1.0, 1.0).passed
+    assert not criterion("c", 1.5, 1.0).passed
+    assert not criterion("c", 0.5, 1.0, ok=False).passed
+
 
 def test_fmt_17_digits():
     assert fmt(math.pi) == f"{math.pi:.17g}"
@@ -219,7 +256,11 @@ def test_tails_driver_zero_data():
     assert all(np.isfinite([e.measured for e in res.summary]).tolist())
 
 
-def test_tails_driver_quick():
+def _reject_constant(token):
+    raise AssertionError(f"non-standard JSON constant {token}")
+
+
+def test_tails_driver_quick(tmp_path):
     cfg = small_cfg(
         grid_n=512, grid_length=16 * math.pi, boosts=[0, 1], snapshots=2,
         t_final=0.02, dt=1e-2, amplitudes=[0.1, 0.2], ps=[[2.0, 0.0]], n_op=192,
@@ -227,6 +268,10 @@ def test_tails_driver_quick():
     res = run_tails(cfg)
     assert res.all_pass
     assert len(res.rows) == 2 * 2 * 2  # eps x t x k
+    _, jsonp = res.write(tmp_path)
+    doc = json.loads(jsonp.read_text(), parse_constant=_reject_constant)
+    sextic = [c for c in doc["criteria"] if c["criterion"].startswith("sextic_constant")]
+    assert sextic and sextic[0]["threshold"] is None  # the unbounded threshold is null
 
 
 def test_cli_smoke(tmp_path, capsys):
@@ -257,3 +302,29 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     cfgp.write_text("{nope")
     rc = main(["conserve", "--config", str(cfgp), "--out", str(tmp_path)])
     assert rc == 2
+
+
+@pytest.mark.parametrize("extra", [["--dt", "0.003"], ["--grid", "1000,5"], ["--grid", "512"]])
+def test_cli_config_errors_exit_2(tmp_path, capsys, extra):
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps(small_cfg().to_dict()))
+    rc = main(["conserve", "--config", str(cfgp), "--out", str(tmp_path / "out")] + extra)
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd, amplitude, dt, error", [
+    ("conserve", 6.0, 5e-3, {"type": "SeriesDivergenceError"}),
+    ("galilei", 40.0, 1e-2, {"type": "BlowUpError", "last_good_time": 0.0}),
+])
+def test_cli_numerical_breakdown_exit_3(tmp_path, capsys, cmd, amplitude, dt, error):
+    cfg = small_cfg(family={"kind": "gaussian", "amplitude": amplitude}, dt=dt, boosts=[0])
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps(cfg.to_dict()))
+    rc = main([cmd, "--config", str(cfgp), "--out", str(tmp_path / "out")])
+    assert rc == 3
+    doc = json.loads((tmp_path / "out" / f"{cmd}_summary.json").read_text())
+    assert doc["all_pass"] is False
+    assert doc["criteria"] == []
+    assert error.items() <= doc["meta"]["error"].items()
+    assert doc["meta"]["error"]["message"]
