@@ -23,11 +23,14 @@ replaces the matrix's own j <= 2 terms with the closed-form quadratures
 by default (low_order_quadrature=True).  Pass False to get the raw
 window log-determinant, e.g. to compare against partial trace sums of
 the same matrix.
+
+The series converges only while rho(A) < 1, which alpha_full certifies
+first: by ||A||_F when that is below 1, else by a dense eigen-solve.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -202,7 +205,7 @@ class OperatorPair:
 
     B = (kappa - d)^(-1/2) M_f (kappa + d)^(-1/2); its entrywise HS norm
     controls the series.  A is similar to B Bbar in structure; for real f
-    its spectrum is real and nonnegative.
+    its spectrum is real and nonnegative.  radius_bound() is cached.
     """
 
     matrix: np.ndarray
@@ -210,6 +213,7 @@ class OperatorPair:
     kappa: float
     sign: str
     window: np.ndarray  # lattice frequencies of the window
+    _radius_bound: float | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_op(self) -> int:
@@ -232,23 +236,15 @@ class OperatorPair:
     def gram(self) -> np.ndarray:
         return self.half @ self.half.conj().T
 
-    def spectral_radius(self, iters: int = 200, tol: float = 1e-12) -> float:
-        """Power-iteration estimate of max |eigenvalue| of the full matrix."""
-        rng = np.random.default_rng(0)
-        v = rng.standard_normal(self.n_op) + 1j * rng.standard_normal(self.n_op)
-        v /= np.linalg.norm(v)
-        rho = 0.0
-        for _ in range(iters):
-            w = self.matrix @ v
-            nw = np.linalg.norm(w)
-            if nw == 0.0:
-                return 0.0
-            new = nw
-            v = w / nw
-            if abs(new - rho) <= tol * max(new, 1e-300):
-                return float(new)
-            rho = new
-        return float(rho)
+    def radius_bound(self) -> float:
+        """Certified bound on rho(A): ||A||_F (>= ||A||_2 >= rho) when below 1,
+        else the exact max |eigenvalue|, so it is >= 1 exactly when rho is."""
+        if self._radius_bound is None:
+            bound = float(np.linalg.norm(self.matrix))
+            if bound >= 1.0:
+                bound = float(np.max(np.abs(np.linalg.eigvals(self.matrix))))
+            self._radius_bound = bound
+        return self._radius_bound
 
     def trace_powers(self, jmax: int) -> np.ndarray:
         """Re tr(A^j) for j = 1 .. jmax."""
@@ -269,7 +265,7 @@ def _window_indices(f: Field, n_op: int, center: float, cap: int = N_OP_CAP) -> 
         raise ValueError(f"n_op = {n_op} exceeds the dense-matrix cap {cap}")
     c = g.n // 2 + int(np.rint(center / g.dxi))
     lo = c - n_op // 2
-    hi = c + n_op // 2
+    hi = lo + n_op
     if lo < 0 or hi > g.n:
         raise ValueError(f"window of {n_op} points at center {center} leaves the lattice")
     return np.arange(lo, hi)
@@ -343,7 +339,7 @@ def _logdet_real(op: OperatorPair) -> float:
 
 def alpha_full(f: Field, kp: SpectralParameter, n_op: int = DEFAULT_N_OP,
                center: float = 0.0, low_order_quadrature: bool = True,
-               op: OperatorPair | None = None, radius_guard: bool = True) -> float:
+               op: OperatorPair | None = None) -> float:
     """Full conserved functional via the window log-determinant.
 
     With low_order_quadrature the matrix's own j <= 2 trace terms are
@@ -352,12 +348,9 @@ def alpha_full(f: Field, kp: SpectralParameter, n_op: int = DEFAULT_N_OP,
     """
     if op is None:
         op = build_operator(f, kp, n_op=n_op, center=center)
-    if radius_guard:
-        rho = op.spectral_radius()
-        if rho >= 1.0:
-            raise SeriesDivergenceError(
-                f"spectral radius {rho:.4f} >= 1 at kappa = {kp.kappa}; series diverges"
-            )
+    if not op.radius_bound() < 1.0:
+        raise SeriesDivergenceError(f"spectral radius bound {op.radius_bound():.4f} >= 1 "
+                                    f"at kappa = {kp.kappa}; series diverges")
     val = _logdet_real(op)
     if low_order_quadrature:
         t1 = op.trace().real

@@ -38,7 +38,6 @@ class FlowSpec:
     sign: str = "defocusing"  # +- sign of the nonlinearity
     dt: float = 1e-3
     k: float = 0.0  # boost wave number; only used by mkdv_nls
-    dealias: bool = True
 
     def __post_init__(self):
         if self.equation not in EQUATIONS:
@@ -76,8 +75,7 @@ class _Stepper:
         self.grid = grid
         self.fs = fs
         self.half = np.exp(dispersion_symbol(fs.equation, grid.xi, fs.k) * fs.dt / 2.0)
-        j = np.arange(-grid.n // 2, grid.n // 2)
-        self.mask = (np.abs(j) <= grid.n // 3).astype(float) if fs.dealias else np.ones(grid.n)
+        self.mask = (np.abs(np.arange(-grid.n // 2, grid.n // 2)) <= grid.n // 3).astype(float)
         self.ixi = 1j * grid.xi
 
     def _fwd(self, v):

@@ -9,11 +9,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..conserved import N_OP_CAP
 from ..flows import FlowSpec
 from ..grid import (
     GridSpec,
     band_indicator_field,
     gaussian_field,
+    make_grid,
     random_band_field,
     sech_field,
 )
@@ -82,8 +84,6 @@ class ExperimentConfig:
     tolerances: dict = field(default_factory=dict)
 
     def grid(self) -> GridSpec:
-        from ..grid import make_grid
-
         return make_grid(self.grid_n, self.grid_length)
 
     def snapshot_times(self) -> list:
@@ -123,6 +123,22 @@ _TYPES = {
 }
 
 
+def _number(v) -> bool:  # a finite int or float; a bool is not a number here
+    return not isinstance(v, bool) and (isinstance(v, int)
+                                        or isinstance(v, float) and math.isfinite(v))
+
+
+# list field -> (check of each element, what it checks); every list must be non-empty
+_ELEMENTS = {
+    "kappas": (lambda v: _number(v) and v > 0, "finite numbers > 0"),
+    "lambdas": (lambda v: _number(v) and v > 0, "finite numbers > 0"),
+    "amplitudes": (lambda v: _number(v) and v >= 0, "finite numbers >= 0"),
+    "boosts": (lambda v: isinstance(v, int) and not isinstance(v, bool), "ints"),
+    "ps": (lambda v: isinstance(v, list) and len(v) == 2 and all(map(_number, v))
+           and v[0] >= 1 and v[1] >= 0, "[p, s] pairs of finite numbers, p >= 1, s >= 0"),
+}
+
+
 def config_from_dict(doc: dict) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
@@ -146,10 +162,16 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         FlowSpec(cfg.equation, cfg.sign, cfg.dt)
     except ValueError as exc:  # the grid's and the flow's own checks of these fields
         raise ConfigError(str(exc)) from None
+    for key, (ok, what) in _ELEMENTS.items():
+        vals = getattr(cfg, key)
+        if not vals or not all(ok(v) for v in vals):
+            raise ConfigError(f"field '{key}' must be a non-empty list of {what}, got {vals!r}")
+    if not 1 <= cfg.n_op <= min(cfg.grid_n, N_OP_CAP):
+        raise ConfigError(f"n_op must lie in [1, min(grid_n, {N_OP_CAP})], got {cfg.n_op}")
     for name, val in cfg.tolerances.items():
         if name not in TOLERANCES:
             raise ConfigError(f"unknown tolerance key {name!r}")
-        if not isinstance(val, (int, float)) or isinstance(val, bool) or not math.isfinite(val):
+        if not _number(val):
             raise ConfigError(f"tolerance '{name}' must be a finite number, got {val!r}")
     family_params(cfg.family)
     return cfg

@@ -19,7 +19,7 @@ from ..conserved import (
 )
 from ..equicont import FieldFamily, build_weights, verify_weights
 from ..flows import FlowSpec, evolve
-from ..grid import band_profile, gaussian_field, make_grid, unresolved_mass_fraction
+from ..grid import Field, band_profile, gaussian_field, make_grid, unresolved_mass_fraction
 from ..norms import (
     ModulationParams,
     admissible_sigma,
@@ -56,19 +56,16 @@ _PS_RANGES = {"main_range": "s < 3/2 - 1/p", "equiv_range": "s < 2 - 1/p"}
 
 def _mps(cfg: ExperimentConfig, ps_range: str | None = None) -> list:
     """cfg.ps as ModulationParams, each inside `ps_range` when one is named."""
-    try:
-        mps = [ModulationParams(float(p), float(s)) for p, s in cfg.ps]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"ps: {exc}") from None
+    mps = [ModulationParams(float(p), float(s)) for p, s in cfg.ps]
     for mp in mps:
         if ps_range and not getattr(mp, ps_range):
             raise ConfigError(f"(p, s) = ({mp.p}, {mp.s}) violates {_PS_RANGES[ps_range]}")
     return mps
 
 
-def _rel_drift(values, t0_value):
-    scale = abs(t0_value) if t0_value != 0 else 1.0
-    return max(abs(v - t0_value) for v in values) / scale
+def _rel_drift(values):
+    scale = abs(values[0]) if values[0] != 0 else 1.0
+    return max(abs(v - values[0]) for v in values) / scale
 
 
 # ---------------------------------------------------------------------------
@@ -84,54 +81,46 @@ def run_conservation(cfg: ExperimentConfig) -> RunResult:
     all_k = sorted({k for k in kappas} | {2.0 * k for k in kappas})
     tol = cfg.tolerance("conservation_drift")
 
-    header = ["member", "t", "kappa", "alpha_full", "beta_full", "alpha2", "alpha4",
-              "beta2", "hs_functional", "spectral_radius"]
-    rows, summary = [], []
-    for mi, u0 in enumerate(members):
-        bad = []
+    def measure(u, t):  # kappa -> (alpha_full, radius bound, trace) for each kappa in all_k
+        out, bad = {}, []
         for k in all_k:
-            op = build_operator(u0, SpectralParameter(k, cfg.sign), cfg.n_op)
-            if op.spectral_radius() >= 1.0:
+            kp = SpectralParameter(k, cfg.sign)
+            op = build_operator(u, kp, cfg.n_op)
+            try:
+                out[k] = (alpha_full(u, kp, op=op), op.radius_bound(), op.trace())
+            except SeriesDivergenceError:
                 bad.append(k)
         if bad:
-            raise SeriesDivergenceError(
-                f"series diverges at t=0 for kappa in {bad}; reduce the amplitude"
-            )
+            raise SeriesDivergenceError(f"series diverges at t={t:g} for kappa in {bad}")
+        return out
+
+    header = ["member", "t", "kappa", "alpha_full", "beta_full", "alpha2", "alpha4",
+              "beta2", "hs_functional", "spectral_radius"]
+    rows, summary, max_bound = [], [], 0.0
+    for mi, u0 in enumerate(members):
+        # evolve records t = 0 as this same field, bit for bit; measuring it
+        # first stops divergent data before the flow runs
+        per_t = [measure(Field(u0.grid, u0.values), 0.0)]
         traj = evolve(u0, fs, times)
-        alphas, rhos = {}, {}
-        worst_imag = 0.0
-        for ti, u in zip(traj.times, traj.fields):
-            for k in all_k:
-                kp = SpectralParameter(k, cfg.sign)
-                op = build_operator(u, kp, cfg.n_op)
-                rho = op.spectral_radius()
-                if rho >= 1.0:
-                    raise SeriesDivergenceError(f"series diverged at t={ti}, kappa={k}")
-                alphas[(ti, k)] = alpha_full(u, kp, op=op, radius_guard=False)
-                rhos[(ti, k)] = rho
-                tr = op.trace()
-                worst_imag = max(worst_imag, abs(tr.imag) / max(abs(tr.real), 1e-300))
-        for ti, u in zip(traj.times, traj.fields):
+        per_t += [measure(u, ti) for ti, u in zip(traj.times[1:], traj.fields[1:])]
+        for ti, u, m in zip(traj.times, traj.fields, per_t):
             for k in kappas:
-                kp = SpectralParameter(k, cfg.sign)
-                rows.append((
-                    mi, ti, k,
-                    alphas[(ti, k)],
-                    alphas[(ti, k)] - 0.5 * alphas[(ti, 2.0 * k)],
-                    alpha2(u, k), alpha4(u, kp), beta2(u, k),
-                    hs_functional(u, k), rhos[(ti, k)],
-                ))
+                rows.append((mi, ti, k, m[k][0], m[k][0] - 0.5 * m[2.0 * k][0], alpha2(u, k),
+                             alpha4(u, SpectralParameter(k, cfg.sign)), beta2(u, k),
+                             hs_functional(u, k), m[k][1]))
         for k in kappas:
-            a_series = [alphas[(t, k)] for t in times]
-            b_series = [alphas[(t, k)] - 0.5 * alphas[(t, 2.0 * k)] for t in times]
-            da = _rel_drift(a_series, a_series[0])
-            db = _rel_drift(b_series, b_series[0])
-            summary.append(criterion(f"alpha_drift[m{mi},kappa={k:g}]", da, tol))
-            summary.append(criterion(f"beta_drift[m{mi},kappa={k:g}]", db, tol))
+            a_series = [m[k][0] for m in per_t]
+            b_series = [m[k][0] - 0.5 * m[2.0 * k][0] for m in per_t]
+            summary.append(criterion(f"alpha_drift[m{mi},kappa={k:g}]", _rel_drift(a_series), tol))
+            summary.append(criterion(f"beta_drift[m{mi},kappa={k:g}]", _rel_drift(b_series), tol))
         # discretized traces should be essentially real before their Re is taken
+        worst_imag = max(abs(tr.imag) / max(abs(tr.real), 1e-300)
+                         for m in per_t for _, _, tr in m.values())
         summary.append(criterion(f"trace_imag_rel[m{mi}]", worst_imag,
                                  cfg.tolerance("trace_imag")))
-    return RunResult("conserve", header, rows, summary, {"config": cfg.to_dict()})
+        max_bound = max([max_bound] + [rho for m in per_t for _, rho, _ in m.values()])
+    meta = {"config": cfg.to_dict(), "max_radius_bound": max_bound}
+    return RunResult("conserve", header, rows, summary, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +132,6 @@ def run_norm_equivalence(cfg: ExperimentConfig) -> RunResult:
     members = build_family(cfg.family, grid, rng)
     fs = FlowSpec(cfg.equation, cfg.sign, cfg.dt)
     times = cfg.snapshot_times()
-    boosts = [int(k) for k in cfg.boosts]
     mps = _mps(cfg, "equiv_range")
     bracket_tol = cfg.tolerance("normequiv_bracket")
     tail_tol = cfg.tolerance("normequiv_sweep_tail")
@@ -152,7 +140,7 @@ def run_norm_equivalence(cfg: ExperimentConfig) -> RunResult:
     header = ["member", "t", "p", "s", "weighted", "lhs", "rhs", "ratio"]
     rows, summary = [], []
     kmax = grid.kmax
-    ks_boost = np.array(boosts)
+    ks_boost = np.array(cfg.boosts)
     unresolved = max(
         unresolved_mass_fraction(u) for traj in trajs for u in traj.fields
     )
@@ -163,7 +151,7 @@ def run_norm_equivalence(cfg: ExperimentConfig) -> RunResult:
         w_built = build_weights(FieldFamily(members, mp))
         modes["built"] = w_built
         for mode, w in modes.items():
-            c_boost = np.ones(len(boosts)) if w is None else w.c_of(ks_boost)
+            c_boost = np.ones(len(cfg.boosts)) if w is None else w.c_of(ks_boost)
             warr = None if w is None else w.as_array()
             ratios = []
             max_tail_frac = 0.0
@@ -171,7 +159,7 @@ def run_norm_equivalence(cfg: ExperimentConfig) -> RunResult:
                 for ti, u in zip(traj.times, traj.fields):
                     lhs = modulation_norm(u, mp, weights=warr)
                     rhs_terms = c_boost * bracket(ks_boost) ** mp.s * np.sqrt(
-                        [max(boosted_beta2(u, float(k), 0.5), 0.0) for k in boosts]
+                        [max(boosted_beta2(u, float(k), 0.5), 0.0) for k in cfg.boosts]
                     )
                     rhs = float(lp_norm(rhs_terms, mp.p))
                     if lhs == 0.0 and rhs == 0.0:
@@ -180,7 +168,7 @@ def run_norm_equivalence(cfg: ExperimentConfig) -> RunResult:
                         ratio = lhs / rhs if rhs > 0 else np.inf
                     ratios.append(ratio)
                     # mass the truncated boost sweep ignores on the banded side
-                    kb = max(abs(k) for k in boosts)
+                    kb = max(abs(k) for k in cfg.boosts)
                     if kb < kmax and lhs > 0:
                         ks = np.arange(-kmax, kmax + 1)
                         terms = (1.0 if warr is None else warr) * bracket(ks) ** mp.s \
@@ -316,8 +304,7 @@ def run_galilei(cfg: ExperimentConfig) -> RunResult:
     dts = [cfg.dt]
     if abs(round(T / (2 * cfg.dt)) * 2 * cfg.dt - T) <= 1e-9 * cfg.dt:
         dts.append(2.0 * cfg.dt)  # refinement companion, only when it divides T
-    for k in cfg.boosts:
-        k = float(int(k))
+    for k in map(float, cfg.boosts):
         for dt in dts:
             fs = FlowSpec(eq, cfg.sign, dt)
             uT = evolve(u0, fs, [T]).fields[-1]
@@ -378,7 +365,6 @@ def run_tails(cfg: ExperimentConfig) -> RunResult:
     rng = np.random.default_rng(cfg.seed)
     fs = FlowSpec(cfg.equation, cfg.sign, cfg.dt)
     times = cfg.snapshot_times()
-    boosts = [int(k) for k in cfg.boosts]
     mps = _mps(cfg, "main_range")
     stab_tol = cfg.tolerance("tails_stability")
     kp_half = SpectralParameter(0.5, cfg.sign)
@@ -402,7 +388,7 @@ def run_tails(cfg: ExperimentConfig) -> RunResult:
                     r4s.append(0.0)
                     continue
                 t6, t4 = [], []
-                for k in boosts:
+                for k in cfg.boosts:
                     kf = float(k)
                     uk = galilei_boost(u, BoostSpec(kf, ti, cfg.equation))
                     b2 = boosted_beta2(u, kf, 0.5)

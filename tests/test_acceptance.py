@@ -163,7 +163,7 @@ def test_c04_series_structure(grid):
 
     f = Field.from_spectrum(grid, 0.5 * f0.spectrum)
     op = build_operator(f, kp, n_op=512)
-    pure = alpha_full(f, kp, op=op, low_order_quadrature=False, radius_guard=False)
+    pure = alpha_full(f, kp, op=op, low_order_quadrature=False)
     sums = alpha_series_partial_sums(op, 10)
     tails = np.abs(pure - sums)
     h = op.hs_norm_sq()

@@ -174,7 +174,7 @@ def test_alpha4_aliasing_guard(grid_ref):
 def test_build_operator_zero_field(grid_ref):
     op = build_operator(zero_field(grid_ref), SpectralParameter(0.5), n_op=128)
     assert np.all(op.matrix == 0) and np.all(op.half == 0)
-    assert op.spectral_radius() == 0.0
+    assert op.radius_bound() == 0.0
 
 
 def test_operator_window_validation(grid_ref):
@@ -184,6 +184,7 @@ def test_operator_window_validation(grid_ref):
         build_operator(f, kp, n_op=4096)
     with pytest.raises(ValueError):
         build_operator(f, kp, n_op=512, center=20.0)
+    assert build_operator(f, kp, n_op=129).matrix.shape == (129, 129)  # odd sizes too
 
 
 def test_trace_matches_windowed_oracle(grid_ref, rng):
@@ -263,7 +264,18 @@ def test_spectral_radius_against_dense_eigenvalues(grid_mid, rng):
     f = random_smooth_field(grid_mid, rng, carrier=1.0)
     op = build_operator(f, kp, n_op=256)
     rho_dense = np.max(np.abs(np.linalg.eigvals(op.matrix)))
-    assert op.spectral_radius() == pytest.approx(rho_dense, rel=1e-6)
+    assert op.radius_bound() >= rho_dense * (1 - 1e-12)
+
+
+def test_radius_bound_falls_back_to_eigenvalues(grid_small):
+    """Near the edge ||A||_F >= 1 > rho: the bound is the exact radius and alpha_full runs."""
+    f = gaussian_field(grid_small, 1.0, 1.05)
+    kp = SpectralParameter(0.5)
+    op = build_operator(f, kp, n_op=128)
+    rho_dense = np.max(np.abs(np.linalg.eigvals(op.matrix)))
+    assert np.linalg.norm(op.matrix) >= 1.0 > rho_dense
+    assert op.radius_bound() == pytest.approx(rho_dense, abs=1e-10)
+    assert np.isfinite(alpha_full(f, kp, op=op))
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +290,7 @@ def test_alpha_full_matches_partial_sums(grid_mid, rng, sign):
     kp = SpectralParameter(0.5, sign)
     f = random_smooth_field(grid_mid, rng, amplitude=0.25)
     op = build_operator(f, kp, n_op=256)
-    pure = alpha_full(f, kp, op=op, low_order_quadrature=False, radius_guard=False)
+    pure = alpha_full(f, kp, op=op, low_order_quadrature=False)
     sums = alpha_series_partial_sums(op, 8)
     h = op.hs_norm_sq()
     tail_bound_8 = h**9 / (1 - h)
@@ -290,7 +302,7 @@ def test_series_tail_decays_geometrically(grid_mid, rng, sign):
     kp = SpectralParameter(0.5, sign)
     f = random_smooth_field(grid_mid, rng, amplitude=0.4)
     op = build_operator(f, kp, n_op=256)
-    pure = alpha_full(f, kp, op=op, low_order_quadrature=False, radius_guard=False)
+    pure = alpha_full(f, kp, op=op, low_order_quadrature=False)
     sums = alpha_series_partial_sums(op, 10)
     tails = np.abs(pure - sums)
     h = op.hs_norm_sq()

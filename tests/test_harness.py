@@ -93,6 +93,18 @@ def test_unknown_family_kind(grid_small, rng):
     ({"family": {"kind": "soliton", "widths": [1.0]}}, "widths"),
     ({"family": {"kind": "plane_wave"}}, "kind"),
     ({"family": {"kind": "random_band", "count": 2.5}}, "count"),
+    ({"ps": []}, "ps"),
+    ({"ps": [[2.0]]}, "ps"),
+    ({"amplitudes": []}, "amplitudes"),
+    ({"amplitudes": [-0.1]}, "amplitudes"),
+    ({"kappas": ["a"]}, "kappas"),
+    ({"kappas": [0]}, "kappas"),
+    ({"kappas": []}, "kappas"),
+    ({"boosts": [1.5]}, "boosts"),
+    ({"boosts": [True]}, "boosts"),
+    ({"lambdas": [0]}, "lambdas"),
+    ({"n_op": 2048}, "n_op"),
+    ({"n_op": 0}, "n_op"),
 ])
 def test_config_rejects_bad_nested_maps(over, match):
     with pytest.raises(ConfigError, match=match):
@@ -160,9 +172,13 @@ def test_conservation_zero_data():
     assert np.all(vals == 0.0)
 
 
-def test_conservation_divergence_precondition():
+def test_conservation_divergence_precondition(monkeypatch):
+    def no_flow(*args, **kwargs):
+        raise AssertionError("the flow ran on divergent data")
+
+    monkeypatch.setattr("modspec.harness.experiments.evolve", no_flow)
     cfg = small_cfg(family={"kind": "gaussian", "amplitude": 6.0})
-    with pytest.raises(SeriesDivergenceError, match="0.5"):
+    with pytest.raises(SeriesDivergenceError, match=r"t=0 for kappa in \[0.5, 1.0\]"):
         run_conservation(cfg)
 
 
