@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Field
+from .grid import Field, GridSpec
 from .norms import bracket
 
 DEFOCUSING = "defocusing"
@@ -257,8 +257,7 @@ class OperatorPair:
         return out
 
 
-def _window_indices(f: Field, n_op: int, center: float, cap: int = N_OP_CAP) -> np.ndarray:
-    g = f.grid
+def _window_indices(g: GridSpec, n_op: int, center: float, cap: int = N_OP_CAP) -> np.ndarray:
     if n_op > g.n:
         raise ValueError(f"n_op = {n_op} exceeds grid size {g.n}")
     if n_op > cap:
@@ -282,7 +281,7 @@ def build_operator(f: Field, kp: SpectralParameter, n_op: int = DEFAULT_N_OP,
     memory budget on the dense size.
     """
     g = f.grid
-    idx = _window_indices(f, n_op, center, cap)
+    idx = _window_indices(g, n_op, center, cap)
     w = g.xi[idx]
     diff = np.rint(np.subtract.outer(w, w) / g.dxi).astype(int) + g.n // 2
     ok = (diff >= 0) & (diff < g.n)
@@ -308,7 +307,7 @@ def quadratic_trace_windowed(f: Field, kp, n_op: int = DEFAULT_N_OP,
     """
     kappa = _kappa_of(kp)
     g = f.grid
-    idx = _window_indices(f, n_op, center)
+    idx = _window_indices(g, n_op, center)
     w = g.xi[idx]
     wlo, whi = w[0], w[-1]
     zeta = g.xi[:, None]

@@ -54,10 +54,6 @@ class FieldFamily:
         wk = bracket(ks) ** self.mp.s
         return np.array([wk * band_profile(f) for f in self.members])
 
-    def sup_norm(self) -> float:
-        """Supremum of member modulation norms (unweighted): the family bound A."""
-        return _sup_lp(self.band_terms(), self.mp.p)
-
 
 def _sup_lp(terms: np.ndarray, p: float) -> float:
     """Largest l^p norm over the rows (members) of a band-term array."""
@@ -119,10 +115,11 @@ def build_weights(Q: FieldFamily, floor_ratio: float = EDGE_FLOOR_RATIO) -> Weig
         raise NotEquicontinuousError(
             f"edge-band tail {edge:.3e} exceeds {floor_ratio:.0e} x family bound {A:.3e}"
         )
-    # p-th power tails beyond each K, cheap cumulative form
+    # p-th power tails beyond each K: one reversed cumulative sum over |k|
     ks = np.abs(np.arange(-kmax, kmax + 1))
-    powsum = np.array([np.sum(terms[:, ks > K] ** p, axis=1) for K in range(kmax + 1)])
-    sup_tail_pow = powsum.max(axis=1)  # index K -> sup_f tail(K)^p
+    by_abs = np.array([np.bincount(ks, weights=row**p, minlength=kmax + 1) for row in terms])
+    at_least = np.cumsum(by_abs[:, ::-1], axis=1)[:, ::-1]  # index K -> sum over |k| >= K
+    sup_tail_pow = np.append(at_least[:, 1:].max(axis=0), 0.0)  # index K -> sup_f tail(K)^p
     thresholds = []
     m = 1
     lower = 2

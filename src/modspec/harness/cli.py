@@ -6,7 +6,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from ..conserved import SeriesDivergenceError
+from ..conserved import AliasingError, SeriesDivergenceError
 from ..equicont import NotEquicontinuousError
 from ..flows import BlowUpError
 from .config import ConfigError, config_from_dict, read_config
@@ -74,7 +74,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SeriesDivergenceError, BlowUpError, NotEquicontinuousError) as exc:
+    except (SeriesDivergenceError, BlowUpError, NotEquicontinuousError, AliasingError) as exc:
         error = {"type": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, BlowUpError):
             error["last_good_time"] = float(exc.last_good_time)

@@ -88,8 +88,7 @@ class ExperimentConfig:
 
     def snapshot_times(self) -> list:
         """Evenly spaced times over [0, t_final]; each must be a multiple of dt."""
-        times = [self.t_final * i / (self.snapshots - 1) for i in range(self.snapshots)] \
-            if self.snapshots > 1 else [0.0]
+        times = [self.t_final * i / (self.snapshots - 1) for i in range(self.snapshots)]
         for t in times:
             self.check_time(t, "snapshot time")
         return times
@@ -128,15 +127,23 @@ def _number(v) -> bool:  # a finite int or float; a bool is not a number here
                                         or isinstance(v, float) and math.isfinite(v))
 
 
+_POSITIVE = (lambda v: _number(v) and v > 0, "finite numbers > 0")
+
 # list field -> (check of each element, what it checks); every list must be non-empty
 _ELEMENTS = {
-    "kappas": (lambda v: _number(v) and v > 0, "finite numbers > 0"),
-    "lambdas": (lambda v: _number(v) and v > 0, "finite numbers > 0"),
+    "kappas": _POSITIVE,
+    "lambdas": _POSITIVE,
     "amplitudes": (lambda v: _number(v) and v >= 0, "finite numbers >= 0"),
     "boosts": (lambda v: isinstance(v, int) and not isinstance(v, bool), "ints"),
     "ps": (lambda v: isinstance(v, list) and len(v) == 2 and all(map(_number, v))
            and v[0] >= 1 and v[1] >= 0, "[p, s] pairs of finite numbers, p >= 1, s >= 0"),
 }
+
+
+def _check_list(name: str, vals: list, rule: tuple) -> None:
+    ok, what = rule
+    if not vals or not all(ok(v) for v in vals):
+        raise ConfigError(f"{name} must be a non-empty list of {what}, got {vals!r}")
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
@@ -162,10 +169,12 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         FlowSpec(cfg.equation, cfg.sign, cfg.dt)
     except ValueError as exc:  # the grid's and the flow's own checks of these fields
         raise ConfigError(str(exc)) from None
-    for key, (ok, what) in _ELEMENTS.items():
-        vals = getattr(cfg, key)
-        if not vals or not all(ok(v) for v in vals):
-            raise ConfigError(f"field '{key}' must be a non-empty list of {what}, got {vals!r}")
+    if not cfg.t_final > 0:
+        raise ConfigError(f"t_final must be > 0, got {cfg.t_final}")
+    if cfg.snapshots < 2:
+        raise ConfigError(f"snapshots must be >= 2, got {cfg.snapshots}")
+    for key, rule in _ELEMENTS.items():
+        _check_list(f"field '{key}'", getattr(cfg, key), rule)
     if not 1 <= cfg.n_op <= min(cfg.grid_n, N_OP_CAP):
         raise ConfigError(f"n_op must lie in [1, min(grid_n, {N_OP_CAP})], got {cfg.n_op}")
     for name, val in cfg.tolerances.items():
@@ -221,6 +230,8 @@ def family_params(descriptor: dict) -> tuple:
         want = (int, float) if isinstance(defaults[key], float) else type(defaults[key])
         if not isinstance(val, want) or isinstance(val, bool):
             raise ConfigError(f"family key {key!r} must be {want}, got {type(val).__name__}")
+        if key == "widths":
+            _check_list("family key 'widths'", val, _POSITIVE)
     return kind, {**defaults, **{k: v for k, v in descriptor.items() if k != "kind"}}
 
 

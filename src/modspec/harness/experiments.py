@@ -9,6 +9,7 @@ import numpy as np
 from ..conserved import (
     SeriesDivergenceError,
     SpectralParameter,
+    _window_indices,
     alpha2,
     alpha4,
     alpha_full,
@@ -304,12 +305,13 @@ def run_galilei(cfg: ExperimentConfig) -> RunResult:
     dts = [cfg.dt]
     if abs(round(T / (2 * cfg.dt)) * 2 * cfg.dt - T) <= 1e-9 * cfg.dt:
         dts.append(2.0 * cfg.dt)  # refinement companion, only when it divides T
+    specs = {dt: FlowSpec(eq, cfg.sign, dt) for dt in dts}
+    # the unboosted path does not depend on k: evolve it once per dt
+    uT = {dt: evolve(u0, fs, [T]).fields[-1] for dt, fs in specs.items()}
     for k in map(float, cfg.boosts):
-        for dt in dts:
-            fs = FlowSpec(eq, cfg.sign, dt)
-            uT = evolve(u0, fs, [T]).fields[-1]
-            path1 = galilei_boost(uT, BoostSpec(k, T, eq))
-            u0k = galilei_boost(u0, BoostSpec(k, 0.0, eq))
+        u0k = galilei_boost(u0, BoostSpec(k, 0.0, eq))
+        for dt, fs in specs.items():
+            path1 = galilei_boost(uT[dt], BoostSpec(k, T, eq))
             fs2 = FlowSpec("mkdv_nls", cfg.sign, dt, k=k) if eq == "mkdv" else fs
             path2 = evolve(u0k, fs2, [T]).fields[-1]
             dist = float(np.sqrt(np.sum(np.abs(path1.values - path2.values) ** 2) * grid.dx))
@@ -369,6 +371,11 @@ def run_tails(cfg: ExperimentConfig) -> RunResult:
     stab_tol = cfg.tolerance("tails_stability")
     kp_half = SpectralParameter(0.5, cfg.sign)
     kp_one = SpectralParameter(1.0, cfg.sign)
+    for k in cfg.boosts:  # each boosted operator's window, checked before any flow runs
+        try:
+            _window_indices(grid, cfg.n_op, -float(k))
+        except ValueError as exc:
+            raise ConfigError(f"boost {k}: {exc}") from None
 
     header = ["p", "s", "eps", "t", "k", "beta2", "beta4", "beta_geq6", "tail2", "tail3"]
     rows, summary = [], []

@@ -50,10 +50,24 @@ def test_linear_propagator_is_unitary(grid_ref, rng):
 
 def test_step_zero_field(grid_ref):
     z = Field(grid_ref, np.zeros(grid_ref.n, dtype=complex))
+    # the unpaired Nyquist mode alone: the step zeroes it, as forward_transform does
+    nyquist = Field(grid_ref, (-1.0) ** np.arange(grid_ref.n) + 0j)
     for eq in ("nls", "mkdv", "mkdv_nls"):
         fs = FlowSpec(eq, dt=1e-3, k=1.0)
-        out = evolve(z, fs, [fs.dt]).fields[-1]
-        assert np.all(out.values == 0)
+        for u in (z, nyquist):
+            out = evolve(u, fs, [fs.dt]).fields[-1]
+            assert np.all(out.values == 0), eq
+
+
+@pytest.mark.parametrize("eq", ["nls", "mkdv", "mkdv_nls"])
+def test_small_data_follows_linear_propagator(grid_ref, eq):
+    """At amplitude 1e-9 the nonlinearity is far below roundoff: 100 steps must
+    match the exact linear flow, so every multiplier sits on its own frequency."""
+    u0 = gaussian_field(grid_ref, amplitude=1e-9)
+    fs = FlowSpec(eq, dt=1e-3, k=1.0)
+    uT = evolve(u0, fs, [100 * fs.dt]).fields[-1]
+    ref = linear_propagator(u0, 100 * fs.dt, eq, k=1.0)
+    assert l2_dist(uT, ref) <= 1e-12 * ref.l2_norm()
 
 
 def test_nls_soliton(grid_ref):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from modspec import SeriesDivergenceError
+from modspec import SeriesDivergenceError, evolve
 from modspec.harness import (
     ConfigError,
     ExperimentConfig,
@@ -105,6 +105,13 @@ def test_unknown_family_kind(grid_small, rng):
     ({"lambdas": [0]}, "lambdas"),
     ({"n_op": 2048}, "n_op"),
     ({"n_op": 0}, "n_op"),
+    ({"t_final": -0.05}, "t_final"),
+    ({"t_final": 0.0}, "t_final"),
+    ({"snapshots": 0}, "snapshots"),
+    ({"snapshots": 1}, "snapshots"),
+    ({"family": {"kind": "gaussian_mix", "widths": []}}, "widths"),
+    ({"family": {"kind": "gaussian_mix", "widths": [1.0, 0.0]}}, "widths"),
+    ({"family": {"kind": "gaussian", "widths": ["a"]}}, "widths"),
 ])
 def test_config_rejects_bad_nested_maps(over, match):
     with pytest.raises(ConfigError, match=match):
@@ -229,10 +236,23 @@ def test_conservation_reports_trace_imag():
     assert entry and entry[0].passed and entry[0].measured <= 1e-8
 
 
-def test_galilei_driver_small():
+def test_galilei_driver_small(monkeypatch):
+    from modspec.harness import experiments
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return evolve(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "evolve", counted)
     cfg = small_cfg(boosts=[0, 1], t_final=0.05)
     res = run_galilei(cfg)
     assert res.all_pass
+    dts = {r[1] for r in res.rows}
+    assert len(dts) == 2
+    # one unboosted flow per dt, one boosted flow per (k, dt)
+    assert len(calls) == len(dts) * (1 + len(cfg.boosts))
     k0 = [r for r in res.rows if r[0] == 0.0]
     assert all(r[2] <= 1e-12 for r in k0)  # identical flows at k = 0
 
@@ -320,21 +340,32 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     assert rc == 2
 
 
-@pytest.mark.parametrize("extra", [["--dt", "0.003"], ["--grid", "1000,5"], ["--grid", "512"]])
+@pytest.mark.parametrize("extra", [
+    ["conserve", "--dt", "0.003"],
+    ["conserve", "--grid", "1000,5"],
+    ["conserve", "--grid", "512"],
+    ["tails"],  # the boost-1 window of n_op = grid_n points leaves the lattice
+])
 def test_cli_config_errors_exit_2(tmp_path, capsys, extra):
     cfgp = tmp_path / "cfg.json"
-    cfgp.write_text(json.dumps(small_cfg().to_dict()))
-    rc = main(["conserve", "--config", str(cfgp), "--out", str(tmp_path / "out")] + extra)
+    cfgp.write_text(json.dumps(small_cfg(n_op=256).to_dict()))
+    rc = main(extra[:1] + ["--config", str(cfgp), "--out", str(tmp_path / "out")] + extra[1:])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("cmd, amplitude, dt, error", [
-    ("conserve", 6.0, 5e-3, {"type": "SeriesDivergenceError"}),
-    ("galilei", 40.0, 1e-2, {"type": "BlowUpError", "last_good_time": 0.0}),
+@pytest.mark.parametrize("cmd, amplitude, dt, length, error", [
+    pytest.param("conserve", 6.0, 5e-3, 8 * math.pi, {"type": "SeriesDivergenceError"},
+                 id="conserve-6.0-0.005-error0"),
+    pytest.param("galilei", 40.0, 1e-2, 8 * math.pi,
+                 {"type": "BlowUpError", "last_good_time": 0.0}, id="galilei-40.0-0.01-error1"),
+    # 256 points on [-32 pi, 32 pi) resolve |xi| < 4 only: too coarse for the quartic sum
+    pytest.param("conserve", 0.3, 5e-3, 32 * math.pi, {"type": "AliasingError"},
+                 id="conserve-aliasing"),
 ])
-def test_cli_numerical_breakdown_exit_3(tmp_path, capsys, cmd, amplitude, dt, error):
-    cfg = small_cfg(family={"kind": "gaussian", "amplitude": amplitude}, dt=dt, boosts=[0])
+def test_cli_numerical_breakdown_exit_3(tmp_path, capsys, cmd, amplitude, dt, length, error):
+    cfg = small_cfg(family={"kind": "gaussian", "amplitude": amplitude}, dt=dt, boosts=[0],
+                    grid_length=length)
     cfgp = tmp_path / "cfg.json"
     cfgp.write_text(json.dumps(cfg.to_dict()))
     rc = main([cmd, "--config", str(cfgp), "--out", str(tmp_path / "out")])
