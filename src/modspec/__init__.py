@@ -34,6 +34,7 @@ from .conserved import (
     alpha4,
     alpha_full,
     alpha_series_partial_sums,
+    alpha_terms,
     beta2,
     beta_full,
     build_operator,

@@ -18,13 +18,13 @@ Three kinds of evaluation coexist and cross-check each other:
   log-determinant sums the whole series.
 
 The matrix window necessarily truncates the resolvent lattice, which
-perturbs the low-order traces by O(1/window); alpha_full therefore
-replaces the matrix's own j <= 2 terms with the closed-form quadratures
-by default (low_order_quadrature=True).  Pass False to get the raw
-window log-determinant, e.g. to compare against partial trace sums of
-the same matrix.
+perturbs the low-order traces by O(1/window).  alpha_terms is therefore
+the one place that sums alpha: the window's j >= 3 remainder plus the
+closed-form alpha2 and alpha4.  OperatorPair.log_det() is the raw window
+log-determinant, e.g. to compare against partial trace sums of the same
+matrix.
 
-The series converges only while rho(A) < 1, which alpha_full certifies
+The series converges only while rho(A) < 1, which log_det() certifies
 first: by ||A||_F when that is below 1, else by a dense eigen-solve.
 """
 
@@ -114,17 +114,17 @@ def beta2(f: Field, kp, shift: float = 0.0) -> float:
 # ---------------------------------------------------------------------------
 # quartic term
 
-def _check_aliasing(f: Field, threshold: float):
+def _check_aliasing(f: Field):
     g = f.grid
     edge = np.abs(g.xi) >= (1.0 - ALIAS_EDGE_FRACTION) * (g.n // 2) * g.dxi
     total = float(np.sum(np.abs(f.spectrum) ** 2))
     if total == 0.0:
         return
     frac = float(np.sum(np.abs(f.spectrum[edge]) ** 2) / total)
-    if frac > threshold:
+    if frac > ALIAS_THRESHOLD:
         raise AliasingError(
             f"spectral mass fraction {frac:.2e} within {ALIAS_EDGE_FRACTION:.0%} of the "
-            f"lattice boundary exceeds {threshold:.0e}"
+            f"lattice boundary exceeds {ALIAS_THRESHOLD:.0e}"
         )
 
 
@@ -188,11 +188,10 @@ def quartic_integral(f: Field, kappa: float, method: str = "fft") -> float:
     raise ValueError(f"unknown method {method!r}")
 
 
-def alpha4(f: Field, kp: SpectralParameter, method: str = "fft",
-           alias_threshold: float = ALIAS_THRESHOLD) -> float:
+def alpha4(f: Field, kp: SpectralParameter) -> float:
     """Quartic term of the determinant series, matching -+ Re tr(A^2)/2."""
-    _check_aliasing(f, alias_threshold)
-    q = quartic_integral(f, kp.kappa, method=method)
+    _check_aliasing(f)
+    q = quartic_integral(f, kp.kappa)
     return q if kp.defocusing else -q
 
 
@@ -246,6 +245,24 @@ class OperatorPair:
             self._radius_bound = bound
         return self._radius_bound
 
+    def log_det(self) -> float:
+        """Re log det(I + A), or -Re log det(I - A) when focusing: the whole series
+        of the window matrix, once radius_bound() certifies rho(A) < 1."""
+        if not self.radius_bound() < 1.0:
+            raise SeriesDivergenceError(f"spectral radius bound {self.radius_bound():.4f} >= 1 "
+                                        f"at kappa = {self.kappa}; series diverges")
+        I = np.eye(self.n_op)
+        val = (np.linalg.slogdet(I + self.matrix)[1] if self.defocusing
+               else -np.linalg.slogdet(I - self.matrix)[1])
+        if not np.isfinite(val):
+            raise SeriesDivergenceError("determinant vanished; operator window is singular")
+        return float(val)
+
+    def log_det_remainder(self) -> float:
+        """The j >= 3 terms: log_det() minus the j = 1, 2 trace terms."""
+        t1, t2 = self.trace().real, self.trace_sq().real
+        return self.log_det() - (t1 - 0.5 * t2 if self.defocusing else t1 + 0.5 * t2)
+
     def trace_powers(self, jmax: int) -> np.ndarray:
         """Re tr(A^j) for j = 1 .. jmax."""
         out = np.empty(jmax)
@@ -257,11 +274,11 @@ class OperatorPair:
         return out
 
 
-def _window_indices(g: GridSpec, n_op: int, center: float, cap: int = N_OP_CAP) -> np.ndarray:
+def _window_indices(g: GridSpec, n_op: int, center: float) -> np.ndarray:
     if n_op > g.n:
         raise ValueError(f"n_op = {n_op} exceeds grid size {g.n}")
-    if n_op > cap:
-        raise ValueError(f"n_op = {n_op} exceeds the dense-matrix cap {cap}")
+    if n_op > N_OP_CAP:
+        raise ValueError(f"n_op = {n_op} exceeds the dense-matrix cap {N_OP_CAP}")
     c = g.n // 2 + int(np.rint(center / g.dxi))
     lo = c - n_op // 2
     hi = lo + n_op
@@ -271,17 +288,17 @@ def _window_indices(g: GridSpec, n_op: int, center: float, cap: int = N_OP_CAP) 
 
 
 def build_operator(f: Field, kp: SpectralParameter, n_op: int = DEFAULT_N_OP,
-                   center: float = 0.0, cap: int = N_OP_CAP) -> OperatorPair:
+                   center: float = 0.0) -> OperatorPair:
     """Dense window discretization of the sandwiched operator.
 
     Multiplication by f acts as discrete convolution with fhat; the
     resolvent square roots take the principal branch, positive at
     frequency zero.  `center` shifts the retained frequency window,
-    useful for spectra concentrated away from the origin.  `cap` is the
-    memory budget on the dense size.
+    useful for spectra concentrated away from the origin.  N_OP_CAP is
+    the memory budget on the dense size.
     """
     g = f.grid
-    idx = _window_indices(g, n_op, center, cap)
+    idx = _window_indices(g, n_op, center)
     w = g.xi[idx]
     diff = np.rint(np.subtract.outer(w, w) / g.dxi).astype(int) + g.n // 2
     ok = (diff >= 0) & (diff < g.n)
@@ -323,43 +340,21 @@ def quadratic_trace_windowed(f: Field, kp, n_op: int = DEFAULT_N_OP,
 # ---------------------------------------------------------------------------
 # full series
 
-def _logdet_real(op: OperatorPair) -> float:
-    I = np.eye(op.n_op)
-    if op.defocusing:
-        sign, logabs = np.linalg.slogdet(I + op.matrix)
-        val = logabs
-    else:
-        sign, logabs = np.linalg.slogdet(I - op.matrix)
-        val = -logabs
-    if not np.isfinite(val):
-        raise SeriesDivergenceError("determinant vanished; operator window is singular")
-    return float(val)
+def alpha_terms(f: Field, kp: SpectralParameter, n_op: int = DEFAULT_N_OP,
+                center: float = 0.0) -> tuple:
+    """(alpha, alpha2, alpha4, op): alpha(kappa) is the window's j >= 3 remainder
+    plus the closed-form alpha2 and alpha4, which replace the matrix's own j <= 2
+    terms and so remove their O(1/window) truncation bias."""
+    a2 = alpha2(f, kp.kappa)
+    a4 = alpha4(f, kp)
+    op = build_operator(f, kp, n_op=n_op, center=center)
+    return op.log_det_remainder() + (a2 + a4), a2, a4, op
 
 
 def alpha_full(f: Field, kp: SpectralParameter, n_op: int = DEFAULT_N_OP,
-               center: float = 0.0, low_order_quadrature: bool = True,
-               op: OperatorPair | None = None) -> float:
-    """Full conserved functional via the window log-determinant.
-
-    With low_order_quadrature the matrix's own j <= 2 trace terms are
-    swapped for the closed-form quadratures, which removes the
-    O(1/window) truncation bias of the slowly decaying resolvent tails.
-    """
-    if op is None:
-        op = build_operator(f, kp, n_op=n_op, center=center)
-    if not op.radius_bound() < 1.0:
-        raise SeriesDivergenceError(f"spectral radius bound {op.radius_bound():.4f} >= 1 "
-                                    f"at kappa = {kp.kappa}; series diverges")
-    val = _logdet_real(op)
-    if low_order_quadrature:
-        t1 = op.trace().real
-        t2 = op.trace_sq().real
-        if op.defocusing:
-            val -= t1 - 0.5 * t2
-        else:
-            val -= t1 + 0.5 * t2
-        val += alpha2(f, kp.kappa) + alpha4(f, kp)
-    return float(val)
+               center: float = 0.0) -> float:
+    """Full conserved functional alpha(kappa); see alpha_terms."""
+    return alpha_terms(f, kp, n_op, center)[0]
 
 
 def alpha_series_partial_sums(op: OperatorPair, jmax: int) -> np.ndarray:
@@ -374,12 +369,9 @@ def alpha_series_partial_sums(op: OperatorPair, jmax: int) -> np.ndarray:
 
 
 def beta_full(f: Field, kp: SpectralParameter, n_op: int = DEFAULT_N_OP,
-              center: float = 0.0, low_order_quadrature: bool = True) -> float:
+              center: float = 0.0) -> float:
     """alpha_full at kappa minus half of alpha_full at 2 kappa."""
-    a1 = alpha_full(f, kp, n_op=n_op, center=center, low_order_quadrature=low_order_quadrature)
-    a2_ = alpha_full(f, kp.doubled(), n_op=n_op, center=center,
-                     low_order_quadrature=low_order_quadrature)
-    return a1 - 0.5 * a2_
+    return alpha_full(f, kp, n_op, center) - 0.5 * alpha_full(f, kp.doubled(), n_op, center)
 
 
 def tail_bound(f: Field, k: float, ell: int) -> float:

@@ -99,21 +99,21 @@ class WeightSequence:
         return self.c_of(np.arange(-self.kmax, self.kmax + 1))
 
 
-def build_weights(Q: FieldFamily, floor_ratio: float = EDGE_FLOOR_RATIO) -> WeightSequence:
+def build_weights(Q: FieldFamily) -> WeightSequence:
     """Greedy-minimal threshold construction for an equicontinuous family.
 
     Raises NotEquicontinuousError when mass at the window edge exceeds
-    floor_ratio times the family bound, i.e. the tails cannot be certified
-    at this resolution.
+    EDGE_FLOOR_RATIO times the family bound, i.e. the tails cannot be
+    certified at this resolution.
     """
     kmax = Q.grid.kmax
     p = Q.mp.p
     terms = Q.band_terms()
     A = _sup_lp(terms, p)
     edge = _sup_tail(terms, kmax, kmax, p, strict=False)
-    if edge > floor_ratio * A:
+    if edge > EDGE_FLOOR_RATIO * A:
         raise NotEquicontinuousError(
-            f"edge-band tail {edge:.3e} exceeds {floor_ratio:.0e} x family bound {A:.3e}"
+            f"edge-band tail {edge:.3e} exceeds {EDGE_FLOOR_RATIO:.0e} x family bound {A:.3e}"
         )
     # p-th power tails beyond each K: one reversed cumulative sum over |k|
     ks = np.abs(np.arange(-kmax, kmax + 1))

@@ -171,8 +171,9 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         raise ConfigError(str(exc)) from None
     if not cfg.t_final > 0:
         raise ConfigError(f"t_final must be > 0, got {cfg.t_final}")
-    if cfg.snapshots < 2:
-        raise ConfigError(f"snapshots must be >= 2, got {cfg.snapshots}")
+    for key, least in (("snapshots", 2), ("suite_size", 1), ("seed", 0)):
+        if getattr(cfg, key) < least:
+            raise ConfigError(f"{key} must be >= {least}, got {getattr(cfg, key)}")
     for key, rule in _ELEMENTS.items():
         _check_list(f"field '{key}'", getattr(cfg, key), rule)
     if not 1 <= cfg.n_op <= min(cfg.grid_n, N_OP_CAP):
@@ -232,6 +233,8 @@ def family_params(descriptor: dict) -> tuple:
             raise ConfigError(f"family key {key!r} must be {want}, got {type(val).__name__}")
         if key == "widths":
             _check_list("family key 'widths'", val, _POSITIVE)
+        if key == "count" and val < 1:
+            raise ConfigError(f"family key 'count' must be >= 1, got {val}")
     return kind, {**defaults, **{k: v for k, v in descriptor.items() if k != "kind"}}
 
 

@@ -11,6 +11,7 @@ from modspec import (
     alpha4,
     alpha_full,
     alpha_series_partial_sums,
+    alpha_terms,
     band_indicator_field,
     beta2,
     beta_full,
@@ -275,7 +276,7 @@ def test_radius_bound_falls_back_to_eigenvalues(grid_small):
     rho_dense = np.max(np.abs(np.linalg.eigvals(op.matrix)))
     assert np.linalg.norm(op.matrix) >= 1.0 > rho_dense
     assert op.radius_bound() == pytest.approx(rho_dense, abs=1e-10)
-    assert np.isfinite(alpha_full(f, kp, op=op))
+    assert np.isfinite(alpha_full(f, kp, n_op=128))
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +291,7 @@ def test_alpha_full_matches_partial_sums(grid_mid, rng, sign):
     kp = SpectralParameter(0.5, sign)
     f = random_smooth_field(grid_mid, rng, amplitude=0.25)
     op = build_operator(f, kp, n_op=256)
-    pure = alpha_full(f, kp, op=op, low_order_quadrature=False)
+    pure = op.log_det()
     sums = alpha_series_partial_sums(op, 8)
     h = op.hs_norm_sq()
     tail_bound_8 = h**9 / (1 - h)
@@ -302,7 +303,7 @@ def test_series_tail_decays_geometrically(grid_mid, rng, sign):
     kp = SpectralParameter(0.5, sign)
     f = random_smooth_field(grid_mid, rng, amplitude=0.4)
     op = build_operator(f, kp, n_op=256)
-    pure = alpha_full(f, kp, op=op, low_order_quadrature=False)
+    pure = op.log_det()
     sums = alpha_series_partial_sums(op, 10)
     tails = np.abs(pure - sums)
     h = op.hs_norm_sq()
@@ -310,6 +311,18 @@ def test_series_tail_decays_geometrically(grid_mid, rng, sign):
     for j in range(4, 9):
         if tails[j] > floor and tails[j + 1] > floor:
             assert tails[j + 1] / tails[j] <= h + 1e-6
+
+
+@pytest.mark.parametrize("sign", ["defocusing", "focusing"])
+def test_alpha_terms_parts(grid_mid, rng, sign):
+    """alpha = (log-det minus its j <= 2 trace terms) + (alpha2 + alpha4), bit for bit."""
+    kp = SpectralParameter(0.5, sign)
+    f = random_smooth_field(grid_mid, rng, amplitude=0.25)
+    alpha, a2, a4, op = alpha_terms(f, kp, n_op=256)
+    assert (a2, a4) == (alpha2(f, 0.5), alpha4(f, kp))
+    assert alpha == op.log_det_remainder() + (a2 + a4) == alpha_full(f, kp, n_op=256)
+    low = alpha_series_partial_sums(op, 2)[-1]
+    assert abs(op.log_det_remainder() - (op.log_det() - low)) <= 1e-14
 
 
 def test_alpha_full_low_order_structure(grid_ref):
@@ -375,10 +388,11 @@ def test_tail_bound_dominates_high_order_parts(grid_ref):
         assert abs(b6) <= 1.0 * tail_bound(u, k, 3)
 
 
-def test_operator_cap_configurable(grid_ref):
-    f = gaussian_field(grid_ref, amplitude=0.1)
+def test_operator_cap():
+    """n_op above N_OP_CAP is refused before the dense matrices are allocated."""
+    f = gaussian_field(make_grid(4096, 32 * np.pi), amplitude=0.1)
     with pytest.raises(ValueError, match="cap"):
-        build_operator(f, SpectralParameter(0.5), n_op=512, cap=256)
+        build_operator(f, SpectralParameter(0.5), n_op=4096)
 
 
 def test_tail_bound_values(grid_ref):

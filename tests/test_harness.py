@@ -1,10 +1,11 @@
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
 
-from modspec import SeriesDivergenceError, evolve
+from modspec import SeriesDivergenceError, alpha4, evolve
 from modspec.harness import (
     ConfigError,
     ExperimentConfig,
@@ -112,6 +113,10 @@ def test_unknown_family_kind(grid_small, rng):
     ({"family": {"kind": "gaussian_mix", "widths": []}}, "widths"),
     ({"family": {"kind": "gaussian_mix", "widths": [1.0, 0.0]}}, "widths"),
     ({"family": {"kind": "gaussian", "widths": ["a"]}}, "widths"),
+    ({"suite_size": 0}, "suite_size"),
+    ({"suite_size": -3}, "suite_size"),
+    ({"seed": -1}, "seed"),
+    ({"family": {"kind": "random_band", "count": 0}}, "count"),
 ])
 def test_config_rejects_bad_nested_maps(over, match):
     with pytest.raises(ConfigError, match=match):
@@ -187,6 +192,24 @@ def test_conservation_divergence_precondition(monkeypatch):
     cfg = small_cfg(family={"kind": "gaussian", "amplitude": 6.0})
     with pytest.raises(SeriesDivergenceError, match=r"t=0 for kappa in \[0.5, 1.0\]"):
         run_conservation(cfg)
+
+
+def test_conservation_computes_alpha4_once_per_t_and_kappa(monkeypatch):
+    from modspec import conserved
+    from modspec.harness import experiments
+
+    calls = []
+
+    def counted(f, kp):
+        calls.append(kp.kappa)
+        return alpha4(f, kp)
+
+    monkeypatch.setattr(conserved, "alpha4", counted)
+    monkeypatch.setattr(experiments, "alpha4", counted)
+    cfg = small_cfg()
+    run_conservation(cfg)
+    # kappa and 2 kappa at each snapshot
+    assert sorted(calls) == [0.5, 0.5, 1.0, 1.0]
 
 
 def test_conservation_driver_determinism(tmp_path):
@@ -296,6 +319,19 @@ def _reject_constant(token):
     raise AssertionError(f"non-standard JSON constant {token}")
 
 
+@pytest.mark.parametrize("amplitudes", list(itertools.permutations([0.1, 2.0, 0.2])))
+def test_tails_diverged_amplitude_fails_in_any_order(amplitudes):
+    """Every boost diverges at amplitude 2.0: no constant or stability verdict may pass."""
+    cfg = small_cfg(boosts=[0, 1], t_final=0.01, amplitudes=list(amplitudes), ps=[[2.0, 0.0]])
+    res = run_tails(cfg)
+    verdicts = {e.criterion.split("[")[0]: e.passed for e in res.summary}
+    assert verdicts == {"sextic_constant": False, "quartic_constant": False,
+                        "sextic_eps_stability": False, "quartic_eps_stability": False,
+                        "skipped_boosts": False}
+    skipped = [r for r in res.rows if np.isnan(r[7])]  # beta_geq6 is NaN, beta4 still reported
+    assert len(skipped) == 4 and all(np.isfinite(r[6]) for r in skipped)
+
+
 def test_tails_driver_quick(tmp_path):
     cfg = small_cfg(
         grid_n=512, grid_length=16 * math.pi, boosts=[0, 1], snapshots=2,
@@ -345,6 +381,7 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     ["conserve", "--grid", "1000,5"],
     ["conserve", "--grid", "512"],
     ["tails"],  # the boost-1 window of n_op = grid_n points leaves the lattice
+    ["conserve", "--seed", "-1"],
 ])
 def test_cli_config_errors_exit_2(tmp_path, capsys, extra):
     cfgp = tmp_path / "cfg.json"
