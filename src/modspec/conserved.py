@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import Field, GridSpec
 from .norms import bracket
@@ -211,7 +212,6 @@ class OperatorPair:
     half: np.ndarray
     kappa: float
     sign: str
-    window: np.ndarray  # lattice frequencies of the window
     _radius_bound: float | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -300,16 +300,15 @@ def build_operator(f: Field, kp: SpectralParameter, n_op: int = DEFAULT_N_OP,
     g = f.grid
     idx = _window_indices(g, n_op, center)
     w = g.xi[idx]
-    diff = np.rint(np.subtract.outer(w, w) / g.dxi).astype(int) + g.n // 2
-    ok = (diff >= 0) & (diff < g.n)
-    V = np.zeros((n_op, n_op), dtype=complex)
-    V[ok] = f.spectrum[diff[ok]]
-    V *= g.dxi / np.sqrt(2.0 * np.pi)
+    # V is Toeplitz, V[i, j] = fhat[n/2 + i - j], zero off the lattice: a strided
+    # view of the zero-padded spectrum, reversed along j
+    v = np.pad(f.spectrum, n_op)[g.n // 2 + 1: g.n // 2 + 2 * n_op]
+    V = sliding_window_view(v, n_op)[:, ::-1] * (g.dxi / np.sqrt(2.0 * np.pi))
     s_minus = (kp.kappa - 1j * w) ** -0.5
     d_half = (kp.kappa + 1j * w) ** -0.5
     half = (s_minus[:, None] * V) * d_half[None, :]
     A = (half * d_half[None, :]) @ (V.conj().T * s_minus[None, :])
-    return OperatorPair(matrix=A, half=half, kappa=kp.kappa, sign=kp.sign, window=w)
+    return OperatorPair(matrix=A, half=half, kappa=kp.kappa, sign=kp.sign)
 
 
 def quadratic_trace_windowed(f: Field, kp, n_op: int = DEFAULT_N_OP,

@@ -137,27 +137,27 @@ def run_norm_equivalence(cfg: ExperimentConfig) -> RunResult:
     header = ["member", "t", "p", "s", "weighted", "lhs", "rhs", "ratio"]
     rows, summary = [], []
     kmax = grid.kmax
+    ks = np.arange(-kmax, kmax + 1)
     ks_boost = np.array(cfg.boosts)
+    kb = max(abs(k) for k in cfg.boosts)
+    # per (member, t), independent of (p, s): sqrt(beta2) over the boosts and the band profile
+    per_field = [[(np.sqrt([max(boosted_beta2(u, float(k), 0.5), 0.0) for k in cfg.boosts]),
+                   band_profile(u)) for u in traj.fields] for traj in trajs]
     unresolved = max(
         unresolved_mass_fraction(u) for traj in trajs for u in traj.fields
     )
     summary.append(criterion("unresolved_mass_fraction", unresolved,
                              cfg.tolerance("normequiv_unresolved")))
     for mp in mps:
-        modes = {"unit": None}
-        w_built = build_weights(FieldFamily(members, mp))
-        modes["built"] = w_built
-        for mode, w in modes.items():
+        for mode, w in (("unit", None), ("built", build_weights(FieldFamily(members, mp)))):
             c_boost = np.ones(len(cfg.boosts)) if w is None else w.c_of(ks_boost)
             warr = None if w is None else w.as_array()
             ratios = []
             max_tail_frac = 0.0
-            for mi, traj in enumerate(trajs):
-                for ti, u in zip(traj.times, traj.fields):
+            for mi, (traj, fields) in enumerate(zip(trajs, per_field)):
+                for ti, u, (root_b2, prof) in zip(traj.times, traj.fields, fields):
                     lhs = modulation_norm(u, mp, weights=warr)
-                    rhs_terms = c_boost * bracket(ks_boost) ** mp.s * np.sqrt(
-                        [max(boosted_beta2(u, float(k), 0.5), 0.0) for k in cfg.boosts]
-                    )
+                    rhs_terms = c_boost * bracket(ks_boost) ** mp.s * root_b2
                     rhs = float(lp_norm(rhs_terms, mp.p))
                     if lhs == 0.0 and rhs == 0.0:
                         ratio = 1.0  # zero data, equal by convention
@@ -165,11 +165,8 @@ def run_norm_equivalence(cfg: ExperimentConfig) -> RunResult:
                         ratio = lhs / rhs if rhs > 0 else np.inf
                     ratios.append(ratio)
                     # mass the truncated boost sweep ignores on the banded side
-                    kb = max(abs(k) for k in cfg.boosts)
                     if kb < kmax and lhs > 0:
-                        ks = np.arange(-kmax, kmax + 1)
-                        terms = (1.0 if warr is None else warr) * bracket(ks) ** mp.s \
-                            * band_profile(u)
+                        terms = (1.0 if warr is None else warr) * bracket(ks) ** mp.s * prof
                         tail = float(lp_norm(terms[np.abs(ks) > kb], mp.p))
                         max_tail_frac = max(max_tail_frac, tail / lhs)
                     rows.append((mi, ti, mp.p, mp.s, mode, lhs, rhs, ratio))
@@ -187,7 +184,8 @@ def run_apriori(cfg: ExperimentConfig) -> RunResult:
     """Global-in-time norm bounds over an amplitude sweep, plus the weighted family clause.
 
     Data whose norm exceeds apriori_small_norm is rescaled into the small
-    regime first; see _apriori_large_data.
+    regime first; see _apriori_large_data. Zero data adds its rows but no
+    ratio; the family clause takes the first nonzero amplitude.
     """
     grid = cfg.grid()
     rng = np.random.default_rng(cfg.seed)
@@ -196,6 +194,9 @@ def run_apriori(cfg: ExperimentConfig) -> RunResult:
     mps = _mps(cfg, "main_range")
     ratio_tol = cfg.tolerance("apriori_ratio")
     equi_tol = cfg.tolerance("apriori_equi_factor")
+    amp = next((float(eps) for eps in cfg.amplitudes if eps > 0), None)
+    if amp is None:
+        raise ConfigError("apriori needs a nonzero amplitude for its family clause")
 
     small_norm = cfg.tolerance("apriori_small_norm")
     eps_target = cfg.tolerance("apriori_eps_target")
@@ -203,41 +204,45 @@ def run_apriori(cfg: ExperimentConfig) -> RunResult:
     # the equicontinuous family clause: gaussians of these widths
     widths = family_params(cfg.family)[1].get("widths", FAMILIES["gaussian"]["widths"])
 
+    # one field per amplitude and one flow per equicontinuous width, shared by every (p, s)
+    u0s = [build_family(dict(cfg.family, amplitude=float(eps)), grid, rng)[0]
+           for eps in cfg.amplitudes]
+    flows = {}  # amplitude index -> flow, evolved once some (p, s) takes the small-data path
+    fam_fields = [gaussian_field(grid, w, amp) for w in widths]
+    fam_trajs = [evolve(f0, fs, times) for f0 in fam_fields]
+
     header = ["p", "s", "eps", "t", "norm", "weighted_norm"]
     rows, summary = [], []
     for mp in mps:
         cexp = apriori_exponent(mp)
         worst_plain = 0.0
         worst_normalized = 0.0
-        for eps in cfg.amplitudes:
-            fam = dict(cfg.family)
-            fam["amplitude"] = float(eps)
-            u0 = build_family(fam, grid, rng)[0]
+        for i, (eps, u0) in enumerate(zip(cfg.amplitudes, u0s)):
             n0 = modulation_norm(u0, mp)
             if n0 > small_norm:
                 summary.extend(_apriori_large_data(u0, n0, mp, cexp, fs, times,
                                                    eps_target, ratio_tol, large_tol, rows))
                 continue
-            traj = evolve(u0, fs, times)
+            if i not in flows:
+                flows[i] = evolve(u0, fs, times)
+            traj = flows[i]
             norms = [modulation_norm(u, mp) for u in traj.fields]
             for ti, nv in zip(traj.times, norms):
                 rows.append((mp.p, mp.s, eps, ti, nv, 0.0))
-            worst_plain = max(worst_plain, max(norms) / n0)
-            worst_normalized = max(worst_normalized, max(norms) / ((1.0 + n0) ** cexp * n0))
+            if n0 > 0.0:
+                worst_plain = max(worst_plain, max(norms) / n0)
+                worst_normalized = max(worst_normalized, max(norms) / ((1.0 + n0) ** cexp * n0))
         tag = f"p={mp.p:g},s={mp.s:g}"
         if worst_plain > 0.0:
             summary.append(criterion(f"sup_ratio[{tag}]", worst_plain, ratio_tol))
             summary.append(criterion(f"normalized_ratio[{tag}]", worst_normalized, ratio_tol))
 
         # equicontinuous family: weighted norms stay within the factor-2 budget
-        amp = float(cfg.amplitudes[0])
-        fam_fields = [gaussian_field(grid, w, amp) for w in widths]
         wseq = build_weights(FieldFamily(fam_fields, mp))
         warr = wseq.as_array()
         w0 = max(modulation_norm(f, mp, weights=warr) for f in fam_fields)
         wt = w0
-        for f0 in fam_fields:
-            traj = evolve(f0, fs, times)
+        for traj in fam_trajs:
             for ti, u in zip(traj.times, traj.fields):
                 wn = modulation_norm(u, mp, weights=warr)
                 rows.append((mp.p, mp.s, amp, ti, modulation_norm(u, mp), wn))
@@ -327,22 +332,26 @@ def run_scaling(cfg: ExperimentConfig) -> RunResult:
     sc_tol = cfg.tolerance("scaling_constant")
     emb_tol = cfg.tolerance("embedding_constant")
 
+    mps = _mps(cfg)
+    sigmas = [admissible_sigma(mp) for mp in mps]
+
+    # each (field, lam) is scaled once; blocks[j] keeps the rows of mps[j], (p, s)-major
+    blocks = [[] for _ in mps]
+    for i, f in enumerate(suite):
+        bases = [modulation_norm(f, mp) for mp in mps]
+        for lam in map(float, cfg.lambdas):
+            fl = scale_field(f, lam)
+            for mp, base, block in zip(mps, bases, blocks):
+                ratio = modulation_norm(fl, mp) / (scaling_bound_factor(lam, mp) * base)
+                block.append(("scaling", i, mp.p, mp.s, lam, ratio))
+        for mp, sigma, base, block in zip(mps, sigmas, bases, blocks):
+            block.append(("embedding", i, mp.p, mp.s, 0.0, sobolev_norm(f, sigma) / base))
     header = ["check", "field", "p", "s", "lam", "ratio"]
-    rows, summary = [], []
-    for mp in _mps(cfg):
-        worst_sc, worst_emb = 0.0, 0.0
-        sigma = admissible_sigma(mp)
-        for i, f in enumerate(suite):
-            base = modulation_norm(f, mp)
-            for lam in cfg.lambdas:
-                fl = scale_field(f, float(lam))
-                ratio = modulation_norm(fl, mp) / (scaling_bound_factor(float(lam), mp) * base)
-                worst_sc = max(worst_sc, ratio)
-                rows.append(("scaling", i, mp.p, mp.s, float(lam), ratio))
-            remb = sobolev_norm(f, sigma) / base
-            worst_emb = max(worst_emb, remb)
-            rows.append(("embedding", i, mp.p, mp.s, 0.0, remb))
+    rows, summary = [r for block in blocks for r in block], []
+    for mp, block in zip(mps, blocks):
         tag = f"p={mp.p:g},s={mp.s:g}"
+        worst_sc = max([0.0] + [r[5] for r in block if r[0] == "scaling"])
+        worst_emb = max([0.0] + [r[5] for r in block if r[0] == "embedding"])
         summary.append(criterion(f"scaling_constant[{tag}]", worst_sc, sc_tol))
         summary.append(criterion(f"embedding_constant[{tag}]", worst_emb, emb_tol))
 
@@ -373,44 +382,55 @@ def run_tails(cfg: ExperimentConfig) -> RunResult:
         except ValueError as exc:
             raise ConfigError(f"boost {k}: {exc}") from None
 
+    # per (eps, t): the snapshot and its boost rows (k, b2, b4, b6, tail2, tail3),
+    # independent of (p, s); zero data has no rows, and b6 is NaN at a skipped boost
+    snaps_by_eps, skipped = [], 0
+    for eps in cfg.amplitudes:
+        u0 = build_family(dict(cfg.family, amplitude=float(eps)), grid, rng)[0]
+        traj = evolve(u0, fs, times)
+        snaps = []
+        for ti, u in zip(traj.times, traj.fields):
+            if not band_profile(u).any():
+                snaps.append((ti, u, None))
+                continue
+            boost_rows = []
+            for k in cfg.boosts:
+                kf = float(k)
+                uk = galilei_boost(u, BoostSpec(kf, ti, cfg.equation))
+                b2 = boosted_beta2(u, kf, 0.5)
+                try:
+                    a_half, _, a4_half, _ = alpha_terms(uk, kp_half, cfg.n_op, -kf)
+                    a_one, _, a4_one, _ = alpha_terms(uk, kp_one, cfg.n_op, -kf)
+                except SeriesDivergenceError:
+                    log.warning("series diverged at boost k=%s, t=%s; skipped", k, ti)
+                    skipped += 1
+                    b4 = alpha4(uk, kp_half) - 0.5 * alpha4(uk, kp_one)
+                    b6 = np.nan
+                else:
+                    b4 = a4_half - 0.5 * a4_one
+                    b6 = (a_half - 0.5 * a_one) - b2 - b4
+                boost_rows.append((k, b2, b4, b6, tail_bound(u, kf, 2), tail_bound(u, kf, 3)))
+            snaps.append((ti, u, boost_rows))
+        snaps_by_eps.append(snaps)
+
     header = ["p", "s", "eps", "t", "k", "beta2", "beta4", "beta_geq6", "tail2", "tail3"]
     rows, summary = [], []
     for mp in mps:
         ratio6_by_eps, ratio4_by_eps = [], []
-        skipped = 0
-        for eps in cfg.amplitudes:
-            fam = dict(cfg.family)
-            fam["amplitude"] = float(eps)
-            u0 = build_family(fam, grid, rng)[0]
-            traj = evolve(u0, fs, times)
+        for eps, snaps in zip(cfg.amplitudes, snaps_by_eps):
             r6s, r4s = [], []
-            for ti, u in zip(traj.times, traj.fields):
-                M = modulation_norm(u, mp)
-                if M == 0.0:
+            for ti, u, boost_rows in snaps:
+                if boost_rows is None:
                     r6s.append(0.0)  # zero data: both sides vanish
                     r4s.append(0.0)
                     continue
+                M = modulation_norm(u, mp)
                 t6, t4 = [], []
-                for k in cfg.boosts:
-                    kf = float(k)
-                    uk = galilei_boost(u, BoostSpec(kf, ti, cfg.equation))
-                    b2 = boosted_beta2(u, kf, 0.5)
-                    try:
-                        a_half, _, a4_half, _ = alpha_terms(uk, kp_half, cfg.n_op, -kf)
-                        a_one, _, a4_one, _ = alpha_terms(uk, kp_one, cfg.n_op, -kf)
-                    except SeriesDivergenceError:
-                        log.warning("series diverged at boost k=%s, t=%s; skipped", k, ti)
-                        skipped += 1
-                        b4 = alpha4(uk, kp_half) - 0.5 * alpha4(uk, kp_one)
-                        rows.append((mp.p, mp.s, eps, ti, k, b2, b4, np.nan,
-                                     tail_bound(u, kf, 2), tail_bound(u, kf, 3)))
-                        continue
-                    b4 = a4_half - 0.5 * a4_one
-                    b6 = (a_half - 0.5 * a_one) - b2 - b4
-                    t6.append(bracket(k) ** mp.s * np.sqrt(abs(b6)))
-                    t4.append(bracket(k) ** mp.s * np.sqrt(abs(b4)))
-                    rows.append((mp.p, mp.s, eps, ti, k, b2, b4, b6,
-                                 tail_bound(u, kf, 2), tail_bound(u, kf, 3)))
+                for k, b2, b4, b6, tail2, tail3 in boost_rows:
+                    rows.append((mp.p, mp.s, eps, ti, k, b2, b4, b6, tail2, tail3))
+                    if not np.isnan(b6):
+                        t6.append(bracket(k) ** mp.s * np.sqrt(abs(b6)))
+                        t4.append(bracket(k) ** mp.s * np.sqrt(abs(b4)))
                 if t6:
                     r6s.append(float(lp_norm(t6, mp.p)) / M**3)
                     r4s.append(float(lp_norm(t4, mp.p)) / M**2)

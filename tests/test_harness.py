@@ -19,7 +19,7 @@ from modspec.harness import (
     run_weights,
 )
 from modspec.harness.cli import main
-from modspec.harness.config import build_family, config_from_dict
+from modspec.harness.config import FAMILIES, build_family, config_from_dict
 from modspec.harness.reports import criterion, fmt, write_csv
 
 
@@ -253,6 +253,26 @@ def test_apriori_large_data_path():
     assert res.all_pass
 
 
+@pytest.mark.parametrize("amplitudes", [[0.0, 0.1], [0.1, 0.0]])
+def test_apriori_zero_amplitude(amplitudes):
+    """Zero data adds its rows but no ratio; the family clause takes the first nonzero amplitude."""
+    ref = run_apriori(small_cfg(ps=[[2.0, 0.0]], amplitudes=[0.1]))
+    res = run_apriori(small_cfg(ps=[[2.0, 0.0]], amplitudes=amplitudes))
+    zero_rows = [r for r in res.rows if r[2] == 0.0]
+    assert len(zero_rows) == 2 and all(r[4] == 0.0 for r in zero_rows)
+    assert [r for r in res.rows if r[2] != 0.0] == ref.rows
+    assert res.summary == ref.summary
+
+
+def test_apriori_all_zero_amplitudes_is_a_config_error(tmp_path):
+    cfg = small_cfg(ps=[[2.0, 0.0]], amplitudes=[0.0])
+    with pytest.raises(ConfigError, match="nonzero amplitude"):
+        run_apriori(cfg)
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps(cfg.to_dict()))
+    assert main(["apriori", "--config", str(cfgp), "--out", str(tmp_path / "out")]) == 2
+
+
 def test_conservation_reports_trace_imag():
     res = run_conservation(small_cfg())
     entry = [e for e in res.summary if e.criterion.startswith("trace_imag_rel")]
@@ -278,6 +298,47 @@ def test_galilei_driver_small(monkeypatch):
     assert len(calls) == len(dts) * (1 + len(cfg.boosts))
     k0 = [r for r in res.rows if r[0] == 0.0]
     assert all(r[2] <= 1e-12 for r in k0)  # identical flows at k = 0
+
+
+@pytest.mark.parametrize("driver, name, expected", [
+    # one flow per amplitude and per equicontinuous width (no large data here)
+    (run_apriori, "evolve", lambda cfg: len(cfg.amplitudes) + len(FAMILIES["gaussian"]["widths"])),
+    (run_tails, "evolve", lambda cfg: len(cfg.amplitudes)),
+    # kappa = 1/2 and 1 at each boost of each snapshot
+    (run_tails, "alpha_terms",
+     lambda cfg: 2 * len(cfg.boosts) * cfg.snapshots * len(cfg.amplitudes)),
+    # the gaussian cross-check adds one
+    (run_scaling, "scale_field", lambda cfg: cfg.suite_size * len(cfg.lambdas) + 1),
+], ids=["apriori-evolve", "tails-evolve", "tails-alpha_terms", "scaling-scale_field"])
+def test_ps_independent_work_runs_once(monkeypatch, driver, name, expected):
+    """Work that does not depend on (p, s) runs once, however many pairs there are."""
+    from modspec.harness import experiments
+
+    calls = []
+    inner = getattr(experiments, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, name, counted)
+    cfg = small_cfg(t_final=0.01, ps=[[2.0, 0.0], [1.0, 0.0], [4.0, 1.0]])
+    driver(cfg)
+    assert len(calls) == expected(cfg)
+
+
+def test_every_ps_pair_sees_the_same_fields():
+    """A random_band family is drawn once: both (p, s) blocks hold the same field data."""
+    family = {"kind": "random_band", "amplitude": 0.3, "count": 1}
+    res = run_tails(small_cfg(t_final=0.01, family=family, ps=[[2.0, 0.0], [1.0, 0.0]]))
+    half = len(res.rows) // 2
+    cols = [r[5:] for r in res.rows]  # beta2, beta4, beta_geq6, tail2, tail3
+    assert half and cols[:half] == cols[half:]
+
+    res = run_apriori(small_cfg(family=family, ps=[[2.0, 0.0], [2.0, 0.0]]))
+    half = len(res.rows) // 2
+    norms = [r[4] for r in res.rows]
+    assert half and norms[:half] == norms[half:]
 
 
 def test_scaling_driver(tmp_path):
@@ -313,6 +374,7 @@ def test_tails_driver_zero_data():
     )
     res = run_tails(cfg)  # both sides vanish; nothing diverges, nothing crashes
     assert all(np.isfinite([e.measured for e in res.summary]).tolist())
+    assert res.rows == []  # a zero snapshot writes no boost rows
 
 
 def _reject_constant(token):
