@@ -23,6 +23,7 @@ from .norms import (
     bracket,
     hs_functional,
     modulation_norm,
+    profile_norm,
     sobolev_norm,
 )
 from .conserved import (

@@ -24,6 +24,13 @@ closed-form alpha2 and alpha4.  OperatorPair.log_det() is the raw window
 log-determinant, e.g. to compare against partial trace sums of the same
 matrix.
 
+alpha_terms' n_op sets the window's width in lattice points, and it
+samples that window at every m-th lattice point: build_operator's window
+of n_op // m points at stride m.  The resolvent kernels are analytic in a
+strip of half-width kappa, so the remainder converges geometrically as the
+spacing shrinks, and alpha_terms takes the coarsest stride whose remainder
+agrees with the one at twice that stride.
+
 The series converges only while rho(A) < 1, which log_det() certifies
 first: by ||A||_F when that is below 1, else by a dense eigen-solve.
 """
@@ -46,6 +53,11 @@ N_OP_CAP = 2048
 
 ALIAS_EDGE_FRACTION = 0.1
 ALIAS_THRESHOLD = 1e-8
+
+# alpha_terms: the first stride tried, and the doubling gap it accepts relative
+# to |alpha2 + alpha4|
+FIRST_STRIDE = 8
+STRIDE_RTOL = 1e-9
 
 
 class SeriesDivergenceError(RuntimeError):
@@ -206,12 +218,16 @@ class OperatorPair:
     B = (kappa - d)^(-1/2) M_f (kappa + d)^(-1/2); its entrywise HS norm
     controls the series.  A is similar to B Bbar in structure; for real f
     its spectrum is real and nonnegative.  radius_bound() is cached.
+    `stride` is the window's spacing in lattice points; alpha_terms sets
+    `doubling_gap` to |remainder - remainder at twice the stride| it accepted.
     """
 
     matrix: np.ndarray
     half: np.ndarray
     kappa: float
     sign: str
+    stride: int = 1
+    doubling_gap: float | None = field(default=None, init=False, compare=False)
     _radius_bound: float | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -274,80 +290,110 @@ class OperatorPair:
         return out
 
 
-def _window_indices(g: GridSpec, n_op: int, center: float) -> np.ndarray:
-    if n_op > g.n:
-        raise ValueError(f"n_op = {n_op} exceeds grid size {g.n}")
+def _window_indices(g: GridSpec, n_op: int, center: float, stride: int = 1) -> np.ndarray:
+    """n_op lattice indices spaced `stride` apart, the middle one nearest `center`."""
+    if n_op * stride > g.n:
+        raise ValueError(f"n_op = {n_op} at stride {stride} exceeds grid size {g.n}")
     if n_op > N_OP_CAP:
         raise ValueError(f"n_op = {n_op} exceeds the dense-matrix cap {N_OP_CAP}")
     c = g.n // 2 + int(np.rint(center / g.dxi))
-    lo = c - n_op // 2
-    hi = lo + n_op
-    if lo < 0 or hi > g.n:
+    idx = c + stride * np.arange(-(n_op // 2), n_op - n_op // 2)
+    if idx[0] < 0 or idx[-1] >= g.n:
         raise ValueError(f"window of {n_op} points at center {center} leaves the lattice")
-    return np.arange(lo, hi)
+    return idx
 
 
 def build_operator(f: Field, kp: SpectralParameter, n_op: int = DEFAULT_N_OP,
-                   center: float = 0.0) -> OperatorPair:
+                   center: float = 0.0, stride: int = 1) -> OperatorPair:
     """Dense window discretization of the sandwiched operator.
 
     Multiplication by f acts as discrete convolution with fhat; the
     resolvent square roots take the principal branch, positive at
-    frequency zero.  `center` shifts the retained frequency window,
-    useful for spectra concentrated away from the origin.  N_OP_CAP is
-    the memory budget on the dense size.
+    frequency zero.  The window holds n_op frequencies spaced stride * dxi
+    apart, centred at `center`, which helps spectra concentrated away from
+    the origin.  N_OP_CAP is the memory budget on the dense size.
     """
     g = f.grid
-    idx = _window_indices(g, n_op, center)
-    w = g.xi[idx]
-    # V is Toeplitz, V[i, j] = fhat[n/2 + i - j], zero off the lattice: a strided
-    # view of the zero-padded spectrum, reversed along j
-    v = np.pad(f.spectrum, n_op)[g.n // 2 + 1: g.n // 2 + 2 * n_op]
-    V = sliding_window_view(v, n_op)[:, ::-1] * (g.dxi / np.sqrt(2.0 * np.pi))
+    w = g.xi[_window_indices(g, n_op, center, stride)]
+    # V is Toeplitz, V[i, j] = fhat[n/2 + stride (i - j)], zero off the lattice: a
+    # strided view of the zero-padded spectrum, reversed along j
+    span = stride * n_op
+    v = np.pad(f.spectrum, span)[g.n // 2 + span - stride * (n_op - 1)::stride][: 2 * n_op - 1]
+    V = sliding_window_view(v, n_op)[:, ::-1] * (stride * g.dxi / np.sqrt(2.0 * np.pi))
     s_minus = (kp.kappa - 1j * w) ** -0.5
     d_half = (kp.kappa + 1j * w) ** -0.5
     half = (s_minus[:, None] * V) * d_half[None, :]
     A = (half * d_half[None, :]) @ (V.conj().T * s_minus[None, :])
-    return OperatorPair(matrix=A, half=half, kappa=kp.kappa, sign=kp.sign)
+    return OperatorPair(matrix=A, half=half, kappa=kp.kappa, sign=kp.sign, stride=stride)
 
 
 def quadratic_trace_windowed(f: Field, kp, n_op: int = DEFAULT_N_OP,
-                             center: float = 0.0) -> complex:
+                             center: float = 0.0, stride: int = 1) -> complex:
     """Independent evaluation of tr(A) on the same frequency window.
 
-    Reorganizes the double sum over the convolution difference zeta:
-    (2 pi)^-1 dxi^2 * sum_zeta |fhat(zeta)|^2 * sum_theta
-    1/((kappa - i theta)(kappa + i (theta - zeta))) over theta with both
-    theta and theta - zeta inside the window.  Cross-checks the dense
-    matrix construction without sharing its code path.
+    Reorganizes the double sum over the convolution difference zeta, a
+    multiple of h = stride * dxi: (2 pi)^-1 h^2 * sum_zeta |fhat(zeta)|^2 *
+    sum_theta 1/((kappa - i theta)(kappa + i (theta - zeta))) over theta
+    with both theta and theta - zeta inside the window.  Cross-checks the
+    dense matrix construction without sharing its code path.
     """
     kappa = _kappa_of(kp)
     g = f.grid
-    idx = _window_indices(g, n_op, center)
-    w = g.xi[idx]
+    w = g.xi[_window_indices(g, n_op, center, stride)]
+    h = stride * g.dxi
     wlo, whi = w[0], w[-1]
-    zeta = g.xi[:, None]
+    on = slice((g.n // 2) % stride, None, stride)  # the differences: lattice points h apart
+    zeta = g.xi[on][:, None]
     theta = w[None, :]
     rest = theta - zeta
-    ok = (rest >= wlo - 1e-9 * g.dxi) & (rest <= whi + 1e-9 * g.dxi)
+    ok = (rest >= wlo - 1e-9 * h) & (rest <= whi + 1e-9 * h)
     kern = np.where(ok, 1.0 / ((kappa - 1j * theta) * (kappa + 1j * rest)), 0.0)
     S = kern.sum(axis=1)
-    tot = np.sum(np.abs(f.spectrum) ** 2 * S)
-    return complex(tot * g.dxi**2 / (2.0 * np.pi))
+    tot = np.sum(np.abs(f.spectrum[on]) ** 2 * S)
+    return complex(tot * h**2 / (2.0 * np.pi))
 
 
 # ---------------------------------------------------------------------------
 # full series
 
+def _remainder(f: Field, kp: SpectralParameter, n_op: int, center: float,
+               stride: int) -> tuple:
+    """(j >= 3 remainder, operator) of the n_op-point window sampled at `stride`.
+    Past stride 1 a failed radius certificate gives a NaN remainder, which no
+    doubling test accepts: only the stride-1 window certifies divergence."""
+    op = build_operator(f, kp, n_op // stride, center, stride)
+    try:
+        return op.log_det_remainder(), op
+    except SeriesDivergenceError:
+        if stride == 1:
+            raise
+        return np.nan, op
+
+
 def alpha_terms(f: Field, kp: SpectralParameter, n_op: int = DEFAULT_N_OP,
                 center: float = 0.0) -> tuple:
     """(alpha, alpha2, alpha4, op): alpha(kappa) is the window's j >= 3 remainder
     plus the closed-form alpha2 and alpha4, which replace the matrix's own j <= 2
-    terms and so remove their O(1/window) truncation bias."""
+    terms and so remove their O(1/window) truncation bias.
+
+    The n_op-point window is sampled at stride m, starting from FIRST_STRIDE:
+    the remainder at m is accepted once it is within STRIDE_RTOL * |alpha2 + alpha4|
+    of the one at 2m, else m halves, down to 1.  op.stride is the accepted m."""
     a2 = alpha2(f, kp.kappa)
     a4 = alpha4(f, kp)
-    op = build_operator(f, kp, n_op=n_op, center=center)
-    return op.log_det_remainder() + (a2 + a4), a2, a4, op
+    tol = STRIDE_RTOL * abs(a2 + a4)
+    m = FIRST_STRIDE
+    while m > 1 and n_op < 4 * m:  # the 2m window keeps at least two points
+        m //= 2
+    coarse = _remainder(f, kp, n_op, center, 2 * m)[0] if n_op >= 4 * m else np.nan
+    while True:
+        rem, op = _remainder(f, kp, n_op, center, m)
+        gap = abs(rem - coarse)
+        if m == 1 or gap <= tol:
+            break
+        coarse, m = rem, m // 2
+    op.doubling_gap = gap
+    return rem + (a2 + a4), a2, a4, op
 
 
 def alpha_full(f: Field, kp: SpectralParameter, n_op: int = DEFAULT_N_OP,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+from collections import Counter
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from ..norms import (
     hs_functional,
     lp_norm,
     modulation_norm,
+    profile_norm,
     sobolev_norm,
 )
 from ..symmetries import (
@@ -66,6 +68,14 @@ def _rel_drift(values):
     return max(abs(v - values[0]) for v in values) / scale
 
 
+def _stride_health(samplings) -> dict:
+    """meta entries of the (stride, doubling gap) pairs alpha_terms accepted:
+    how many operators took each stride, and the largest gap."""
+    counts = Counter(m for m, _ in samplings)
+    return {"operator_strides": {str(m): counts[m] for m in sorted(counts)},
+            "max_doubling_gap": float(np.max([gap for _, gap in samplings], initial=0.0))}
+
+
 # ---------------------------------------------------------------------------
 
 def run_conservation(cfg: ExperimentConfig) -> RunResult:
@@ -79,12 +89,15 @@ def run_conservation(cfg: ExperimentConfig) -> RunResult:
     all_k = sorted({k for k in kappas} | {2.0 * k for k in kappas})
     tol = cfg.tolerance("conservation_drift")
 
+    samplings = []  # (stride, doubling gap) of every operator
+
     def measure(u, t):  # kappa -> (alpha, alpha2, alpha4, radius bound, trace) over all_k
         out, bad = {}, []
         for k in all_k:
             try:
                 alpha, a2, a4, op = alpha_terms(u, SpectralParameter(k, cfg.sign), cfg.n_op)
                 out[k] = (alpha, a2, a4, op.radius_bound(), op.trace())
+                samplings.append((op.stride, op.doubling_gap))
             except SeriesDivergenceError:
                 bad.append(k)
         if bad:
@@ -116,7 +129,7 @@ def run_conservation(cfg: ExperimentConfig) -> RunResult:
         summary.append(criterion(f"trace_imag_rel[m{mi}]", worst_imag,
                                  cfg.tolerance("trace_imag")))
         max_bound = max([max_bound] + [rho for m in per_t for *_, rho, _ in m.values()])
-    meta = {"config": cfg.to_dict(), "max_radius_bound": max_bound}
+    meta = {"config": cfg.to_dict(), "max_radius_bound": max_bound, **_stride_health(samplings)}
     return RunResult("conserve", header, rows, summary, meta)
 
 
@@ -155,8 +168,8 @@ def run_norm_equivalence(cfg: ExperimentConfig) -> RunResult:
             ratios = []
             max_tail_frac = 0.0
             for mi, (traj, fields) in enumerate(zip(trajs, per_field)):
-                for ti, u, (root_b2, prof) in zip(traj.times, traj.fields, fields):
-                    lhs = modulation_norm(u, mp, weights=warr)
+                for ti, (root_b2, prof) in zip(traj.times, fields):
+                    lhs = profile_norm(prof, mp, weights=warr)
                     rhs_terms = c_boost * bracket(ks_boost) ** mp.s * root_b2
                     rhs = float(lp_norm(rhs_terms, mp.p))
                     if lhs == 0.0 and rhs == 0.0:
@@ -207,9 +220,12 @@ def run_apriori(cfg: ExperimentConfig) -> RunResult:
     # one field per amplitude and one flow per equicontinuous width, shared by every (p, s)
     u0s = [build_family(dict(cfg.family, amplitude=float(eps)), grid, rng)[0]
            for eps in cfg.amplitudes]
-    flows = {}  # amplitude index -> flow, evolved once some (p, s) takes the small-data path
+    profs0 = [band_profile(u0) for u0 in u0s]
+    flows = {}  # amplitude index -> (times, band profiles), evolved once some (p, s) needs it
     fam_fields = [gaussian_field(grid, w, amp) for w in widths]
+    fam_profs = [band_profile(f0) for f0 in fam_fields]
     fam_trajs = [evolve(f0, fs, times) for f0 in fam_fields]
+    fam_snaps = [(traj.times, [band_profile(u) for u in traj.fields]) for traj in fam_trajs]
 
     header = ["p", "s", "eps", "t", "norm", "weighted_norm"]
     rows, summary = [], []
@@ -217,17 +233,18 @@ def run_apriori(cfg: ExperimentConfig) -> RunResult:
         cexp = apriori_exponent(mp)
         worst_plain = 0.0
         worst_normalized = 0.0
-        for i, (eps, u0) in enumerate(zip(cfg.amplitudes, u0s)):
-            n0 = modulation_norm(u0, mp)
+        for i, (eps, u0, prof0) in enumerate(zip(cfg.amplitudes, u0s, profs0)):
+            n0 = profile_norm(prof0, mp)
             if n0 > small_norm:
                 summary.extend(_apriori_large_data(u0, n0, mp, cexp, fs, times,
                                                    eps_target, ratio_tol, large_tol, rows))
                 continue
             if i not in flows:
-                flows[i] = evolve(u0, fs, times)
-            traj = flows[i]
-            norms = [modulation_norm(u, mp) for u in traj.fields]
-            for ti, nv in zip(traj.times, norms):
+                traj = evolve(u0, fs, times)
+                flows[i] = (traj.times, [band_profile(u) for u in traj.fields])
+            flow_times, profs = flows[i]
+            norms = [profile_norm(prof, mp) for prof in profs]
+            for ti, nv in zip(flow_times, norms):
                 rows.append((mp.p, mp.s, eps, ti, nv, 0.0))
             if n0 > 0.0:
                 worst_plain = max(worst_plain, max(norms) / n0)
@@ -240,12 +257,12 @@ def run_apriori(cfg: ExperimentConfig) -> RunResult:
         # equicontinuous family: weighted norms stay within the factor-2 budget
         wseq = build_weights(FieldFamily(fam_fields, mp))
         warr = wseq.as_array()
-        w0 = max(modulation_norm(f, mp, weights=warr) for f in fam_fields)
+        w0 = max(profile_norm(prof, mp, weights=warr) for prof in fam_profs)
         wt = w0
-        for traj in fam_trajs:
-            for ti, u in zip(traj.times, traj.fields):
-                wn = modulation_norm(u, mp, weights=warr)
-                rows.append((mp.p, mp.s, amp, ti, modulation_norm(u, mp), wn))
+        for snap_times, profs in fam_snaps:
+            for ti, prof in zip(snap_times, profs):
+                wn = profile_norm(prof, mp, weights=warr)
+                rows.append((mp.p, mp.s, amp, ti, profile_norm(prof, mp), wn))
                 wt = max(wt, wn)
         factor = wt / w0
         summary.append(criterion(f"equicontinuity_factor[{tag}]", factor, equi_tol))
@@ -338,11 +355,12 @@ def run_scaling(cfg: ExperimentConfig) -> RunResult:
     # each (field, lam) is scaled once; blocks[j] keeps the rows of mps[j], (p, s)-major
     blocks = [[] for _ in mps]
     for i, f in enumerate(suite):
-        bases = [modulation_norm(f, mp) for mp in mps]
+        prof = band_profile(f)
+        bases = [profile_norm(prof, mp) for mp in mps]
         for lam in map(float, cfg.lambdas):
-            fl = scale_field(f, lam)
+            prof_l = band_profile(scale_field(f, lam))
             for mp, base, block in zip(mps, bases, blocks):
-                ratio = modulation_norm(fl, mp) / (scaling_bound_factor(lam, mp) * base)
+                ratio = profile_norm(prof_l, mp) / (scaling_bound_factor(lam, mp) * base)
                 block.append(("scaling", i, mp.p, mp.s, lam, ratio))
         for mp, sigma, base, block in zip(mps, sigmas, bases, blocks):
             block.append(("embedding", i, mp.p, mp.s, 0.0, sobolev_norm(f, sigma) / base))
@@ -382,16 +400,17 @@ def run_tails(cfg: ExperimentConfig) -> RunResult:
         except ValueError as exc:
             raise ConfigError(f"boost {k}: {exc}") from None
 
-    # per (eps, t): the snapshot and its boost rows (k, b2, b4, b6, tail2, tail3),
+    # per (eps, t): the band profile and the boost rows (k, b2, b4, b6, tail2, tail3),
     # independent of (p, s); zero data has no rows, and b6 is NaN at a skipped boost
-    snaps_by_eps, skipped = [], 0
+    snaps_by_eps, skipped, samplings = [], 0, []
     for eps in cfg.amplitudes:
         u0 = build_family(dict(cfg.family, amplitude=float(eps)), grid, rng)[0]
         traj = evolve(u0, fs, times)
         snaps = []
         for ti, u in zip(traj.times, traj.fields):
-            if not band_profile(u).any():
-                snaps.append((ti, u, None))
+            prof = band_profile(u)
+            if not prof.any():
+                snaps.append((ti, prof, None))
                 continue
             boost_rows = []
             for k in cfg.boosts:
@@ -399,8 +418,9 @@ def run_tails(cfg: ExperimentConfig) -> RunResult:
                 uk = galilei_boost(u, BoostSpec(kf, ti, cfg.equation))
                 b2 = boosted_beta2(u, kf, 0.5)
                 try:
-                    a_half, _, a4_half, _ = alpha_terms(uk, kp_half, cfg.n_op, -kf)
-                    a_one, _, a4_one, _ = alpha_terms(uk, kp_one, cfg.n_op, -kf)
+                    a_half, _, a4_half, op_half = alpha_terms(uk, kp_half, cfg.n_op, -kf)
+                    a_one, _, a4_one, op_one = alpha_terms(uk, kp_one, cfg.n_op, -kf)
+                    samplings += [(op.stride, op.doubling_gap) for op in (op_half, op_one)]
                 except SeriesDivergenceError:
                     log.warning("series diverged at boost k=%s, t=%s; skipped", k, ti)
                     skipped += 1
@@ -410,7 +430,7 @@ def run_tails(cfg: ExperimentConfig) -> RunResult:
                     b4 = a4_half - 0.5 * a4_one
                     b6 = (a_half - 0.5 * a_one) - b2 - b4
                 boost_rows.append((k, b2, b4, b6, tail_bound(u, kf, 2), tail_bound(u, kf, 3)))
-            snaps.append((ti, u, boost_rows))
+            snaps.append((ti, prof, boost_rows))
         snaps_by_eps.append(snaps)
 
     header = ["p", "s", "eps", "t", "k", "beta2", "beta4", "beta_geq6", "tail2", "tail3"]
@@ -419,12 +439,12 @@ def run_tails(cfg: ExperimentConfig) -> RunResult:
         ratio6_by_eps, ratio4_by_eps = [], []
         for eps, snaps in zip(cfg.amplitudes, snaps_by_eps):
             r6s, r4s = [], []
-            for ti, u, boost_rows in snaps:
+            for ti, prof, boost_rows in snaps:
                 if boost_rows is None:
                     r6s.append(0.0)  # zero data: both sides vanish
                     r4s.append(0.0)
                     continue
-                M = modulation_norm(u, mp)
+                M = profile_norm(prof, mp)
                 t6, t4 = [], []
                 for k, b2, b4, b6, tail2, tail3 in boost_rows:
                     rows.append((mp.p, mp.s, eps, ti, k, b2, b4, b6, tail2, tail3))
@@ -449,7 +469,8 @@ def run_tails(cfg: ExperimentConfig) -> RunResult:
                                  hi4 / lo4 if lo4 != 0 else 1.0, stab_tol))
         if skipped:
             summary.append(criterion(f"skipped_boosts[{tag}]", skipped, 0.0))
-    return RunResult("tails", header, rows, summary, {"config": cfg.to_dict()})
+    meta = {"config": cfg.to_dict(), **_stride_health(samplings)}
+    return RunResult("tails", header, rows, summary, meta)
 
 
 # ---------------------------------------------------------------------------

@@ -54,8 +54,14 @@ def modulation_norm(f: Field, mp: ModulationParams, weights: np.ndarray | None =
     `weights` must supply one value per resolved band, ordered
     k = -kmax .. kmax (a WeightSequence.as_array(grid) does).
     """
-    kmax = f.grid.kmax
-    prof = band_profile(f)
+    return profile_norm(band_profile(f), mp, weights)
+
+
+def profile_norm(prof: np.ndarray, mp: ModulationParams,
+                 weights: np.ndarray | None = None) -> float:
+    """modulation_norm of the field whose band_profile is `prof`: the profile does
+    not depend on (p, s), so a caller can take it once and reduce it per pair."""
+    kmax = (len(prof) - 1) // 2
     ks = np.arange(-kmax, kmax + 1)
     terms = bracket(ks) ** mp.s * prof
     if weights is not None:

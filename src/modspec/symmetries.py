@@ -79,7 +79,8 @@ def scale_field(f: Field, lam: float, pad: int = 1) -> Field:
     """f_lam(x) = lam^-1 f(x / lam) realized by re-gridding L -> lam L.
 
     The new grid's samples sit at x' = lam x, so values map exactly and the
-    spectrum satisfies fhat_lam(xi) = fhat(lam xi) with no interpolation.
+    spectrum satisfies fhat_lam(xi) = fhat(lam xi) with no interpolation:
+    sample for sample it is f's spectrum, which is read-only and so is shared.
 
     `pad` (a power of two) widens the new grid to pad * n points at the same
     dual spacing by zero-padding the spectrum.  Large lam compresses the
@@ -93,7 +94,7 @@ def scale_field(f: Field, lam: float, pad: int = 1) -> Field:
     g = f.grid
     g2 = make_grid(g.n * pad, lam * g.length)
     if pad == 1:
-        return Field(g2, f.values / lam, f.spectrum.copy() if lam == 1.0 else None)
+        return Field(g2, f.values / lam, f.spectrum)
     spec = np.zeros(g2.n, dtype=complex)
     lo = g2.n // 2 - g.n // 2
     spec[lo: lo + g.n] = f.spectrum

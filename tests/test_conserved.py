@@ -4,7 +4,9 @@ from scipy.integrate import quad
 
 from modspec import (
     AliasingError,
+    BoostSpec,
     Field,
+    FlowSpec,
     SeriesDivergenceError,
     SpectralParameter,
     alpha2,
@@ -16,6 +18,8 @@ from modspec import (
     beta2,
     beta_full,
     build_operator,
+    evolve,
+    galilei_boost,
     gaussian_field,
     hs_functional,
     make_grid,
@@ -23,7 +27,9 @@ from modspec import (
     quartic_integral,
     tail_bound,
 )
-from modspec.harness.config import random_suite
+from modspec import conserved
+from modspec.conserved import DEFAULT_N_OP
+from modspec.harness.config import build_family, config_from_dict, random_suite
 from conftest import random_smooth_field
 
 
@@ -403,3 +409,75 @@ def test_tail_bound_values(grid_ref):
     base = quad(lambda t: np.log(np.sqrt(4 + t * t)) / np.sqrt(4 + t * t), -0.5, 0.5)[0]
     for ell in (2, 3):
         assert tail_bound(f, 0.0, ell) == pytest.approx(base**ell, rel=1e-3)
+
+
+# ---------------------------------------------------------------------------
+# stride of the operator window
+
+def _stride_one_alpha(monkeypatch, f, kp, **kw):
+    """alpha_terms with the first stride tried set to 1: the full-lattice window."""
+    with monkeypatch.context() as mp:
+        mp.setattr(conserved, "FIRST_STRIDE", 1)
+        alpha, _, _, op = alpha_terms(f, kp, **kw)
+    assert op.stride == 1
+    return alpha
+
+
+def _conserve_default_snapshots():
+    cfg = config_from_dict({"version": 1})
+    u0 = build_family(cfg.family, cfg.grid(), np.random.default_rng(cfg.seed))[0]
+    traj = evolve(u0, FlowSpec(cfg.equation, cfg.sign, cfg.dt), [0.0, 1.0])
+    return cfg, traj.fields
+
+
+def test_chosen_stride_matches_stride_one(monkeypatch):
+    """At the conserve defaults (t = 0 and 1) and on a boosted tails field, the
+    accepted stride's alpha is within 1e-9 |alpha| of the full-lattice window's."""
+    cfg, snaps = _conserve_default_snapshots()
+    cases = [(u, SpectralParameter(kappa, cfg.sign), 0.0)
+             for u in snaps for kappa in (0.5, 1.0, 2.0, 4.0)]
+    uk = galilei_boost(snaps[0], BoostSpec(2.0, 0.0, "mkdv"))
+    cases += [(uk, SpectralParameter(kappa, cfg.sign), -2.0) for kappa in (0.5, 1.0)]
+    strides = []
+    for f, kp, center in cases:
+        alpha, _, _, op = alpha_terms(f, kp, n_op=cfg.n_op, center=center)
+        ref = _stride_one_alpha(monkeypatch, f, kp, n_op=cfg.n_op, center=center)
+        assert abs(alpha - ref) <= 1e-9 * abs(ref)
+        strides.append(op.stride)
+    assert max(strides) > 1  # the defaults do take a coarser window
+
+
+def test_wide_gaussian_takes_a_fine_stride(grid_ref):
+    """A width-8 gaussian fills a quarter of the box: sampling every 4th lattice
+    frequency periodizes it with overlap, which the doubling test must see."""
+    f = gaussian_field(grid_ref, 8.0, 0.1)
+    _, _, _, op = alpha_terms(f, SpectralParameter(0.5))
+    assert op.stride <= 2
+
+
+def test_zero_field_alpha_at_first_stride(grid_ref):
+    alpha, a2, a4, op = alpha_terms(zero_field(grid_ref), SpectralParameter(0.5))
+    assert alpha == a2 == a4 == 0.0
+    assert op.stride == conserved.FIRST_STRIDE and op.doubling_gap == 0.0
+
+
+def test_trace_matches_oracle_at_chosen_stride(grid_ref, rng):
+    kp = SpectralParameter(0.5)
+    for carrier in (0.0, 3.0):
+        f = random_smooth_field(grid_ref, rng, carrier=carrier)
+        _, _, _, op = alpha_terms(f, kp)
+        oracle = quadratic_trace_windowed(f, kp, n_op=op.n_op, stride=op.stride)
+        assert op.n_op == DEFAULT_N_OP // op.stride
+        assert abs(op.trace() - oracle) <= 1e-10
+
+
+def test_strided_window_is_a_subset_of_the_lattice_window(grid_ref, rng):
+    """Stride m keeps every m-th frequency of the stride-1 window: its V entries
+    are the stride-1 ones at the shared rows and columns, times m."""
+    f = random_smooth_field(grid_ref, rng)
+    kp = SpectralParameter(1.0)
+    full = build_operator(f, kp, n_op=256, center=-1.0)
+    sub = build_operator(f, kp, n_op=64, center=-1.0, stride=4)
+    assert np.allclose(sub.half, 4.0 * full.half[::4, ::4], rtol=1e-13, atol=0.0)
+    with pytest.raises(ValueError):
+        build_operator(f, kp, n_op=512, stride=4)  # 2048 lattice points

@@ -408,6 +408,22 @@ def test_tails_driver_quick(tmp_path):
     assert sextic and sextic[0]["threshold"] is None  # the unbounded threshold is null
 
 
+def test_operator_strides_in_meta():
+    """conserve and tails name the stride each operator took and the largest doubling gap."""
+    cons = run_conservation(small_cfg())
+    tails = run_tails(small_cfg(
+        grid_n=512, grid_length=16 * math.pi, boosts=[0, 1], snapshots=2,
+        t_final=0.02, dt=1e-2, amplitudes=[0.1, 0.2], ps=[[2.0, 0.0]], n_op=192,
+    ))
+    # conserve: 2 snapshots x kappa in {0.5, 1}; tails: 2 amplitudes x 2 snapshots x
+    # 2 boosts x kappa in {0.5, 1}
+    for res, operators in ((cons, 4), (tails, 16)):
+        strides = res.meta["operator_strides"]
+        assert sum(strides.values()) == operators
+        assert all(int(m) in (1, 2, 4, 8) for m in strides)
+        assert 0.0 <= res.meta["max_doubling_gap"] < 1e-6
+
+
 def test_cli_smoke(tmp_path, capsys):
     cfgp = tmp_path / "cfg.json"
     cfgp.write_text(json.dumps(small_cfg().to_dict()))

@@ -7,9 +7,11 @@ from modspec import (
     ModulationParams,
     admissible_sigma,
     band_indicator_field,
+    band_profile,
     bracket,
     hs_functional,
     modulation_norm,
+    profile_norm,
     sobolev_norm,
 )
 from modspec.harness.config import random_suite
@@ -70,6 +72,18 @@ def test_weighted_norm_dominates(grid_ref, rng):
     for _ in range(3):
         f = random_smooth_field(grid_ref, rng)
         assert modulation_norm(f, mp, weights=w) >= modulation_norm(f, mp)
+
+
+def test_profile_norm_is_modulation_norm_bit_for_bit(grid_ref, rng):
+    """One band profile reduced per (p, s) gives modulation_norm's exact bits."""
+    ks = np.arange(-grid_ref.kmax, grid_ref.kmax + 1)
+    w = 1.0 + np.log(np.abs(ks) + 1.0)
+    for f in random_suite(grid_ref, 8, rng):
+        prof = band_profile(f)
+        for p, s in [(1.0, 0.0), (2.0, 0.0), (4.0, 1.0), (1.5, 0.3)]:
+            mp = ModulationParams(p, s)
+            assert profile_norm(prof, mp) == modulation_norm(f, mp)
+            assert profile_norm(prof, mp, weights=w) == modulation_norm(f, mp, weights=w)
 
 
 def test_weights_must_cover_bands(grid_ref):

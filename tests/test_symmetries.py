@@ -9,6 +9,7 @@ from modspec import (
     band_indicator_field,
     beta2,
     boosted_beta2,
+    forward_transform,
     galilei_boost,
     gaussian_field,
     modulation_norm,
@@ -87,6 +88,17 @@ def test_scale_field_gaussian_spectrum(grid_ref):
         fl = scale_field(f, lam)
         expected = np.exp(-((lam * fl.grid.xi) ** 2) / 2)
         assert np.max(np.abs(fl.spectrum - expected)) <= 1e-10
+
+
+def test_scale_field_reuses_the_spectrum(grid_ref, rng):
+    """Unpadded rescaling shares the read-only spectrum, which the transform of
+    the rescaled values reproduces to roundoff."""
+    for f in random_suite(grid_ref, 6, rng):
+        for lam in (0.125, 0.5, 2.0, 8.0):
+            fl = scale_field(f, lam)
+            assert fl.spectrum is f.spectrum and not fl.spectrum.flags.writeable
+            fresh = forward_transform(fl.values, fl.grid)
+            assert np.max(np.abs(fresh - fl.spectrum)) <= 1e-14 * np.max(np.abs(fl.spectrum))
 
 
 def test_scale_field_padded(grid_ref):
