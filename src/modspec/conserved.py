@@ -24,12 +24,13 @@ closed-form alpha2 and alpha4.  OperatorPair.log_det() is the raw window
 log-determinant, e.g. to compare against partial trace sums of the same
 matrix.
 
-alpha_terms' n_op sets the window's width in lattice points, and it
-samples that window at every m-th lattice point: build_operator's window
-of n_op // m points at stride m.  The resolvent kernels are analytic in a
-strip of half-width kappa, so the remainder converges geometrically as the
-spacing shrinks, and alpha_terms takes the coarsest stride whose remainder
-agrees with the one at twice that stride.
+The window is a quadrature grid of its own, n_op lattice spacings wide;
+at stride m it holds n_op // m frequencies m * dxi apart and may reach past
+the field's lattice, where V reads the zero-padded spectrum.  The resolvent
+kernels are analytic in a strip of half-width kappa, so the remainder
+converges geometrically as the spacing shrinks, and alpha_terms takes the
+coarsest stride whose remainder agrees with the one at twice that stride
+and whose sub-lattice carries the spectrum.
 
 The series converges only while rho(A) < 1, which log_det() certifies
 first: by ||A||_F when that is below 1, else by a dense eigen-solve.
@@ -50,6 +51,7 @@ FOCUSING = "focusing"
 
 DEFAULT_N_OP = 512
 N_OP_CAP = 2048
+MIN_N_OP = 4  # alpha_terms compares a window with its stride-2 sampling
 
 ALIAS_EDGE_FRACTION = 0.1
 ALIAS_THRESHOLD = 1e-8
@@ -231,10 +233,6 @@ class OperatorPair:
     _radius_bound: float | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
-    def n_op(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
     def defocusing(self) -> bool:
         return self.sign == DEFOCUSING
 
@@ -267,7 +265,7 @@ class OperatorPair:
         if not self.radius_bound() < 1.0:
             raise SeriesDivergenceError(f"spectral radius bound {self.radius_bound():.4f} >= 1 "
                                         f"at kappa = {self.kappa}; series diverges")
-        I = np.eye(self.n_op)
+        I = np.eye(len(self.matrix))
         val = (np.linalg.slogdet(I + self.matrix)[1] if self.defocusing
                else -np.linalg.slogdet(I - self.matrix)[1])
         if not np.isfinite(val):
@@ -290,17 +288,14 @@ class OperatorPair:
         return out
 
 
-def _window_indices(g: GridSpec, n_op: int, center: float, stride: int = 1) -> np.ndarray:
-    """n_op lattice indices spaced `stride` apart, the middle one nearest `center`."""
-    if n_op * stride > g.n:
-        raise ValueError(f"n_op = {n_op} at stride {stride} exceeds grid size {g.n}")
-    if n_op > N_OP_CAP:
-        raise ValueError(f"n_op = {n_op} exceeds the dense-matrix cap {N_OP_CAP}")
-    c = g.n // 2 + int(np.rint(center / g.dxi))
-    idx = c + stride * np.arange(-(n_op // 2), n_op - n_op // 2)
-    if idx[0] < 0 or idx[-1] >= g.n:
-        raise ValueError(f"window of {n_op} points at center {center} leaves the lattice")
-    return idx
+def _window(g: GridSpec, n_op: int, center: float, stride: int = 1) -> np.ndarray:
+    """The frequencies of a window n_op lattice points wide sampled at `stride`:
+    n_op // stride points spaced stride * dxi apart, the middle one at the lattice
+    point nearest `center`.  The window may extend past the field's lattice."""
+    m = n_op // stride
+    if m > N_OP_CAP:
+        raise ValueError(f"window of {m} points exceeds the dense-matrix cap {N_OP_CAP}")
+    return g.dxi * (np.rint(center / g.dxi) + stride * np.arange(-(m // 2), m - m // 2))
 
 
 def build_operator(f: Field, kp: SpectralParameter, n_op: int = DEFAULT_N_OP,
@@ -309,17 +304,19 @@ def build_operator(f: Field, kp: SpectralParameter, n_op: int = DEFAULT_N_OP,
 
     Multiplication by f acts as discrete convolution with fhat; the
     resolvent square roots take the principal branch, positive at
-    frequency zero.  The window holds n_op frequencies spaced stride * dxi
-    apart, centred at `center`, which helps spectra concentrated away from
-    the origin.  N_OP_CAP is the memory budget on the dense size.
+    frequency zero.  The window is n_op lattice points wide, centred at
+    `center`, which helps spectra concentrated away from the origin, and
+    sampled at `stride`: the matrices hold n_op // stride frequencies.
+    N_OP_CAP is the memory budget on that size.
     """
     g = f.grid
-    w = g.xi[_window_indices(g, n_op, center, stride)]
+    w = _window(g, n_op, center, stride)
+    m = len(w)
     # V is Toeplitz, V[i, j] = fhat[n/2 + stride (i - j)], zero off the lattice: a
     # strided view of the zero-padded spectrum, reversed along j
-    span = stride * n_op
-    v = np.pad(f.spectrum, span)[g.n // 2 + span - stride * (n_op - 1)::stride][: 2 * n_op - 1]
-    V = sliding_window_view(v, n_op)[:, ::-1] * (stride * g.dxi / np.sqrt(2.0 * np.pi))
+    span = stride * m
+    v = np.pad(f.spectrum, span)[g.n // 2 + span - stride * (m - 1)::stride][: 2 * m - 1]
+    V = sliding_window_view(v, m)[:, ::-1] * (stride * g.dxi / np.sqrt(2.0 * np.pi))
     s_minus = (kp.kappa - 1j * w) ** -0.5
     d_half = (kp.kappa + 1j * w) ** -0.5
     half = (s_minus[:, None] * V) * d_half[None, :]
@@ -339,7 +336,7 @@ def quadratic_trace_windowed(f: Field, kp, n_op: int = DEFAULT_N_OP,
     """
     kappa = _kappa_of(kp)
     g = f.grid
-    w = g.xi[_window_indices(g, n_op, center, stride)]
+    w = _window(g, n_op, center, stride)
     h = stride * g.dxi
     wlo, whi = w[0], w[-1]
     on = slice((g.n // 2) % stride, None, stride)  # the differences: lattice points h apart
@@ -361,7 +358,7 @@ def _remainder(f: Field, kp: SpectralParameter, n_op: int, center: float,
     """(j >= 3 remainder, operator) of the n_op-point window sampled at `stride`.
     Past stride 1 a failed radius certificate gives a NaN remainder, which no
     doubling test accepts: only the stride-1 window certifies divergence."""
-    op = build_operator(f, kp, n_op // stride, center, stride)
+    op = build_operator(f, kp, n_op, center, stride)
     try:
         return op.log_det_remainder(), op
     except SeriesDivergenceError:
@@ -376,20 +373,31 @@ def alpha_terms(f: Field, kp: SpectralParameter, n_op: int = DEFAULT_N_OP,
     plus the closed-form alpha2 and alpha4, which replace the matrix's own j <= 2
     terms and so remove their O(1/window) truncation bias.
 
-    The n_op-point window is sampled at stride m, starting from FIRST_STRIDE:
-    the remainder at m is accepted once it is within STRIDE_RTOL * |alpha2 + alpha4|
-    of the one at 2m, else m halves, down to 1.  op.stride is the accepted m."""
+    The window, n_op lattice points wide, is sampled at stride m, starting from
+    FIRST_STRIDE: m is accepted once its remainder is within
+    STRIDE_RTOL * |alpha2 + alpha4| of the one at 2m and the stride-m sub-lattice
+    through 0, weighted by m, carries the spectrum's whole mass to within
+    ALIAS_THRESHOLD; else m halves, down to 1.  op.stride is the accepted m."""
+    if n_op < MIN_N_OP:
+        raise ValueError(f"n_op = {n_op} is below {MIN_N_OP}: no stride-2 comparison runs")
     a2 = alpha2(f, kp.kappa)
     a4 = alpha4(f, kp)
     tol = STRIDE_RTOL * abs(a2 + a4)
+    power = np.abs(f.spectrum) ** 2
+    mass = float(np.sum(power))
+
+    def sublattice_holds(m):  # V at stride m reads fhat on this sub-lattice only
+        sub = m * float(np.sum(power[(f.grid.n // 2) % m::m]))
+        return abs(sub - mass) <= ALIAS_THRESHOLD * mass
+
     m = FIRST_STRIDE
-    while m > 1 and n_op < 4 * m:  # the 2m window keeps at least two points
+    while n_op < 4 * m:  # the 2m window keeps at least two points
         m //= 2
-    coarse = _remainder(f, kp, n_op, center, 2 * m)[0] if n_op >= 4 * m else np.nan
+    coarse = _remainder(f, kp, n_op, center, 2 * m)[0]
     while True:
         rem, op = _remainder(f, kp, n_op, center, m)
         gap = abs(rem - coarse)
-        if m == 1 or gap <= tol:
+        if m == 1 or (gap <= tol and sublattice_holds(m)):
             break
         coarse, m = rem, m // 2
     op.doubling_gap = gap

@@ -60,9 +60,8 @@ def _sup_lp(terms: np.ndarray, p: float) -> float:
     return float(np.max(lp_norm(terms, p)))
 
 
-def _sup_tail(terms: np.ndarray, kmax: int, K: int, p: float, strict: bool) -> float:
-    ks = np.abs(np.arange(-kmax, kmax + 1))
-    mask = ks > K if strict else ks >= K
+def _sup_tail(terms: np.ndarray, kmax: int, K: int, p: float) -> float:
+    mask = np.abs(np.arange(-kmax, kmax + 1)) >= K
     if not mask.any():
         return 0.0
     return _sup_lp(terms[:, mask], p)
@@ -73,7 +72,7 @@ def equicontinuity_tail(Q: FieldFamily, K: int) -> float:
     kmax = Q.grid.kmax
     if K > kmax:
         return 0.0
-    return _sup_tail(Q.band_terms(), kmax, K, Q.mp.p, strict=False)
+    return _sup_tail(Q.band_terms(), kmax, K, Q.mp.p)
 
 
 @dataclass(frozen=True)
@@ -110,7 +109,7 @@ def build_weights(Q: FieldFamily) -> WeightSequence:
     p = Q.mp.p
     terms = Q.band_terms()
     A = _sup_lp(terms, p)
-    edge = _sup_tail(terms, kmax, kmax, p, strict=False)
+    edge = _sup_tail(terms, kmax, kmax, p)
     if edge > EDGE_FLOOR_RATIO * A:
         raise NotEquicontinuousError(
             f"edge-band tail {edge:.3e} exceeds {EDGE_FLOOR_RATIO:.0e} x family bound {A:.3e}"

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..conserved import N_OP_CAP
+from ..conserved import MIN_N_OP, N_OP_CAP
 from ..flows import FlowSpec
 from ..grid import (
     GridSpec,
@@ -176,8 +176,8 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
             raise ConfigError(f"{key} must be >= {least}, got {getattr(cfg, key)}")
     for key, rule in _ELEMENTS.items():
         _check_list(f"field '{key}'", getattr(cfg, key), rule)
-    if not 1 <= cfg.n_op <= min(cfg.grid_n, N_OP_CAP):
-        raise ConfigError(f"n_op must lie in [1, min(grid_n, {N_OP_CAP})], got {cfg.n_op}")
+    if not MIN_N_OP <= cfg.n_op <= N_OP_CAP:
+        raise ConfigError(f"n_op must lie in [{MIN_N_OP}, {N_OP_CAP}], got {cfg.n_op}")
     for name, val in cfg.tolerances.items():
         if name not in TOLERANCES:
             raise ConfigError(f"unknown tolerance key {name!r}")

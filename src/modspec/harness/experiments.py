@@ -10,7 +10,6 @@ import numpy as np
 from ..conserved import (
     SeriesDivergenceError,
     SpectralParameter,
-    _window_indices,
     alpha4,
     alpha_terms,
     beta2,
@@ -394,11 +393,6 @@ def run_tails(cfg: ExperimentConfig) -> RunResult:
     stab_tol = cfg.tolerance("tails_stability")
     kp_half = SpectralParameter(0.5, cfg.sign)
     kp_one = SpectralParameter(1.0, cfg.sign)
-    for k in cfg.boosts:  # each boosted operator's window, checked before any flow runs
-        try:
-            _window_indices(grid, cfg.n_op, -float(k))
-        except ValueError as exc:
-            raise ConfigError(f"boost {k}: {exc}") from None
 
     # per (eps, t): the band profile and the boost rows (k, b2, b4, b6, tail2, tail3),
     # independent of (p, s); zero data has no rows, and b6 is NaN at a skipped boost

@@ -37,9 +37,11 @@ def galilei_boost(u: Field, b: BoostSpec) -> Field:
 
     Spatial shifts wrap periodically (spectral phase).  For k on the
     frequency lattice the modulus of the spectrum shifts exactly,
-    |u^k-hat(xi)| = |uhat(xi + k)|; off-lattice k falls back to a phase
-    ramp in physical space, whose boundary mismatch aliases at a level
-    set by the field's decay toward the box edge.
+    |u^k-hat(xi)| = |uhat(xi + k)|, and AliasingError is raised when the
+    shift pushes more than ALIAS_THRESHOLD of the spectral mass off the
+    lattice.  Off-lattice k falls back to a phase ramp in physical space,
+    whose boundary mismatch aliases at a level set by the field's decay
+    toward the box edge.
     """
     g = u.grid
     k, t = b.k, b.t
@@ -53,11 +55,16 @@ def galilei_boost(u: Field, b: BoostSpec) -> Field:
     if abs(m - np.rint(m)) < 1e-9:
         # exact lattice shift of the spectrum by k, then the translation phase
         mi = int(np.rint(m))
+        src = np.arange(g.n)
+        on = (src >= mi) & (src < g.n + mi)  # the modes that stay on the lattice
+        power = np.abs(u.spectrum) ** 2
+        lost, total = float(np.sum(power[~on])), float(np.sum(power))
+        if lost > conserved.ALIAS_THRESHOLD * total:
+            raise conserved.AliasingError(
+                f"boost k = {k} shifts a spectral mass fraction {lost / total:.2e} "
+                f"off the lattice, above {conserved.ALIAS_THRESHOLD:.0e}")
         spec = np.zeros(g.n, dtype=complex)
-        if mi >= 0:
-            spec[: g.n - mi] = u.spectrum[mi:]
-        else:
-            spec[-mi:] = u.spectrum[: g.n + mi]
+        spec[src[on] - mi] = u.spectrum[on]
         spec = spec * phase0 * np.exp(-1j * (g.xi + k) * shift)
         return Field.from_spectrum(g, spec)
     # off-lattice wave number: translate spectrally, modulate pointwise

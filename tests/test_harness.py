@@ -104,7 +104,7 @@ def test_unknown_family_kind(grid_small, rng):
     ({"boosts": [1.5]}, "boosts"),
     ({"boosts": [True]}, "boosts"),
     ({"lambdas": [0]}, "lambdas"),
-    ({"n_op": 2048}, "n_op"),
+    ({"n_op": 4096}, "n_op"),
     ({"n_op": 0}, "n_op"),
     ({"t_final": -0.05}, "t_final"),
     ({"t_final": 0.0}, "t_final"),
@@ -117,6 +117,7 @@ def test_unknown_family_kind(grid_small, rng):
     ({"suite_size": -3}, "suite_size"),
     ({"seed": -1}, "seed"),
     ({"family": {"kind": "random_band", "count": 0}}, "count"),
+    ({"n_op": 3}, "n_op"),
 ])
 def test_config_rejects_bad_nested_maps(over, match):
     with pytest.raises(ConfigError, match=match):
@@ -458,7 +459,7 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     ["conserve", "--dt", "0.003"],
     ["conserve", "--grid", "1000,5"],
     ["conserve", "--grid", "512"],
-    ["tails"],  # the boost-1 window of n_op = grid_n points leaves the lattice
+    ["tails", "--dt", "0.003"],
     ["conserve", "--seed", "-1"],
 ])
 def test_cli_config_errors_exit_2(tmp_path, capsys, extra):
@@ -467,6 +468,26 @@ def test_cli_config_errors_exit_2(tmp_path, capsys, extra):
     rc = main(extra[:1] + ["--config", str(cfgp), "--out", str(tmp_path / "out")] + extra[1:])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_tails_window_may_leave_the_lattice(tmp_path):
+    """The boost-1 window of n_op = grid_n points reaches past the lattice, which
+    the operator reads as the zero-padded spectrum: the run completes."""
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps(small_cfg(n_op=256).to_dict()))
+    assert main(["tails", "--config", str(cfgp), "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("cmd", ["galilei", "tails"])
+@pytest.mark.parametrize("k", [32, 40])
+def test_cli_boost_off_the_lattice_exit_3(tmp_path, capsys, cmd, k):
+    """On 256 points of spacing 1/8 a boost by 32 or more shifts the whole spectrum
+    off the lattice: too coarse to tell, not a zero boosted field or a traceback."""
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps(small_cfg(boosts=[0, k]).to_dict()))
+    assert main([cmd, "--config", str(cfgp), "--out", str(tmp_path / "out")]) == 3
+    error = json.loads((tmp_path / "out" / f"{cmd}_summary.json").read_text())["meta"]["error"]
+    assert error["type"] == "AliasingError" and f"k = {k}" in error["message"]
 
 
 @pytest.mark.parametrize("cmd, amplitude, dt, length, error", [
