@@ -51,7 +51,7 @@ from .symmetries import (
     scale_field,
     scaling_bound_factor,
 )
-from .flows import BlowUpError, FlowSpec, Trajectory, evolve, linear_propagator
+from .flows import BlowUpError, FlowSpec, Trajectory, evolve, evolve_batch, linear_propagator
 from .equicont import (
     FieldFamily,
     NotEquicontinuousError,

@@ -11,6 +11,13 @@ Strang: half linear, full nonlinear, half linear.  The nls nonlinear
 substep is an exact phase rotation; the mkdv and mixed substeps use RK4
 with spectral derivatives and a 2/3-rule dealiasing mask on every
 product.
+
+`evolve_batch` advances a batch of fields as one (B, N) array, with FFTs
+along the last axis; `evolve` is its one-row case.  Between snapshots the
+state stays spectral and the trailing half-step of one step is fused with
+the leading half-step of the next (first-same-as-last Strang), so a step
+takes 12 FFTs for mkdv and mkdv_nls and 2 for nls.  The blow-up check is a
+per-row certificate on the spectral state.
 """
 
 from __future__ import annotations
@@ -27,9 +34,12 @@ BLOWUP_THRESHOLD = 1e6
 
 
 class BlowUpError(RuntimeError):
-    def __init__(self, message, last_good_time=None):
+    """A row's field became non-finite or exceeded BLOWUP_THRESHOLD."""
+
+    def __init__(self, message, last_good_time=None, row=None):
         super().__init__(message)
         self.last_good_time = last_good_time
+        self.row = row  # index of the row in its batch
 
 
 @dataclass(frozen=True)
@@ -69,44 +79,66 @@ def linear_propagator(u: Field, t: float, equation: str, k: float = 0.0) -> Fiel
 
 
 class _Stepper:
-    """Strang steps on one grid with numpy's fft/ifft pair in natural frequency order.
+    """Fused Strang steps of a (B, N) batch on numpy's natural-order fft/ifft pair.
 
-    The multipliers are diagonal, so the transform's order and scale cancel in a step.
+    Row i evolves under specs[i].  Equation, sign and k enter only as per-row
+    (B, N) multipliers and a (B, 1) sign column (k = 0 for an mkdv row); the
+    multipliers are diagonal, so the transform's order and scale cancel in a step.
+    The state is the spectrum after a step's leading linear half-step, and `step`
+    applies the nonlinear substep.  The caller fuses a step's trailing half-step
+    with the next step's leading one into one full-step factor, and forms the
+    physical field only at a snapshot (or when the blow-up certificate trips).
     """
 
-    def __init__(self, grid: GridSpec, fs: FlowSpec):
-        self.fs = fs
+    def __init__(self, grid: GridSpec, specs):
+        self.dt = specs[0].dt
+        self.nls = specs[0].equation == "nls"
+        if any(fs.dt != self.dt or (fs.equation == "nls") != self.nls for fs in specs):
+            raise ValueError("batched rows must share dt and the kind of nonlinear substep")
         xi = np.fft.ifftshift(grid.xi)
-        self.half = np.exp(dispersion_symbol(fs.equation, xi, fs.k) * fs.dt / 2.0)
-        self.half[grid.n // 2] = 0.0  # unpaired Nyquist mode breaks Hermitian symmetry
+        self.half = np.exp(np.stack([dispersion_symbol(fs.equation, xi, fs.k) for fs in specs])
+                           * self.dt / 2.0)
+        self.half[:, grid.n // 2] = 0.0  # unpaired Nyquist mode breaks Hermitian symmetry
+        self.full = self.half * self.half
+        self.half_max = np.max(np.abs(self.half), axis=-1)
         self.mask = (np.abs(xi) <= grid.n // 3 * grid.dxi).astype(float)
-        self.ixi = 1j * xi
+        sigma = np.array([[fs.sigma] for fs in specs])
+        self.c_rot = -2j * sigma
+        # the mkdv and mkdv_nls nonlinearity is +-6 |u|^2 (u_x + iku), with k = 0 for mkdv
+        k = np.array([[fs.k if fs.equation == "mkdv_nls" else 0.0] for fs in specs])
+        self.deriv = 6.0 * sigma * 1j * (xi + k)
 
     def _nonlinear_rhs(self, s):
         """Masked spectrum of the nonlinear term at the masked spectrum of s."""
-        fs = self.fs
         s = s * self.mask
-        vv = np.fft.ifft(s)
-        dv = np.fft.ifft(self.ixi * s)
-        w = 6.0 * fs.sigma * np.abs(vv) ** 2 * dv
-        if fs.equation == "mkdv_nls":
-            w = w + 6j * fs.k * fs.sigma * np.abs(vv) ** 2 * vv
+        v = np.fft.ifft(s)
+        w = (v.real**2 + v.imag**2) * np.fft.ifft(self.deriv * s)
         return np.fft.fft(w) * self.mask
 
-    def step(self, v: np.ndarray) -> np.ndarray:
-        fs = self.fs
-        dt = fs.dt
-        s = np.fft.fft(v) * self.half
-        if fs.equation == "nls":
+    def step(self, s: np.ndarray) -> np.ndarray:
+        """The nonlinear substep of the state s: spectral in, spectral out."""
+        dt = self.dt
+        if self.nls:
             v = np.fft.ifft(s)
-            s = np.fft.fft(v * np.exp(-2j * fs.sigma * np.abs(v) ** 2 * dt))
-        else:
-            k1 = self._nonlinear_rhs(s)
-            k2 = self._nonlinear_rhs(s + 0.5 * dt * k1)
-            k3 = self._nonlinear_rhs(s + 0.5 * dt * k2)
-            k4 = self._nonlinear_rhs(s + dt * k3)
-            s = s + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        return np.fft.ifft(s * self.half)
+            return np.fft.fft(v * np.exp(self.c_rot * np.abs(v) ** 2 * dt))
+        k1 = self._nonlinear_rhs(s)
+        k2 = self._nonlinear_rhs(s + 0.5 * dt * k1)
+        k3 = self._nonlinear_rhs(s + 0.5 * dt * k2)
+        k4 = self._nonlinear_rhs(s + dt * k3)
+        return s + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    def blown_up_row(self, s: np.ndarray):
+        """First row whose physical field is non-finite or exceeds BLOWUP_THRESHOLD, else None.
+
+        Under numpy's ifft, max|v| <= max|half| * sum|s| / N, and the sum carries
+        NaN and inf; the physical field is formed only for rows where this bound trips.
+        """
+        bound = self.half_max * np.sum(np.abs(s), axis=-1) / s.shape[-1]
+        for i in np.flatnonzero(~(bound <= BLOWUP_THRESHOLD)):
+            v = np.fft.ifft(s[i] * self.half[i])
+            if not np.all(np.isfinite(v)) or np.max(np.abs(v)) > BLOWUP_THRESHOLD:
+                return int(i)
+        return None
 
 
 @dataclass
@@ -116,18 +148,27 @@ class Trajectory:
     observations: list  # one dict per snapshot
 
 
-def evolve(u0: Field, fs: FlowSpec, snapshot_times, observers=()) -> Trajectory:
-    """Run the flow, capturing snapshots and observer values.
+def evolve_batch(fields, specs, snapshot_times, observers=()) -> list[Trajectory]:
+    """Run the flow specs[i] from fields[i] for every row at once; one Trajectory per row.
 
-    snapshot_times are elapsed times, nonnegative multiples of |dt|;
-    fs.dt < 0 integrates backward.  Each observer is a callable
-    (t, Field) -> dict of scalars, evaluated per snapshot.
+    The rows share the grid, the signed dt and the kind of nonlinear substep (the
+    nls phase rotation, or RK4 for mkdv and mkdv_nls); they may differ in
+    equation, sign and k.  snapshot_times are elapsed times, nonnegative
+    multiples of |dt|; dt < 0 integrates backward.  Each observer is a callable
+    (t, Field) -> dict of scalars, evaluated per snapshot and row.  The t = 0
+    snapshot is the input Field itself.
     """
+    if not fields or len(fields) != len(specs):
+        raise ValueError("evolve_batch needs one FlowSpec per field, and at least one field")
+    grid = fields[0].grid
+    if any(u.grid != grid for u in fields):
+        raise ValueError("batched rows must share the grid")
     snap = sorted(float(t) for t in snapshot_times)
     if snap and snap[0] < 0:
         raise ValueError("snapshot times must be nonnegative elapsed times")
-    stepper = _Stepper(u0.grid, fs)
-    dt = abs(fs.dt)
+    stepper = _Stepper(grid, specs)
+    dt = abs(stepper.dt)
+    sign = np.sign(stepper.dt)
     targets = {}
     for t in snap:
         n = int(round(t / dt))
@@ -135,31 +176,40 @@ def evolve(u0: Field, fs: FlowSpec, snapshot_times, observers=()) -> Trajectory:
             raise ValueError(f"snapshot time {t} is not a multiple of dt = {dt}")
         targets[n] = t
 
-    times, fields, obs = [], [], []
+    trajs = [Trajectory([], [], []) for _ in fields]
 
-    def record(n, v):
-        t_signed = np.sign(fs.dt) * n * dt
-        f = Field(u0.grid, v.copy())
-        times.append(t_signed)
-        fields.append(f)
-        row = {}
-        for fn in observers:
-            row.update(fn(t_signed, f))
-        obs.append(row)
+    def record(n, row_fields):
+        t_signed = sign * n * dt
+        for traj, f in zip(trajs, row_fields):
+            traj.times.append(t_signed)
+            traj.fields.append(f)
+            obs = {}
+            for fn in observers:
+                obs.update(fn(t_signed, f))
+            traj.observations.append(obs)
 
-    v = np.array(u0.values)
     if 0 in targets:
-        record(0, v)
-    n_last = max(targets) if targets else 0
+        record(0, fields)
+    n_last = max(targets, default=0)
+    s = np.fft.fft(np.array([u.values for u in fields])) * stepper.half
     t_good = 0.0
     for n in range(1, n_last + 1):
-        v = stepper.step(v)
-        if not np.all(np.isfinite(v)) or np.max(np.abs(v)) > BLOWUP_THRESHOLD:
+        s = stepper.step(s)
+        bad = stepper.blown_up_row(s)
+        if bad is not None:
             raise BlowUpError(
-                f"blow-up before step {n}; horizon unreached, last good time {t_good}",
-                last_good_time=t_good,
+                f"blow-up in row {bad} before step {n}; horizon unreached, "
+                f"last good time {t_good}",
+                last_good_time=t_good, row=bad,
             )
-        t_good = np.sign(fs.dt) * n * dt
+        t_good = sign * n * dt
         if n in targets:
-            record(n, v)
-    return Trajectory(times, fields, obs)
+            record(n, [Field(grid, v) for v in np.fft.ifft(s * stepper.half)])
+        if n < n_last:
+            s *= stepper.full
+    return trajs
+
+
+def evolve(u0: Field, fs: FlowSpec, snapshot_times, observers=()) -> Trajectory:
+    """evolve_batch for a single field."""
+    return evolve_batch([u0], [fs], snapshot_times, observers)[0]

@@ -16,8 +16,8 @@ from ..conserved import (
     tail_bound,
 )
 from ..equicont import FieldFamily, build_weights, verify_weights
-from ..flows import FlowSpec, evolve
-from ..grid import Field, band_profile, gaussian_field, make_grid, unresolved_mass_fraction
+from ..flows import FlowSpec, evolve, evolve_batch
+from ..grid import band_profile, gaussian_field, make_grid, unresolved_mass_fraction
 from ..norms import (
     ModulationParams,
     admissible_sigma,
@@ -106,12 +106,12 @@ def run_conservation(cfg: ExperimentConfig) -> RunResult:
     header = ["member", "t", "kappa", "alpha_full", "beta_full", "alpha2", "alpha4",
               "beta2", "hs_functional", "spectral_radius"]
     rows, summary, max_bound = [], [], 0.0
-    for mi, u0 in enumerate(members):
-        # evolve records t = 0 as this same field, bit for bit; measuring it
-        # first stops divergent data before the flow runs
-        per_t = [measure(Field(u0.grid, u0.values), 0.0)]
-        traj = evolve(u0, fs, times)
-        per_t += [measure(u, ti) for ti, u in zip(traj.times[1:], traj.fields[1:])]
+    # evolve_batch records t = 0 as the member itself; measuring every member
+    # first stops divergent data before the flow runs
+    at_zero = [measure(u0, 0.0) for u0 in members]
+    trajs = evolve_batch(members, [fs] * len(members), times)
+    for mi, (m0, traj) in enumerate(zip(at_zero, trajs)):
+        per_t = [m0] + [measure(u, ti) for ti, u in zip(traj.times[1:], traj.fields[1:])]
         for ti, u, m in zip(traj.times, traj.fields, per_t):
             for k in kappas:
                 alpha, a2, a4, rho, _ = m[k]
@@ -145,7 +145,7 @@ def run_norm_equivalence(cfg: ExperimentConfig) -> RunResult:
     bracket_tol = cfg.tolerance("normequiv_bracket")
     tail_tol = cfg.tolerance("normequiv_sweep_tail")
 
-    trajs = [evolve(u0, fs, times) for u0 in members]
+    trajs = evolve_batch(members, [fs] * len(members), times)
     header = ["member", "t", "p", "s", "weighted", "lhs", "rhs", "ratio"]
     rows, summary = [], []
     kmax = grid.kmax
@@ -220,11 +220,17 @@ def run_apriori(cfg: ExperimentConfig) -> RunResult:
     u0s = [build_family(dict(cfg.family, amplitude=float(eps)), grid, rng)[0]
            for eps in cfg.amplitudes]
     profs0 = [band_profile(u0) for u0 in u0s]
-    flows = {}  # amplitude index -> (times, band profiles), evolved once some (p, s) needs it
     fam_fields = [gaussian_field(grid, w, amp) for w in widths]
     fam_profs = [band_profile(f0) for f0 in fam_fields]
-    fam_trajs = [evolve(f0, fs, times) for f0 in fam_fields]
-    fam_snaps = [(traj.times, [band_profile(u) for u in traj.fields]) for traj in fam_trajs]
+    # an amplitude needs the small-data flow when some (p, s) finds its norm small;
+    # those flows run in one batch with the family's
+    small = [i for i, prof0 in enumerate(profs0)
+             if not all(profile_norm(prof0, mp) > small_norm for mp in mps)]
+    fields = [u0s[i] for i in small] + fam_fields
+    snaps = [(traj.times, [band_profile(u) for u in traj.fields])
+             for traj in evolve_batch(fields, [fs] * len(fields), times)]
+    flows = dict(zip(small, snaps))  # amplitude index -> (times, band profiles)
+    fam_snaps = snaps[len(small):]
 
     header = ["p", "s", "eps", "t", "norm", "weighted_norm"]
     rows, summary = [], []
@@ -238,9 +244,6 @@ def run_apriori(cfg: ExperimentConfig) -> RunResult:
                 summary.extend(_apriori_large_data(u0, n0, mp, cexp, fs, times,
                                                    eps_target, ratio_tol, large_tol, rows))
                 continue
-            if i not in flows:
-                traj = evolve(u0, fs, times)
-                flows[i] = (traj.times, [band_profile(u) for u in traj.fields])
             flow_times, profs = flows[i]
             norms = [profile_norm(prof, mp) for prof in profs]
             for ti, nv in zip(flow_times, norms):
@@ -320,17 +323,22 @@ def run_galilei(cfg: ExperimentConfig) -> RunResult:
     header = ["k", "dt", "distance"]
     rows, summary = [], []
     dts = [cfg.dt]
-    if abs(round(T / (2 * cfg.dt)) * 2 * cfg.dt - T) <= 1e-9 * cfg.dt:
+    if abs(round(T / (2 * cfg.dt)) * 2 * cfg.dt - T) <= 1e-9 * abs(cfg.dt):
         dts.append(2.0 * cfg.dt)  # refinement companion, only when it divides T
-    specs = {dt: FlowSpec(eq, cfg.sign, dt) for dt in dts}
-    # the unboosted path does not depend on k: evolve it once per dt
-    uT = {dt: evolve(u0, fs, [T]).fields[-1] for dt, fs in specs.items()}
-    for k in map(float, cfg.boosts):
-        u0k = galilei_boost(u0, BoostSpec(k, 0.0, eq))
-        for dt, fs in specs.items():
-            path1 = galilei_boost(uT[dt], BoostSpec(k, T, eq))
-            fs2 = FlowSpec("mkdv_nls", cfg.sign, dt, k=k) if eq == "mkdv" else fs
-            path2 = evolve(u0k, fs2, [T]).fields[-1]
+    ks = [float(k) for k in cfg.boosts]
+    u0ks = [galilei_boost(u0, BoostSpec(k, 0.0, eq)) for k in ks]
+
+    def specs(dt):  # the unboosted path (it does not depend on k), then one boosted path per k
+        fs = FlowSpec(eq, cfg.sign, dt)
+        return [fs] + [FlowSpec("mkdv_nls", cfg.sign, dt, k=k) if eq == "mkdv" else fs
+                       for k in ks]
+
+    batches = {dt: evolve_batch([u0] + u0ks, specs(dt), [T]) for dt in dts}
+    for i, k in enumerate(ks, start=1):
+        for dt, trajs in batches.items():
+            # boost at the flow's signed end time: a backward flow ends at -T
+            path1 = galilei_boost(trajs[0].fields[-1], BoostSpec(k, trajs[0].times[-1], eq))
+            path2 = trajs[i].fields[-1]
             dist = float(np.sqrt(np.sum(np.abs(path1.values - path2.values) ** 2) * grid.dx))
             rows.append((k, dt, dist))
             if dt == cfg.dt:
@@ -397,9 +405,9 @@ def run_tails(cfg: ExperimentConfig) -> RunResult:
     # per (eps, t): the band profile and the boost rows (k, b2, b4, b6, tail2, tail3),
     # independent of (p, s); zero data has no rows, and b6 is NaN at a skipped boost
     snaps_by_eps, skipped, samplings = [], 0, []
-    for eps in cfg.amplitudes:
-        u0 = build_family(dict(cfg.family, amplitude=float(eps)), grid, rng)[0]
-        traj = evolve(u0, fs, times)
+    u0s = [build_family(dict(cfg.family, amplitude=float(eps)), grid, rng)[0]
+           for eps in cfg.amplitudes]
+    for traj in evolve_batch(u0s, [fs] * len(u0s), times):
         snaps = []
         for ti, u in zip(traj.times, traj.fields):
             prof = band_profile(u)

@@ -7,11 +7,14 @@ from modspec import (
     Field,
     FlowSpec,
     evolve,
+    evolve_batch,
     galilei_boost,
     gaussian_field,
     linear_propagator,
+    make_grid,
     sech_field,
 )
+from modspec.flows import dispersion_symbol
 
 
 def l2_dist(a: Field, b: Field) -> float:
@@ -168,3 +171,114 @@ def test_modulus_shift_identity_along_trajectory(grid_ref, eq):
         target = np.zeros(grid_ref.n)
         target[: grid_ref.n - m] = np.abs(u.spectrum[m:])
         assert np.max(np.abs(np.abs(uk.spectrum) - target)) <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# the batched, fused stepper
+
+def _boost_batch(grid, ks):
+    """The unboosted mkdv row, then one mixed-flow row per k; signs alternate."""
+    u0 = gaussian_field(grid, amplitude=0.3)
+    fields = [u0] + [galilei_boost(u0, BoostSpec(float(k), 0.0, "mkdv")) for k in ks]
+    signs = ["defocusing", "focusing"]
+    specs = [FlowSpec("mkdv", dt=1e-3)] + [
+        FlowSpec("mkdv_nls", signs[i % 2], dt=1e-3, k=float(k)) for i, k in enumerate(ks)]
+    return fields, specs
+
+
+def _assert_rows_equal_single_calls(fields, specs, times):
+    batch = evolve_batch(fields, specs, times)
+    assert len(batch) == len(fields)
+    for u0, fs, traj in zip(fields, specs, batch):
+        single = evolve(u0, fs, times)
+        assert traj.times == single.times
+        for a, b in zip(traj.fields, single.fields):
+            assert np.array_equal(a.values, b.values)
+
+
+def test_batch_rows_equal_single_rows(grid_ref):
+    """12 rows (mkdv, then mkdv_nls at k = -5..5) step exactly as 12 one-row calls."""
+    fields, specs = _boost_batch(grid_ref, range(-5, 6))
+    _assert_rows_equal_single_calls(fields, specs, [0.0, 0.01, 0.02])
+
+
+def test_nls_batch_rows_equal_single_rows(grid_ref):
+    fields = [gaussian_field(grid_ref, amplitude=a) for a in (0.1, 0.3, 0.5)]
+    specs = [FlowSpec("nls", sign, dt=1e-3) for sign in ("defocusing", "focusing", "focusing")]
+    _assert_rows_equal_single_calls(fields, specs, [0.0, 0.01, 0.02])
+
+
+def _unfused_strang(u0: Field, fs: FlowSpec, n_steps: int) -> np.ndarray:
+    """Reference Strang loop: transform, half step, nonlinear substep, half step,
+    inverse transform, every step."""
+    g = u0.grid
+    xi = np.fft.ifftshift(g.xi)
+    half = np.exp(dispersion_symbol(fs.equation, xi, fs.k) * fs.dt / 2.0)
+    half[g.n // 2] = 0.0
+    mask = np.abs(xi) <= g.n // 3 * g.dxi
+    k = fs.k if fs.equation == "mkdv_nls" else 0.0
+
+    def rhs(s):
+        s = s * mask
+        v, dv = np.fft.ifft(s), np.fft.ifft(1j * xi * s)
+        w = 6.0 * fs.sigma * np.abs(v) ** 2 * (dv + 1j * k * v)
+        return np.fft.fft(w) * mask
+
+    v, dt = np.array(u0.values), fs.dt
+    for _ in range(n_steps):
+        s = np.fft.fft(v) * half
+        if fs.equation == "nls":
+            w = np.fft.ifft(s)
+            s = np.fft.fft(w * np.exp(-2j * fs.sigma * np.abs(w) ** 2 * dt))
+        else:
+            k1 = rhs(s)
+            k2 = rhs(s + 0.5 * dt * k1)
+            k3 = rhs(s + 0.5 * dt * k2)
+            k4 = rhs(s + dt * k3)
+            s = s + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        v = np.fft.ifft(s * half)
+    return v
+
+
+@pytest.mark.parametrize("eq", ["nls", "mkdv", "mkdv_nls"])
+def test_fused_steps_match_unfused_strang(grid_ref, eq):
+    u0 = gaussian_field(grid_ref, amplitude=0.3)
+    fs = FlowSpec(eq, "focusing", dt=1e-3, k=2.0)
+    traj = evolve(u0, fs, [0.02, 0.05])
+    for n, u in zip((20, 50), traj.fields):
+        assert np.max(np.abs(u.values - _unfused_strang(u0, fs, n))) <= 1e-13
+
+
+def test_blow_up_names_the_row(grid_ref):
+    fields = [gaussian_field(grid_ref, amplitude=0.3), sech_field(grid_ref, amplitude=50.0)]
+    specs = [FlowSpec("mkdv", "focusing", dt=5e-2)] * 2
+    with pytest.raises(BlowUpError, match="row 1 ") as err:
+        evolve_batch(fields, specs, [1.0])
+    assert err.value.row == 1
+    assert err.value.last_good_time is not None
+
+
+@pytest.mark.parametrize("eq", ["nls", "mkdv"])
+def test_nan_row_raises_at_step_1(grid_ref, eq):
+    nan = Field(grid_ref, np.full(grid_ref.n, np.nan, dtype=complex))
+    fields = [gaussian_field(grid_ref, amplitude=0.3), nan]
+    with pytest.raises(BlowUpError, match="before step 1;") as err:
+        evolve_batch(fields, [FlowSpec(eq, dt=1e-3)] * 2, [0.01])
+    assert err.value.row == 1
+    assert err.value.last_good_time == 0.0
+
+
+def test_batch_rows_must_share_grid_dt_and_substep(grid_ref):
+    u = gaussian_field(grid_ref, amplitude=0.3)
+    v = gaussian_field(make_grid(512, 32 * np.pi), amplitude=0.3)
+    mkdv = FlowSpec("mkdv", dt=1e-3)
+    bad = [
+        ([u, v], [mkdv, mkdv]),  # grids differ
+        ([u, u], [mkdv, FlowSpec("mkdv", dt=-1e-3)]),  # signed dt differs
+        ([u, u], [mkdv, FlowSpec("nls", dt=1e-3)]),  # phase rotation against RK4
+        ([u, u], [mkdv]),  # one spec short
+        ([], []),
+    ]
+    for fields, specs in bad:
+        with pytest.raises(ValueError):
+            evolve_batch(fields, specs, [0.01])

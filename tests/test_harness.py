@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from modspec import SeriesDivergenceError, alpha4, evolve
+from modspec import SeriesDivergenceError, alpha4, evolve_batch
 from modspec.harness import (
     ConfigError,
     ExperimentConfig,
@@ -189,7 +189,7 @@ def test_conservation_divergence_precondition(monkeypatch):
     def no_flow(*args, **kwargs):
         raise AssertionError("the flow ran on divergent data")
 
-    monkeypatch.setattr("modspec.harness.experiments.evolve", no_flow)
+    monkeypatch.setattr("modspec.harness.experiments.evolve_batch", no_flow)
     cfg = small_cfg(family={"kind": "gaussian", "amplitude": 6.0})
     with pytest.raises(SeriesDivergenceError, match=r"t=0 for kappa in \[0.5, 1.0\]"):
         run_conservation(cfg)
@@ -285,26 +285,30 @@ def test_galilei_driver_small(monkeypatch):
 
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return evolve(*args, **kwargs)
+    def counted(fields, specs, *args, **kwargs):
+        calls.append(specs)
+        return evolve_batch(fields, specs, *args, **kwargs)
 
-    monkeypatch.setattr(experiments, "evolve", counted)
+    monkeypatch.setattr(experiments, "evolve_batch", counted)
     cfg = small_cfg(boosts=[0, 1], t_final=0.05)
     res = run_galilei(cfg)
     assert res.all_pass
     dts = {r[1] for r in res.rows}
     assert len(dts) == 2
-    # one unboosted flow per dt, one boosted flow per (k, dt)
-    assert len(calls) == len(dts) * (1 + len(cfg.boosts))
+    # one batch per dt: the unboosted row, then one boosted row per k
+    assert sorted(specs[0].dt for specs in calls) == sorted(dts)
+    assert all(len(specs) == 1 + len(cfg.boosts) for specs in calls)
+    assert all(specs[0].equation == "mkdv" and [fs.k for fs in specs[1:]] == cfg.boosts
+               for specs in calls)
     k0 = [r for r in res.rows if r[0] == 0.0]
     assert all(r[2] <= 1e-12 for r in k0)  # identical flows at k = 0
 
 
 @pytest.mark.parametrize("driver, name, expected", [
-    # one flow per amplitude and per equicontinuous width (no large data here)
-    (run_apriori, "evolve", lambda cfg: len(cfg.amplitudes) + len(FAMILIES["gaussian"]["widths"])),
-    (run_tails, "evolve", lambda cfg: len(cfg.amplitudes)),
+    # one flow per amplitude and per equicontinuous width (no large data here), one batch
+    (run_apriori, "evolve_batch",
+     lambda cfg: len(cfg.amplitudes) + len(FAMILIES["gaussian"]["widths"])),
+    (run_tails, "evolve_batch", lambda cfg: len(cfg.amplitudes)),
     # kappa = 1/2 and 1 at each boost of each snapshot
     (run_tails, "alpha_terms",
      lambda cfg: 2 * len(cfg.boosts) * cfg.snapshots * len(cfg.amplitudes)),
@@ -325,6 +329,9 @@ def test_ps_independent_work_runs_once(monkeypatch, driver, name, expected):
     monkeypatch.setattr(experiments, name, counted)
     cfg = small_cfg(t_final=0.01, ps=[[2.0, 0.0], [1.0, 0.0], [4.0, 1.0]])
     driver(cfg)
+    if name == "evolve_batch":  # count the rows of the one batch
+        assert len(calls) == 1
+        calls = calls[0][0]
     assert len(calls) == expected(cfg)
 
 
@@ -446,6 +453,18 @@ def test_cli_overrides_reach_the_config(tmp_path, capsys):
     doc = json.loads((tmp_path / "out" / "galilei_summary.json").read_text())
     assert doc["meta"]["config"]["dt"] == 0.01
     assert doc["meta"]["config"]["seed"] == 9
+
+
+def test_cli_galilei_negative_dt(tmp_path, capsys):
+    """A backward flow ends at -T: the evolved field is boosted there, and the
+    2*dt refinement companion is kept."""
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps(small_cfg(dt=-1e-3, t_final=0.01, boosts=[1, 2]).to_dict()))
+    assert main(["galilei", "--config", str(cfgp), "--out", str(tmp_path / "out")]) == 0
+    lines = (tmp_path / "out" / "galilei.csv").read_text().strip().splitlines()
+    assert lines[0] == "k,dt,distance"
+    assert {tuple(line.split(",")[:2]) for line in lines[1:]} == {
+        ("1", "-0.001"), ("1", "-0.002"), ("2", "-0.001"), ("2", "-0.002")}
 
 
 def test_cli_rejects_bad_config(tmp_path, capsys):
