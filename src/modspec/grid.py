@@ -66,6 +66,16 @@ class GridSpec:
         """Band index of each lattice frequency: xi in I_k <=> k = floor(xi + 1/2)."""
         return np.floor(self.xi + 0.5).astype(int)
 
+    @cached_property
+    def band_edges(self) -> np.ndarray:
+        """Lattice index at which each band I_k, k = -kmax .. kmax + 1, starts.
+
+        band_of is nondecreasing in centered order, so I_k is the run of points
+        from band_edges[k + kmax] up to band_edges[k + kmax + 1]; the run is
+        empty where the lattice is coarser than the bands.
+        """
+        return np.searchsorted(self.band_of, np.arange(-self.kmax, self.kmax + 2))
+
     def band_slice(self, k: int) -> np.ndarray:
         """Boolean mask of lattice points lying in I_k."""
         if abs(k) > self.kmax:
@@ -137,23 +147,43 @@ def band_l2(f: Field, k: int) -> float:
     return float(np.sqrt(np.sum(np.abs(f.spectrum[mask]) ** 2) * f.grid.dxi))
 
 
-def band_profile(f: Field) -> np.ndarray:
-    """band_l2(f, k) for every resolved k, ordered k = -kmax .. kmax."""
-    g = f.grid
-    idx = g.band_of + g.kmax
-    ok = (idx >= 0) & (idx <= 2 * g.kmax)
-    power = np.bincount(idx[ok], weights=np.abs(f.spectrum[ok]) ** 2, minlength=2 * g.kmax + 1)
-    return np.sqrt(power * g.dxi)
+def spectral_power(f: Field | np.ndarray, grid: GridSpec | None = None) -> tuple:
+    """(|fhat|^2, grid) of a Field, or of a (..., n) power array sampled on `grid`."""
+    if isinstance(f, Field):
+        return np.abs(f.spectrum) ** 2, f.grid
+    power = np.asarray(f, dtype=float)
+    if grid is None or power.shape[-1:] != (grid.n,):
+        raise GridError("a power array needs its grid, with one sample per lattice point "
+                        f"along its last axis; got shape {power.shape}")
+    return power, grid
 
 
-def unresolved_mass_fraction(f: Field) -> float:
-    """Spectral mass fraction outside the resolved bands |k| <= kmax."""
-    g = f.grid
-    out = np.abs(g.band_of) > g.kmax
-    total = float(np.sum(np.abs(f.spectrum) ** 2))
-    if total == 0.0:
-        return 0.0
-    return float(np.sum(np.abs(f.spectrum[out]) ** 2) / total)
+def band_profile(f: Field | np.ndarray, grid: GridSpec | None = None) -> np.ndarray:
+    """band_l2 for every resolved k, ordered k = -kmax .. kmax along the last axis.
+
+    `f` is a Field, or a (..., n) array of |fhat|^2 on `grid` whose rows are
+    binned together: each band is a contiguous run of lattice points (see
+    GridSpec.band_edges), so one reduceat over the nonempty runs sums them all.
+    """
+    power, g = spectral_power(f, grid)
+    if g.kmax < 0:
+        raise BandRangeError(f"the lattice resolves no band (kmax = {g.kmax})")
+    edges = g.band_edges
+    full = edges[:-1] < edges[1:]
+    sums = np.zeros(power.shape[:-1] + full.shape)
+    sums[..., full] = np.add.reduceat(power[..., edges[0]:edges[-1]],
+                                      edges[:-1][full] - edges[0], axis=-1)
+    return np.sqrt(sums * g.dxi)
+
+
+def unresolved_mass_fraction(f: Field | np.ndarray, grid: GridSpec | None = None):
+    """Spectral mass fraction outside the resolved bands |k| <= kmax; a float for a
+    Field, one value per row for a (..., n) power array on `grid`."""
+    power, g = spectral_power(f, grid)
+    lost = np.sum(power[..., np.abs(g.band_of) > g.kmax], axis=-1)
+    total = np.sum(power, axis=-1)
+    frac = np.where(total > 0.0, lost / np.where(total > 0.0, total, 1.0), 0.0)
+    return frac if frac.ndim else float(frac)
 
 
 # ---------------------------------------------------------------------------

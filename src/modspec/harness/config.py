@@ -256,14 +256,18 @@ def build_family(descriptor: dict, grid: GridSpec, rng: np.random.Generator) -> 
 def random_suite(grid: GridSpec, size: int, rng: np.random.Generator,
                  amplitude: float = 0.3, band_span: int = 6) -> list:
     """Mixed deterministic suite: gaussians of assorted widths/carriers plus random bands."""
-    out = []
+    return list(iter_suite(grid, size, rng, amplitude, band_span))
+
+
+def iter_suite(grid: GridSpec, size: int, rng: np.random.Generator,
+               amplitude: float = 0.3, band_span: int = 6):
+    """random_suite one field at a time, drawn in the same order."""
     for i in range(size):
         if i % 2 == 0:
             width = 0.5 + 3.0 * rng.random()
             cf = float(rng.integers(-band_span, band_span + 1))
-            out.append(gaussian_field(grid, width, amplitude, cf))
+            yield gaussian_field(grid, width, amplitude, cf)
         else:
             lo = int(rng.integers(-band_span, 1))
             hi = int(rng.integers(0, band_span + 1))
-            out.append(random_band_field(grid, lo, max(hi, lo + 1), amplitude, rng))
-    return out
+            yield random_band_field(grid, lo, max(hi, lo + 1), amplitude, rng)

@@ -34,6 +34,7 @@ from ..symmetries import (
     boosted_beta2,
     galilei_boost,
     scale_field,
+    scaled_grid,
     scaling_bound_factor,
 )
 from .config import (
@@ -42,7 +43,7 @@ from .config import (
     ExperimentConfig,
     build_family,
     family_params,
-    random_suite,
+    iter_suite,
 )
 from .reports import RunResult, criterion
 
@@ -349,36 +350,51 @@ def run_galilei(cfg: ExperimentConfig) -> RunResult:
 # ---------------------------------------------------------------------------
 
 def run_scaling(cfg: ExperimentConfig) -> RunResult:
-    """Scaling-factor and Sobolev-embedding constants over a random suite."""
+    """Scaling-factor and Sobolev-embedding constants over a random suite.
+
+    scale_field at pad 1 keeps every spectrum sample and only re-grids
+    L -> lam L, so the suite's |fhat|^2 is stacked once as an (S, N) array
+    and each rescaled band profile bins that array on scaled_grid(grid, lam).
+    """
     grid = cfg.grid()
+    lams = [float(lam) for lam in cfg.lambdas]
+    grids = [scaled_grid(grid, lam) for lam in lams]
+    for lam, g in zip(lams, grids):
+        if g.kmax < 0:
+            raise ConfigError(f"lambda {lam:g} leaves no resolved band on the rescaled "
+                              f"grid (N = {g.n}, L = {g.length:g}); the largest this grid "
+                              f"resolves is {grid.n * np.pi / grid.length:g}")
     rng = np.random.default_rng(cfg.seed)
-    suite = random_suite(grid, cfg.suite_size, rng)
+    power = np.empty((cfg.suite_size, grid.n))
+    for i, f in enumerate(iter_suite(grid, cfg.suite_size, rng)):
+        power[i] = np.abs(f.spectrum) ** 2  # the row is all the driver keeps of the field
     sc_tol = cfg.tolerance("scaling_constant")
     emb_tol = cfg.tolerance("embedding_constant")
 
     mps = _mps(cfg)
     sigmas = [admissible_sigma(mp) for mp in mps]
+    prof = band_profile(power, grid)
+    bases = [profile_norm(prof, mp) for mp in mps]
+    # ratios[j][i, l]: field i's scaling ratio at (mps[j], lams[l])
+    ratios = [np.empty((cfg.suite_size, len(lams))) for _ in mps]
+    unresolved = {}
+    for li, (lam, g) in enumerate(zip(lams, grids)):
+        prof_l = band_profile(power, g)
+        for mp, base, r in zip(mps, bases, ratios):
+            r[:, li] = profile_norm(prof_l, mp) / (scaling_bound_factor(lam, mp) * base)
+        unresolved[f"{lam:g}"] = float(np.max(unresolved_mass_fraction(power, g)))
+    sobolev = {sigma: sobolev_norm(power, sigma, grid) for sigma in set(sigmas)}
 
-    # each (field, lam) is scaled once; blocks[j] keeps the rows of mps[j], (p, s)-major
-    blocks = [[] for _ in mps]
-    for i, f in enumerate(suite):
-        prof = band_profile(f)
-        bases = [profile_norm(prof, mp) for mp in mps]
-        for lam in map(float, cfg.lambdas):
-            prof_l = band_profile(scale_field(f, lam))
-            for mp, base, block in zip(mps, bases, blocks):
-                ratio = profile_norm(prof_l, mp) / (scaling_bound_factor(lam, mp) * base)
-                block.append(("scaling", i, mp.p, mp.s, lam, ratio))
-        for mp, sigma, base, block in zip(mps, sigmas, bases, blocks):
-            block.append(("embedding", i, mp.p, mp.s, 0.0, sobolev_norm(f, sigma) / base))
     header = ["check", "field", "p", "s", "lam", "ratio"]
-    rows, summary = [r for block in blocks for r in block], []
-    for mp, block in zip(mps, blocks):
+    rows, summary = [], []
+    for mp, sigma, base, r in zip(mps, sigmas, bases, ratios):
+        emb = sobolev[sigma] / base
+        for i, (row, e) in enumerate(zip(r.tolist(), emb.tolist())):
+            rows += [("scaling", i, mp.p, mp.s, lam, x) for lam, x in zip(lams, row)]
+            rows.append(("embedding", i, mp.p, mp.s, 0.0, e))
         tag = f"p={mp.p:g},s={mp.s:g}"
-        worst_sc = max([0.0] + [r[5] for r in block if r[0] == "scaling"])
-        worst_emb = max([0.0] + [r[5] for r in block if r[0] == "embedding"])
-        summary.append(criterion(f"scaling_constant[{tag}]", worst_sc, sc_tol))
-        summary.append(criterion(f"embedding_constant[{tag}]", worst_emb, emb_tol))
+        summary.append(criterion(f"scaling_constant[{tag}]", np.max(r, initial=0.0), sc_tol))
+        summary.append(criterion(f"embedding_constant[{tag}]", np.max(emb, initial=0.0), emb_tol))
 
     # analytic cross-check: scaled gaussian spectrum is exactly the dilated gaussian
     g1 = gaussian_field(grid, 1.0, 1.0)
@@ -386,7 +402,8 @@ def run_scaling(cfg: ExperimentConfig) -> RunResult:
     fl = scale_field(g1, lam)
     err = float(np.max(np.abs(fl.spectrum - np.exp(-(lam * fl.grid.xi) ** 2 / 2.0))))
     summary.append(criterion("gaussian_scaling_spectrum_error", err, 1e-10))
-    return RunResult("scaling", header, rows, summary, {"config": cfg.to_dict()})
+    meta = {"config": cfg.to_dict(), "max_unresolved_fraction": unresolved}
+    return RunResult("scaling", header, rows, summary, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +509,9 @@ def run_weights(cfg: ExperimentConfig) -> RunResult:
     w = build_weights(Q)
     chk = verify_weights(w, Q)
 
-    grid2 = make_grid(cfg.grid_n * 2, cfg.grid_length)
+    # one step of the 4x threshold spacing: at 2N the wider window's kmax sits just
+    # below the next threshold the spacing allows (31 < 32 at N = 1024)
+    grid2 = make_grid(cfg.grid_n * 4, cfg.grid_length)
     members2 = build_family(fam, grid2, np.random.default_rng(cfg.seed))
     w2 = build_weights(FieldFamily(members2, mp))
     grew = len(w2.thresholds) > len(w.thresholds)

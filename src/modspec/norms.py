@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, band_profile
+from .grid import Field, GridSpec, band_profile, spectral_power
 
 
 def bracket(x):
@@ -57,29 +57,37 @@ def modulation_norm(f: Field, mp: ModulationParams, weights: np.ndarray | None =
     return profile_norm(band_profile(f), mp, weights)
 
 
-def profile_norm(prof: np.ndarray, mp: ModulationParams,
-                 weights: np.ndarray | None = None) -> float:
+def profile_norm(prof: np.ndarray, mp: ModulationParams, weights: np.ndarray | None = None):
     """modulation_norm of the field whose band_profile is `prof`: the profile does
-    not depend on (p, s), so a caller can take it once and reduce it per pair."""
-    kmax = (len(prof) - 1) // 2
+    not depend on (p, s), so a caller can take it once and reduce it per pair.
+
+    A stack of profiles (bands along the last axis) gives one norm per row; a
+    single profile gives a float.
+    """
+    prof = np.asarray(prof, dtype=float)
+    kmax = (prof.shape[-1] - 1) // 2
     ks = np.arange(-kmax, kmax + 1)
     terms = bracket(ks) ** mp.s * prof
     if weights is not None:
         weights = np.asarray(weights, dtype=float)
-        if weights.shape != terms.shape:
+        if weights.shape != terms.shape[-1:]:
             raise ValueError(
                 f"weights must cover all {2 * kmax + 1} resolved bands, got {weights.shape}"
             )
         terms = weights * terms
-    return float(lp_norm(terms, mp.p))
+    norm = lp_norm(terms, mp.p)
+    return norm if norm.ndim else float(norm)
 
 
-def sobolev_norm(f: Field, sigma: float) -> float:
-    """(sum <xi>^(2 sigma) |fhat|^2 dxi)**(1/2) over the lattice."""
-    g = f.grid
-    return float(
-        np.sqrt(np.sum(bracket(g.xi) ** (2.0 * sigma) * np.abs(f.spectrum) ** 2) * g.dxi)
-    )
+def sobolev_norm(f: Field | np.ndarray, sigma: float, grid: GridSpec | None = None):
+    """(sum <xi>^(2 sigma) |fhat|^2 dxi)**(1/2) over the lattice.
+
+    `f` is a Field (a float is returned) or a (..., n) array of |fhat|^2 on
+    `grid` (one norm per row).
+    """
+    power, g = spectral_power(f, grid)
+    norm = np.sqrt(np.sum(bracket(g.xi) ** (2.0 * sigma) * power, axis=-1) * g.dxi)
+    return norm if norm.ndim else float(norm)
 
 
 EMBEDDING_MARGIN = 1.0 / 100.0

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, inverse_transform, make_grid
+from .grid import Field, GridSpec, inverse_transform, make_grid
 from .norms import ModulationParams, bracket
 from . import conserved
 
@@ -82,6 +82,15 @@ def boosted_beta2(u: Field, k: float, kappa: float) -> float:
     return conserved.beta2(u, kappa, shift=k)
 
 
+def scaled_grid(g: GridSpec, lam: float, pad: int = 1) -> GridSpec:
+    """The grid scale_field(f, lam, pad) puts a field on `g` onto: L -> lam L, pad * n points."""
+    if not lam > 0:
+        raise ValueError(f"scaling parameter must be positive, got {lam}")
+    if pad < 1 or (pad & (pad - 1)) != 0:
+        raise ValueError(f"pad must be a power of two >= 1, got {pad}")
+    return make_grid(g.n * pad, lam * g.length)
+
+
 def scale_field(f: Field, lam: float, pad: int = 1) -> Field:
     """f_lam(x) = lam^-1 f(x / lam) realized by re-gridding L -> lam L.
 
@@ -94,12 +103,8 @@ def scale_field(f: Field, lam: float, pad: int = 1) -> Field:
     spectrum into a window that shrinks like 1/lam; padding restores enough
     resolved bands to take banded norms of the rescaled field.
     """
-    if not lam > 0:
-        raise ValueError(f"scaling parameter must be positive, got {lam}")
-    if pad < 1 or (pad & (pad - 1)) != 0:
-        raise ValueError(f"pad must be a power of two >= 1, got {pad}")
     g = f.grid
-    g2 = make_grid(g.n * pad, lam * g.length)
+    g2 = scaled_grid(g, lam, pad)
     if pad == 1:
         return Field(g2, f.values / lam, f.spectrum)
     spec = np.zeros(g2.n, dtype=complex)

@@ -12,7 +12,12 @@ from modspec import (
     forward_transform,
     gaussian_field,
     make_grid,
+    scale_field,
+    unresolved_mass_fraction,
 )
+from modspec.harness import ExperimentConfig
+from modspec.harness.config import random_suite
+from modspec.symmetries import scaled_grid
 from conftest import random_smooth_field
 
 
@@ -100,6 +105,47 @@ def test_band_squares_sum_to_resolved_l2(grid_ref, rng):
     resolved = np.abs(g.band_of) <= g.kmax
     total = np.sum(np.abs(f.spectrum[resolved]) ** 2) * g.dxi
     assert np.sum(prof**2) == pytest.approx(total, rel=1e-12)
+
+
+@pytest.mark.parametrize("n, length", [(1024, 32 * np.pi), (64, 0.7 * np.pi)])
+def test_band_profile_matches_band_masks(n, length, rng):
+    """The run-based binning agrees with band_l2's per-band masks, also on a lattice
+    coarser than the bands (dxi > 1), where some bands, the last included, hold no point."""
+    g = make_grid(n, length)
+    f = random_smooth_field(g, rng, decay=30.0)
+    ks = range(-g.kmax, g.kmax + 1)
+    np.testing.assert_allclose(band_profile(f), [band_l2(f, k) for k in ks], rtol=1e-13, atol=0)
+    if g.dxi > 1.0:
+        assert not band_profile(f).all()  # the empty bands read 0
+
+
+def test_band_profile_needs_a_resolved_band():
+    g = make_grid(16, 32 * np.pi)  # 8 dxi = 1/4 < 1/2: kmax = -1
+    with pytest.raises(BandRangeError):
+        band_profile(np.ones(g.n), g)
+
+
+def test_stacked_band_profile_matches_rescaled_fields(grid_ref):
+    """One (S, N) power array binned on the rescaled grid gives band_profile of every
+    rescaled field, row by row, at every default lambda."""
+    suite = random_suite(grid_ref, 20, np.random.default_rng(3))
+    power = np.array([np.abs(f.spectrum) ** 2 for f in suite])
+    for lam in ExperimentConfig().lambdas:
+        g = scaled_grid(grid_ref, lam)
+        stacked = band_profile(power, g)
+        fracs = unresolved_mass_fraction(power, g)
+        assert stacked.shape == (len(suite), 2 * g.kmax + 1) and fracs.shape == (len(suite),)
+        for f, row, frac in zip(suite, stacked, fracs):
+            fl = scale_field(f, lam)
+            np.testing.assert_allclose(row, band_profile(fl), rtol=1e-14, atol=0)
+            assert frac == pytest.approx(unresolved_mass_fraction(fl), rel=1e-14, abs=0)
+
+
+def test_power_array_needs_its_grid(grid_small):
+    with pytest.raises(GridError):
+        band_profile(np.ones(grid_small.n))
+    with pytest.raises(GridError):
+        band_profile(np.ones((2, grid_small.n + 1)), grid_small)
 
 
 def test_field_is_immutable(grid_small):

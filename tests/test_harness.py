@@ -5,7 +5,19 @@ import math
 import numpy as np
 import pytest
 
-from modspec import SeriesDivergenceError, alpha4, evolve_batch
+from modspec import (
+    ModulationParams,
+    SeriesDivergenceError,
+    admissible_sigma,
+    alpha4,
+    band_profile,
+    evolve_batch,
+    profile_norm,
+    scale_field,
+    scaling_bound_factor,
+    sobolev_norm,
+    unresolved_mass_fraction,
+)
 from modspec.harness import (
     ConfigError,
     ExperimentConfig,
@@ -19,7 +31,7 @@ from modspec.harness import (
     run_weights,
 )
 from modspec.harness.cli import main
-from modspec.harness.config import FAMILIES, build_family, config_from_dict
+from modspec.harness.config import FAMILIES, build_family, config_from_dict, random_suite
 from modspec.harness.reports import criterion, fmt, write_csv
 
 
@@ -312,9 +324,12 @@ def test_galilei_driver_small(monkeypatch):
     # kappa = 1/2 and 1 at each boost of each snapshot
     (run_tails, "alpha_terms",
      lambda cfg: 2 * len(cfg.boosts) * cfg.snapshots * len(cfg.amplitudes)),
-    # the gaussian cross-check adds one
-    (run_scaling, "scale_field", lambda cfg: cfg.suite_size * len(cfg.lambdas) + 1),
-], ids=["apriori-evolve", "tails-evolve", "tails-alpha_terms", "scaling-scale_field"])
+    # the suite is binned from its power array: only the gaussian cross-check rescales
+    (run_scaling, "scale_field", lambda cfg: 1),
+    # one binning pass on the base grid and one per lambda
+    (run_scaling, "band_profile", lambda cfg: 1 + len(cfg.lambdas)),
+], ids=["apriori-evolve", "tails-evolve", "tails-alpha_terms", "scaling-scale_field",
+        "scaling-band_profile"])
 def test_ps_independent_work_runs_once(monkeypatch, driver, name, expected):
     """Work that does not depend on (p, s) runs once, however many pairs there are."""
     from modspec.harness import experiments
@@ -358,6 +373,55 @@ def test_scaling_driver(tmp_path):
     doc = json.loads(jsonp.read_text())
     assert doc["all_pass"] is True
     assert all({"criterion", "measured", "threshold", "pass"} <= set(e) for e in doc["criteria"])
+
+
+def test_scaling_rows_match_per_field_reference():
+    """The batched driver reproduces the per-field computation: rescale each field,
+    take its band profile, and compare with its Sobolev norm."""
+    cfg = small_cfg(ps=[[1.0, 0.0], [4.0, 1.0]], lambdas=[0.125, 0.5, 1.0, 2.0, 8.0])
+    res = run_scaling(cfg)
+    suite = random_suite(cfg.grid(), cfg.suite_size, np.random.default_rng(cfg.seed))
+    expected = []
+    for p, s in cfg.ps:
+        mp = ModulationParams(p, s)
+        for i, f in enumerate(suite):
+            base = profile_norm(band_profile(f), mp)
+            for lam in cfg.lambdas:
+                scaled = profile_norm(band_profile(scale_field(f, lam)), mp)
+                expected.append(("scaling", i, p, s, lam,
+                                 scaled / (scaling_bound_factor(lam, mp) * base)))
+            expected.append(("embedding", i, p, s, 0.0,
+                             sobolev_norm(f, admissible_sigma(mp)) / base))
+    assert [r[:5] for r in res.rows] == [r[:5] for r in expected]
+    np.testing.assert_allclose([r[5] for r in res.rows], [r[5] for r in expected],
+                               rtol=1e-13, atol=0)
+
+
+def test_scaling_records_unresolved_fraction_per_lambda():
+    cfg = small_cfg(ps=[[2.0, 0.0]])
+    res = run_scaling(cfg)
+    suite = random_suite(cfg.grid(), cfg.suite_size, np.random.default_rng(cfg.seed))
+    fracs = res.meta["max_unresolved_fraction"]
+    assert list(fracs) == [f"{lam:g}" for lam in cfg.lambdas]
+    for lam in cfg.lambdas:
+        worst = max(unresolved_mass_fraction(scale_field(f, lam)) for f in suite)
+        assert fracs[f"{lam:g}"] == pytest.approx(worst, rel=1e-12, abs=0)
+
+
+def test_cli_scaling_rejects_an_unresolvable_lambda(tmp_path, capsys):
+    """On the default grid a lambda above N pi / L = 32 leaves the rescaled grid no band."""
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"version": 1, "lambdas": [0.5, 64]}))
+    assert main(["scaling", "--config", str(cfgp), "--out", str(tmp_path / "out")]) == 2
+    assert "lambda 64" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_weights_default_config(tmp_path, capsys):
+    """At the defaults the 4N comparison grid adds the threshold 32 to [2, 8]."""
+    assert main(["weights", "--out", str(tmp_path)]) == 0
+    meta = json.loads((tmp_path / "weights_summary.json").read_text())["meta"]
+    assert meta["thresholds"] == [2, 8] and meta["thresholds_wide"] == [2, 8, 32]
 
 
 def test_weights_driver():

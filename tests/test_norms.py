@@ -86,6 +86,31 @@ def test_profile_norm_is_modulation_norm_bit_for_bit(grid_ref, rng):
             assert profile_norm(prof, mp, weights=w) == modulation_norm(f, mp, weights=w)
 
 
+def test_stacked_profile_norm_equals_row_by_row(grid_ref, rng):
+    """A stack of profiles reduces to the per-row norms, with and without weights."""
+    profs = np.array([band_profile(f) for f in random_suite(grid_ref, 12, rng)])
+    ks = np.arange(-grid_ref.kmax, grid_ref.kmax + 1)
+    w = 1.0 + np.log(np.abs(ks) + 1.0)
+    for p, s in [(1.0, 0.0), (2.0, 0.0), (4.0, 1.0), (1.5, 0.3)]:
+        mp = ModulationParams(p, s)
+        for weights in (None, w):
+            stacked = profile_norm(profs, mp, weights=weights)
+            rows = [profile_norm(prof, mp, weights=weights) for prof in profs]
+            assert stacked.shape == (len(profs),)
+            # elementwise x**p may round differently in the last bit across array layouts
+            np.testing.assert_allclose(stacked, rows, rtol=1e-15, atol=0)
+    with pytest.raises(ValueError):
+        profile_norm(profs, ModulationParams(2.0, 0.0), weights=np.ones(profs.shape))
+
+
+def test_stacked_sobolev_norm_equals_row_by_row(grid_ref, rng):
+    suite = random_suite(grid_ref, 12, rng)
+    power = np.array([np.abs(f.spectrum) ** 2 for f in suite])
+    for sigma in (0.0, -0.26, 1.0):
+        stacked = sobolev_norm(power, sigma, grid_ref)
+        assert stacked.tolist() == [sobolev_norm(f, sigma) for f in suite]
+
+
 def test_weights_must_cover_bands(grid_ref):
     f = band_indicator_field(grid_ref, -0.5, 0.5)
     with pytest.raises(ValueError):
