@@ -34,12 +34,10 @@ from .conserved import (
     alpha2,
     alpha4,
     alpha_full,
-    alpha_series_partial_sums,
     alpha_terms,
     beta2,
     beta_full,
     build_operator,
-    quadratic_trace_windowed,
     quartic_integral,
     tail_bound,
 )
@@ -51,14 +49,13 @@ from .symmetries import (
     scale_field,
     scaling_bound_factor,
 )
-from .flows import BlowUpError, FlowSpec, Trajectory, evolve, evolve_batch, linear_propagator
+from .flows import BlowUpError, FlowSpec, Trajectory, evolve, evolve_batch
 from .equicont import (
     FieldFamily,
     NotEquicontinuousError,
     WeightCheck,
     WeightSequence,
     build_weights,
-    equicontinuity_tail,
     verify_weights,
 )
 

@@ -13,7 +13,7 @@ Three kinds of evaluation coexist and cross-check each other:
 * exact-cell quadratures for the quadratic terms (alpha2, beta2) using the
   arctan antiderivative on the cells [xi_j, xi_j + dxi) -- exact for
   band-indicator spectra;
-* an FFT-accelerated (or brute-force) quadrature for the quartic term;
+* an FFT-accelerated quadrature for the quartic term;
 * a dense matrix discretization of A on a frequency window, whose
   log-determinant sums the whole series.
 
@@ -151,56 +151,33 @@ def _linear_correlation(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return w
 
 
-def quartic_integral(f: Field, kappa: float, method: str = "fft") -> float:
+def quartic_integral(f: Field, kappa: float) -> float:
     """Symmetrized quartic frequency integral
 
         Re (2 pi)^-1 * sum [2k(x1 x2 + x1 x4 + x2 x4) - 8 k^3]
               * conj(fhat(x1) fhat(x3)) fhat(x2) fhat(x4) / (D1 D2 D4),
 
     over lattice triples with x4 = x1 - x2 + x3 and D_i = 4 k^2 + x_i^2.
-    The 'fft' method factors the weight into separable terms and reduces
-    the triple sum to linear cross-correlations; 'direct' is the O(n^3)
-    brute-force sum kept as an oracle for small grids.
+    The weight factors into separable terms, which reduces the triple sum
+    to linear cross-correlations.
     """
     g = f.grid
     fhat = f.spectrum
     D = 4.0 * kappa**2 + g.xi**2
-    if method == "fft":
-        a_xi = g.xi / D
-        a_1 = 1.0 / D
-        fb = fhat.conj()
-        total = 0.0 + 0j
-        for cst, a, b, c in (
-            (2.0 * kappa, a_xi, a_xi, a_1),
-            (2.0 * kappa, a_xi, a_1, a_xi),
-            (2.0 * kappa, a_1, a_xi, a_xi),
-            (-8.0 * kappa**3, a_1, a_1, a_1),
-        ):
-            P = _linear_correlation(a * fb, b * fhat)
-            Q = _linear_correlation(c * fhat, fb)
-            total += cst * np.sum(P * Q)
-        return float((total * g.dxi**3 / (2.0 * np.pi)).real)
-    if method == "direct":
-        if g.n > 256:
-            raise ValueError("direct quartic sum is O(n^3); use n <= 256 or method='fft'")
-        n = g.n
-        total = 0.0 + 0j
-        x2 = g.xi[:, None]
-        x4 = g.xi[None, :]
-        f2 = fhat[:, None]
-        f4 = fhat[None, :]
-        for i1 in range(n):
-            x1 = g.xi[i1]
-            i3 = np.rint((x4 - x1 + x2) / g.dxi).astype(int) + n // 2
-            ok = (i3 >= 0) & (i3 < n)
-            f3 = np.zeros((n, n), dtype=complex)
-            f3[ok] = fhat.conj()[i3[ok]]
-            W = (2.0 * kappa * (x1 * x2 + x1 * x4 + x2 * x4) - 8.0 * kappa**3) / (
-                D[i1] * D[:, None] * D[None, :]
-            )
-            total += fhat.conj()[i1] * np.sum(W * f2 * f3 * f4)
-        return float((total * g.dxi**3 / (2.0 * np.pi)).real)
-    raise ValueError(f"unknown method {method!r}")
+    a_xi = g.xi / D
+    a_1 = 1.0 / D
+    fb = fhat.conj()
+    total = 0.0 + 0j
+    for cst, a, b, c in (
+        (2.0 * kappa, a_xi, a_xi, a_1),
+        (2.0 * kappa, a_xi, a_1, a_xi),
+        (2.0 * kappa, a_1, a_xi, a_xi),
+        (-8.0 * kappa**3, a_1, a_1, a_1),
+    ):
+        P = _linear_correlation(a * fb, b * fhat)
+        Q = _linear_correlation(c * fhat, fb)
+        total += cst * np.sum(P * Q)
+    return float((total * g.dxi**3 / (2.0 * np.pi)).real)
 
 
 def alpha4(f: Field, kp: SpectralParameter) -> float:
@@ -242,13 +219,6 @@ class OperatorPair:
     def trace_sq(self) -> complex:
         return complex(np.sum(self.matrix * self.matrix.T))
 
-    def hs_norm_sq(self) -> float:
-        """Entrywise |B|^2 sum, the squared Hilbert-Schmidt norm of the half operator."""
-        return float(np.sum(np.abs(self.half) ** 2))
-
-    def gram(self) -> np.ndarray:
-        return self.half @ self.half.conj().T
-
     def radius_bound(self) -> float:
         """Certified bound on rho(A): ||A||_F (>= ||A||_2 >= rho) when below 1,
         else the exact max |eigenvalue|, so it is >= 1 exactly when rho is."""
@@ -276,16 +246,6 @@ class OperatorPair:
         """The j >= 3 terms: log_det() minus the j = 1, 2 trace terms."""
         t1, t2 = self.trace().real, self.trace_sq().real
         return self.log_det() - (t1 - 0.5 * t2 if self.defocusing else t1 + 0.5 * t2)
-
-    def trace_powers(self, jmax: int) -> np.ndarray:
-        """Re tr(A^j) for j = 1 .. jmax."""
-        out = np.empty(jmax)
-        P = self.matrix
-        out[0] = np.trace(P).real
-        for j in range(1, jmax):
-            P = P @ self.matrix
-            out[j] = np.trace(P).real
-        return out
 
 
 def _window(g: GridSpec, n_op: int, center: float, stride: int = 1) -> np.ndarray:
@@ -322,32 +282,6 @@ def build_operator(f: Field, kp: SpectralParameter, n_op: int = DEFAULT_N_OP,
     half = (s_minus[:, None] * V) * d_half[None, :]
     A = (half * d_half[None, :]) @ (V.conj().T * s_minus[None, :])
     return OperatorPair(matrix=A, half=half, kappa=kp.kappa, sign=kp.sign, stride=stride)
-
-
-def quadratic_trace_windowed(f: Field, kp, n_op: int = DEFAULT_N_OP,
-                             center: float = 0.0, stride: int = 1) -> complex:
-    """Independent evaluation of tr(A) on the same frequency window.
-
-    Reorganizes the double sum over the convolution difference zeta, a
-    multiple of h = stride * dxi: (2 pi)^-1 h^2 * sum_zeta |fhat(zeta)|^2 *
-    sum_theta 1/((kappa - i theta)(kappa + i (theta - zeta))) over theta
-    with both theta and theta - zeta inside the window.  Cross-checks the
-    dense matrix construction without sharing its code path.
-    """
-    kappa = _kappa_of(kp)
-    g = f.grid
-    w = _window(g, n_op, center, stride)
-    h = stride * g.dxi
-    wlo, whi = w[0], w[-1]
-    on = slice((g.n // 2) % stride, None, stride)  # the differences: lattice points h apart
-    zeta = g.xi[on][:, None]
-    theta = w[None, :]
-    rest = theta - zeta
-    ok = (rest >= wlo - 1e-9 * h) & (rest <= whi + 1e-9 * h)
-    kern = np.where(ok, 1.0 / ((kappa - 1j * theta) * (kappa + 1j * rest)), 0.0)
-    S = kern.sum(axis=1)
-    tot = np.sum(np.abs(f.spectrum[on]) ** 2 * S)
-    return complex(tot * h**2 / (2.0 * np.pi))
 
 
 # ---------------------------------------------------------------------------
@@ -408,17 +342,6 @@ def alpha_full(f: Field, kp: SpectralParameter, n_op: int = DEFAULT_N_OP,
                center: float = 0.0) -> float:
     """Full conserved functional alpha(kappa); see alpha_terms."""
     return alpha_terms(f, kp, n_op, center)[0]
-
-
-def alpha_series_partial_sums(op: OperatorPair, jmax: int) -> np.ndarray:
-    """Partial sums of the raw trace series of the window matrix, j = 1 .. jmax."""
-    tp = op.trace_powers(jmax)
-    j = np.arange(1, jmax + 1)
-    if op.defocusing:
-        terms = (-1.0) ** (j - 1) * tp / j
-    else:
-        terms = tp / j
-    return np.cumsum(terms)
 
 
 def beta_full(f: Field, kp: SpectralParameter, n_op: int = DEFAULT_N_OP,

@@ -67,14 +67,6 @@ def _sup_tail(terms: np.ndarray, kmax: int, K: int, p: float) -> float:
     return _sup_lp(terms[:, mask], p)
 
 
-def equicontinuity_tail(Q: FieldFamily, K: int) -> float:
-    """sup over members of the l^p band norm restricted to |k| >= K."""
-    kmax = Q.grid.kmax
-    if K > kmax:
-        return 0.0
-    return _sup_tail(Q.band_terms(), kmax, K, Q.mp.p)
-
-
 @dataclass(frozen=True)
 class WeightSequence:
     """Symmetric sub-logarithmic weights c_k with their threshold provenance."""

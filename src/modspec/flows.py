@@ -73,11 +73,6 @@ def dispersion_symbol(equation: str, xi: np.ndarray, k: float = 0.0) -> np.ndarr
     raise ValueError(f"unknown equation {equation!r}")
 
 
-def linear_propagator(u: Field, t: float, equation: str, k: float = 0.0) -> Field:
-    spec = u.spectrum * np.exp(dispersion_symbol(equation, u.grid.xi, k) * t)
-    return Field.from_spectrum(u.grid, spec)
-
-
 class _Stepper:
     """Fused Strang steps of a (B, N) batch on numpy's natural-order fft/ifft pair.
 

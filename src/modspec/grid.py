@@ -52,11 +52,6 @@ class GridSpec:
         return self.dxi * np.arange(-self.n // 2, self.n // 2)
 
     @property
-    def xi_max(self) -> float:
-        """Largest resolved lattice frequency."""
-        return self.dxi * (self.n // 2 - 1)
-
-    @property
     def kmax(self) -> int:
         """Largest band index k with I_k fully inside the lattice window."""
         return int(np.floor(self.n // 2 * self.dxi - 0.5 + 1e-12))
@@ -92,16 +87,20 @@ def make_grid(n: int, length: float) -> GridSpec:
 
 
 def forward_transform(values: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Discrete approximation of fhat on the centered lattice; Nyquist zeroed."""
+    """Discrete approximation of fhat on the centered lattice; Nyquist zeroed.
+
+    `values` is (..., n): each row along the last axis is transformed alone.
+    """
     spec = (grid.dx / np.sqrt(2.0 * np.pi)) * np.fft.fftshift(
-        np.fft.fft(np.fft.ifftshift(values))
+        np.fft.fft(np.fft.ifftshift(values, axes=-1)), axes=-1
     )
-    spec[0] = 0.0  # unpaired Nyquist mode breaks Hermitian symmetry
+    spec[..., 0] = 0.0  # unpaired Nyquist mode breaks Hermitian symmetry
     return spec
 
 
 def inverse_transform(spectrum: np.ndarray, grid: GridSpec) -> np.ndarray:
-    return np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(spectrum))) * (
+    """Samples of a centered (..., n) spectrum, row by row along the last axis."""
+    return np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(spectrum, axes=-1)), axes=-1) * (
         grid.dxi * grid.n / np.sqrt(2.0 * np.pi)
     )
 
@@ -189,13 +188,18 @@ def unresolved_mass_fraction(f: Field | np.ndarray, grid: GridSpec | None = None
 # ---------------------------------------------------------------------------
 # stock initial data
 
-def gaussian_field(grid: GridSpec, width: float = 1.0, amplitude: float = 1.0,
-                   center_freq: float = 0.0) -> Field:
-    """amplitude * exp(-x^2 / (2 width^2)) * exp(i center_freq x)."""
+def gaussian_samples(grid: GridSpec, width: float = 1.0, amplitude: float = 1.0,
+                     center_freq: float = 0.0) -> np.ndarray:
+    """Complex samples of amplitude * exp(-x^2 / (2 width^2)) * exp(i center_freq x)."""
     env = amplitude * np.exp(-grid.x**2 / (2.0 * width**2))
     if center_freq:
-        return Field(grid, env * np.exp(1j * center_freq * grid.x))
-    return Field(grid, env.astype(complex))
+        return env * np.exp(1j * center_freq * grid.x)
+    return env.astype(complex)
+
+
+def gaussian_field(grid: GridSpec, width: float = 1.0, amplitude: float = 1.0,
+                   center_freq: float = 0.0) -> Field:
+    return Field(grid, gaussian_samples(grid, width, amplitude, center_freq))
 
 
 def sech_field(grid: GridSpec, amplitude: float = 1.0, shift: float = 0.0) -> Field:
@@ -208,8 +212,8 @@ def band_indicator_field(grid: GridSpec, lo: float, hi: float, amplitude: float 
     return Field.from_spectrum(grid, spec)
 
 
-def random_band_field(grid: GridSpec, kmin: int, kmax: int, amplitude: float,
-                      rng: np.random.Generator) -> Field:
+def random_band_spectrum(grid: GridSpec, kmin: int, kmax: int, amplitude: float,
+                         rng: np.random.Generator) -> np.ndarray:
     """Random complex spectrum supported on bands kmin..kmax, L2-normalized then scaled."""
     mask = (grid.band_of >= kmin) & (grid.band_of <= kmax)
     spec = np.zeros(grid.n, dtype=complex)
@@ -217,4 +221,9 @@ def random_band_field(grid: GridSpec, kmin: int, kmax: int, amplitude: float,
     norm = np.sqrt(np.sum(np.abs(spec) ** 2) * grid.dxi)
     if norm > 0:
         spec *= amplitude / norm
-    return Field.from_spectrum(grid, spec)
+    return spec
+
+
+def random_band_field(grid: GridSpec, kmin: int, kmax: int, amplitude: float,
+                      rng: np.random.Generator) -> Field:
+    return Field.from_spectrum(grid, random_band_spectrum(grid, kmin, kmax, amplitude, rng))

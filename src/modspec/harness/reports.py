@@ -2,20 +2,12 @@
 
 from __future__ import annotations
 
-import csv
+import itertools
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
-
-
-def fmt(value) -> str:
-    """17-significant-digit decimal rendering for floats; strings pass through."""
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
 
 
 @dataclass
@@ -76,14 +68,45 @@ class RunResult:
         return csv_path, json_path
 
 
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
+
+
+def _quoted(text: str) -> str:
+    """csv.writer's QUOTE_MINIMAL rendering of one cell's text."""
+    return '"' + text.replace('"', '""') + '"' if _NEEDS_QUOTES.search(text) else text
+
+
+def _row_format(types: tuple) -> tuple:
+    """(%-template, indices of cells to render as quoted text) for a row of `types`.
+
+    A float (numpy's float64 included) is written to 17 significant digits; an
+    int or bool as str() gives it, which never needs quoting; anything else as
+    its str(), quoted when csv.writer would quote it.
+    """
+    fields = ["%.17g" if issubclass(t, float) else "%s" for t in types]
+    text = [i for i, t in enumerate(types) if not issubclass(t, (float, int))]
+    return ",".join(fields) + "\r\n", text
+
+
 def write_csv(path, header, rows) -> None:
+    """One line per row, each rendered by a template cached on its cell types."""
+    formats = {}
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
+        for row in itertools.chain([header], rows):
             if len(row) != len(header):
                 raise ValueError(f"row width {len(row)} != header width {len(header)}")
-            w.writerow([fmt(v) for v in row])
+            types = tuple(map(type, row))
+            form = formats.get(types)
+            if form is None:
+                form = formats[types] = _row_format(types)
+            template, text = form
+            if text:
+                row = list(row)
+                for i in text:
+                    row[i] = _quoted(str(row[i]))
+                if len(row) == 1 and row[0] == "":
+                    row[0] = '""'  # csv.writer's spelling of a lone empty cell
+            fh.write(template % tuple(row))
 
 
 def write_summary(path, entries, meta=None) -> None:

@@ -1,0 +1,109 @@
+"""Reference evaluations that only the tests use.
+
+Each one computes a quantity the package computes differently, without
+sharing its code path, so the tests can cross-check the two: brute-force
+sums, dense matrix powers, and the exact linear flow.
+"""
+
+import numpy as np
+
+from modspec import Field
+from modspec.conserved import DEFAULT_N_OP, _kappa_of, _window
+from modspec.equicont import FieldFamily, _sup_tail
+from modspec.flows import dispersion_symbol
+
+
+def quartic_integral_direct(f: Field, kappa: float) -> float:
+    """The O(n^3) brute-force sum behind conserved.quartic_integral, for small grids."""
+    g = f.grid
+    fhat = f.spectrum
+    D = 4.0 * kappa**2 + g.xi**2
+    if g.n > 256:
+        raise ValueError("direct quartic sum is O(n^3); use n <= 256 or conserved.quartic_integral")
+    n = g.n
+    total = 0.0 + 0j
+    x2 = g.xi[:, None]
+    x4 = g.xi[None, :]
+    f2 = fhat[:, None]
+    f4 = fhat[None, :]
+    for i1 in range(n):
+        x1 = g.xi[i1]
+        i3 = np.rint((x4 - x1 + x2) / g.dxi).astype(int) + n // 2
+        ok = (i3 >= 0) & (i3 < n)
+        f3 = np.zeros((n, n), dtype=complex)
+        f3[ok] = fhat.conj()[i3[ok]]
+        W = (2.0 * kappa * (x1 * x2 + x1 * x4 + x2 * x4) - 8.0 * kappa**3) / (
+            D[i1] * D[:, None] * D[None, :]
+        )
+        total += fhat.conj()[i1] * np.sum(W * f2 * f3 * f4)
+    return float((total * g.dxi**3 / (2.0 * np.pi)).real)
+
+
+def quadratic_trace_windowed(f: Field, kp, n_op: int = DEFAULT_N_OP,
+                             center: float = 0.0, stride: int = 1) -> complex:
+    """Independent evaluation of tr(A) on the same frequency window.
+
+    Reorganizes the double sum over the convolution difference zeta, a
+    multiple of h = stride * dxi: (2 pi)^-1 h^2 * sum_zeta |fhat(zeta)|^2 *
+    sum_theta 1/((kappa - i theta)(kappa + i (theta - zeta))) over theta
+    with both theta and theta - zeta inside the window.  Cross-checks the
+    dense matrix construction without sharing its code path.
+    """
+    kappa = _kappa_of(kp)
+    g = f.grid
+    w = _window(g, n_op, center, stride)
+    h = stride * g.dxi
+    wlo, whi = w[0], w[-1]
+    on = slice((g.n // 2) % stride, None, stride)  # the differences: lattice points h apart
+    zeta = g.xi[on][:, None]
+    theta = w[None, :]
+    rest = theta - zeta
+    ok = (rest >= wlo - 1e-9 * h) & (rest <= whi + 1e-9 * h)
+    kern = np.where(ok, 1.0 / ((kappa - 1j * theta) * (kappa + 1j * rest)), 0.0)
+    S = kern.sum(axis=1)
+    tot = np.sum(np.abs(f.spectrum[on]) ** 2 * S)
+    return complex(tot * h**2 / (2.0 * np.pi))
+
+
+def hs_norm_sq(op) -> float:
+    """Entrywise |B|^2 sum, the squared Hilbert-Schmidt norm of the half operator."""
+    return float(np.sum(np.abs(op.half) ** 2))
+
+
+def gram(op) -> np.ndarray:
+    return op.half @ op.half.conj().T
+
+
+def trace_powers(op, jmax: int) -> np.ndarray:
+    """Re tr(A^j) for j = 1 .. jmax."""
+    out = np.empty(jmax)
+    P = op.matrix
+    out[0] = np.trace(P).real
+    for j in range(1, jmax):
+        P = P @ op.matrix
+        out[j] = np.trace(P).real
+    return out
+
+
+def alpha_series_partial_sums(op, jmax: int) -> np.ndarray:
+    """Partial sums of the raw trace series of the window matrix, j = 1 .. jmax."""
+    tp = trace_powers(op, jmax)
+    j = np.arange(1, jmax + 1)
+    if op.defocusing:
+        terms = (-1.0) ** (j - 1) * tp / j
+    else:
+        terms = tp / j
+    return np.cumsum(terms)
+
+
+def linear_propagator(u: Field, t: float, equation: str, k: float = 0.0) -> Field:
+    spec = u.spectrum * np.exp(dispersion_symbol(equation, u.grid.xi, k) * t)
+    return Field.from_spectrum(u.grid, spec)
+
+
+def equicontinuity_tail(Q: FieldFamily, K: int) -> float:
+    """sup over members of the l^p band norm restricted to |k| >= K."""
+    kmax = Q.grid.kmax
+    if K > kmax:
+        return 0.0
+    return _sup_tail(Q.band_terms(), kmax, K, Q.mp.p)

@@ -9,13 +9,13 @@ from modspec import (
     WeightSequence,
     band_indicator_field,
     build_weights,
-    equicontinuity_tail,
     gaussian_field,
     make_grid,
     modulation_norm,
     scale_field,
     verify_weights,
 )
+from oracles import equicontinuity_tail
 
 
 @pytest.fixture(scope="module")

@@ -10,11 +10,11 @@ from modspec import (
     evolve_batch,
     galilei_boost,
     gaussian_field,
-    linear_propagator,
     make_grid,
     sech_field,
 )
 from modspec.flows import dispersion_symbol
+from oracles import linear_propagator
 
 
 def l2_dist(a: Field, b: Field) -> float:

@@ -11,7 +11,9 @@ from modspec import (
     band_profile,
     forward_transform,
     gaussian_field,
+    inverse_transform,
     make_grid,
+    random_band_field,
     scale_field,
     unresolved_mass_fraction,
 )
@@ -160,3 +162,42 @@ def test_forward_transform_zeroes_nyquist(grid_small, rng):
     vals = rng.standard_normal(grid_small.n)  # rough data excites the Nyquist slot
     spec = forward_transform(vals + 0j, grid_small)
     assert spec[0] == 0.0
+
+
+def test_batched_transforms_match_row_by_row(grid_small, rng):
+    """A (B, n) array is transformed row by row along its last axis, bit for bit."""
+    vals = rng.standard_normal((5, grid_small.n)) + 1j * rng.standard_normal((5, grid_small.n))
+    spec = forward_transform(vals, grid_small)
+    back = inverse_transform(vals, grid_small)
+    assert spec.shape == back.shape == vals.shape and np.all(spec[:, 0] == 0.0)
+    for v, s, b in zip(vals, spec, back):
+        assert np.array_equal(s, forward_transform(v, grid_small))
+        assert np.array_equal(b, inverse_transform(v, grid_small))
+
+
+def _suite_field_by_field(grid, size, rng, amplitude=0.3, band_span=6):
+    """random_suite's draws, made one field at a time by the stock constructors."""
+    suite = []
+    for i in range(size):
+        if i % 2 == 0:
+            width = 0.5 + 3.0 * rng.random()
+            cf = float(rng.integers(-band_span, band_span + 1))
+            suite.append(gaussian_field(grid, width, amplitude, cf))
+        else:
+            lo = int(rng.integers(-band_span, 1))
+            hi = int(rng.integers(0, band_span + 1))
+            suite.append(random_band_field(grid, lo, max(hi, lo + 1), amplitude, rng))
+    return suite
+
+
+@pytest.mark.parametrize("size", [1, 16, 37])
+def test_random_suite_matches_per_field_draws(grid_ref, size):
+    """Drawing the suite block-wise leaves every field and the rng state bit-identical."""
+    rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
+    suite = random_suite(grid_ref, size, rng_a)
+    expected = _suite_field_by_field(grid_ref, size, rng_b)
+    assert len(suite) == size
+    for f, e in zip(suite, expected):
+        assert np.array_equal(f.values, e.values) and np.array_equal(f.spectrum, e.spectrum)
+        assert not f.values.flags.writeable and not f.spectrum.flags.writeable
+    assert rng_a.random() == rng_b.random()

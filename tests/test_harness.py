@@ -1,3 +1,4 @@
+import csv
 import itertools
 import json
 import math
@@ -32,7 +33,7 @@ from modspec.harness import (
 )
 from modspec.harness.cli import main
 from modspec.harness.config import FAMILIES, build_family, config_from_dict, random_suite
-from modspec.harness.reports import criterion, fmt, write_csv
+from modspec.harness.reports import criterion, write_csv
 
 
 def small_cfg(**over):
@@ -172,9 +173,51 @@ def test_criterion_verdicts():
     assert not criterion("c", 0.5, 1.0, ok=False).passed
 
 
-def test_fmt_17_digits():
-    assert fmt(math.pi) == f"{math.pi:.17g}"
-    assert fmt("x") == "x"
+def test_fmt_17_digits(tmp_path):
+    write_csv(tmp_path / "r.csv", ["v", "s"], [(math.pi, "x")])
+    cells = (tmp_path / "r.csv").read_text(encoding="utf-8").splitlines()[1].split(",")
+    assert cells[0] == f"{math.pi:.17g}"
+    assert cells[1] == "x"
+
+
+def _csv_cell_by_cell(path, header, rows):
+    """The reference rendering: csv.writer over cells formatted one at a time."""
+    def cell(v):
+        if isinstance(v, bool):
+            return str(v)
+        if isinstance(v, float):
+            return f"{v:.17g}"
+        return str(v)
+
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([cell(v) for v in row] for row in rows)
+
+
+@pytest.mark.parametrize("header, rows", [
+    (["label", "a", "b", "c", "d"], [
+        ("plain", math.pi, np.float64(0.1), 3, np.int64(-7)),
+        ("x", math.nan, math.inf, True, False),
+        ('a,"b"\nc', -math.inf, -0.0, np.float64(-0.0), 0),
+        ("", 1e-300, np.float64(np.nan), np.bool_(True), None),
+        ("r\rs", 5e-324, 2**70, np.float32(0.1), np.float64(-np.inf)),
+        ("plain", math.pi, np.float64(0.1), 3, np.int64(-7)),
+    ]),
+    (["only"], [("",), (1.5,), ("a,b",), (np.int64(2),)]),
+    (["a,b", 'q"'], []),
+])
+def test_write_csv_matches_cell_by_cell_rendering(tmp_path, header, rows):
+    write_csv(tmp_path / "new.csv", header, rows)
+    _csv_cell_by_cell(tmp_path / "ref.csv", header, rows)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_write_csv_label_reads_back(tmp_path):
+    label = 'comma, "quote"\nnewline'
+    write_csv(tmp_path / "r.csv", ["label", "v"], [(label, 0.5)])
+    with open(tmp_path / "r.csv", newline="", encoding="utf-8") as fh:
+        assert list(csv.reader(fh)) == [["label", "v"], [label, "0.5"]]
 
 
 def test_csv_fixed_columns(tmp_path):
@@ -231,6 +274,10 @@ def test_conservation_driver_determinism(tmp_path):
     run_conservation(cfg).write(out1)
     run_conservation(cfg).write(out2)
     assert (out1 / "conserve.csv").read_bytes() == (out2 / "conserve.csv").read_bytes()
+    cfg = small_cfg(suite_size=37)  # several suite blocks
+    run_scaling(cfg).write(out1)
+    run_scaling(cfg).write(out2)
+    assert (out1 / "scaling.csv").read_bytes() == (out2 / "scaling.csv").read_bytes()
 
 
 def test_norm_equivalence_zero_data():
