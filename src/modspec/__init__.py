@@ -51,7 +51,6 @@ from .symmetries import (
 )
 from .flows import BlowUpError, FlowSpec, Trajectory, evolve, evolve_batch
 from .equicont import (
-    FieldFamily,
     NotEquicontinuousError,
     WeightCheck,
     WeightSequence,

@@ -12,6 +12,10 @@ powers) with 4x spacing, and c_k counts the thresholds below |k|,
 The greedy search starts at k(1) >= 2; together with the 4x spacing this
 makes the growth cap c_k <= 1 + log(|k| + 1) hold exactly at every k, not
 just asymptotically (2 * 4^(m-1) <= k(m) gives c_k^p <= log_4(|k|/2) + 2).
+
+A family is its (members, 2 kmax + 1) stack of grid.band_profile rows, one
+per member on one grid: build_weights and verify_weights read only the
+rows' <k>^s-weighted band terms (norms.band_terms).
 """
 
 from __future__ import annotations
@@ -20,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import band_profile
-from .norms import ModulationParams, bracket, lp_norm
+from .norms import ModulationParams, band_terms, lp_norm
 
 
 class NotEquicontinuousError(RuntimeError):
@@ -31,28 +34,13 @@ class NotEquicontinuousError(RuntimeError):
 EDGE_FLOOR_RATIO = 1e-8
 
 
-@dataclass
-class FieldFamily:
-    members: list
-    mp: ModulationParams
-
-    def __post_init__(self):
-        if not self.members:
-            raise ValueError("family must have at least one member")
-        g = self.members[0].grid
-        if any(m.grid != g for m in self.members):
-            raise ValueError("family members must share one grid")
-
-    @property
-    def grid(self):
-        return self.members[0].grid
-
-    def band_terms(self) -> np.ndarray:
-        """<k>^s band_l2 profile per member, shape (len(members), 2 kmax + 1)."""
-        kmax = self.grid.kmax
-        ks = np.arange(-kmax, kmax + 1)
-        wk = bracket(ks) ** self.mp.s
-        return np.array([wk * band_profile(f) for f in self.members])
+def _family_terms(profiles, mp: ModulationParams, weights=None) -> np.ndarray:
+    """band_terms of a family's profile stack, checked to be one."""
+    profiles = np.asarray(profiles, dtype=float)
+    if profiles.ndim != 2 or not profiles.shape[0] or profiles.shape[1] % 2 == 0:
+        raise ValueError("a family is a (members, 2 kmax + 1) stack of band profiles, "
+                         f"got shape {profiles.shape}")
+    return band_terms(profiles, mp, weights)
 
 
 def _sup_lp(terms: np.ndarray, p: float) -> float:
@@ -90,16 +78,16 @@ class WeightSequence:
         return self.c_of(np.arange(-self.kmax, self.kmax + 1))
 
 
-def build_weights(Q: FieldFamily) -> WeightSequence:
-    """Greedy-minimal threshold construction for an equicontinuous family.
+def build_weights(profiles, mp: ModulationParams) -> WeightSequence:
+    """Greedy-minimal threshold construction for an equicontinuous family's profiles.
 
     Raises NotEquicontinuousError when mass at the window edge exceeds
     EDGE_FLOOR_RATIO times the family bound, i.e. the tails cannot be
     certified at this resolution.
     """
-    kmax = Q.grid.kmax
-    p = Q.mp.p
-    terms = Q.band_terms()
+    terms = _family_terms(profiles, mp)
+    kmax = (terms.shape[1] - 1) // 2
+    p = mp.p
     A = _sup_lp(terms, p)
     edge = _sup_tail(terms, kmax, kmax, p)
     if edge > EDGE_FLOOR_RATIO * A:
@@ -141,19 +129,16 @@ class WeightCheck:
                 and self.grows and self.within_factor_two)
 
 
-def verify_weights(w, Q: FieldFamily) -> WeightCheck:
-    """Report-only check of the five weight properties against a family.
+def verify_weights(w, profiles, mp: ModulationParams) -> WeightCheck:
+    """Report-only check of the five weight properties against a family's profiles.
 
     `w` may be a WeightSequence or a raw array over k = -kmax .. kmax.
     """
-    kmax = Q.grid.kmax
-    p = Q.mp.p
-    if isinstance(w, WeightSequence):
-        c = w.as_array()
-    else:
-        c = np.asarray(w, dtype=float)
-        if c.shape != (2 * kmax + 1,):
-            raise ValueError(f"expected weights over {2 * kmax + 1} bands")
+    c = w.as_array() if isinstance(w, WeightSequence) else np.asarray(w, dtype=float)
+    A = _sup_lp(_family_terms(profiles, mp), mp.p)
+    # raises ValueError unless c covers every band of the profiles
+    weighted = _sup_lp(_family_terms(profiles, mp, c), mp.p)
+    kmax = (c.size - 1) // 2
     ks = np.arange(-kmax, kmax + 1)
     tol = 1e-12
     cpos = c[kmax:]  # c_0 .. c_kmax
@@ -163,9 +148,6 @@ def verify_weights(w, Q: FieldFamily) -> WeightCheck:
     quad = bool(np.all(cpos[4 * kk] <= cpos[kk] + 1.0 + tol)) if kk.size else True
     mono = bool(np.all(np.diff(cpos) >= -tol))
     grows = bool(cpos[-1] > cpos[0] + tol)
-    terms = Q.band_terms()
-    A = _sup_lp(terms, p)
-    weighted = _sup_lp(c[None, :] * terms, p)
     ratio = weighted / A if A > 0 else 0.0
     return WeightCheck(
         symmetric_bounded=sym and bounded,

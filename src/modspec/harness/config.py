@@ -115,16 +115,18 @@ class ExperimentConfig:
         return dataclasses.asdict(self)
 
 
-_FIELD_NAMES = {f.name for f in dataclasses.fields(ExperimentConfig)}
+_DEFAULTS = ExperimentConfig().to_dict()
 
-_TYPES = {
-    "version": int, "grid_n": int, "snapshots": int, "suite_size": int,
-    "seed": int, "n_op": int,
-    "grid_length": (int, float), "dt": (int, float), "t_final": (int, float),
-    "equation": str, "sign": str,
-    "family": dict, "tolerances": dict,
-    "kappas": list, "boosts": list, "ps": list, "amplitudes": list, "lambdas": list,
-}
+
+def _check_value(what: str, val, default) -> None:
+    """One rule for a config value, top-level or inside `family`: the type of its
+    default (any real number where that is a float; a bool is no number), and
+    finite when it is a float."""
+    want = (int, float) if isinstance(default, float) else type(default)
+    if not isinstance(val, want) or isinstance(val, bool):
+        raise ConfigError(f"{what} must be {want}, got {type(val).__name__}")
+    if isinstance(val, float) and not math.isfinite(val):
+        raise ConfigError(f"{what} must be finite, got {val}")
 
 
 def _number(v) -> bool:  # a finite int or float; a bool is not a number here
@@ -156,16 +158,11 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         raise ConfigError("config document must be a JSON object")
     if "version" not in doc:
         raise ConfigError("config is missing the required 'version' field")
-    unknown = sorted(set(doc) - _FIELD_NAMES)
+    unknown = sorted(set(doc) - set(_DEFAULTS))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     for key, val in doc.items():
-        if not isinstance(val, _TYPES[key]) or isinstance(val, bool):
-            raise ConfigError(
-                f"field '{key}' must be {_TYPES[key]}, got {type(val).__name__}"
-            )
-        if isinstance(val, float) and not math.isfinite(val):
-            raise ConfigError(f"field '{key}' must be finite, got {val}")
+        _check_value(f"field '{key}'", val, _DEFAULTS[key])
     cfg = ExperimentConfig(**doc)
     if cfg.version != 1:
         raise ConfigError(f"unsupported config version {cfg.version}")
@@ -233,11 +230,11 @@ def family_params(descriptor: dict) -> tuple:
         if key not in defaults:
             raise ConfigError(f"family kind {kind!r} has no key {key!r}; "
                               f"allowed: {', '.join(defaults)}")
-        want = (int, float) if isinstance(defaults[key], float) else type(defaults[key])
-        if not isinstance(val, want) or isinstance(val, bool):
-            raise ConfigError(f"family key {key!r} must be {want}, got {type(val).__name__}")
+        _check_value(f"family key {key!r}", val, defaults[key])
         if key == "widths":
             _check_list("family key 'widths'", val, _POSITIVE)
+        if key == "width" and not val > 0:
+            raise ConfigError(f"family key 'width' must be > 0, got {val}")
         if key == "count" and val < 1:
             raise ConfigError(f"family key 'count' must be >= 1, got {val}")
     return kind, {**defaults, **{k: v for k, v in descriptor.items() if k != "kind"}}

@@ -15,12 +15,13 @@ from ..conserved import (
     beta2,
     tail_bound,
 )
-from ..equicont import FieldFamily, build_weights, verify_weights
+from ..equicont import build_weights, verify_weights
 from ..flows import FlowSpec, evolve, evolve_batch
 from ..grid import band_profile, gaussian_field, make_grid, unresolved_mass_fraction
 from ..norms import (
     ModulationParams,
     admissible_sigma,
+    band_terms,
     bracket,
     hs_functional,
     lp_norm,
@@ -149,27 +150,29 @@ def run_norm_equivalence(cfg: ExperimentConfig) -> RunResult:
     trajs = evolve_batch(members, [fs] * len(members), times)
     header = ["member", "t", "p", "s", "weighted", "lhs", "rhs", "ratio"]
     rows, summary = [], []
-    kmax = grid.kmax
-    ks = np.arange(-kmax, kmax + 1)
     ks_boost = np.array(cfg.boosts)
     kb = max(abs(k) for k in cfg.boosts)
+    # the bands the truncated boost sweep ignores on the banded side (maybe none)
+    beyond = np.abs(np.arange(-grid.kmax, grid.kmax + 1)) > kb
     # per (member, t), independent of (p, s): sqrt(beta2) over the boosts and the band profile
     per_field = [[(np.sqrt([max(boosted_beta2(u, float(k), 0.5), 0.0) for k in cfg.boosts]),
                    band_profile(u)) for u in traj.fields] for traj in trajs]
+    profs0 = np.array([fields[0][1] for fields in per_field])  # t = 0: the members
     unresolved = max(
         unresolved_mass_fraction(u) for traj in trajs for u in traj.fields
     )
     summary.append(criterion("unresolved_mass_fraction", unresolved,
                              cfg.tolerance("normequiv_unresolved")))
     for mp in mps:
-        for mode, w in (("unit", None), ("built", build_weights(FieldFamily(members, mp)))):
+        for mode, w in (("unit", None), ("built", build_weights(profs0, mp))):
             c_boost = np.ones(len(cfg.boosts)) if w is None else w.c_of(ks_boost)
             warr = None if w is None else w.as_array()
             ratios = []
             max_tail_frac = 0.0
             for mi, (traj, fields) in enumerate(zip(trajs, per_field)):
                 for ti, (root_b2, prof) in zip(traj.times, fields):
-                    lhs = profile_norm(prof, mp, weights=warr)
+                    terms = band_terms(prof, mp, warr)
+                    lhs = float(lp_norm(terms, mp.p))
                     rhs_terms = c_boost * bracket(ks_boost) ** mp.s * root_b2
                     rhs = float(lp_norm(rhs_terms, mp.p))
                     if lhs == 0.0 and rhs == 0.0:
@@ -177,10 +180,8 @@ def run_norm_equivalence(cfg: ExperimentConfig) -> RunResult:
                     else:
                         ratio = lhs / rhs if rhs > 0 else np.inf
                     ratios.append(ratio)
-                    # mass the truncated boost sweep ignores on the banded side
-                    if kb < kmax and lhs > 0:
-                        terms = (1.0 if warr is None else warr) * bracket(ks) ** mp.s * prof
-                        tail = float(lp_norm(terms[np.abs(ks) > kb], mp.p))
+                    if lhs > 0:
+                        tail = float(lp_norm(terms[beyond], mp.p))
                         max_tail_frac = max(max_tail_frac, tail / lhs)
                     rows.append((mi, ti, mp.p, mp.s, mode, lhs, rhs, ratio))
             hi, lo = max(ratios), min(ratios)
@@ -222,7 +223,6 @@ def run_apriori(cfg: ExperimentConfig) -> RunResult:
            for eps in cfg.amplitudes]
     profs0 = [band_profile(u0) for u0 in u0s]
     fam_fields = [gaussian_field(grid, w, amp) for w in widths]
-    fam_profs = [band_profile(f0) for f0 in fam_fields]
     # an amplitude needs the small-data flow when some (p, s) finds its norm small;
     # those flows run in one batch with the family's
     small = [i for i, prof0 in enumerate(profs0)
@@ -232,6 +232,7 @@ def run_apriori(cfg: ExperimentConfig) -> RunResult:
              for traj in evolve_batch(fields, [fs] * len(fields), times)]
     flows = dict(zip(small, snaps))  # amplitude index -> (times, band profiles)
     fam_snaps = snaps[len(small):]
+    fam_profs = np.array([profs[0] for _, profs in fam_snaps])  # t = 0: the family itself
 
     header = ["p", "s", "eps", "t", "norm", "weighted_norm"]
     rows, summary = [], []
@@ -258,8 +259,7 @@ def run_apriori(cfg: ExperimentConfig) -> RunResult:
             summary.append(criterion(f"normalized_ratio[{tag}]", worst_normalized, ratio_tol))
 
         # equicontinuous family: weighted norms stay within the factor-2 budget
-        wseq = build_weights(FieldFamily(fam_fields, mp))
-        warr = wseq.as_array()
+        warr = build_weights(fam_profs, mp).as_array()
         w0 = max(profile_norm(prof, mp, weights=warr) for prof in fam_profs)
         wt = w0
         for snap_times, profs in fam_snaps:
@@ -504,16 +504,15 @@ def run_weights(cfg: ExperimentConfig) -> RunResult:
         "kind": "gaussian_mix", "amplitude": params["amplitude"],
     }
     mp = _mps(cfg)[0]
-    members = build_family(fam, grid, rng)
-    Q = FieldFamily(members, mp)
-    w = build_weights(Q)
-    chk = verify_weights(w, Q)
+    profs = np.array([band_profile(f) for f in build_family(fam, grid, rng)])
+    w = build_weights(profs, mp)
+    chk = verify_weights(w, profs, mp)
 
     # one step of the 4x threshold spacing: at 2N the wider window's kmax sits just
     # below the next threshold the spacing allows (31 < 32 at N = 1024)
     grid2 = make_grid(cfg.grid_n * 4, cfg.grid_length)
     members2 = build_family(fam, grid2, np.random.default_rng(cfg.seed))
-    w2 = build_weights(FieldFamily(members2, mp))
+    w2 = build_weights([band_profile(f) for f in members2], mp)
     grew = len(w2.thresholds) > len(w.thresholds)
 
     header = ["k", "c_k"]

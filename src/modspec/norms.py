@@ -52,9 +52,28 @@ def modulation_norm(f: Field, mp: ModulationParams, weights: np.ndarray | None =
     """l^p over resolved bands of c_k <k>^s band_l2(f, k); c == 1 when absent.
 
     `weights` must supply one value per resolved band, ordered
-    k = -kmax .. kmax (a WeightSequence.as_array(grid) does).
+    k = -kmax .. kmax (a WeightSequence.as_array() does).
     """
     return profile_norm(band_profile(f), mp, weights)
+
+
+def band_terms(prof: np.ndarray, mp: ModulationParams, weights: np.ndarray | None = None):
+    """c_k <k>^s prof_k over the resolved bands k = -kmax .. kmax; c == 1 when absent.
+
+    `prof` is a band_profile or a stack of them (bands along the last axis),
+    and `weights` must supply one value per band.
+    """
+    prof = np.asarray(prof, dtype=float)
+    kmax = (prof.shape[-1] - 1) // 2
+    terms = bracket(np.arange(-kmax, kmax + 1)) ** mp.s * prof
+    if weights is not None:
+        weights = np.asarray(weights, dtype=float)
+        if weights.shape != terms.shape[-1:]:
+            raise ValueError(
+                f"weights must cover all {2 * kmax + 1} resolved bands, got {weights.shape}"
+            )
+        terms = weights * terms
+    return terms
 
 
 def profile_norm(prof: np.ndarray, mp: ModulationParams, weights: np.ndarray | None = None):
@@ -64,18 +83,7 @@ def profile_norm(prof: np.ndarray, mp: ModulationParams, weights: np.ndarray | N
     A stack of profiles (bands along the last axis) gives one norm per row; a
     single profile gives a float.
     """
-    prof = np.asarray(prof, dtype=float)
-    kmax = (prof.shape[-1] - 1) // 2
-    ks = np.arange(-kmax, kmax + 1)
-    terms = bracket(ks) ** mp.s * prof
-    if weights is not None:
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape != terms.shape[-1:]:
-            raise ValueError(
-                f"weights must cover all {2 * kmax + 1} resolved bands, got {weights.shape}"
-            )
-        terms = weights * terms
-    norm = lp_norm(terms, mp.p)
+    norm = lp_norm(band_terms(prof, mp, weights), mp.p)
     return norm if norm.ndim else float(norm)
 
 

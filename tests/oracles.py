@@ -9,8 +9,9 @@ import numpy as np
 
 from modspec import Field
 from modspec.conserved import DEFAULT_N_OP, _kappa_of, _window
-from modspec.equicont import FieldFamily, _sup_tail
+from modspec.equicont import _sup_tail
 from modspec.flows import dispersion_symbol
+from modspec.norms import band_terms
 
 
 def quartic_integral_direct(f: Field, kappa: float) -> float:
@@ -101,9 +102,9 @@ def linear_propagator(u: Field, t: float, equation: str, k: float = 0.0) -> Fiel
     return Field.from_spectrum(u.grid, spec)
 
 
-def equicontinuity_tail(Q: FieldFamily, K: int) -> float:
-    """sup over members of the l^p band norm restricted to |k| >= K."""
-    kmax = Q.grid.kmax
+def equicontinuity_tail(profiles, mp, K: int) -> float:
+    """sup over a family's band-profile rows of the l^p band norm restricted to |k| >= K."""
+    kmax = (np.shape(profiles)[-1] - 1) // 2
     if K > kmax:
         return 0.0
-    return _sup_tail(Q.band_terms(), kmax, K, Q.mp.p)
+    return _sup_tail(band_terms(profiles, mp), kmax, K, mp.p)

@@ -131,6 +131,11 @@ def test_unknown_family_kind(grid_small, rng):
     ({"seed": -1}, "seed"),
     ({"family": {"kind": "random_band", "count": 0}}, "count"),
     ({"n_op": 3}, "n_op"),
+    # family values follow the top-level rule: finite, and a width like widths > 0
+    ({"family": {"kind": "gaussian", "amplitude": math.nan}}, "amplitude"),
+    ({"family": {"kind": "gaussian", "width": math.inf}}, "width"),
+    ({"family": {"kind": "gaussian", "width": -1.0}}, "width"),
+    ({"family": {"kind": "gaussian", "width": 0}}, "width"),
 ])
 def test_config_rejects_bad_nested_maps(over, match):
     with pytest.raises(ConfigError, match=match):
@@ -375,10 +380,16 @@ def test_galilei_driver_small(monkeypatch):
     (run_scaling, "scale_field", lambda cfg: 1),
     # one binning pass on the base grid and one per lambda
     (run_scaling, "band_profile", lambda cfg: 1 + len(cfg.lambdas)),
+    # the one gaussian member at each snapshot; the weights take the t = 0 rows
+    (run_norm_equivalence, "band_profile", lambda cfg: cfg.snapshots),
+    # each amplitude at t = 0, then each small-data and family flow at each snapshot
+    (run_apriori, "band_profile", lambda cfg: len(cfg.amplitudes) + cfg.snapshots
+     * (len(cfg.amplitudes) + len(FAMILIES["gaussian"]["widths"]))),
 ], ids=["apriori-evolve", "tails-evolve", "tails-alpha_terms", "scaling-scale_field",
-        "scaling-band_profile"])
+        "scaling-band_profile", "normequiv-band_profile", "apriori-band_profile"])
 def test_ps_independent_work_runs_once(monkeypatch, driver, name, expected):
     """Work that does not depend on (p, s) runs once, however many pairs there are."""
+    from modspec import equicont, grid, norms
     from modspec.harness import experiments
 
     calls = []
@@ -388,7 +399,10 @@ def test_ps_independent_work_runs_once(monkeypatch, driver, name, expected):
         calls.append(args)
         return inner(*args, **kwargs)
 
-    monkeypatch.setattr(experiments, name, counted)
+    # a call through any module that binds the name counts
+    for module in (experiments, grid, norms, equicont):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, counted)
     cfg = small_cfg(t_final=0.01, ps=[[2.0, 0.0], [1.0, 0.0], [4.0, 1.0]])
     driver(cfg)
     if name == "evolve_batch":  # count the rows of the one batch
@@ -591,11 +605,17 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     ["conserve", "--grid", "512"],
     ["tails", "--dt", "0.003"],
     ["conserve", "--seed", "-1"],
+    # a trailing map overrides config keys: a width-0 gaussian is a config error,
+    # not a divergent series or a blow-up
+    ["conserve", {"family": {"kind": "gaussian", "width": 0}}],
+    ["normequiv", {"family": {"kind": "gaussian", "width": 0}}],
 ])
 def test_cli_config_errors_exit_2(tmp_path, capsys, extra):
+    over = extra[-1] if isinstance(extra[-1], dict) else {}
+    cmd, *flags = [a for a in extra if isinstance(a, str)]
     cfgp = tmp_path / "cfg.json"
-    cfgp.write_text(json.dumps(small_cfg(n_op=256).to_dict()))
-    rc = main(extra[:1] + ["--config", str(cfgp), "--out", str(tmp_path / "out")] + extra[1:])
+    cfgp.write_text(json.dumps(small_cfg(n_op=256).to_dict() | over))
+    rc = main([cmd, "--config", str(cfgp), "--out", str(tmp_path / "out")] + flags)
     assert rc == 2
     assert "error:" in capsys.readouterr().err
 
