@@ -15,9 +15,12 @@ product.
 `evolve_batch` advances a batch of fields as one (B, N) array, with FFTs
 along the last axis; `evolve` is its one-row case.  Between snapshots the
 state stays spectral and the trailing half-step of one step is fused with
-the leading half-step of the next (first-same-as-last Strang), so a step
-takes 12 FFTs for mkdv and mkdv_nls and 2 for nls.  The blow-up check is a
-per-row certificate on the spectral state.
+the leading half-step of the next (first-same-as-last Strang).  An nls
+step takes 2 FFTs.  A mkdv or mkdv_nls step makes 8 transform calls doing
+12 transforms of work: each RK4 stage inverts its masked input and that
+input's derivative in one stacked ifft call.  The RK4 work arrays are
+allocated once per `evolve_batch` call, and the state is updated in place.
+The blow-up check is a per-row certificate on the spectral state.
 """
 
 from __future__ import annotations
@@ -80,9 +83,10 @@ class _Stepper:
     (B, N) multipliers and a (B, 1) sign column (k = 0 for an mkdv row); the
     multipliers are diagonal, so the transform's order and scale cancel in a step.
     The state is the spectrum after a step's leading linear half-step, and `step`
-    applies the nonlinear substep.  The caller fuses a step's trailing half-step
-    with the next step's leading one into one full-step factor, and forms the
-    physical field only at a snapshot (or when the blow-up certificate trips).
+    applies the nonlinear substep to it in place.  The caller fuses a step's
+    trailing half-step with the next step's leading one into one full-step factor,
+    and forms the physical field only at a snapshot (or when the blow-up
+    certificate trips).
     """
 
     def __init__(self, grid: GridSpec, specs):
@@ -102,25 +106,45 @@ class _Stepper:
         # the mkdv and mkdv_nls nonlinearity is +-6 |u|^2 (u_x + iku), with k = 0 for mkdv
         k = np.array([[fs.k if fs.equation == "mkdv_nls" else 0.0] for fs in specs])
         self.deriv = 6.0 * sigma * 1j * (xi + k)
+        if not self.nls:  # RK4 work arrays, reused by every step
+            shape = (len(specs), grid.n)
+            # a stage's masked input, and deriv times it: one ifft call transforms both
+            self.stack = np.empty((2, *shape), complex)
+            self.slopes = np.empty((4, *shape), complex)  # k1..k4
+            self.masked = np.empty(shape, complex)  # the masked state
 
-    def _nonlinear_rhs(self, s):
-        """Masked spectrum of the nonlinear term at the masked spectrum of s."""
-        s = s * self.mask
-        v = np.fft.ifft(s)
-        w = (v.real**2 + v.imag**2) * np.fft.ifft(self.deriv * s)
-        return np.fft.fft(w) * self.mask
+    def _nonlinear_rhs(self, out):
+        """Write to out the masked spectrum of the nonlinear term at stack[0], a masked spectrum."""
+        np.multiply(self.deriv, self.stack[0], out=self.stack[1])
+        v, dv = np.fft.ifft(self.stack)
+        w = v.real**2
+        w += v.imag**2
+        np.multiply(w, dv, out=dv)
+        np.multiply(np.fft.fft(dv), self.mask, out=out)
 
-    def step(self, s: np.ndarray) -> np.ndarray:
-        """The nonlinear substep of the state s: spectral in, spectral out."""
+    def step(self, s: np.ndarray) -> None:
+        """The nonlinear substep, in place on the spectral state s."""
         dt = self.dt
         if self.nls:
             v = np.fft.ifft(s)
-            return np.fft.fft(v * np.exp(self.c_rot * np.abs(v) ** 2 * dt))
-        k1 = self._nonlinear_rhs(s)
-        k2 = self._nonlinear_rhs(s + 0.5 * dt * k1)
-        k3 = self._nonlinear_rhs(s + 0.5 * dt * k2)
-        k4 = self._nonlinear_rhs(s + dt * k3)
-        return s + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            s[...] = np.fft.fft(v * np.exp(self.c_rot * np.abs(v) ** 2 * dt))
+            return
+        x, k = self.stack[0], self.slopes
+        np.multiply(s, self.mask, out=self.masked)
+        x[...] = self.masked
+        self._nonlinear_rhs(k[0])
+        for j, c in ((1, 0.5 * dt), (2, 0.5 * dt), (3, dt)):
+            # c k + s mask is (s + c k) mask: k is masked, so only signs of zeros may differ
+            np.multiply(k[j - 1], c, out=x)
+            x += self.masked
+            self._nonlinear_rhs(k[j])
+        # s + dt/6 (((k1 + 2 k2) + 2 k3) + k4), in that order
+        k[1:3] *= 2.0
+        k[0] += k[1]
+        k[0] += k[2]
+        k[0] += k[3]
+        k[0] *= dt / 6.0
+        s += k[0]
 
     def blown_up_row(self, s: np.ndarray):
         """First row whose physical field is non-finite or exceeds BLOWUP_THRESHOLD, else None.
@@ -129,6 +153,8 @@ class _Stepper:
         NaN and inf; the physical field is formed only for rows where this bound trips.
         """
         bound = self.half_max * np.sum(np.abs(s), axis=-1) / s.shape[-1]
+        if np.all(bound <= BLOWUP_THRESHOLD):
+            return None
         for i in np.flatnonzero(~(bound <= BLOWUP_THRESHOLD)):
             v = np.fft.ifft(s[i] * self.half[i])
             if not np.all(np.isfinite(v)) or np.max(np.abs(v)) > BLOWUP_THRESHOLD:
@@ -186,10 +212,11 @@ def evolve_batch(fields, specs, snapshot_times, observers=()) -> list[Trajectory
     if 0 in targets:
         record(0, fields)
     n_last = max(targets, default=0)
+    # the state is owned here: steps update it in place, and snapshots are separate ifft arrays
     s = np.fft.fft(np.array([u.values for u in fields])) * stepper.half
     t_good = 0.0
     for n in range(1, n_last + 1):
-        s = stepper.step(s)
+        stepper.step(s)
         bad = stepper.blown_up_row(s)
         if bad is not None:
             raise BlowUpError(

@@ -223,10 +223,13 @@ def run_apriori(cfg: ExperimentConfig) -> RunResult:
            for eps in cfg.amplitudes]
     profs0 = [band_profile(u0) for u0 in u0s]
     fam_fields = [gaussian_field(grid, w, amp) for w in widths]
+    n0s = [[profile_norm(prof0, mp) for prof0 in profs0] for mp in mps]
+    # every large-data rescaling must fit the pad budget before any flow runs
+    rescalings = [[_rescaling(n0, mp, grid, eps_target) if n0 > small_norm else None
+                   for n0 in row] for mp, row in zip(mps, n0s)]
     # an amplitude needs the small-data flow when some (p, s) finds its norm small;
     # those flows run in one batch with the family's
-    small = [i for i, prof0 in enumerate(profs0)
-             if not all(profile_norm(prof0, mp) > small_norm for mp in mps)]
+    small = [i for i in range(len(u0s)) if any(row[i] is None for row in rescalings)]
     fields = [u0s[i] for i in small] + fam_fields
     snaps = [(traj.times, [band_profile(u) for u in traj.fields])
              for traj in evolve_batch(fields, [fs] * len(fields), times)]
@@ -236,14 +239,14 @@ def run_apriori(cfg: ExperimentConfig) -> RunResult:
 
     header = ["p", "s", "eps", "t", "norm", "weighted_norm"]
     rows, summary = [], []
-    for mp in mps:
+    for mp, mp_n0s, mp_rescalings in zip(mps, n0s, rescalings):
         cexp = apriori_exponent(mp)
         worst_plain = 0.0
         worst_normalized = 0.0
-        for i, (eps, u0, prof0) in enumerate(zip(cfg.amplitudes, u0s, profs0)):
-            n0 = profile_norm(prof0, mp)
-            if n0 > small_norm:
-                summary.extend(_apriori_large_data(u0, n0, mp, cexp, fs, times,
+        for i, (eps, u0, n0, rescaling) in enumerate(zip(cfg.amplitudes, u0s, mp_n0s,
+                                                         mp_rescalings)):
+            if rescaling is not None:
+                summary.extend(_apriori_large_data(u0, n0, mp, cexp, fs, times, rescaling,
                                                    eps_target, ratio_tol, large_tol, rows))
                 continue
             flow_times, profs = flows[i]
@@ -272,17 +275,15 @@ def run_apriori(cfg: ExperimentConfig) -> RunResult:
     return RunResult("apriori", header, rows, summary, {"config": cfg.to_dict()})
 
 
-def _apriori_large_data(u0, n0, mp, cexp, fs, times, eps_target, ratio_tol, large_tol, rows):
-    """Large data: rescale to the small regime, verify there, undo for reporting.
+def _rescaling(n0, mp, g, eps_target):
+    """(lam0, pad) that take data of norm n0 on grid g into the small regime.
 
     lam0 follows the recipe (1 + norm/eps)^p for p >= 2 and exponent 2 for
-    p <= 2; the rescaled run must obey the small-data bound, and the bound
-    transported back through the scaling factor gives the measured large-data
-    constant relative to (1 + norm)^c * norm.
+    p <= 2; pad is the power of two that keeps the rescaled spectrum resolved,
+    and a pad above 64 is a ConfigError.
     """
     base_exp = mp.p if mp.p >= 2.0 else 2.0
     lam0 = (1.0 + n0 / eps_target) ** base_exp
-    g = u0.grid
     window = (g.n // 2) * g.dxi
     need = 3.0 * lam0 / window
     pad = 1
@@ -290,6 +291,18 @@ def _apriori_large_data(u0, n0, mp, cexp, fs, times, eps_target, ratio_tol, larg
         pad *= 2
     if pad > 64:
         raise ConfigError(f"rescaling pad {pad} exceeds the budget; data too large")
+    return lam0, pad
+
+
+def _apriori_large_data(u0, n0, mp, cexp, fs, times, rescaling, eps_target, ratio_tol,
+                        large_tol, rows):
+    """Large data: rescale by _rescaling's (lam0, pad), verify there, undo for reporting.
+
+    The rescaled run must obey the small-data bound, and the bound transported
+    back through the scaling factor gives the measured large-data constant
+    relative to (1 + norm)^c * norm.
+    """
+    lam0, pad = rescaling
     u_small = scale_field(u0, lam0, pad=pad)
     n_small = modulation_norm(u_small, mp)
     traj = evolve(u_small, fs, times)

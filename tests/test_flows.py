@@ -14,7 +14,7 @@ from modspec import (
     sech_field,
 )
 from modspec.flows import dispersion_symbol
-from oracles import linear_propagator
+from oracles import fused_strang, linear_propagator
 
 
 def l2_dist(a: Field, b: Field) -> float:
@@ -247,6 +247,41 @@ def test_fused_steps_match_unfused_strang(grid_ref, eq):
     traj = evolve(u0, fs, [0.02, 0.05])
     for n, u in zip((20, 50), traj.fields):
         assert np.max(np.abs(u.values - _unfused_strang(u0, fs, n))) <= 1e-13
+
+
+@pytest.mark.parametrize("sign", ["defocusing", "focusing"])
+@pytest.mark.parametrize("rows", ["mkdv", "mkdv_nls", "boost_batch"])
+def test_rk4_substep_is_bit_identical_to_allocating_oracle(grid_ref, sign, rows):
+    """The in-place RK4 substep keeps the allocating substep's arithmetic bit for bit,
+    for one mkdv row, one mixed row (k = 2) and the 12-row boost batch."""
+    u0 = gaussian_field(grid_ref, amplitude=0.3)
+    if rows == "boost_batch":
+        ks = [float(k) for k in range(-5, 6)]
+        fields = [u0] + [galilei_boost(u0, BoostSpec(k, 0.0, "mkdv")) for k in ks]
+        specs = [FlowSpec("mkdv", sign, dt=1e-3)] + [
+            FlowSpec("mkdv_nls", sign, dt=1e-3, k=k) for k in ks]
+    else:
+        fields, specs = [u0], [FlowSpec(rows, sign, dt=1e-3, k=2.0)]
+    trajs = evolve_batch(fields, specs, [0.01, 0.02])
+    for i, n in enumerate((10, 20)):
+        ref = fused_strang(fields, specs, n)
+        assert np.array_equal(np.array([tr.fields[i].values for tr in trajs]), ref)
+
+
+@pytest.mark.parametrize("eq", ["mkdv", "nls"])
+@pytest.mark.parametrize("n_rows", [1, 3])
+def test_snapshots_and_inputs_are_not_aliased_to_the_state(grid_ref, eq, n_rows):
+    """The state is updated in place: no snapshot and no input may share its memory."""
+    fields = [gaussian_field(grid_ref, amplitude=a) for a in (0.3, 0.2, 0.1)[:n_rows]]
+    kept = [np.array(u.values) for u in fields]
+    signs = ("defocusing", "focusing", "focusing")[:n_rows]
+    specs = [FlowSpec(eq, sign, dt=1e-3) for sign in signs]
+    two = evolve_batch(fields, specs, [0.01, 0.02])
+    one = evolve_batch(fields, specs, [0.01])
+    for a, b in zip(two, one):
+        assert np.array_equal(a.fields[0].values, b.fields[0].values)
+    for u, values in zip(fields, kept):
+        assert np.array_equal(u.values, values)
 
 
 def test_blow_up_names_the_row(grid_ref):

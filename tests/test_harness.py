@@ -411,6 +411,33 @@ def test_ps_independent_work_runs_once(monkeypatch, driver, name, expected):
     assert len(calls) == expected(cfg)
 
 
+def test_apriori_pad_budget_is_checked_before_any_flow(tmp_path, monkeypatch, capsys):
+    """A large amplitude whose rescaling pad exceeds the budget at a later (p, s) pair
+    is a config error raised before any flow runs."""
+    from modspec.harness import experiments
+
+    calls = []
+
+    def counted(name):
+        inner = getattr(experiments, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return inner(*args, **kwargs)
+        return call
+
+    for name in ("evolve_batch", "evolve"):
+        monkeypatch.setattr(experiments, name, counted(name))
+    cfg = small_cfg(amplitudes=[3.0, 0.0, 0.1], ps=[[2.0, 0.0], [1.0, 0.0], [4.0, 1.0]])
+    with pytest.raises(ConfigError, match="rescaling pad .* exceeds the budget"):
+        run_apriori(cfg)
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps(cfg.to_dict()))
+    assert main(["apriori", "--config", str(cfgp), "--out", str(tmp_path / "out")]) == 2
+    assert "exceeds the budget" in capsys.readouterr().err
+    assert calls == []
+
+
 def test_every_ps_pair_sees_the_same_fields():
     """A random_band family is drawn once: both (p, s) blocks hold the same field data."""
     family = {"kind": "random_band", "amplitude": 0.3, "count": 1}
