@@ -114,7 +114,7 @@ def alpha2(f: Field, kp) -> float:
 
 
 def beta2(f: Field, kp, shift: float = 0.0) -> float:
-    """24 kappa^3 * integral |fhat|^2 / ((4k^2 + z^2)(16k^2 + z^2)) dxi, z = xi - shift.
+    """24 kappa^3 * integral |fhat|^2 / ((4 kappa^2 + z^2)(16 kappa^2 + z^2)) dxi, z = xi - shift.
 
     By partial fractions the cell weights are those of alpha2 at kappa
     minus half those at 2 kappa, so beta2 == alpha2(kappa) - alpha2(2 kappa)/2

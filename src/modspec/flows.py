@@ -12,13 +12,16 @@ substep is an exact phase rotation; the mkdv and mixed substeps use RK4
 with spectral derivatives and a 2/3-rule dealiasing mask on every
 product.
 
-`evolve_batch` advances a batch of fields as one (B, N) array, with FFTs
+`evolve_batch` advances a batch of fields as (B, N) arrays, with FFTs
 along the last axis; `evolve` is its one-row case.  Between snapshots the
 state stays spectral and the trailing half-step of one step is fused with
 the leading half-step of the next (first-same-as-last Strang).  An nls
 step takes 2 FFTs.  A mkdv or mkdv_nls step makes 8 transform calls doing
 12 transforms of work: each RK4 stage inverts its masked input and that
-input's derivative in one stacked ifft call.  The RK4 work arrays are
+input's derivative in one stacked inverse call.  Real data is invariant
+under mkdv, so the mkdv rows whose samples are exactly real step on half
+spectra with rfft/irfft (the same 8 calls, on N/2 + 1 frequencies); every
+other row steps on full spectra with fft/ifft.  The RK4 work arrays are
 allocated once per `evolve_batch` call, and the state is updated in place.
 The blow-up check is a per-row certificate on the spectral state.
 """
@@ -77,11 +80,16 @@ def dispersion_symbol(equation: str, xi: np.ndarray, k: float = 0.0) -> np.ndarr
 
 
 class _Stepper:
-    """Fused Strang steps of a (B, N) batch on numpy's natural-order fft/ifft pair.
+    """Fused Strang steps of a (B, N) batch on numpy's natural-order transforms.
 
-    Row i evolves under specs[i].  Equation, sign and k enter only as per-row
-    (B, N) multipliers and a (B, 1) sign column (k = 0 for an mkdv row); the
+    Row i evolves under specs[i]; the caller has checked that the rows share dt
+    and the kind of nonlinear substep.  Equation, sign and k enter only as
+    per-row multipliers and a (B, 1) sign column (k = 0 for an mkdv row); the
     multipliers are diagonal, so the transform's order and scale cancel in a step.
+    The complex kind steps full spectra with fft/ifft.  The real kind is for
+    mkdv rows with real samples, which the flow keeps real: it steps the
+    nonnegative half of each spectrum with rfft/irfft, on the same multipliers
+    restricted to that half, and its rows' samples are real arrays.
     The state is the spectrum after a step's leading linear half-step, and `step`
     applies the nonlinear substep to it in place.  The caller fuses a step's
     trailing half-step with the next step's leading one into one full-step factor,
@@ -89,17 +97,24 @@ class _Stepper:
     certificate trips).
     """
 
-    def __init__(self, grid: GridSpec, specs):
+    def __init__(self, grid: GridSpec, specs, real: bool = False):
         self.dt = specs[0].dt
         self.nls = specs[0].equation == "nls"
-        if any(fs.dt != self.dt or (fs.equation == "nls") != self.nls for fs in specs):
-            raise ValueError("batched rows must share dt and the kind of nonlinear substep")
+        self.n, self.real = grid.n, real
         xi = np.fft.ifftshift(grid.xi)
+        if real:
+            xi = xi[: grid.n // 2 + 1]  # rfft's half: xi >= 0, then the Nyquist entry
         self.half = np.exp(np.stack([dispersion_symbol(fs.equation, xi, fs.k) for fs in specs])
                            * self.dt / 2.0)
         self.half[:, grid.n // 2] = 0.0  # unpaired Nyquist mode breaks Hermitian symmetry
         self.full = self.half * self.half
         self.half_max = np.max(np.abs(self.half), axis=-1)
+        # sum |s| over the full spectrum: a half-spectrum entry other than 0 and
+        # Nyquist stands for itself and its mirror
+        self.weight = 1.0
+        if real:
+            self.weight = np.full(xi.size, 2.0)
+            self.weight[[0, -1]] = 1.0
         self.mask = (np.abs(xi) <= grid.n // 3 * grid.dxi).astype(float)
         sigma = np.array([[fs.sigma] for fs in specs])
         self.c_rot = -2j * sigma
@@ -107,20 +122,35 @@ class _Stepper:
         k = np.array([[fs.k if fs.equation == "mkdv_nls" else 0.0] for fs in specs])
         self.deriv = 6.0 * sigma * 1j * (xi + k)
         if not self.nls:  # RK4 work arrays, reused by every step
-            shape = (len(specs), grid.n)
-            # a stage's masked input, and deriv times it: one ifft call transforms both
+            shape = (len(specs), xi.size)
+            # a stage's masked input, and deriv times it: one inverse call transforms both
             self.stack = np.empty((2, *shape), complex)
             self.slopes = np.empty((4, *shape), complex)  # k1..k4
             self.masked = np.empty(shape, complex)  # the masked state
 
+    def forward(self, a: np.ndarray) -> np.ndarray:
+        """The unscaled spectra of the rows of a, along its last axis."""
+        return np.fft.rfft(a) if self.real else np.fft.fft(a)
+
+    def inverse(self, s: np.ndarray) -> np.ndarray:
+        """The samples of the spectra s, real arrays for the real kind."""
+        return np.fft.irfft(s, self.n) if self.real else np.fft.ifft(s)
+
+    def start(self, values: np.ndarray) -> np.ndarray:
+        """The state of the (B, N) samples `values`: their spectra after a leading half-step."""
+        return self.forward(values.real if self.real else values) * self.half
+
     def _nonlinear_rhs(self, out):
         """Write to out the masked spectrum of the nonlinear term at stack[0], a masked spectrum."""
         np.multiply(self.deriv, self.stack[0], out=self.stack[1])
-        v, dv = np.fft.ifft(self.stack)
-        w = v.real**2
-        w += v.imag**2
+        v, dv = self.inverse(self.stack)
+        if self.real:
+            w = v * v
+        else:
+            w = v.real**2
+            w += v.imag**2
         np.multiply(w, dv, out=dv)
-        np.multiply(np.fft.fft(dv), self.mask, out=out)
+        np.multiply(self.forward(dv), self.mask, out=out)
 
     def step(self, s: np.ndarray) -> None:
         """The nonlinear substep, in place on the spectral state s."""
@@ -149,14 +179,15 @@ class _Stepper:
     def blown_up_row(self, s: np.ndarray):
         """First row whose physical field is non-finite or exceeds BLOWUP_THRESHOLD, else None.
 
-        Under numpy's ifft, max|v| <= max|half| * sum|s| / N, and the sum carries
-        NaN and inf; the physical field is formed only for rows where this bound trips.
+        Under numpy's ifft, max|v| <= max|half| * sum|s| / N, summed over the full
+        spectrum, and the sum carries NaN and inf; the physical field is formed
+        only for rows where this bound trips.
         """
-        bound = self.half_max * np.sum(np.abs(s), axis=-1) / s.shape[-1]
+        bound = self.half_max * np.sum(np.abs(s) * self.weight, axis=-1) / self.n
         if np.all(bound <= BLOWUP_THRESHOLD):
             return None
         for i in np.flatnonzero(~(bound <= BLOWUP_THRESHOLD)):
-            v = np.fft.ifft(s[i] * self.half[i])
+            v = self.inverse(s[i] * self.half[i])
             if not np.all(np.isfinite(v)) or np.max(np.abs(v)) > BLOWUP_THRESHOLD:
                 return int(i)
         return None
@@ -178,24 +209,40 @@ def evolve_batch(fields, specs, snapshot_times, observers=()) -> list[Trajectory
     multiples of |dt|; dt < 0 integrates backward.  Each observer is a callable
     (t, Field) -> dict of scalars, evaluated per snapshot and row.  The t = 0
     snapshot is the input Field itself.
+
+    The mkdv rows whose samples have imaginary part exactly 0 step as one group
+    on half spectra (the real kind of _Stepper), every other row as a second
+    group; a row's arithmetic depends only on that row.
     """
     if not fields or len(fields) != len(specs):
         raise ValueError("evolve_batch needs one FlowSpec per field, and at least one field")
     grid = fields[0].grid
     if any(u.grid != grid for u in fields):
         raise ValueError("batched rows must share the grid")
+    dt_signed, nls = specs[0].dt, specs[0].equation == "nls"
+    if any(fs.dt != dt_signed or (fs.equation == "nls") != nls for fs in specs):
+        raise ValueError("batched rows must share dt and the kind of nonlinear substep")
     snap = sorted(float(t) for t in snapshot_times)
     if snap and snap[0] < 0:
         raise ValueError("snapshot times must be nonnegative elapsed times")
-    stepper = _Stepper(grid, specs)
-    dt = abs(stepper.dt)
-    sign = np.sign(stepper.dt)
+    dt = abs(dt_signed)
+    sign = np.sign(dt_signed)
     targets = {}
     for t in snap:
         n = int(round(t / dt))
         if abs(n * dt - t) > 1e-6 * dt:
             raise ValueError(f"snapshot time {t} is not a multiple of dt = {dt}")
         targets[n] = t
+
+    real = [fs.equation == "mkdv" and np.all(u.values.imag == 0) for u, fs in zip(fields, specs)]
+    # (caller rows, stepper, state); the state is owned here: steps update it in
+    # place, and snapshots are separate arrays
+    groups = []
+    for kind in (True, False):
+        rows = [i for i, r in enumerate(real) if r == kind]
+        if rows:
+            stepper = _Stepper(grid, [specs[i] for i in rows], real=kind)
+            groups.append((rows, stepper, stepper.start(np.array([fields[i].values for i in rows]))))
 
     trajs = [Trajectory([], [], []) for _ in fields]
 
@@ -212,23 +259,30 @@ def evolve_batch(fields, specs, snapshot_times, observers=()) -> list[Trajectory
     if 0 in targets:
         record(0, fields)
     n_last = max(targets, default=0)
-    # the state is owned here: steps update it in place, and snapshots are separate ifft arrays
-    s = np.fft.fft(np.array([u.values for u in fields])) * stepper.half
     t_good = 0.0
     for n in range(1, n_last + 1):
-        stepper.step(s)
-        bad = stepper.blown_up_row(s)
-        if bad is not None:
+        bad = []
+        for rows, stepper, s in groups:
+            stepper.step(s)
+            i = stepper.blown_up_row(s)
+            if i is not None:
+                bad.append(rows[i])
+        if bad:
             raise BlowUpError(
-                f"blow-up in row {bad} before step {n}; horizon unreached, "
+                f"blow-up in row {min(bad)} before step {n}; horizon unreached, "
                 f"last good time {t_good}",
-                last_good_time=t_good, row=bad,
+                last_good_time=t_good, row=min(bad),
             )
         t_good = sign * n * dt
         if n in targets:
-            record(n, [Field(grid, v) for v in np.fft.ifft(s * stepper.half)])
+            snapshot = [None] * len(fields)
+            for rows, stepper, s in groups:
+                for i, v in zip(rows, stepper.inverse(s * stepper.half)):
+                    snapshot[i] = Field(grid, v)
+            record(n, snapshot)
         if n < n_last:
-            s *= stepper.full
+            for _, stepper, s in groups:
+                s *= stepper.full
     return trajs
 
 

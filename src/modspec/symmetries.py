@@ -75,7 +75,7 @@ def galilei_boost(u: Field, b: BoostSpec) -> Field:
 def boosted_beta2(u: Field, k: float, kappa: float) -> float:
     """Quadratic functional of the boosted field, evaluated without boosting:
 
-    24 kappa^3 * integral |uhat|^2 / ((4k^2 + (xi-k)^2)(16k^2 + (xi-k)^2)) dxi.
+    24 kappa^3 * integral |uhat|^2 / ((4 kappa^2 + (xi-k)^2)(16 kappa^2 + (xi-k)^2)) dxi.
     """
     if not kappa > 0:
         raise ValueError(f"kappa must be positive, got {kappa}")

@@ -107,16 +107,22 @@ class AllocatingSubstep:
     """The nonlinear substep with fresh arrays per stage, on a stepper's multipliers.
 
     Its arithmetic is the stepper's, written out of place: the package's work
-    arrays and in-place updates must reproduce it bit for bit.
+    arrays and in-place updates must reproduce it bit for bit.  On a real-kind
+    stepper it steps half spectra with rfft/irfft and squares real samples.
     """
 
     def __init__(self, stepper: _Stepper):
         self.dt, self.nls, self.mask = stepper.dt, stepper.nls, stepper.mask
         self.deriv, self.c_rot = stepper.deriv, stepper.c_rot
+        self.real, self.n = stepper.real, stepper.n
 
     def _nonlinear_rhs(self, s):
         """Masked spectrum of the nonlinear term at the masked spectrum of s."""
         s = s * self.mask
+        if self.real:
+            v = np.fft.irfft(s, self.n)
+            w = v * v * np.fft.irfft(self.deriv * s, self.n)
+            return np.fft.rfft(w) * self.mask
         v = np.fft.ifft(s)
         w = (v.real**2 + v.imag**2) * np.fft.ifft(self.deriv * s)
         return np.fft.fft(w) * self.mask
@@ -135,15 +141,31 @@ class AllocatingSubstep:
 
 
 def fused_strang(fields, specs, n_steps) -> np.ndarray:
-    """(B, N) physical fields after n_steps fused Strang steps, substep by AllocatingSubstep."""
-    stepper = _Stepper(fields[0].grid, specs)
-    substep = AllocatingSubstep(stepper)
-    s = np.fft.fft(np.array([u.values for u in fields])) * stepper.half
-    for n in range(1, n_steps + 1):
-        s = substep.step(s)
-        if n < n_steps:
-            s = s * stepper.full
-    return np.fft.ifft(s * stepper.half)
+    """(B, N) physical fields after n_steps fused Strang steps, substep by AllocatingSubstep.
+
+    As in evolve_batch, the mkdv rows with exactly real samples step together on
+    half spectra and the other rows on full spectra; rows keep the caller's order.
+    """
+    out = np.empty((len(fields), fields[0].grid.n), complex)
+    real = np.array([fs.equation == "mkdv" and not np.any(u.values.imag)
+                     for u, fs in zip(fields, specs)])
+    for rows in (np.flatnonzero(real), np.flatnonzero(~real)):
+        if rows.size == 0:
+            continue
+        stepper = _Stepper(fields[0].grid, [specs[i] for i in rows], real=bool(real[rows[0]]))
+        substep = AllocatingSubstep(stepper)
+        values = np.array([fields[i].values for i in rows])
+        if stepper.real:
+            s = np.fft.rfft(values.real) * stepper.half
+        else:
+            s = np.fft.fft(values) * stepper.half
+        for n in range(1, n_steps + 1):
+            s = substep.step(s)
+            if n < n_steps:
+                s = s * stepper.full
+        out[rows] = (np.fft.irfft(s * stepper.half, stepper.n) if stepper.real
+                     else np.fft.ifft(s * stepper.half))
+    return out
 
 
 def equicontinuity_tail(profiles, mp, K: int) -> float:

@@ -135,9 +135,15 @@ def test_time_reversibility(grid_ref):
 
 
 def test_real_data_stays_real_under_mkdv(grid_ref):
+    """The mkdv row steps on half spectra, so its samples stay exactly real; the
+    same equation as mkdv_nls at k = 0 steps on full spectra and must stay real
+    up to roundoff, next to the half-spectrum result."""
     u0 = gaussian_field(grid_ref, amplitude=0.3)
-    traj = evolve(u0, FlowSpec("mkdv", "focusing", dt=1e-3), [0.5])
-    assert np.max(np.abs(traj.fields[-1].values.imag)) <= 1e-9
+    half = evolve(u0, FlowSpec("mkdv", "focusing", dt=1e-3), [0.5]).fields[-1]
+    full = evolve(u0, FlowSpec("mkdv_nls", "focusing", dt=1e-3, k=0.0), [0.5]).fields[-1]
+    assert np.all(half.values.imag == 0)
+    assert np.max(np.abs(full.values.imag)) <= 1e-9
+    assert np.max(np.abs(full.values - half.values)) <= 1e-9
 
 
 @pytest.mark.parametrize("sign", ["defocusing", "focusing"])
@@ -250,16 +256,21 @@ def test_fused_steps_match_unfused_strang(grid_ref, eq):
 
 
 @pytest.mark.parametrize("sign", ["defocusing", "focusing"])
-@pytest.mark.parametrize("rows", ["mkdv", "mkdv_nls", "boost_batch"])
+@pytest.mark.parametrize("rows", ["mkdv", "mkdv_nls", "boost_batch", "complex_mkdv"])
 def test_rk4_substep_is_bit_identical_to_allocating_oracle(grid_ref, sign, rows):
     """The in-place RK4 substep keeps the allocating substep's arithmetic bit for bit,
-    for one mkdv row, one mixed row (k = 2) and the 12-row boost batch."""
+    for one mkdv row, one mixed row (k = 2), the 12-row boost batch and one mkdv row
+    with complex data.  Real mkdv rows (the first case and row 0 of the batch) step
+    on half spectra, the others on full spectra."""
     u0 = gaussian_field(grid_ref, amplitude=0.3)
     if rows == "boost_batch":
         ks = [float(k) for k in range(-5, 6)]
         fields = [u0] + [galilei_boost(u0, BoostSpec(k, 0.0, "mkdv")) for k in ks]
         specs = [FlowSpec("mkdv", sign, dt=1e-3)] + [
             FlowSpec("mkdv_nls", sign, dt=1e-3, k=k) for k in ks]
+    elif rows == "complex_mkdv":
+        fields = [gaussian_field(grid_ref, amplitude=0.3, center_freq=1.0)]
+        specs = [FlowSpec("mkdv", sign, dt=1e-3)]
     else:
         fields, specs = [u0], [FlowSpec(rows, sign, dt=1e-3, k=2.0)]
     trajs = evolve_batch(fields, specs, [0.01, 0.02])
@@ -285,12 +296,17 @@ def test_snapshots_and_inputs_are_not_aliased_to_the_state(grid_ref, eq, n_rows)
 
 
 def test_blow_up_names_the_row(grid_ref):
-    fields = [gaussian_field(grid_ref, amplitude=0.3), sech_field(grid_ref, amplitude=50.0)]
+    """BlowUpError names the caller's row, whichever group (real or complex mkdv
+    data) it steps in; rows of both groups tripping in one step name the first."""
+    ok = gaussian_field(grid_ref, amplitude=0.3)
+    real_bad = sech_field(grid_ref, amplitude=50.0)
+    complex_bad = gaussian_field(grid_ref, amplitude=50.0, center_freq=1.0)
     specs = [FlowSpec("mkdv", "focusing", dt=5e-2)] * 2
-    with pytest.raises(BlowUpError, match="row 1 ") as err:
-        evolve_batch(fields, specs, [1.0])
-    assert err.value.row == 1
-    assert err.value.last_good_time is not None
+    for fields, row in (([ok, real_bad], 1), ([ok, complex_bad], 1), ([complex_bad, real_bad], 0)):
+        with pytest.raises(BlowUpError, match=f"row {row} ") as err:
+            evolve_batch(fields, specs, [1.0])
+        assert err.value.row == row
+        assert err.value.last_good_time is not None
 
 
 @pytest.mark.parametrize("eq", ["nls", "mkdv"])
