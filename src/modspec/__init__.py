@@ -7,7 +7,6 @@ from .grid import (
     GridError,
     GridSpec,
     band_indicator_field,
-    band_l2,
     band_profile,
     forward_transform,
     gaussian_field,
@@ -33,10 +32,8 @@ from .conserved import (
     SpectralParameter,
     alpha2,
     alpha4,
-    alpha_full,
     alpha_terms,
     beta2,
-    beta_full,
     build_operator,
     quartic_integral,
     tail_bound,
@@ -44,7 +41,6 @@ from .conserved import (
 from .symmetries import (
     BoostSpec,
     apriori_exponent,
-    boosted_beta2,
     galilei_boost,
     scale_field,
     scaling_bound_factor,

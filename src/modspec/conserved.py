@@ -44,7 +44,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import Field, GridSpec
-from .norms import bracket
+from .norms import bracket, check_kappa
 
 DEFOCUSING = "defocusing"
 FOCUSING = "focusing"
@@ -76,21 +76,13 @@ class SpectralParameter:
     sign: str = DEFOCUSING
 
     def __post_init__(self):
-        if not self.kappa > 0:
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
+        check_kappa(self.kappa)
         if self.sign not in (DEFOCUSING, FOCUSING):
             raise ValueError(f"sign must be '{DEFOCUSING}' or '{FOCUSING}'")
 
     @property
     def defocusing(self) -> bool:
         return self.sign == DEFOCUSING
-
-    def doubled(self) -> "SpectralParameter":
-        return SpectralParameter(2.0 * self.kappa, self.sign)
-
-
-def _kappa_of(kp) -> float:
-    return kp.kappa if isinstance(kp, SpectralParameter) else float(kp)
 
 
 # ---------------------------------------------------------------------------
@@ -102,25 +94,26 @@ def _arctan_cells(xi: np.ndarray, dxi: float, kappa: float, shift: float = 0.0) 
     return np.arctan((z + dxi) / (2.0 * kappa)) - np.arctan(z / (2.0 * kappa))
 
 
-def alpha2(f: Field, kp) -> float:
+def alpha2(f: Field, kappa: float) -> float:
     """Quadratic term: 2 kappa * integral |fhat|^2 / (4 kappa^2 + xi^2) dxi.
 
     The kernel is integrated exactly over each lattice cell, so band
     indicators evaluate to the arctan closed form to machine precision.
     """
-    kappa = _kappa_of(kp)
+    check_kappa(kappa)
     g = f.grid
     return float(np.sum(np.abs(f.spectrum) ** 2 * _arctan_cells(g.xi, g.dxi, kappa)))
 
 
-def beta2(f: Field, kp, shift: float = 0.0) -> float:
+def beta2(f: Field, kappa: float, shift: float = 0.0) -> float:
     """24 kappa^3 * integral |fhat|^2 / ((4 kappa^2 + z^2)(16 kappa^2 + z^2)) dxi, z = xi - shift.
 
     By partial fractions the cell weights are those of alpha2 at kappa
     minus half those at 2 kappa, so beta2 == alpha2(kappa) - alpha2(2 kappa)/2
-    identically.
+    identically.  shift = k gives beta2 of the Galilei-boosted field u^k,
+    evaluated without boosting: |u^k-hat(xi)| = |uhat(xi + k)|.
     """
-    kappa = _kappa_of(kp)
+    check_kappa(kappa)
     g = f.grid
     w = _arctan_cells(g.xi, g.dxi, kappa, shift) - 0.5 * _arctan_cells(g.xi, g.dxi, 2.0 * kappa, shift)
     return float(np.sum(np.abs(f.spectrum) ** 2 * w))
@@ -336,18 +329,6 @@ def alpha_terms(f: Field, kp: SpectralParameter, n_op: int = DEFAULT_N_OP,
         coarse, m = rem, m // 2
     op.doubling_gap = gap
     return rem + (a2 + a4), a2, a4, op
-
-
-def alpha_full(f: Field, kp: SpectralParameter, n_op: int = DEFAULT_N_OP,
-               center: float = 0.0) -> float:
-    """Full conserved functional alpha(kappa); see alpha_terms."""
-    return alpha_terms(f, kp, n_op, center)[0]
-
-
-def beta_full(f: Field, kp: SpectralParameter, n_op: int = DEFAULT_N_OP,
-              center: float = 0.0) -> float:
-    """alpha_full at kappa minus half of alpha_full at 2 kappa."""
-    return alpha_full(f, kp, n_op, center) - 0.5 * alpha_full(f, kp.doubled(), n_op, center)
 
 
 def tail_bound(f: Field, k: float, ell: int) -> float:

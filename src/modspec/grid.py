@@ -71,12 +71,6 @@ class GridSpec:
         """
         return np.searchsorted(self.band_of, np.arange(-self.kmax, self.kmax + 2))
 
-    def band_slice(self, k: int) -> np.ndarray:
-        """Boolean mask of lattice points lying in I_k."""
-        if abs(k) > self.kmax:
-            raise BandRangeError(f"band {k} outside resolved lattice (|k| <= {self.kmax})")
-        return self.band_of == k
-
 
 def make_grid(n: int, length: float) -> GridSpec:
     if n < 16 or (n & (n - 1)) != 0:
@@ -140,12 +134,6 @@ class Field:
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.grid.dx))
 
 
-def band_l2(f: Field, k: int) -> float:
-    """L2 mass of the spectrum over the unit band I_k (lattice quadrature)."""
-    mask = f.grid.band_slice(k)
-    return float(np.sqrt(np.sum(np.abs(f.spectrum[mask]) ** 2) * f.grid.dxi))
-
-
 def spectral_power(f: Field | np.ndarray, grid: GridSpec | None = None) -> tuple:
     """(|fhat|^2, grid) of a Field, or of a (..., n) power array sampled on `grid`."""
     if isinstance(f, Field):
@@ -158,7 +146,8 @@ def spectral_power(f: Field | np.ndarray, grid: GridSpec | None = None) -> tuple
 
 
 def band_profile(f: Field | np.ndarray, grid: GridSpec | None = None) -> np.ndarray:
-    """band_l2 for every resolved k, ordered k = -kmax .. kmax along the last axis.
+    """L2 mass of the spectrum over each resolved unit band I_k (lattice quadrature),
+    ordered k = -kmax .. kmax along the last axis.
 
     `f` is a Field, or a (..., n) array of |fhat|^2 on `grid` whose rows are
     binned together: each band is a contiguous run of lattice points (see

@@ -237,7 +237,13 @@ def family_params(descriptor: dict) -> tuple:
             raise ConfigError(f"family key 'width' must be > 0, got {val}")
         if key == "count" and val < 1:
             raise ConfigError(f"family key 'count' must be >= 1, got {val}")
-    return kind, {**defaults, **{k: v for k, v in descriptor.items() if k != "kind"}}
+    params = {**defaults, **{k: v for k, v in descriptor.items() if k != "kind"}}
+    if kind == "random_band" and params["kmin"] > params["kmax"]:
+        raise ConfigError(f"family band range is empty: kmin {params['kmin']} > "
+                          f"kmax {params['kmax']}")
+    if kind == "band_indicator" and not params["lo"] < params["hi"]:
+        raise ConfigError(f"family band range is empty: lo {params['lo']} >= hi {params['hi']}")
+    return kind, params
 
 
 def build_family(descriptor: dict, grid: GridSpec, rng: np.random.Generator) -> list:
@@ -250,9 +256,16 @@ def build_family(descriptor: dict, grid: GridSpec, rng: np.random.Generator) -> 
     if kind == "soliton":
         return [sech_field(grid, d["amplitude"], d["shift"])]
     if kind == "band_indicator":
-        return [band_indicator_field(grid, d["lo"], d["hi"], d["amplitude"])]
-    return [random_band_field(grid, d["kmin"], d["kmax"], d["amplitude"], rng)
-            for _ in range(d["count"])]
+        held = (grid.xi >= d["lo"]) & (grid.xi < d["hi"])
+        members = [band_indicator_field(grid, d["lo"], d["hi"], d["amplitude"])]
+    else:
+        held = (grid.band_of >= d["kmin"]) & (grid.band_of <= d["kmax"])
+        members = [random_band_field(grid, d["kmin"], d["kmax"], d["amplitude"], rng)
+                   for _ in range(d["count"])]
+    if not held[1:].any():  # index 0 is the Nyquist mode, which Field.from_spectrum zeroes
+        raise ConfigError(f"family {kind!r} selects no frequency of the lattice "
+                          f"[{grid.xi[1]:g}, {grid.xi[-1]:g}]")
+    return members
 
 
 # Fields drawn per batched transform in iter_suite.  Larger blocks are no

@@ -32,7 +32,6 @@ from ..norms import (
 from ..symmetries import (
     BoostSpec,
     apriori_exponent,
-    boosted_beta2,
     galilei_boost,
     scale_field,
     scaled_grid,
@@ -155,7 +154,7 @@ def run_norm_equivalence(cfg: ExperimentConfig) -> RunResult:
     # the bands the truncated boost sweep ignores on the banded side (maybe none)
     beyond = np.abs(np.arange(-grid.kmax, grid.kmax + 1)) > kb
     # per (member, t), independent of (p, s): sqrt(beta2) over the boosts and the band profile
-    per_field = [[(np.sqrt([max(boosted_beta2(u, float(k), 0.5), 0.0) for k in cfg.boosts]),
+    per_field = [[(np.sqrt([max(beta2(u, 0.5, shift=float(k)), 0.0) for k in cfg.boosts]),
                    band_profile(u)) for u in traj.fields] for traj in trajs]
     profs0 = np.array([fields[0][1] for fields in per_field])  # t = 0: the members
     unresolved = max(
@@ -448,7 +447,7 @@ def run_tails(cfg: ExperimentConfig) -> RunResult:
             for k in cfg.boosts:
                 kf = float(k)
                 uk = galilei_boost(u, BoostSpec(kf, ti, cfg.equation))
-                b2 = boosted_beta2(u, kf, 0.5)
+                b2 = beta2(u, 0.5, shift=kf)
                 try:
                     a_half, _, a4_half, op_half = alpha_terms(uk, kp_half, cfg.n_op, -kf)
                     a_one, _, a4_one, op_one = alpha_terms(uk, kp_one, cfg.n_op, -kf)

@@ -14,6 +14,12 @@ import numpy as np
 from .grid import Field, GridSpec, band_profile, spectral_power
 
 
+def check_kappa(kappa: float) -> None:
+    """Reject a spectral parameter that is not a positive number (NaN included)."""
+    if not kappa > 0:
+        raise ValueError(f"kappa must be positive, got {kappa}")
+
+
 def bracket(x):
     """Nonvanishing bracket <x> = (4 + |x|^2)**(1/2); <0> = 2."""
     return np.sqrt(4.0 + np.abs(x) ** 2)
@@ -49,7 +55,7 @@ class ModulationParams:
 
 
 def modulation_norm(f: Field, mp: ModulationParams, weights: np.ndarray | None = None) -> float:
-    """l^p over resolved bands of c_k <k>^s band_l2(f, k); c == 1 when absent.
+    """l^p over resolved bands of c_k <k>^s band_profile(f)_k; c == 1 when absent.
 
     `weights` must supply one value per resolved band, ordered
     k = -kmax .. kmax (a WeightSequence.as_array() does).
@@ -124,8 +130,7 @@ def hs_functional(f: Field, kappa: float) -> float:
     multiplication operator; the determinant series converges when this
     is small.
     """
-    if not kappa > 0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
+    check_kappa(kappa)
     g = f.grid
     w = np.log(4.0 + g.xi**2 / kappa**2) / np.sqrt(4.0 * kappa**2 + g.xi**2)
     return float(np.sum(w * np.abs(f.spectrum) ** 2) * g.dxi)

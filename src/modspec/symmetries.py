@@ -72,16 +72,6 @@ def galilei_boost(u: Field, b: BoostSpec) -> Field:
     return Field(g, phase0 * np.exp(-1j * k * g.x) * vals)
 
 
-def boosted_beta2(u: Field, k: float, kappa: float) -> float:
-    """Quadratic functional of the boosted field, evaluated without boosting:
-
-    24 kappa^3 * integral |uhat|^2 / ((4 kappa^2 + (xi-k)^2)(16 kappa^2 + (xi-k)^2)) dxi.
-    """
-    if not kappa > 0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
-    return conserved.beta2(u, kappa, shift=k)
-
-
 def scaled_grid(g: GridSpec, lam: float, pad: int = 1) -> GridSpec:
     """The grid scale_field(f, lam, pad) puts a field on `g` onto: L -> lam L, pad * n points."""
     if not lam > 0:

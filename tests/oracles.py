@@ -2,17 +2,24 @@
 
 Each one computes a quantity the package computes differently, without
 sharing its code path, so the tests can cross-check the two: brute-force
-sums, dense matrix powers, the exact linear flow, and an RK4 substep that
-allocates a fresh array for every stage.
+sums, per-band masks, dense matrix powers, the exact linear flow, and an RK4
+substep that allocates a fresh array for every stage.
 """
 
 import numpy as np
 
 from modspec import Field
-from modspec.conserved import DEFAULT_N_OP, _kappa_of, _window
+from modspec.conserved import DEFAULT_N_OP, _window
 from modspec.equicont import _sup_tail
 from modspec.flows import _Stepper, dispersion_symbol
 from modspec.norms import band_terms
+
+
+def band_l2(f: Field, k: int) -> float:
+    """L2 mass of the spectrum over the unit band I_k from a mask of its own, the
+    reference for band_profile's run-based binning."""
+    mask = f.grid.band_of == k
+    return float(np.sqrt(np.sum(np.abs(f.spectrum[mask]) ** 2) * f.grid.dxi))
 
 
 def quartic_integral_direct(f: Field, kappa: float) -> float:
@@ -51,7 +58,7 @@ def quadratic_trace_windowed(f: Field, kp, n_op: int = DEFAULT_N_OP,
     with both theta and theta - zeta inside the window.  Cross-checks the
     dense matrix construction without sharing its code path.
     """
-    kappa = _kappa_of(kp)
+    kappa = kp.kappa
     g = f.grid
     w = _window(g, n_op, center, stride)
     h = stride * g.dxi

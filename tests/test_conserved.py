@@ -11,11 +11,9 @@ from modspec import (
     SpectralParameter,
     alpha2,
     alpha4,
-    alpha_full,
     alpha_terms,
     band_indicator_field,
     beta2,
-    beta_full,
     build_operator,
     evolve,
     galilei_boost,
@@ -42,13 +40,22 @@ def zero_field(grid):
     return Field(grid, np.zeros(grid.n, dtype=complex))
 
 
-def test_spectral_parameter_validation():
-    with pytest.raises(ValueError):
-        SpectralParameter(0.0)
+def beta_full(f, kp, n_op=DEFAULT_N_OP, center=0.0):
+    """alpha(kappa) - alpha(2 kappa) / 2, both from alpha_terms."""
+    kp2 = SpectralParameter(2.0 * kp.kappa, kp.sign)
+    return alpha_terms(f, kp, n_op, center)[0] - 0.5 * alpha_terms(f, kp2, n_op, center)[0]
+
+
+def test_spectral_parameter_validation(grid_small):
     with pytest.raises(ValueError):
         SpectralParameter(1.0, "both")
-    kp = SpectralParameter(0.5)
-    assert kp.defocusing and kp.doubled().kappa == 1.0
+    assert SpectralParameter(0.5).defocusing
+    f = gaussian_field(grid_small, 1.0, 0.3)
+    for kappa in (0.0, -0.5, np.nan):
+        for call in (lambda: SpectralParameter(kappa), lambda: alpha2(f, kappa),
+                     lambda: beta2(f, kappa), lambda: beta2(f, kappa, shift=2.0)):
+            with pytest.raises(ValueError, match="kappa must be positive"):
+                call()
 
 
 # ---------------------------------------------------------------------------
@@ -285,14 +292,14 @@ def test_radius_bound_falls_back_to_eigenvalues(grid_small):
     rho_dense = np.max(np.abs(np.linalg.eigvals(op.matrix)))
     assert np.linalg.norm(op.matrix) >= 1.0 > rho_dense
     assert op.radius_bound() == pytest.approx(rho_dense, abs=1e-10)
-    assert np.isfinite(alpha_full(f, kp, n_op=128))
+    assert np.isfinite(alpha_terms(f, kp, n_op=128)[0])
 
 
 # ---------------------------------------------------------------------------
 # full series
 
 def test_alpha_full_zero(grid_ref):
-    assert alpha_full(zero_field(grid_ref), SpectralParameter(0.5), n_op=128) == 0.0
+    assert alpha_terms(zero_field(grid_ref), SpectralParameter(0.5), n_op=128)[0] == 0.0
 
 
 @pytest.mark.parametrize("sign", ["defocusing", "focusing"])
@@ -329,19 +336,19 @@ def test_alpha_terms_parts(grid_mid, rng, sign):
     f = random_smooth_field(grid_mid, rng, amplitude=0.25)
     alpha, a2, a4, op = alpha_terms(f, kp, n_op=256)
     assert (a2, a4) == (alpha2(f, 0.5), alpha4(f, kp))
-    assert alpha == op.log_det_remainder() + (a2 + a4) == alpha_full(f, kp, n_op=256)
+    assert alpha == op.log_det_remainder() + (a2 + a4)
     low = alpha_series_partial_sums(op, 2)[-1]
     assert abs(op.log_det_remainder() - (op.log_det() - low)) <= 1e-14
 
 
 def test_alpha_full_low_order_structure(grid_ref):
-    """|alpha_full - alpha2 - alpha4| <= C hs^3 with one C over the amplitude sweep."""
+    """|alpha - alpha2 - alpha4| <= C hs^3 with one C over the amplitude sweep."""
     kp = SpectralParameter(0.5)
     f0 = gaussian_field(grid_ref, amplitude=1.0)
     consts = []
     for eps in (0.1, 0.03, 0.01):
         f = Field.from_spectrum(grid_ref, eps * f0.spectrum)
-        lhs = abs(alpha_full(f, kp) - alpha2(f, kp) - alpha4(f, kp))
+        lhs = abs(alpha_terms(f, kp)[0] - alpha2(f, 0.5) - alpha4(f, kp))
         consts.append(lhs / hs_functional(f, 0.5) ** 3)
     assert max(consts) <= 0.1
     assert max(consts) / min(consts) <= 5.0
@@ -355,7 +362,7 @@ def test_alpha_full_small_amplitude_expansion(grid_ref):
     ratios = []
     for eps in (1e-1, 3e-2, 1e-2):
         f = Field.from_spectrum(grid_ref, eps * f0.spectrum)
-        resid = alpha_full(f, kp) - eps**2 * a2_base - eps**4 * a4_base
+        resid = alpha_terms(f, kp)[0] - eps**2 * a2_base - eps**4 * a4_base
         ratios.append(abs(resid) / eps**6)
     assert max(ratios) <= 10.0 * min(r for r in ratios if r > 0)
 
@@ -363,7 +370,7 @@ def test_alpha_full_small_amplitude_expansion(grid_ref):
 def test_alpha_full_divergence_guard(grid_ref):
     f = gaussian_field(grid_ref, amplitude=4.0)
     with pytest.raises(SeriesDivergenceError):
-        alpha_full(f, SpectralParameter(0.5))
+        alpha_terms(f, SpectralParameter(0.5))
 
 
 def test_beta_full_zero_and_quadratic_part(grid_ref):
@@ -382,14 +389,12 @@ def test_beta_full_zero_and_quadratic_part(grid_ref):
 
 def test_tail_bound_dominates_high_order_parts(grid_ref):
     """|beta_{>=6}| <= C tail^3 and |beta_{>=4}| <= C tail^2 across boosts."""
-    from modspec import BoostSpec, boosted_beta2, galilei_boost
-
     kp_h = SpectralParameter(0.5)
     kp_1 = SpectralParameter(1.0)
     u = gaussian_field(grid_ref, 1.2, 0.3)
     for k in (0.0, 2.0, 4.0):
         uk = galilei_boost(u, BoostSpec(k, 0.0, "mkdv"))
-        b2 = boosted_beta2(u, k, 0.5)
+        b2 = beta2(u, 0.5, shift=k)
         b4 = alpha4(uk, kp_h) - 0.5 * alpha4(uk, kp_1)
         bf = beta_full(uk, kp_h, center=-k)
         b6 = bf - b2 - b4

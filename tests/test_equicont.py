@@ -5,7 +5,6 @@ from modspec import (
     Field,
     ModulationParams,
     NotEquicontinuousError,
-    WeightSequence,
     band_indicator_field,
     band_profile,
     build_weights,

@@ -7,7 +7,6 @@ from modspec import (
     Field,
     GridError,
     band_indicator_field,
-    band_l2,
     band_profile,
     forward_transform,
     gaussian_field,
@@ -21,6 +20,7 @@ from modspec.harness import ExperimentConfig
 from modspec.harness.config import random_suite
 from modspec.symmetries import scaled_grid
 from conftest import random_smooth_field
+from oracles import band_l2
 
 
 def test_make_grid_lattice_spacing():
@@ -81,23 +81,19 @@ def test_real_field_has_hermitian_spectrum(grid_ref, rng):
 
 def test_band_l2_indicator(grid_ref):
     f = band_indicator_field(grid_ref, -0.5, 0.5)
-    assert band_l2(f, 0) == pytest.approx(1.0, abs=1e-12)
-    assert band_l2(f, 3) == 0.0
+    prof, kmax = band_profile(f), grid_ref.kmax
+    assert prof[kmax + 0] == pytest.approx(1.0, abs=1e-12)
+    assert prof[kmax + 3] == 0.0
 
 
 def test_band_l2_gaussian_against_quadrature(grid_ref):
     spec = np.exp(-grid_ref.xi**2 / 2)
     f = Field.from_spectrum(grid_ref, spec.astype(complex))
+    prof, kmax = band_profile(f), grid_ref.kmax
     oracle0 = np.sqrt(quad(lambda t: np.exp(-t**2), -0.5, 0.5)[0])
-    assert band_l2(f, 0) == pytest.approx(oracle0, rel=1e-4)
+    assert prof[kmax + 0] == pytest.approx(oracle0, rel=1e-4)
     oracle1 = np.sqrt(quad(lambda t: np.exp(-t**2), 0.5, 1.5)[0])
-    assert band_l2(f, 1) == pytest.approx(oracle1, rel=5e-2)
-
-
-def test_band_out_of_range(grid_ref):
-    f = band_indicator_field(grid_ref, -0.5, 0.5)
-    with pytest.raises(BandRangeError):
-        band_l2(f, grid_ref.kmax + 1)
+    assert prof[kmax + 1] == pytest.approx(oracle1, rel=5e-2)
 
 
 def test_band_squares_sum_to_resolved_l2(grid_ref, rng):
@@ -111,7 +107,7 @@ def test_band_squares_sum_to_resolved_l2(grid_ref, rng):
 
 @pytest.mark.parametrize("n, length", [(1024, 32 * np.pi), (64, 0.7 * np.pi)])
 def test_band_profile_matches_band_masks(n, length, rng):
-    """The run-based binning agrees with band_l2's per-band masks, also on a lattice
+    """The run-based binning agrees with per-band masks (oracles.band_l2), also on a lattice
     coarser than the bands (dxi > 1), where some bands, the last included, hold no point."""
     g = make_grid(n, length)
     f = random_smooth_field(g, rng, decay=30.0)

@@ -136,6 +136,9 @@ def test_unknown_family_kind(grid_small, rng):
     ({"family": {"kind": "gaussian", "width": math.inf}}, "width"),
     ({"family": {"kind": "gaussian", "width": -1.0}}, "width"),
     ({"family": {"kind": "gaussian", "width": 0}}, "width"),
+    # a band range that selects no frequency on any grid
+    ({"family": {"kind": "random_band", "kmin": 3, "kmax": -3}}, "kmin"),
+    ({"family": {"kind": "band_indicator", "lo": 2.0, "hi": 1.0}}, "lo"),
 ])
 def test_config_rejects_bad_nested_maps(over, match):
     with pytest.raises(ConfigError, match=match):
@@ -636,6 +639,9 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     # not a divergent series or a blow-up
     ["conserve", {"family": {"kind": "gaussian", "width": 0}}],
     ["normequiv", {"family": {"kind": "gaussian", "width": 0}}],
+    # band ranges past the lattice (|xi| < 16 here) would build the zero field
+    ["conserve", {"family": {"kind": "random_band", "kmin": 100, "kmax": 200}}],
+    ["conserve", {"family": {"kind": "band_indicator", "lo": 50.0, "hi": 60.0}}],
 ])
 def test_cli_config_errors_exit_2(tmp_path, capsys, extra):
     over = extra[-1] if isinstance(extra[-1], dict) else {}

@@ -3,12 +3,10 @@ import pytest
 
 from modspec import (
     BoostSpec,
-    Field,
     ModulationParams,
     apriori_exponent,
     band_indicator_field,
     beta2,
-    boosted_beta2,
     forward_transform,
     galilei_boost,
     gaussian_field,
@@ -59,16 +57,16 @@ def test_boost_modulus_identity_at_positive_time(grid_ref, rng, eq):
 def test_boosted_beta2_matches_boost_then_evaluate(grid_ref, rng):
     f = random_smooth_field(grid_ref, rng, carrier=-2.0)
     for k in (-5.0, 0.0, 3.0):
-        direct = boosted_beta2(f, k, 0.5)
+        direct = beta2(f, 0.5, shift=k)
         composed = beta2(galilei_boost(f, BoostSpec(k, 0.0, "mkdv")), 0.5)
         assert abs(direct - composed) <= 1e-10
-    assert boosted_beta2(f, 0.0, 0.5) == beta2(f, 0.5)
+    assert beta2(f, 0.5, shift=0.0) == beta2(f, 0.5)
 
 
 def test_boosted_beta2_translation_covariance(grid_ref):
     a = band_indicator_field(grid_ref, 4.5, 5.5)
     b = band_indicator_field(grid_ref, -0.5, 0.5)
-    assert boosted_beta2(a, 5.0, 0.5) == pytest.approx(boosted_beta2(b, 0.0, 0.5), rel=1e-12)
+    assert beta2(a, 0.5, shift=5.0) == pytest.approx(beta2(b, 0.5, shift=0.0), rel=1e-12)
 
 
 def test_scale_field_identity_and_l2(grid_ref, rng):
