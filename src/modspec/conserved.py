@@ -13,9 +13,11 @@ Three kinds of evaluation coexist and cross-check each other:
 * exact-cell quadratures for the quadratic terms (alpha2, beta2) using the
   arctan antiderivative on the cells [xi_j, xi_j + dxi) -- exact for
   band-indicator spectra;
-* an FFT-accelerated quadrature for the quartic term;
+* an FFT-accelerated quadrature for the quartic term: its correlations
+  take one batched forward and one batched inverse transform call;
 * a dense matrix discretization of A on a frequency window, whose
-  log-determinant sums the whole series.
+  log-determinant sums the whole series; the matrix is formed from the
+  half operator on first read.
 
 The matrix window necessarily truncates the resolvent lattice, which
 perturbs the low-order traces by O(1/window).  alpha_terms is therefore
@@ -39,6 +41,7 @@ first: by ||A||_F when that is below 1, else by a dense eigen-solve.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -136,14 +139,6 @@ def _check_aliasing(f: Field):
         )
 
 
-def _linear_correlation(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """corr[l] = sum_j u[j] v[j - l] for lags l = -(n-1) .. n-1, zero padded."""
-    n = len(u)
-    m = 1 << (2 * n - 1).bit_length()
-    w = np.fft.ifft(np.fft.fft(u, m) * np.fft.fft(v[::-1], m))[: 2 * n - 1]
-    return w
-
-
 def quartic_integral(f: Field, kappa: float) -> float:
     """Symmetrized quartic frequency integral
 
@@ -151,25 +146,32 @@ def quartic_integral(f: Field, kappa: float) -> float:
               * conj(fhat(x1) fhat(x3)) fhat(x2) fhat(x4) / (D1 D2 D4),
 
     over lattice triples with x4 = x1 - x2 + x3 and D_i = 4 k^2 + x_i^2.
-    The weight factors into separable terms, which reduces the triple sum
-    to linear cross-correlations.
+    The weight factors into four separable terms, which reduces the triple sum
+    to linear cross-correlations corr(u, v)[l] = sum_j u[j] v[j - l], zero
+    padded: term i is cst_i * sum corr(a_i fbar, b_i fhat) corr(c_i fhat, fbar).
+    The correlations have 7 distinct inputs, transformed in one call, and 6
+    distinct products, inverted in one more.
     """
+    check_kappa(kappa)
     g = f.grid
+    n = g.n
+    m = 1 << (2 * n - 1).bit_length()
     fhat = f.spectrum
     D = 4.0 * kappa**2 + g.xi**2
     a_xi = g.xi / D
     a_1 = 1.0 / D
     fb = fhat.conj()
+    # rows: 0 a_xi fbar, 1 a_1 fbar, 2 a_xi fhat, 3 a_1 fhat, then the reversed
+    # second arguments 4 (a_xi fhat)[::-1], 5 (a_1 fhat)[::-1], 6 fbar[::-1]
+    ins = np.array([a_xi * fb, a_1 * fb, a_xi * fhat, a_1 * fhat])
+    F = np.fft.fft(np.concatenate([ins, ins[2:, ::-1], fb[None, ::-1]]), m)
+    # P for (a, b) = (a_xi, a_xi), (a_xi, a_1), (a_1, a_xi), (a_1, a_1), then Q for c = a_1, a_xi
+    pairs = ((0, 4), (0, 5), (1, 4), (1, 5), (3, 6), (2, 6))
+    corr = np.fft.ifft(np.array([F[i] * F[j] for i, j in pairs]))[:, : 2 * n - 1]
     total = 0.0 + 0j
-    for cst, a, b, c in (
-        (2.0 * kappa, a_xi, a_xi, a_1),
-        (2.0 * kappa, a_xi, a_1, a_xi),
-        (2.0 * kappa, a_1, a_xi, a_xi),
-        (-8.0 * kappa**3, a_1, a_1, a_1),
-    ):
-        P = _linear_correlation(a * fb, b * fhat)
-        Q = _linear_correlation(c * fhat, fb)
-        total += cst * np.sum(P * Q)
+    for cst, p, q in ((2.0 * kappa, 0, 4), (2.0 * kappa, 1, 5), (2.0 * kappa, 2, 5),
+                      (-8.0 * kappa**3, 3, 4)):
+        total += cst * np.sum(corr[p] * corr[q])
     return float((total * g.dxi**3 / (2.0 * np.pi)).real)
 
 
@@ -189,18 +191,25 @@ class OperatorPair:
 
     B = (kappa - d)^(-1/2) M_f (kappa + d)^(-1/2); its entrywise HS norm
     controls the series.  A is similar to B Bbar in structure; for real f
-    its spectrum is real and nonnegative.  radius_bound() is cached.
-    `stride` is the window's spacing in lattice points; alpha_terms sets
-    `doubling_gap` to |remainder - remainder at twice the stride| it accepted.
+    its spectrum is real and nonnegative.  `matrix` (A, an m^3 product) is
+    formed from B on first read and cached, as is radius_bound().  `stride` is
+    the window's spacing in lattice points; alpha_terms sets `doubling_gap` to
+    |remainder - remainder at twice the stride| it accepted.
     """
 
-    matrix: np.ndarray
     half: np.ndarray
+    toeplitz: np.ndarray  # V, a strided view of the scaled, zero-padded spectrum
+    s_minus: np.ndarray  # (kappa - i w)^(-1/2) on the window w
+    d_half: np.ndarray  # (kappa + i w)^(-1/2)
     kappa: float
     sign: str
     stride: int = 1
     doubling_gap: float | None = field(default=None, init=False, compare=False)
     _radius_bound: float | None = field(default=None, init=False, repr=False, compare=False)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return (self.half * self.d_half[None, :]) @ (self.toeplitz.conj().T * self.s_minus[None, :])
 
     @property
     def defocusing(self) -> bool:
@@ -228,9 +237,9 @@ class OperatorPair:
         if not self.radius_bound() < 1.0:
             raise SeriesDivergenceError(f"spectral radius bound {self.radius_bound():.4f} >= 1 "
                                         f"at kappa = {self.kappa}; series diverges")
-        I = np.eye(len(self.matrix))
-        val = (np.linalg.slogdet(I + self.matrix)[1] if self.defocusing
-               else -np.linalg.slogdet(I - self.matrix)[1])
+        M = self.matrix.copy() if self.defocusing else -self.matrix
+        M.flat[:: len(M) + 1] += 1.0  # I + A, or I - A
+        val = np.linalg.slogdet(M)[1] if self.defocusing else -np.linalg.slogdet(M)[1]
         if not np.isfinite(val):
             raise SeriesDivergenceError("determinant vanished; operator window is singular")
         return float(val)
@@ -269,12 +278,11 @@ def build_operator(f: Field, kp: SpectralParameter, n_op: int = DEFAULT_N_OP,
     # strided view of the zero-padded spectrum, reversed along j
     span = stride * m
     v = np.pad(f.spectrum, span)[g.n // 2 + span - stride * (m - 1)::stride][: 2 * m - 1]
-    V = sliding_window_view(v, m)[:, ::-1] * (stride * g.dxi / np.sqrt(2.0 * np.pi))
+    V = sliding_window_view(v * (stride * g.dxi / np.sqrt(2.0 * np.pi)), m)[:, ::-1]
     s_minus = (kp.kappa - 1j * w) ** -0.5
     d_half = (kp.kappa + 1j * w) ** -0.5
     half = (s_minus[:, None] * V) * d_half[None, :]
-    A = (half * d_half[None, :]) @ (V.conj().T * s_minus[None, :])
-    return OperatorPair(matrix=A, half=half, kappa=kp.kappa, sign=kp.sign, stride=stride)
+    return OperatorPair(half, V, s_minus, d_half, kp.kappa, kp.sign, stride)
 
 
 # ---------------------------------------------------------------------------

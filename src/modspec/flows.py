@@ -16,14 +16,14 @@ product.
 along the last axis; `evolve` is its one-row case.  Between snapshots the
 state stays spectral and the trailing half-step of one step is fused with
 the leading half-step of the next (first-same-as-last Strang).  An nls
-step takes 2 FFTs.  A mkdv or mkdv_nls step makes 8 transform calls doing
-12 transforms of work: each RK4 stage inverts its masked input and that
-input's derivative in one stacked inverse call.  Real data is invariant
-under mkdv, so the mkdv rows whose samples are exactly real step on half
-spectra with rfft/irfft (the same 8 calls, on N/2 + 1 frequencies); every
-other row steps on full spectra with fft/ifft.  The RK4 work arrays are
-allocated once per `evolve_batch` call, and the state is updated in place.
-The blow-up check is a per-row certificate on the spectral state.
+step takes 2 FFTs, a mkdv or mkdv_nls step 8 transform calls.  Real data is
+invariant under mkdv, so the mkdv rows whose samples are exactly real step
+on half spectra with rfft/irfft, where 6 u^2 u_x = 2 (u^3)_x: an RK4 stage
+inverts its masked input, cubes it and differentiates it spectrally.  Other
+rows step full spectra with fft/ifft, inverting a stage's masked input and
+its derivative in one stacked call.  The RK4 work arrays are allocated once
+per `evolve_batch` call, and the state is updated in place.  The blow-up
+check is a per-row certificate on the spectral state.
 """
 
 from __future__ import annotations
@@ -89,7 +89,8 @@ class _Stepper:
     The complex kind steps full spectra with fft/ifft.  The real kind is for
     mkdv rows with real samples, which the flow keeps real: it steps the
     nonnegative half of each spectrum with rfft/irfft, on the same multipliers
-    restricted to that half, and its rows' samples are real arrays.
+    restricted to that half, and a stage forms the nonlinearity as 2 sigma (u^3)_x.
+    Its rows' samples are real arrays.
     The state is the spectrum after a step's leading linear half-step, and `step`
     applies the nonlinear substep to it in place.  The caller fuses a step's
     trailing half-step with the next step's leading one into one full-step factor,
@@ -108,23 +109,25 @@ class _Stepper:
                            * self.dt / 2.0)
         self.half[:, grid.n // 2] = 0.0  # unpaired Nyquist mode breaks Hermitian symmetry
         self.full = self.half * self.half
-        self.half_max = np.max(np.abs(self.half), axis=-1)
-        # sum |s| over the full spectrum: a half-spectrum entry other than 0 and
-        # Nyquist stands for itself and its mirror
-        self.weight = 1.0
-        if real:
-            self.weight = np.full(xi.size, 2.0)
-            self.weight[[0, -1]] = 1.0
+        self.scale = np.max(np.abs(self.half), axis=-1) / grid.n  # the blow-up bound's factor
         self.mask = (np.abs(xi) <= grid.n // 3 * grid.dxi).astype(float)
         sigma = np.array([[fs.sigma] for fs in specs])
         self.c_rot = -2j * sigma
-        # the mkdv and mkdv_nls nonlinearity is +-6 |u|^2 (u_x + iku), with k = 0 for mkdv
-        k = np.array([[fs.k if fs.equation == "mkdv_nls" else 0.0] for fs in specs])
-        self.deriv = 6.0 * sigma * 1j * (xi + k)
+        if real:
+            # sum |s| over the full spectrum: a half-spectrum entry other than 0 and
+            # Nyquist stands for itself and its mirror
+            self.weight = np.full(xi.size, 2.0)
+            self.weight[[0, -1]] = 1.0
+            # for real u, 6 sigma u^2 u_x = 2 sigma (u^3)_x: the masked derivative of the cube
+            self.cube = 2.0 * sigma * 1j * xi * self.mask
+        else:
+            # the mkdv and mkdv_nls nonlinearity is +-6 |u|^2 (u_x + iku), with k = 0 for mkdv
+            k = np.array([[fs.k if fs.equation == "mkdv_nls" else 0.0] for fs in specs])
+            self.deriv = 6.0 * sigma * 1j * (xi + k)
         if not self.nls:  # RK4 work arrays, reused by every step
             shape = (len(specs), xi.size)
-            # a stage's masked input, and deriv times it: one inverse call transforms both
-            self.stack = np.empty((2, *shape), complex)
+            # a stage's masked input (the complex kind adds deriv times it: one inverse call)
+            self.stack = np.empty((1 if real else 2, *shape), complex)
             self.slopes = np.empty((4, *shape), complex)  # k1..k4
             self.masked = np.empty(shape, complex)  # the masked state
 
@@ -142,15 +145,17 @@ class _Stepper:
 
     def _nonlinear_rhs(self, out):
         """Write to out the masked spectrum of the nonlinear term at stack[0], a masked spectrum."""
-        np.multiply(self.deriv, self.stack[0], out=self.stack[1])
-        v, dv = self.inverse(self.stack)
         if self.real:
-            w = v * v
-        else:
-            w = v.real**2
-            w += v.imag**2
+            v = np.fft.irfft(self.stack[0], self.n)
+            v *= v * v
+            np.multiply(np.fft.rfft(v), self.cube, out=out)
+            return
+        np.multiply(self.deriv, self.stack[0], out=self.stack[1])
+        v, dv = np.fft.ifft(self.stack)
+        w = v.real**2
+        w += v.imag**2
         np.multiply(w, dv, out=dv)
-        np.multiply(self.forward(dv), self.mask, out=out)
+        np.multiply(np.fft.fft(dv), self.mask, out=out)
 
     def step(self, s: np.ndarray) -> None:
         """The nonlinear substep, in place on the spectral state s."""
@@ -180,11 +185,11 @@ class _Stepper:
         """First row whose physical field is non-finite or exceeds BLOWUP_THRESHOLD, else None.
 
         Under numpy's ifft, max|v| <= max|half| * sum|s| / N, summed over the full
-        spectrum, and the sum carries NaN and inf; the physical field is formed
-        only for rows where this bound trips.
+        spectrum, and the sum carries NaN and inf (a NaN bound fails the scalar
+        test); the physical field is formed only for rows where this bound trips.
         """
-        bound = self.half_max * np.sum(np.abs(s) * self.weight, axis=-1) / self.n
-        if np.all(bound <= BLOWUP_THRESHOLD):
+        bound = (np.abs(s) @ self.weight if self.real else np.abs(s).sum(-1)) * self.scale
+        if bound.max() <= BLOWUP_THRESHOLD:
             return None
         for i in np.flatnonzero(~(bound <= BLOWUP_THRESHOLD)):
             v = self.inverse(s[i] * self.half[i])

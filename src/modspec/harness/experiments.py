@@ -64,8 +64,10 @@ def _mps(cfg: ExperimentConfig, ps_range: str | None = None) -> list:
 
 
 def _rel_drift(values):
+    """max |v - v0| / |v0| (/ 1 when v0 = 0); a NaN anywhere gives NaN."""
+    values = np.asarray(values, dtype=float)
     scale = abs(values[0]) if values[0] != 0 else 1.0
-    return max(abs(v - values[0]) for v in values) / scale
+    return float(np.max(np.abs(values - values[0]))) / scale
 
 
 def _stride_health(samplings) -> dict:
@@ -124,11 +126,11 @@ def run_conservation(cfg: ExperimentConfig) -> RunResult:
             summary.append(criterion(f"alpha_drift[m{mi},kappa={k:g}]", _rel_drift(a_series), tol))
             summary.append(criterion(f"beta_drift[m{mi},kappa={k:g}]", _rel_drift(b_series), tol))
         # discretized traces should be essentially real before their Re is taken
-        worst_imag = max(abs(tr.imag) / max(abs(tr.real), 1e-300)
-                         for m in per_t for *_, tr in m.values())
+        worst_imag = np.max([abs(tr.imag) / np.maximum(abs(tr.real), 1e-300)
+                             for m in per_t for *_, tr in m.values()])
         summary.append(criterion(f"trace_imag_rel[m{mi}]", worst_imag,
                                  cfg.tolerance("trace_imag")))
-        max_bound = max([max_bound] + [rho for m in per_t for *_, rho, _ in m.values()])
+        max_bound = float(np.max([max_bound] + [rho for m in per_t for *_, rho, _ in m.values()]))
     meta = {"config": cfg.to_dict(), "max_radius_bound": max_bound, **_stride_health(samplings)}
     return RunResult("conserve", header, rows, summary, meta)
 

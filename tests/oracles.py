@@ -2,8 +2,9 @@
 
 Each one computes a quantity the package computes differently, without
 sharing its code path, so the tests can cross-check the two: brute-force
-sums, per-band masks, dense matrix powers, the exact linear flow, and an RK4
-substep that allocates a fresh array for every stage.
+sums, the quartic sum one term at a time, per-band masks, dense matrix powers,
+the exact linear flow, and an RK4 substep that allocates a fresh array for
+every stage.
 """
 
 import numpy as np
@@ -45,6 +46,36 @@ def quartic_integral_direct(f: Field, kappa: float) -> float:
             D[i1] * D[:, None] * D[None, :]
         )
         total += fhat.conj()[i1] * np.sum(W * f2 * f3 * f4)
+    return float((total * g.dxi**3 / (2.0 * np.pi)).real)
+
+
+def _linear_correlation(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """corr[l] = sum_j u[j] v[j - l] for lags l = -(n-1) .. n-1, zero padded."""
+    n = len(u)
+    m = 1 << (2 * n - 1).bit_length()
+    w = np.fft.ifft(np.fft.fft(u, m) * np.fft.fft(v[::-1], m))[: 2 * n - 1]
+    return w
+
+
+def quartic_integral_per_term(f: Field, kappa: float) -> float:
+    """conserved.quartic_integral with one pair of correlations per separable term,
+    each transformed by its own 1-D calls; the package batches the same sums."""
+    g = f.grid
+    fhat = f.spectrum
+    D = 4.0 * kappa**2 + g.xi**2
+    a_xi = g.xi / D
+    a_1 = 1.0 / D
+    fb = fhat.conj()
+    total = 0.0 + 0j
+    for cst, a, b, c in (
+        (2.0 * kappa, a_xi, a_xi, a_1),
+        (2.0 * kappa, a_xi, a_1, a_xi),
+        (2.0 * kappa, a_1, a_xi, a_xi),
+        (-8.0 * kappa**3, a_1, a_1, a_1),
+    ):
+        P = _linear_correlation(a * fb, b * fhat)
+        Q = _linear_correlation(c * fhat, fb)
+        total += cst * np.sum(P * Q)
     return float((total * g.dxi**3 / (2.0 * np.pi)).real)
 
 
@@ -115,21 +146,28 @@ class AllocatingSubstep:
 
     Its arithmetic is the stepper's, written out of place: the package's work
     arrays and in-place updates must reproduce it bit for bit.  On a real-kind
-    stepper it steps half spectra with rfft/irfft and squares real samples.
+    stepper it steps half spectra with rfft/irfft and takes the nonlinearity as
+    2 sigma (u^3)_x, on a derivative symbol built here from the specs' signs and
+    the lattice frequencies 0 .. N/2.
     """
 
-    def __init__(self, stepper: _Stepper):
+    def __init__(self, stepper: _Stepper, grid, specs):
         self.dt, self.nls, self.mask = stepper.dt, stepper.nls, stepper.mask
-        self.deriv, self.c_rot = stepper.deriv, stepper.c_rot
+        self.c_rot = stepper.c_rot
         self.real, self.n = stepper.real, stepper.n
+        if self.real:
+            sigma = np.array([[fs.sigma] for fs in specs])
+            xi = grid.dxi * np.arange(grid.n // 2 + 1)
+            self.cube = 2.0 * sigma * 1j * xi * self.mask
+        else:
+            self.deriv = stepper.deriv
 
     def _nonlinear_rhs(self, s):
         """Masked spectrum of the nonlinear term at the masked spectrum of s."""
         s = s * self.mask
         if self.real:
             v = np.fft.irfft(s, self.n)
-            w = v * v * np.fft.irfft(self.deriv * s, self.n)
-            return np.fft.rfft(w) * self.mask
+            return np.fft.rfft(v * v * v) * self.cube
         v = np.fft.ifft(s)
         w = (v.real**2 + v.imag**2) * np.fft.ifft(self.deriv * s)
         return np.fft.fft(w) * self.mask
@@ -160,7 +198,7 @@ def fused_strang(fields, specs, n_steps) -> np.ndarray:
         if rows.size == 0:
             continue
         stepper = _Stepper(fields[0].grid, [specs[i] for i in rows], real=bool(real[rows[0]]))
-        substep = AllocatingSubstep(stepper)
+        substep = AllocatingSubstep(stepper, fields[0].grid, [specs[i] for i in rows])
         values = np.array([fields[i].values for i in rows])
         if stepper.real:
             s = np.fft.rfft(values.real) * stepper.half

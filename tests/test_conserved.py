@@ -33,6 +33,7 @@ from oracles import (
     hs_norm_sq,
     quadratic_trace_windowed,
     quartic_integral_direct,
+    quartic_integral_per_term,
 )
 
 
@@ -53,7 +54,8 @@ def test_spectral_parameter_validation(grid_small):
     f = gaussian_field(grid_small, 1.0, 0.3)
     for kappa in (0.0, -0.5, np.nan):
         for call in (lambda: SpectralParameter(kappa), lambda: alpha2(f, kappa),
-                     lambda: beta2(f, kappa), lambda: beta2(f, kappa, shift=2.0)):
+                     lambda: beta2(f, kappa), lambda: beta2(f, kappa, shift=2.0),
+                     lambda: quartic_integral(f, kappa)):
             with pytest.raises(ValueError, match="kappa must be positive"):
                 call()
 
@@ -113,6 +115,33 @@ def test_quartic_fft_matches_direct(grid64):
         qf = quartic_integral(f, kappa)
         qd = quartic_integral_direct(f, kappa)
         assert abs(qf - qd) <= 1e-9
+
+
+def test_quartic_batched_transforms_are_bit_identical_to_per_term_sum(grid_ref):
+    """The 7 batched forward and 6 batched inverse transforms reproduce the sum
+    with one pair of 1-D correlations per term bit for bit."""
+    fields = [gaussian_field(grid_ref, amplitude=0.3),
+              gaussian_field(grid_ref, amplitude=0.3, center_freq=2.0),
+              band_indicator_field(grid_ref, 0.0, 1.0),
+              zero_field(grid_ref)]
+    for f in fields:
+        for kappa in (0.5, 1.0, 4.0):
+            assert quartic_integral(f, kappa) == quartic_integral_per_term(f, kappa)
+
+
+def test_quartic_makes_one_forward_and_one_inverse_call(grid_ref, monkeypatch):
+    f = gaussian_field(grid_ref, amplitude=0.3)  # its own transform runs before counting
+    calls = []
+    for name in ("fft", "ifft"):
+        fn = getattr(np.fft, name)
+
+        def counted(*args, _fn=fn, _name=name, **kw):
+            calls.append(_name)
+            return _fn(*args, **kw)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    quartic_integral(f, 0.5)
+    assert calls == ["fft", "ifft"]
 
 
 def test_quartic_direct_rejects_large_grids(grid_ref):

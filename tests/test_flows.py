@@ -13,7 +13,7 @@ from modspec import (
     make_grid,
     sech_field,
 )
-from modspec.flows import dispersion_symbol
+from modspec.flows import _Stepper, dispersion_symbol
 from oracles import fused_strang, linear_propagator
 
 
@@ -277,6 +277,39 @@ def test_rk4_substep_is_bit_identical_to_allocating_oracle(grid_ref, sign, rows)
     for i, n in enumerate((10, 20)):
         ref = fused_strang(fields, specs, n)
         assert np.array_equal(np.array([tr.fields[i].values for tr in trajs]), ref)
+
+
+def test_real_stage_slope_matches_complex_stage_slope(grid_ref):
+    """On the default Gaussian the real kind's stage 2 sigma (u^3)_x agrees with the
+    complex kind's |v|^2 v_x on the nonnegative half of the spectrum."""
+    u = gaussian_field(grid_ref, amplitude=0.3)
+    specs = [FlowSpec("mkdv", "focusing", dt=1e-3)]
+    slopes = []
+    for stepper in (_Stepper(grid_ref, specs, real=True), _Stepper(grid_ref, specs)):
+        stepper.stack[0] = stepper.forward(u.values.real if stepper.real else u.values)
+        stepper.stack[0] *= stepper.mask
+        out = np.empty_like(stepper.stack[0])
+        stepper._nonlinear_rhs(out)
+        slopes.append(out[0, : grid_ref.n // 2 + 1])
+    real, full = slopes
+    assert np.max(np.abs(real - full)) <= 1e-12 * np.max(np.abs(full))
+
+
+def test_real_row_step_makes_one_single_row_transform_pair_per_stage(grid_ref, monkeypatch):
+    u = gaussian_field(grid_ref, amplitude=0.3)
+    stepper = _Stepper(grid_ref, [FlowSpec("mkdv", dt=1e-3)], real=True)
+    s = stepper.start(np.array([u.values]))
+    calls = []
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        fn = getattr(np.fft, name)
+
+        def counted(a, *args, _fn=fn, _name=name, **kw):
+            calls.append((_name, np.shape(a)[:-1]))
+            return _fn(a, *args, **kw)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    stepper.step(s)
+    assert calls == [("irfft", (1,)), ("rfft", (1,))] * 4
 
 
 @pytest.mark.parametrize("eq", ["mkdv", "nls"])

@@ -31,6 +31,7 @@ from modspec.harness import (
     run_tails,
     run_weights,
 )
+from modspec.harness import experiments
 from modspec.harness.cli import main
 from modspec.harness.config import FAMILIES, build_family, config_from_dict, random_suite
 from modspec.harness.reports import criterion, write_csv
@@ -179,6 +180,15 @@ def test_criterion_verdicts():
     assert criterion("c", 1.0, 1.0).passed
     assert not criterion("c", 1.5, 1.0).passed
     assert not criterion("c", 0.5, 1.0, ok=False).passed
+
+
+@pytest.mark.parametrize("pos", [0, 1, 2])
+def test_nan_anywhere_in_a_conserve_series_fails_its_drift(pos):
+    series = [1.0, 1.0, 1.0]
+    series[pos] = math.nan
+    drift = experiments._rel_drift(series)
+    assert not math.isfinite(drift)
+    assert not criterion("alpha_drift", drift, 1e-5).passed
 
 
 def test_fmt_17_digits(tmp_path):
