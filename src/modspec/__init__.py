@@ -21,7 +21,6 @@ from .norms import (
     admissible_sigma,
     bracket,
     hs_functional,
-    modulation_norm,
     profile_norm,
     sobolev_norm,
 )
@@ -39,13 +38,12 @@ from .conserved import (
     tail_bound,
 )
 from .symmetries import (
-    BoostSpec,
     apriori_exponent,
     galilei_boost,
     scale_field,
     scaling_bound_factor,
 )
-from .flows import BlowUpError, FlowSpec, Trajectory, evolve, evolve_batch
+from .flows import BlowUpError, FlowSpec, Trajectory, evolve_batch
 from .equicont import (
     NotEquicontinuousError,
     WeightCheck,

@@ -13,9 +13,9 @@ with spectral derivatives and a 2/3-rule dealiasing mask on every
 product.
 
 `evolve_batch` advances a batch of fields as (B, N) arrays, with FFTs
-along the last axis; `evolve` is its one-row case.  Between snapshots the
-state stays spectral and the trailing half-step of one step is fused with
-the leading half-step of the next (first-same-as-last Strang).  An nls
+along the last axis.  Between snapshots the state stays spectral and the
+trailing half-step of one step is fused with the leading half-step of the
+next (first-same-as-last Strang).  An nls
 step takes 2 FFTs, a mkdv or mkdv_nls step 8 transform calls.  Real data is
 invariant under mkdv, so the mkdv rows whose samples are exactly real step
 on half spectra with rfft/irfft, where 6 u^2 u_x = 2 (u^3)_x: an RK4 stage
@@ -289,8 +289,3 @@ def evolve_batch(fields, specs, snapshot_times, observers=()) -> list[Trajectory
             for _, stepper, s in groups:
                 s *= stepper.full
     return trajs
-
-
-def evolve(u0: Field, fs: FlowSpec, snapshot_times, observers=()) -> Trajectory:
-    """evolve_batch for a single field."""
-    return evolve_batch([u0], [fs], snapshot_times, observers)[0]

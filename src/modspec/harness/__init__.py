@@ -1,4 +1,4 @@
-from .config import ExperimentConfig, ConfigError, load_config
+from .config import ExperimentConfig, ConfigError
 from .experiments import (
     run_conservation,
     run_norm_equivalence,
@@ -11,7 +11,7 @@ from .experiments import (
 from .reports import RunResult, SummaryEntry, write_csv, write_summary
 
 __all__ = [
-    "ExperimentConfig", "ConfigError", "load_config",
+    "ExperimentConfig", "ConfigError",
     "run_conservation", "run_norm_equivalence", "run_apriori",
     "run_galilei", "run_scaling", "run_tails", "run_weights",
     "RunResult", "SummaryEntry", "write_csv", "write_summary",

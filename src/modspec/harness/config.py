@@ -99,7 +99,7 @@ class ExperimentConfig:
         return times
 
     def check_time(self, t: float, what: str) -> None:
-        """Raise ConfigError unless t is a whole number of steps, as evolve requires."""
+        """Raise ConfigError unless t is a whole number of steps, as evolve_batch requires."""
         dt = abs(self.dt)
         if abs(round(t / dt) * dt - t) > 1e-6 * dt:
             raise ConfigError(f"{what} {t} is not a multiple of dt = {self.dt}")
@@ -207,14 +207,6 @@ def read_config(path) -> dict:
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def load_config(path) -> ExperimentConfig:
-    doc = read_config(path)
-    try:
-        return config_from_dict(doc)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-
-
 # ---------------------------------------------------------------------------
 # initial-data families
 
@@ -271,16 +263,16 @@ def build_family(descriptor: dict, grid: GridSpec, rng: np.random.Generator) -> 
 # Fields drawn per batched transform in iter_suite.  Larger blocks are no
 # faster, and from 16 on they raise the peak memory of a suite held whole.
 SUITE_BLOCK = 8
+SUITE_AMPLITUDE = 0.3  # the amplitude of every suite field
 
 
 def random_suite(grid: GridSpec, size: int, rng: np.random.Generator,
-                 amplitude: float = 0.3, band_span: int = 6) -> list:
+                 band_span: int = 6) -> list:
     """Mixed deterministic suite: gaussians of assorted widths/carriers plus random bands."""
-    return list(iter_suite(grid, size, rng, amplitude, band_span))
+    return list(iter_suite(grid, size, rng, band_span))
 
 
-def iter_suite(grid: GridSpec, size: int, rng: np.random.Generator,
-               amplitude: float = 0.3, band_span: int = 6):
+def iter_suite(grid: GridSpec, size: int, rng: np.random.Generator, band_span: int = 6):
     """random_suite field by field, drawn SUITE_BLOCK fields at a time.
 
     A block makes the same rng calls, in the same order, as drawing each field
@@ -296,11 +288,11 @@ def iter_suite(grid: GridSpec, size: int, rng: np.random.Generator,
             if i % 2 == 0:
                 width = 0.5 + 3.0 * rng.random()
                 cf = float(rng.integers(-band_span, band_span + 1))
-                row[:] = gaussian_samples(grid, width, amplitude, cf)
+                row[:] = gaussian_samples(grid, width, SUITE_AMPLITUDE, cf)
             else:
                 lo = int(rng.integers(-band_span, 1))
                 hi = int(rng.integers(0, band_span + 1))
-                row[:] = random_band_spectrum(grid, lo, max(hi, lo + 1), amplitude, rng)
+                row[:] = random_band_spectrum(grid, lo, max(hi, lo + 1), SUITE_AMPLITUDE, rng)
         gauss, band = slice(start % 2, None, 2), slice(1 - start % 2, None, 2)
         drawn[band, 0] = 0.0
         spectra = iter(forward_transform(drawn[gauss], grid))

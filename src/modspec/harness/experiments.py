@@ -16,7 +16,7 @@ from ..conserved import (
     tail_bound,
 )
 from ..equicont import build_weights, verify_weights
-from ..flows import FlowSpec, evolve, evolve_batch
+from ..flows import FlowSpec, evolve_batch
 from ..grid import band_profile, gaussian_field, make_grid, unresolved_mass_fraction
 from ..norms import (
     ModulationParams,
@@ -25,12 +25,11 @@ from ..norms import (
     bracket,
     hs_functional,
     lp_norm,
-    modulation_norm,
     profile_norm,
     sobolev_norm,
 )
 from ..symmetries import (
-    BoostSpec,
+    BOOST_EQUATIONS,
     apriori_exponent,
     galilei_boost,
     scale_field,
@@ -68,6 +67,13 @@ def _rel_drift(values):
     values = np.asarray(values, dtype=float)
     scale = abs(values[0]) if values[0] != 0 else 1.0
     return float(np.max(np.abs(values - values[0]))) / scale
+
+
+def _check_boost_equation(cfg: ExperimentConfig) -> None:
+    """A driver that boosts needs a flow with a Galilei boost formula."""
+    if cfg.equation not in BOOST_EQUATIONS:
+        raise ConfigError(f"Galilei boosts apply to the {' and '.join(BOOST_EQUATIONS)} "
+                          f"flows, not to {cfg.equation!r}")
 
 
 def _stride_health(samplings) -> dict:
@@ -159,17 +165,14 @@ def run_norm_equivalence(cfg: ExperimentConfig) -> RunResult:
     per_field = [[(np.sqrt([max(beta2(u, 0.5, shift=float(k)), 0.0) for k in cfg.boosts]),
                    band_profile(u)) for u in traj.fields] for traj in trajs]
     profs0 = np.array([fields[0][1] for fields in per_field])  # t = 0: the members
-    unresolved = max(
-        unresolved_mass_fraction(u) for traj in trajs for u in traj.fields
-    )
+    unresolved = np.max([unresolved_mass_fraction(u) for traj in trajs for u in traj.fields])
     summary.append(criterion("unresolved_mass_fraction", unresolved,
                              cfg.tolerance("normequiv_unresolved")))
     for mp in mps:
         for mode, w in (("unit", None), ("built", build_weights(profs0, mp))):
             c_boost = np.ones(len(cfg.boosts)) if w is None else w.c_of(ks_boost)
             warr = None if w is None else w.as_array()
-            ratios = []
-            max_tail_frac = 0.0
+            ratios, tail_fracs = [], []
             for mi, (traj, fields) in enumerate(zip(trajs, per_field)):
                 for ti, (root_b2, prof) in zip(traj.times, fields):
                     terms = band_terms(prof, mp, warr)
@@ -181,15 +184,16 @@ def run_norm_equivalence(cfg: ExperimentConfig) -> RunResult:
                     else:
                         ratio = lhs / rhs if rhs > 0 else np.inf
                     ratios.append(ratio)
-                    if lhs > 0:
-                        tail = float(lp_norm(terms[beyond], mp.p))
-                        max_tail_frac = max(max_tail_frac, tail / lhs)
+                    if lhs != 0.0:  # a NaN lhs gives a NaN fraction
+                        tail_fracs.append(float(lp_norm(terms[beyond], mp.p)) / lhs)
                     rows.append((mi, ti, mp.p, mp.s, mode, lhs, rhs, ratio))
-            hi, lo = max(ratios), min(ratios)
-            cbr = max(hi, 1.0 / lo if lo > 0 else np.inf)
+            # np.max/np.min keep a NaN wherever it sits
+            hi, lo = np.max(ratios), np.min(ratios)
+            cbr = np.max([hi, 1.0 / lo if lo > 0 else np.inf])
             tag = f"p={mp.p:g},s={mp.s:g},{mode}"
             summary.append(criterion(f"ratio_bracket[{tag}]", cbr, bracket_tol))
-            summary.append(criterion(f"sweep_tail_fraction[{tag}]", max_tail_frac, tail_tol))
+            summary.append(criterion(f"sweep_tail_fraction[{tag}]",
+                                     np.max(tail_fracs, initial=0.0), tail_tol))
     return RunResult("normequiv", header, rows, summary, {"config": cfg.to_dict()})
 
 
@@ -199,8 +203,8 @@ def run_apriori(cfg: ExperimentConfig) -> RunResult:
     """Global-in-time norm bounds over an amplitude sweep, plus the weighted family clause.
 
     Data whose norm exceeds apriori_small_norm is rescaled into the small
-    regime first; see _apriori_large_data. Zero data adds its rows but no
-    ratio; the family clause takes the first nonzero amplitude.
+    regime first; see _rescaling and _large_data_criteria. Zero data adds its
+    rows but no ratio; the family clause takes the first nonzero amplitude.
     """
     grid = cfg.grid()
     rng = np.random.default_rng(cfg.seed)
@@ -215,7 +219,6 @@ def run_apriori(cfg: ExperimentConfig) -> RunResult:
 
     small_norm = cfg.tolerance("apriori_small_norm")
     eps_target = cfg.tolerance("apriori_eps_target")
-    large_tol = cfg.tolerance("apriori_large_constant")
     # the equicontinuous family clause: gaussians of these widths
     widths = family_params(cfg.family)[1].get("widths", FAMILIES["gaussian"]["widths"])
 
@@ -228,51 +231,55 @@ def run_apriori(cfg: ExperimentConfig) -> RunResult:
     # every large-data rescaling must fit the pad budget before any flow runs
     rescalings = [[_rescaling(n0, mp, grid, eps_target) if n0 > small_norm else None
                    for n0 in row] for mp, row in zip(mps, n0s)]
+
+    def profiles(fields):  # (times, band profiles) of the flow from each field
+        return [(traj.times, [band_profile(u) for u in traj.fields])
+                for traj in evolve_batch(fields, [fs] * len(fields), times)]
+
     # an amplitude needs the small-data flow when some (p, s) finds its norm small;
     # those flows run in one batch with the family's
     small = [i for i in range(len(u0s)) if any(row[i] is None for row in rescalings)]
-    fields = [u0s[i] for i in small] + fam_fields
-    snaps = [(traj.times, [band_profile(u) for u in traj.fields])
-             for traj in evolve_batch(fields, [fs] * len(fields), times)]
-    flows = dict(zip(small, snaps))  # amplitude index -> (times, band profiles)
+    snaps = profiles([u0s[i] for i in small] + fam_fields)
+    small_snaps = dict(zip(small, snaps))
     fam_snaps = snaps[len(small):]
     fam_profs = np.array([profs[0] for _, profs in fam_snaps])  # t = 0: the family itself
+    # per (p, s) and amplitude, the (times, band profiles) of the flow it reads;
+    # a rescaled field has a grid of its own, so it is a batch of one row
+    flows = [[small_snaps[i] if r is None else profiles([scale_field(u0s[i], r[0], pad=r[1])])[0]
+              for i, r in enumerate(row)] for row in rescalings]
 
     header = ["p", "s", "eps", "t", "norm", "weighted_norm"]
     rows, summary = [], []
-    for mp, mp_n0s, mp_rescalings in zip(mps, n0s, rescalings):
+    for mp, mp_n0s, mp_rescalings, mp_flows in zip(mps, n0s, rescalings, flows):
         cexp = apriori_exponent(mp)
-        worst_plain = 0.0
-        worst_normalized = 0.0
-        for i, (eps, u0, n0, rescaling) in enumerate(zip(cfg.amplitudes, u0s, mp_n0s,
-                                                         mp_rescalings)):
-            if rescaling is not None:
-                summary.extend(_apriori_large_data(u0, n0, mp, cexp, fs, times, rescaling,
-                                                   eps_target, ratio_tol, large_tol, rows))
-                continue
-            flow_times, profs = flows[i]
+        plain, normalized = [], []  # the small-data growth ratios
+        for eps, n0, rescaling, (flow_times, profs) in zip(cfg.amplitudes, mp_n0s,
+                                                           mp_rescalings, mp_flows):
             norms = [profile_norm(prof, mp) for prof in profs]
-            for ti, nv in zip(flow_times, norms):
-                rows.append((mp.p, mp.s, eps, ti, nv, 0.0))
-            if n0 > 0.0:
-                worst_plain = max(worst_plain, max(norms) / n0)
-                worst_normalized = max(worst_normalized, max(norms) / ((1.0 + n0) ** cexp * n0))
+            # a rescaled flow's rows carry the data's norm n0 in the eps column
+            label = eps if rescaling is None else n0
+            rows += [(mp.p, mp.s, label, ti, nv, 0.0) for ti, nv in zip(flow_times, norms)]
+            if rescaling is not None:
+                summary += _large_data_criteria(norms, n0, mp, rescaling[0], cfg)
+            elif n0 > 0.0:
+                sup = np.max(norms)
+                plain.append(sup / n0)
+                normalized.append(sup / ((1.0 + n0) ** cexp * n0))
         tag = f"p={mp.p:g},s={mp.s:g}"
-        if worst_plain > 0.0:
-            summary.append(criterion(f"sup_ratio[{tag}]", worst_plain, ratio_tol))
-            summary.append(criterion(f"normalized_ratio[{tag}]", worst_normalized, ratio_tol))
+        if plain:
+            summary.append(criterion(f"sup_ratio[{tag}]", np.max(plain), ratio_tol))
+            summary.append(criterion(f"normalized_ratio[{tag}]", np.max(normalized), ratio_tol))
 
         # equicontinuous family: weighted norms stay within the factor-2 budget
         warr = build_weights(fam_profs, mp).as_array()
-        w0 = max(profile_norm(prof, mp, weights=warr) for prof in fam_profs)
-        wt = w0
+        w0 = np.max([profile_norm(prof, mp, weights=warr) for prof in fam_profs])
+        wns = []  # from every snapshot, t = 0 included
         for snap_times, profs in fam_snaps:
             for ti, prof in zip(snap_times, profs):
                 wn = profile_norm(prof, mp, weights=warr)
                 rows.append((mp.p, mp.s, amp, ti, profile_norm(prof, mp), wn))
-                wt = max(wt, wn)
-        factor = wt / w0
-        summary.append(criterion(f"equicontinuity_factor[{tag}]", factor, equi_tol))
+                wns.append(wn)
+        summary.append(criterion(f"equicontinuity_factor[{tag}]", np.max(wns) / w0, equi_tol))
     return RunResult("apriori", header, rows, summary, {"config": cfg.to_dict()})
 
 
@@ -295,29 +302,24 @@ def _rescaling(n0, mp, g, eps_target):
     return lam0, pad
 
 
-def _apriori_large_data(u0, n0, mp, cexp, fs, times, rescaling, eps_target, ratio_tol,
-                        large_tol, rows):
-    """Large data: rescale by _rescaling's (lam0, pad), verify there, undo for reporting.
+def _large_data_criteria(norms, n0, mp, lam0, cfg):
+    """The criteria of data of norm n0, from the norms along its flow after the
+    rescaling by lam0 (norms[0], at t = 0, is the rescaled data's own).
 
     The rescaled run must obey the small-data bound, and the bound transported
     back through the scaling factor gives the measured large-data constant
     relative to (1 + norm)^c * norm.
     """
-    lam0, pad = rescaling
-    u_small = scale_field(u0, lam0, pad=pad)
-    n_small = modulation_norm(u_small, mp)
-    traj = evolve(u_small, fs, times)
-    norms = [modulation_norm(u, mp) for u in traj.fields]
-    for ti, nv in zip(traj.times, norms):
-        rows.append((mp.p, mp.s, n0, ti, nv, 0.0))
-    sup_small = max(norms)
+    n_small, sup_small = norms[0], np.max(norms)
     implied = scaling_bound_factor(1.0 / lam0, mp) * sup_small
-    large_const = implied / ((1.0 + n0) ** cexp * n0)
+    large_const = implied / ((1.0 + n0) ** apriori_exponent(mp) * n0)
     tag = f"p={mp.p:g},s={mp.s:g},norm={n0:.3g}"
     return [
-        criterion(f"rescaled_norm[{tag}]", n_small, 2.0 * eps_target),
-        criterion(f"rescaled_sup_ratio[{tag}]", sup_small / n_small, ratio_tol),
-        criterion(f"large_data_constant[{tag}]", large_const, large_tol),
+        criterion(f"rescaled_norm[{tag}]", n_small, 2.0 * cfg.tolerance("apriori_eps_target")),
+        criterion(f"rescaled_sup_ratio[{tag}]", sup_small / n_small,
+                  cfg.tolerance("apriori_ratio")),
+        criterion(f"large_data_constant[{tag}]", large_const,
+                  cfg.tolerance("apriori_large_constant")),
     ]
 
 
@@ -325,12 +327,11 @@ def _apriori_large_data(u0, n0, mp, cexp, fs, times, rescaling, eps_target, rati
 
 def run_galilei(cfg: ExperimentConfig) -> RunResult:
     """Two-path check: boost-then-evolve against evolve-then-boost."""
+    _check_boost_equation(cfg)
     grid = cfg.grid()
     rng = np.random.default_rng(cfg.seed)
     u0 = build_family(cfg.family, grid, rng)[0]
     eq = cfg.equation
-    if eq not in ("mkdv", "nls"):
-        raise ConfigError("galilei consistency applies to the mkdv and nls flows")
     tol = cfg.tolerance("galilei_distance")
     T = cfg.t_final
     cfg.check_time(T, "t_final")
@@ -341,7 +342,7 @@ def run_galilei(cfg: ExperimentConfig) -> RunResult:
     if abs(round(T / (2 * cfg.dt)) * 2 * cfg.dt - T) <= 1e-9 * abs(cfg.dt):
         dts.append(2.0 * cfg.dt)  # refinement companion, only when it divides T
     ks = [float(k) for k in cfg.boosts]
-    u0ks = [galilei_boost(u0, BoostSpec(k, 0.0, eq)) for k in ks]
+    u0ks = [galilei_boost(u0, k, 0.0, eq) for k in ks]
 
     def specs(dt):  # the unboosted path (it does not depend on k), then one boosted path per k
         fs = FlowSpec(eq, cfg.sign, dt)
@@ -352,7 +353,7 @@ def run_galilei(cfg: ExperimentConfig) -> RunResult:
     for i, k in enumerate(ks, start=1):
         for dt, trajs in batches.items():
             # boost at the flow's signed end time: a backward flow ends at -T
-            path1 = galilei_boost(trajs[0].fields[-1], BoostSpec(k, trajs[0].times[-1], eq))
+            path1 = galilei_boost(trajs[0].fields[-1], k, trajs[0].times[-1], eq)
             path2 = trajs[i].fields[-1]
             dist = float(np.sqrt(np.sum(np.abs(path1.values - path2.values) ** 2) * grid.dx))
             rows.append((k, dt, dist))
@@ -424,6 +425,7 @@ def run_scaling(cfg: ExperimentConfig) -> RunResult:
 
 def run_tails(cfg: ExperimentConfig) -> RunResult:
     """High-order tail inequalities: sextic-and-up and quartic band aggregates."""
+    _check_boost_equation(cfg)
     grid = cfg.grid()
     rng = np.random.default_rng(cfg.seed)
     fs = FlowSpec(cfg.equation, cfg.sign, cfg.dt)
@@ -448,7 +450,7 @@ def run_tails(cfg: ExperimentConfig) -> RunResult:
             boost_rows = []
             for k in cfg.boosts:
                 kf = float(k)
-                uk = galilei_boost(u, BoostSpec(kf, ti, cfg.equation))
+                uk = galilei_boost(u, kf, ti, cfg.equation)
                 b2 = beta2(u, 0.5, shift=kf)
                 try:
                     a_half, _, a4_half, op_half = alpha_terms(uk, kp_half, cfg.n_op, -kf)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, GridSpec, band_profile, spectral_power
+from .grid import Field, GridSpec, spectral_power
 
 
 def check_kappa(kappa: float) -> None:
@@ -54,15 +54,6 @@ class ModulationParams:
         return self.s < 2.0 - 1.0 / self.p
 
 
-def modulation_norm(f: Field, mp: ModulationParams, weights: np.ndarray | None = None) -> float:
-    """l^p over resolved bands of c_k <k>^s band_profile(f)_k; c == 1 when absent.
-
-    `weights` must supply one value per resolved band, ordered
-    k = -kmax .. kmax (a WeightSequence.as_array() does).
-    """
-    return profile_norm(band_profile(f), mp, weights)
-
-
 def band_terms(prof: np.ndarray, mp: ModulationParams, weights: np.ndarray | None = None):
     """c_k <k>^s prof_k over the resolved bands k = -kmax .. kmax; c == 1 when absent.
 
@@ -83,11 +74,13 @@ def band_terms(prof: np.ndarray, mp: ModulationParams, weights: np.ndarray | Non
 
 
 def profile_norm(prof: np.ndarray, mp: ModulationParams, weights: np.ndarray | None = None):
-    """modulation_norm of the field whose band_profile is `prof`: the profile does
-    not depend on (p, s), so a caller can take it once and reduce it per pair.
+    """The modulation norm of the field whose band_profile is `prof`: l^p over
+    the resolved bands of band_terms(prof, mp, weights).  The profile does not
+    depend on (p, s), so a caller can take it once and reduce it per pair.
 
     A stack of profiles (bands along the last axis) gives one norm per row; a
-    single profile gives a float.
+    single profile gives a float.  `weights` must supply one value per resolved
+    band, ordered k = -kmax .. kmax (a WeightSequence.as_array() does).
     """
     norm = lp_norm(band_terms(prof, mp, weights), mp.p)
     return norm if norm.ndim else float(norm)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .grid import Field, GridSpec, inverse_transform, make_grid
@@ -12,25 +10,11 @@ from . import conserved
 
 MKDV = "mkdv"
 NLS = "nls"
+BOOST_EQUATIONS = (MKDV, NLS)  # the flows with a Galilei boost formula
 
 
-@dataclass(frozen=True)
-class BoostSpec:
-    """Wave number, evaluation time, and which flow's boost formula to use."""
-
-    k: float
-    t: float = 0.0
-    equation: str = MKDV
-
-    def __post_init__(self):
-        if self.equation not in (MKDV, NLS):
-            raise ValueError(f"equation must be '{MKDV}' or '{NLS}'")
-        if not (np.isfinite(self.k) and np.isfinite(self.t)):
-            raise ValueError("boost parameters must be finite")
-
-
-def galilei_boost(u: Field, b: BoostSpec) -> Field:
-    """Boosted field u^k at time b.t.
+def galilei_boost(u: Field, k: float, t: float = 0.0, equation: str = MKDV) -> Field:
+    """Boosted field u^k at time t, by the boost formula of `equation`.
 
     mkdv: u^k(t,x) = exp(-ikx + 2ik^3 t) u(t, x - 3k^2 t)
     nls:  u^k(t,x) = exp(-ikx - ik^2 t) u(t, x + 2kt)
@@ -41,11 +25,15 @@ def galilei_boost(u: Field, b: BoostSpec) -> Field:
     shift pushes more than ALIAS_THRESHOLD of the spectral mass off the
     lattice.  Off-lattice k falls back to a phase ramp in physical space,
     whose boundary mismatch aliases at a level set by the field's decay
-    toward the box edge.
+    toward the box edge.  An equation other than mkdv or nls, or a
+    non-finite k or t, is a ValueError.
     """
+    if equation not in BOOST_EQUATIONS:
+        raise ValueError(f"equation must be one of {BOOST_EQUATIONS}")
+    if not (np.isfinite(k) and np.isfinite(t)):
+        raise ValueError("boost parameters must be finite")
     g = u.grid
-    k, t = b.k, b.t
-    if b.equation == MKDV:
+    if equation == MKDV:
         shift = 3.0 * k**2 * t
         phase0 = np.exp(2j * k**3 * t)
     else:

@@ -23,11 +23,11 @@ from modspec import (
     beta2,
     build_operator,
     build_weights,
-    evolve,
+    evolve_batch,
     gaussian_field,
     hs_functional,
     make_grid,
-    modulation_norm,
+    profile_norm,
     quartic_integral,
     random_band_field,
     sech_field,
@@ -81,7 +81,7 @@ def test_c01_soliton_regressions(grid):
         u0 = sech_field(grid)
         for dt in (4e-3, 2e-3, 1e-3):
             t0 = time.time()
-            uT = evolve(u0, FlowSpec(eq, "focusing", dt=dt), [1.0]).fields[-1]
+            uT = evolve_batch([u0], [FlowSpec(eq, "focusing", dt=dt)], [1.0])[0].fields[-1]
             elapsed = time.time() - t0
             errs[(eq, dt)] = l2_dist(uT, make_ref(1.0))
             assert elapsed <= 60.0, f"{eq} run at dt={dt} took {elapsed:.1f}s"
@@ -296,8 +296,8 @@ def test_c10_apriori_bounds(grid):
 
     mp = ModulationParams(2.0, 0.0)
     u0 = gaussian_field(grid, 1.0, 0.3)
-    traj = evolve(u0, FlowSpec("nls", "defocusing", dt=1e-3), [0.0, 0.5, 1.0])
-    norms = [modulation_norm(u, mp) for u in traj.fields]
+    traj = evolve_batch([u0], [FlowSpec("nls", "defocusing", dt=1e-3)], [0.0, 0.5, 1.0])[0]
+    norms = [profile_norm(band_profile(u), mp) for u in traj.fields]
     check("c10 nls (2,0) mass ratio deviation", abs(max(norms) / norms[0] - 1.0), 1e-8)
 
     elapsed = time.time() - MODULE_T0

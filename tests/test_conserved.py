@@ -4,7 +4,6 @@ from scipy.integrate import quad
 
 from modspec import (
     AliasingError,
-    BoostSpec,
     Field,
     FlowSpec,
     SeriesDivergenceError,
@@ -15,7 +14,7 @@ from modspec import (
     band_indicator_field,
     beta2,
     build_operator,
-    evolve,
+    evolve_batch,
     galilei_boost,
     gaussian_field,
     hs_functional,
@@ -422,7 +421,7 @@ def test_tail_bound_dominates_high_order_parts(grid_ref):
     kp_1 = SpectralParameter(1.0)
     u = gaussian_field(grid_ref, 1.2, 0.3)
     for k in (0.0, 2.0, 4.0):
-        uk = galilei_boost(u, BoostSpec(k, 0.0, "mkdv"))
+        uk = galilei_boost(u, k, 0.0, "mkdv")
         b2 = beta2(u, 0.5, shift=k)
         b4 = alpha4(uk, kp_h) - 0.5 * alpha4(uk, kp_1)
         bf = beta_full(uk, kp_h, center=-k)
@@ -463,7 +462,7 @@ def _stride_one_alpha(monkeypatch, f, kp, **kw):
 def _conserve_default_snapshots():
     cfg = config_from_dict({"version": 1})
     u0 = build_family(cfg.family, cfg.grid(), np.random.default_rng(cfg.seed))[0]
-    traj = evolve(u0, FlowSpec(cfg.equation, cfg.sign, cfg.dt), [0.0, 1.0])
+    traj = evolve_batch([u0], [FlowSpec(cfg.equation, cfg.sign, cfg.dt)], [0.0, 1.0])[0]
     return cfg, traj.fields
 
 
@@ -473,7 +472,7 @@ def test_chosen_stride_matches_stride_one(monkeypatch):
     cfg, snaps = _conserve_default_snapshots()
     cases = [(u, SpectralParameter(kappa, cfg.sign), 0.0)
              for u in snaps for kappa in (0.5, 1.0, 2.0, 4.0)]
-    uk = galilei_boost(snaps[0], BoostSpec(2.0, 0.0, "mkdv"))
+    uk = galilei_boost(snaps[0], 2.0, 0.0, "mkdv")
     cases += [(uk, SpectralParameter(kappa, cfg.sign), -2.0) for kappa in (0.5, 1.0)]
     strides = []
     for f, kp, center in cases:

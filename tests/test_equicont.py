@@ -10,7 +10,7 @@ from modspec import (
     build_weights,
     gaussian_field,
     make_grid,
-    modulation_norm,
+    profile_norm,
     scale_field,
     verify_weights,
 )
@@ -167,4 +167,4 @@ def test_weighted_norm_with_built_weights_dominates(grid):
     fam = gaussian_family(grid)
     w = build_weights(profiles(fam), mp).as_array()
     for f in fam:
-        assert modulation_norm(f, mp, weights=w) >= modulation_norm(f, mp)
+        assert profile_norm(band_profile(f), mp, weights=w) >= profile_norm(band_profile(f), mp)

@@ -3,10 +3,8 @@ import pytest
 
 from modspec import (
     BlowUpError,
-    BoostSpec,
     Field,
     FlowSpec,
-    evolve,
     evolve_batch,
     galilei_boost,
     gaussian_field,
@@ -58,7 +56,7 @@ def test_step_zero_field(grid_ref):
     for eq in ("nls", "mkdv", "mkdv_nls"):
         fs = FlowSpec(eq, dt=1e-3, k=1.0)
         for u in (z, nyquist):
-            out = evolve(u, fs, [fs.dt]).fields[-1]
+            out = evolve_batch([u], [fs], [fs.dt])[0].fields[-1]
             assert np.all(out.values == 0), eq
 
 
@@ -68,7 +66,7 @@ def test_small_data_follows_linear_propagator(grid_ref, eq):
     match the exact linear flow, so every multiplier sits on its own frequency."""
     u0 = gaussian_field(grid_ref, amplitude=1e-9)
     fs = FlowSpec(eq, dt=1e-3, k=1.0)
-    uT = evolve(u0, fs, [100 * fs.dt]).fields[-1]
+    uT = evolve_batch([u0], [fs], [100 * fs.dt])[0].fields[-1]
     ref = linear_propagator(u0, 100 * fs.dt, eq, k=1.0)
     assert l2_dist(uT, ref) <= 1e-12 * ref.l2_norm()
 
@@ -76,7 +74,7 @@ def test_small_data_follows_linear_propagator(grid_ref, eq):
 def test_nls_soliton(grid_ref):
     u0 = sech_field(grid_ref)
     fs = FlowSpec("nls", "focusing", dt=1e-3)
-    uT = evolve(u0, fs, [1.0]).fields[-1]
+    uT = evolve_batch([u0], [fs], [1.0])[0].fields[-1]
     ref = Field(grid_ref, np.exp(1j) / np.cosh(grid_ref.x))
     assert l2_dist(uT, ref) <= 1e-6
 
@@ -84,7 +82,7 @@ def test_nls_soliton(grid_ref):
 def test_mkdv_soliton(grid_ref):
     u0 = sech_field(grid_ref)
     fs = FlowSpec("mkdv", "focusing", dt=1e-3)
-    uT = evolve(u0, fs, [1.0]).fields[-1]
+    uT = evolve_batch([u0], [fs], [1.0])[0].fields[-1]
     ref = sech_field(grid_ref, shift=1.0)
     assert l2_dist(uT, ref) <= 1e-5
 
@@ -98,28 +96,28 @@ def test_evolve_snapshots_and_observers(grid_ref):
         seen.append(t)
         return {"mass": f.l2_norm()}
 
-    traj = evolve(u0, fs, [0.0, 0.05, 0.1], observers=[obs])
+    traj = evolve_batch([u0], [fs], [0.0, 0.05, 0.1], observers=[obs])[0]
     assert traj.times == [0.0, 0.05, 0.1]
     assert seen == traj.times
     assert all("mass" in row for row in traj.observations)
-    t0 = evolve(u0, fs, [0.0])
+    t0 = evolve_batch([u0], [fs], [0.0])[0]
     assert np.array_equal(t0.fields[0].values, u0.values)
     with pytest.raises(ValueError):
-        evolve(u0, fs, [0.0333])
+        evolve_batch([u0], [fs], [0.0333])
 
 
 def test_l2_conservation(grid_ref):
     u0 = gaussian_field(grid_ref, amplitude=0.3)
     for eq in ("mkdv", "nls"):
         for sign in ("defocusing", "focusing"):
-            traj = evolve(u0, FlowSpec(eq, sign, dt=1e-3), [0.0, 1.0])
+            traj = evolve_batch([u0], [FlowSpec(eq, sign, dt=1e-3)], [0.0, 1.0])[0]
             drift = abs(traj.fields[1].l2_norm() - traj.fields[0].l2_norm())
             assert drift <= 1e-8, (eq, sign, drift)
 
 
 def test_mkdv_l2_drift_tight(grid_ref):
     u0 = gaussian_field(grid_ref, amplitude=0.3)
-    traj = evolve(u0, FlowSpec("mkdv", "defocusing", dt=1e-3), [0.0, 1.0])
+    traj = evolve_batch([u0], [FlowSpec("mkdv", "defocusing", dt=1e-3)], [0.0, 1.0])[0]
     assert abs(traj.fields[1].l2_norm() - traj.fields[0].l2_norm()) <= 1e-10
 
 
@@ -129,8 +127,8 @@ def test_time_reversibility(grid_ref):
     u0 = gaussian_field(grid_ref, amplitude=0.3)
     for eq in ("mkdv", "nls"):
         fs = FlowSpec(eq, "defocusing", dt=1e-3)
-        uT = evolve(u0, fs, [0.5]).fields[-1]
-        back = evolve(uT, dataclasses.replace(fs, dt=-fs.dt), [0.5]).fields[-1]
+        uT = evolve_batch([u0], [fs], [0.5])[0].fields[-1]
+        back = evolve_batch([uT], [dataclasses.replace(fs, dt=-fs.dt)], [0.5])[0].fields[-1]
         assert l2_dist(back, u0) <= 1e-6
 
 
@@ -139,8 +137,9 @@ def test_real_data_stays_real_under_mkdv(grid_ref):
     same equation as mkdv_nls at k = 0 steps on full spectra and must stay real
     up to roundoff, next to the half-spectrum result."""
     u0 = gaussian_field(grid_ref, amplitude=0.3)
-    half = evolve(u0, FlowSpec("mkdv", "focusing", dt=1e-3), [0.5]).fields[-1]
-    full = evolve(u0, FlowSpec("mkdv_nls", "focusing", dt=1e-3, k=0.0), [0.5]).fields[-1]
+    half = evolve_batch([u0], [FlowSpec("mkdv", "focusing", dt=1e-3)], [0.5])[0].fields[-1]
+    full = evolve_batch([u0], [FlowSpec("mkdv_nls", "focusing", dt=1e-3, k=0.0)],
+                        [0.5])[0].fields[-1]
     assert np.all(half.values.imag == 0)
     assert np.max(np.abs(full.values.imag)) <= 1e-9
     assert np.max(np.abs(full.values - half.values)) <= 1e-9
@@ -152,16 +151,16 @@ def test_boost_consistency_quick(grid_ref, sign):
     u0 = gaussian_field(grid_ref, amplitude=0.3)
     k, T, dt = 1.0, 0.25, 2e-3
     fs = FlowSpec("mkdv", sign, dt=dt)
-    path1 = galilei_boost(evolve(u0, fs, [T]).fields[-1], BoostSpec(k, T, "mkdv"))
-    u0k = galilei_boost(u0, BoostSpec(k, 0.0, "mkdv"))
-    path2 = evolve(u0k, FlowSpec("mkdv_nls", sign, dt=dt, k=k), [T]).fields[-1]
+    path1 = galilei_boost(evolve_batch([u0], [fs], [T])[0].fields[-1], k, T, "mkdv")
+    u0k = galilei_boost(u0, k, 0.0, "mkdv")
+    path2 = evolve_batch([u0k], [FlowSpec("mkdv_nls", sign, dt=dt, k=k)], [T])[0].fields[-1]
     assert l2_dist(path1, path2) <= 1e-5
 
 
 def test_blow_up_detection(grid_ref):
     u0 = sech_field(grid_ref, amplitude=50.0)
     with pytest.raises(BlowUpError) as err:
-        evolve(u0, FlowSpec("mkdv", "focusing", dt=5e-2), [1.0])
+        evolve_batch([u0], [FlowSpec("mkdv", "focusing", dt=5e-2)], [1.0])
     assert err.value.last_good_time is not None
 
 
@@ -169,11 +168,11 @@ def test_blow_up_detection(grid_ref):
 def test_modulus_shift_identity_along_trajectory(grid_ref, eq):
     """|uhat^k(t, xi)| = |uhat(t, xi + k)| at every snapshot of a real run."""
     u0 = gaussian_field(grid_ref, amplitude=0.3)
-    traj = evolve(u0, FlowSpec(eq, "defocusing", dt=2e-3), [0.0, 0.1, 0.2])
+    traj = evolve_batch([u0], [FlowSpec(eq, "defocusing", dt=2e-3)], [0.0, 0.1, 0.2])[0]
     k = 1
     m = int(round(k / grid_ref.dxi))
     for t, u in zip(traj.times, traj.fields):
-        uk = galilei_boost(u, BoostSpec(float(k), t, eq))
+        uk = galilei_boost(u, float(k), t, eq)
         target = np.zeros(grid_ref.n)
         target[: grid_ref.n - m] = np.abs(u.spectrum[m:])
         assert np.max(np.abs(np.abs(uk.spectrum) - target)) <= 1e-8
@@ -185,7 +184,7 @@ def test_modulus_shift_identity_along_trajectory(grid_ref, eq):
 def _boost_batch(grid, ks):
     """The unboosted mkdv row, then one mixed-flow row per k; signs alternate."""
     u0 = gaussian_field(grid, amplitude=0.3)
-    fields = [u0] + [galilei_boost(u0, BoostSpec(float(k), 0.0, "mkdv")) for k in ks]
+    fields = [u0] + [galilei_boost(u0, float(k), 0.0, "mkdv") for k in ks]
     signs = ["defocusing", "focusing"]
     specs = [FlowSpec("mkdv", dt=1e-3)] + [
         FlowSpec("mkdv_nls", signs[i % 2], dt=1e-3, k=float(k)) for i, k in enumerate(ks)]
@@ -196,7 +195,7 @@ def _assert_rows_equal_single_calls(fields, specs, times):
     batch = evolve_batch(fields, specs, times)
     assert len(batch) == len(fields)
     for u0, fs, traj in zip(fields, specs, batch):
-        single = evolve(u0, fs, times)
+        single = evolve_batch([u0], [fs], times)[0]
         assert traj.times == single.times
         for a, b in zip(traj.fields, single.fields):
             assert np.array_equal(a.values, b.values)
@@ -250,7 +249,7 @@ def _unfused_strang(u0: Field, fs: FlowSpec, n_steps: int) -> np.ndarray:
 def test_fused_steps_match_unfused_strang(grid_ref, eq):
     u0 = gaussian_field(grid_ref, amplitude=0.3)
     fs = FlowSpec(eq, "focusing", dt=1e-3, k=2.0)
-    traj = evolve(u0, fs, [0.02, 0.05])
+    traj = evolve_batch([u0], [fs], [0.02, 0.05])[0]
     for n, u in zip((20, 50), traj.fields):
         assert np.max(np.abs(u.values - _unfused_strang(u0, fs, n))) <= 1e-13
 
@@ -265,7 +264,7 @@ def test_rk4_substep_is_bit_identical_to_allocating_oracle(grid_ref, sign, rows)
     u0 = gaussian_field(grid_ref, amplitude=0.3)
     if rows == "boost_batch":
         ks = [float(k) for k in range(-5, 6)]
-        fields = [u0] + [galilei_boost(u0, BoostSpec(k, 0.0, "mkdv")) for k in ks]
+        fields = [u0] + [galilei_boost(u0, k, 0.0, "mkdv") for k in ks]
         specs = [FlowSpec("mkdv", sign, dt=1e-3)] + [
             FlowSpec("mkdv_nls", sign, dt=1e-3, k=k) for k in ks]
     elif rows == "complex_mkdv":

@@ -22,7 +22,6 @@ from modspec import (
 from modspec.harness import (
     ConfigError,
     ExperimentConfig,
-    load_config,
     run_apriori,
     run_conservation,
     run_galilei,
@@ -33,7 +32,13 @@ from modspec.harness import (
 )
 from modspec.harness import experiments
 from modspec.harness.cli import main
-from modspec.harness.config import FAMILIES, build_family, config_from_dict, random_suite
+from modspec.harness.config import (
+    FAMILIES,
+    build_family,
+    config_from_dict,
+    random_suite,
+    read_config,
+)
 from modspec.harness.reports import criterion, write_csv
 
 
@@ -63,7 +68,7 @@ def test_config_roundtrip(tmp_path):
     cfg = ExperimentConfig(seed=7, dt=2e-3)
     path = tmp_path / "c.json"
     path.write_text(json.dumps(cfg.to_dict() | {"version": 1}))
-    loaded = load_config(path)
+    loaded = config_from_dict(read_config(path))
     assert loaded == cfg
 
 
@@ -71,21 +76,21 @@ def test_config_rejects_unknown_keys(tmp_path):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"version": 1, "grid_m": 4}))
     with pytest.raises(ConfigError, match="grid_m"):
-        load_config(path)
+        config_from_dict(read_config(path))
 
 
 def test_config_requires_version(tmp_path):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"grid_n": 256}))
     with pytest.raises(ConfigError, match="version"):
-        load_config(path)
+        config_from_dict(read_config(path))
 
 
 def test_config_malformed_json_has_location(tmp_path):
     path = tmp_path / "c.json"
     path.write_text('{"version": 1,\n  "grid_n": }')
     with pytest.raises(ConfigError, match="line 2"):
-        load_config(path)
+        config_from_dict(read_config(path))
 
 
 def test_config_type_validation():
@@ -331,6 +336,51 @@ def test_apriori_large_data_path():
     assert res.all_pass
 
 
+def nan_at_last_snapshot(monkeypatch, row):
+    """Make the drivers' band_profile read NaN at the last snapshot of row `row`
+    of every evolve_batch call, and nowhere else."""
+    batch, profile = experiments.evolve_batch, experiments.band_profile
+    last = set()  # ids of the fields whose profile reads NaN
+
+    def evolve(*args, **kwargs):
+        trajs = batch(*args, **kwargs)
+        last.add(id(trajs[row].fields[-1]))
+        return trajs
+
+    def band_profile(f, *args):
+        prof = profile(f, *args)
+        return np.full_like(prof, np.nan) if id(f) in last else prof
+
+    monkeypatch.setattr(experiments, "evolve_batch", evolve)
+    monkeypatch.setattr(experiments, "band_profile", band_profile)
+
+
+def failed(res, prefix):
+    entries = [e for e in res.summary if e.criterion.startswith(prefix)]
+    assert entries
+    return all(not e.passed for e in entries)
+
+
+def test_normequiv_nan_at_a_later_snapshot_fails(monkeypatch):
+    """A NaN norm after t = 0 fails the bracket and the sweep tail: a max over
+    the series must not drop it."""
+    nan_at_last_snapshot(monkeypatch, 0)
+    res = run_norm_equivalence(small_cfg(ps=[[2.0, 0.0]]))
+    assert failed(res, "ratio_bracket") and failed(res, "sweep_tail_fraction")
+
+
+@pytest.mark.parametrize("over, row, prefix", [
+    ({}, 0, "sup_ratio"),  # the first small-data amplitude
+    ({}, 2, "equicontinuity_factor"),  # the first family member, after both amplitudes
+    ({"amplitudes": [1.0], "family": {"kind": "gaussian", "amplitude": 1.0},
+      "dt": 1e-2, "t_final": 0.02}, 0, "rescaled_sup_ratio"),  # the one-row rescaled flow
+], ids=["sup_ratio", "equicontinuity_factor", "rescaled_sup_ratio"])
+def test_apriori_nan_at_a_later_snapshot_fails(monkeypatch, over, row, prefix):
+    nan_at_last_snapshot(monkeypatch, row)
+    res = run_apriori(small_cfg(ps=[[2.0, 0.0]], **over))
+    assert failed(res, prefix)
+
+
 @pytest.mark.parametrize("amplitudes", [[0.0, 0.1], [0.1, 0.0]])
 def test_apriori_zero_amplitude(amplitudes):
     """Zero data adds its rows but no ratio; the family clause takes the first nonzero amplitude."""
@@ -430,17 +480,13 @@ def test_apriori_pad_budget_is_checked_before_any_flow(tmp_path, monkeypatch, ca
     from modspec.harness import experiments
 
     calls = []
+    inner = experiments.evolve_batch
 
-    def counted(name):
-        inner = getattr(experiments, name)
+    def counted(*args, **kwargs):  # evolve_batch is the one flow entry point
+        calls.append(args)
+        return inner(*args, **kwargs)
 
-        def call(*args, **kwargs):
-            calls.append(name)
-            return inner(*args, **kwargs)
-        return call
-
-    for name in ("evolve_batch", "evolve"):
-        monkeypatch.setattr(experiments, name, counted(name))
+    monkeypatch.setattr(experiments, "evolve_batch", counted)
     cfg = small_cfg(amplitudes=[3.0, 0.0, 0.1], ps=[[2.0, 0.0], [1.0, 0.0], [4.0, 1.0]])
     with pytest.raises(ConfigError, match="rescaling pad .* exceeds the budget"):
         run_apriori(cfg)
@@ -661,6 +707,19 @@ def test_cli_config_errors_exit_2(tmp_path, capsys, extra):
     rc = main([cmd, "--config", str(cfgp), "--out", str(tmp_path / "out")] + flags)
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd", ["galilei", "tails"])
+def test_cli_boost_drivers_reject_an_equation_without_a_boost(tmp_path, capsys, monkeypatch,
+                                                               cmd):
+    """mkdv_nls has no Galilei boost formula: a config error before any flow runs."""
+    calls = []
+    monkeypatch.setattr(experiments, "evolve_batch", lambda *args: calls.append(args))
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps(small_cfg(equation="mkdv_nls", n_op=64, t_final=0.01).to_dict()))
+    assert main([cmd, "--config", str(cfgp), "--out", str(tmp_path / "out")]) == 2
+    assert "mkdv_nls" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_cli_tails_window_may_leave_the_lattice(tmp_path):

@@ -1,12 +1,15 @@
-"""Every module in src/ and tests/ uses each name it imports, and src/ reads
-each private name it defines.
+"""Every module in src/ and tests/ uses each name it imports, src/ reads each
+private name it defines, and src/ or the benchmark reads each public function
+and class that src/ defines.
 
 No linter ships with the project, so this walks each module's syntax tree with
 the standard library: a name bound by an import statement must be read
 somewhere in the same module.  `from __future__` imports and the two package
 `__init__.py` modules, whose imports are re-exports, are exempt.  A private
 module-level name (leading underscore, not a dunder) defined in src/ must be
-read by some module of src/: the tests alone do not keep it alive.
+read by some module of src/: the tests alone do not keep it alive.  A public
+module-level function or class defined in src/ must be read by some module of
+src/ or perfbench/; a re-export in an `__init__.py` does not count as a read.
 """
 
 import ast
@@ -46,29 +49,42 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def module_level_names(tree, assignments=True):
+    """(line, name) of each function and class defined at module level, and of
+    each name a module-level assignment binds when `assignments` is set."""
+    for node in tree.body:
+        if isinstance(node, DEFS):
+            yield node.lineno, node.name
+        elif assignments and isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for t in targets:
+                yield from ((node.lineno, n.id) for n in ast.walk(t) if isinstance(n, ast.Name))
+
+
+def read_names(tree) -> set:
+    """The names a module reads: as a name, as an attribute or in a `from` import."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(a.name for a in node.names)
+    return read
+
+
 def unread_private_names(sources: dict) -> list:
     """(module, line, name) of each private module-level name that no module in
     `sources` (module name -> source) reads, as a name, attribute or import."""
-    defined, read = [], set()
-    for mod, source in sources.items():
-        tree = ast.parse(source)
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
-            else:
-                continue
-            defined += [(mod, node.lineno, n) for n in names
-                        if n.startswith("_") and not (n.startswith("__") and n.endswith("__"))]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                read.update(a.name for a in node.names)
+    trees = {mod: ast.parse(source) for mod, source in sources.items()}
+    defined = [(mod, line, n) for mod, tree in trees.items()
+               for line, n in module_level_names(tree)
+               if n.startswith("_") and not (n.startswith("__") and n.endswith("__"))]
+    read = set().union(*map(read_names, trees.values()))
     return sorted(d for d in defined if d[2] not in read)
 
 
@@ -84,3 +100,32 @@ def test_unread_private_names_are_found():
 def test_src_reads_every_private_name_it_defines():
     sources = {str(p.relative_to(ROOT)): p.read_text() for p in (ROOT / "src").rglob("*.py")}
     assert unread_private_names(sources) == []
+
+
+def unread_public_names(defining: dict, reading: dict) -> list:
+    """(module, line, name) of each public module-level function or class of a
+    module in `defining` that no module in `reading` reads (both map a module
+    name to its source)."""
+    defined = [(mod, line, n) for mod, source in defining.items()
+               for line, n in module_level_names(ast.parse(source), assignments=False)
+               if not n.startswith("_")]
+    read = set().union(*(read_names(ast.parse(source)) for source in reading.values()))
+    return sorted(d for d in defined if d[2] not in read)
+
+
+def test_unread_public_names_are_found():
+    defining = {
+        "a": "def used(): pass\ndef dead(): pass\nclass Kept: pass\nclass Gone: pass\n"
+             "def _private(): pass\nCONSTANT = 1\n",
+        "b": "def helper(): pass\n",
+    }
+    reading = {"a": "used()\n", "c": "from a import Kept\nimport b\nb.helper()\n"}
+    assert unread_public_names(defining, reading) == [("a", 2, "dead"), ("a", 4, "Gone")]
+
+
+def test_src_or_the_benchmark_reads_every_public_function_and_class():
+    defining = {str(p.relative_to(ROOT)): p.read_text() for p in (ROOT / "src").rglob("*.py")}
+    reading = {str(p.relative_to(ROOT)): p.read_text()
+               for d in ("src", "perfbench") for p in (ROOT / d).rglob("*.py")
+               if p not in REEXPORTS}
+    assert unread_public_names(defining, reading) == []

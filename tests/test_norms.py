@@ -10,7 +10,6 @@ from modspec import (
     band_profile,
     bracket,
     hs_functional,
-    modulation_norm,
     profile_norm,
     sobolev_norm,
 )
@@ -37,18 +36,19 @@ def test_modulation_params_flags():
 
 def test_modulation_norm_zero(grid_ref):
     f = Field(grid_ref, np.zeros(grid_ref.n, dtype=complex))
-    assert modulation_norm(f, ModulationParams(2.0, 0.5)) == 0.0
+    assert profile_norm(band_profile(f), ModulationParams(2.0, 0.5)) == 0.0
 
 
 @pytest.mark.parametrize("p,s", [(1.0, 0.0), (2.0, 0.5), (4.0, 1.0)])
 def test_modulation_norm_single_band(grid_ref, p, s):
     f = band_indicator_field(grid_ref, -0.5, 0.5)
-    assert modulation_norm(f, ModulationParams(p, s)) == pytest.approx(2.0**s, rel=1e-12)
+    assert profile_norm(band_profile(f), ModulationParams(p, s)) == pytest.approx(2.0**s, rel=1e-12)
 
 
 def test_modulation_norm_two_bands(grid_ref):
     f = band_indicator_field(grid_ref, -0.5, 1.5)
-    assert modulation_norm(f, ModulationParams(2.0, 0.0)) == pytest.approx(np.sqrt(2.0), rel=1e-12)
+    norm = profile_norm(band_profile(f), ModulationParams(2.0, 0.0))
+    assert norm == pytest.approx(np.sqrt(2.0), rel=1e-12)
 
 
 def test_modulation_norm_is_a_norm(grid_ref, rng):
@@ -58,10 +58,11 @@ def test_modulation_norm_is_a_norm(grid_ref, rng):
         g = random_smooth_field(grid_ref, rng, carrier=2.0)
         a = 2.7
         scaled = Field.from_spectrum(grid_ref, a * f.spectrum)
-        assert modulation_norm(scaled, mp) == pytest.approx(a * modulation_norm(f, mp), rel=1e-10)
+        assert profile_norm(band_profile(scaled), mp) == pytest.approx(
+            a * profile_norm(band_profile(f), mp), rel=1e-10)
         both = Field.from_spectrum(grid_ref, f.spectrum + g.spectrum)
-        assert modulation_norm(both, mp) <= (
-            modulation_norm(f, mp) + modulation_norm(g, mp) + 1e-10
+        assert profile_norm(band_profile(both), mp) <= (
+            profile_norm(band_profile(f), mp) + profile_norm(band_profile(g), mp) + 1e-10
         )
 
 
@@ -71,19 +72,7 @@ def test_weighted_norm_dominates(grid_ref, rng):
     w = 1.0 + np.log(np.abs(ks) + 1.0)
     for _ in range(3):
         f = random_smooth_field(grid_ref, rng)
-        assert modulation_norm(f, mp, weights=w) >= modulation_norm(f, mp)
-
-
-def test_profile_norm_is_modulation_norm_bit_for_bit(grid_ref, rng):
-    """One band profile reduced per (p, s) gives modulation_norm's exact bits."""
-    ks = np.arange(-grid_ref.kmax, grid_ref.kmax + 1)
-    w = 1.0 + np.log(np.abs(ks) + 1.0)
-    for f in random_suite(grid_ref, 8, rng):
-        prof = band_profile(f)
-        for p, s in [(1.0, 0.0), (2.0, 0.0), (4.0, 1.0), (1.5, 0.3)]:
-            mp = ModulationParams(p, s)
-            assert profile_norm(prof, mp) == modulation_norm(f, mp)
-            assert profile_norm(prof, mp, weights=w) == modulation_norm(f, mp, weights=w)
+        assert profile_norm(band_profile(f), mp, weights=w) >= profile_norm(band_profile(f), mp)
 
 
 def test_stacked_profile_norm_equals_row_by_row(grid_ref, rng):
@@ -114,7 +103,7 @@ def test_stacked_sobolev_norm_equals_row_by_row(grid_ref, rng):
 def test_weights_must_cover_bands(grid_ref):
     f = band_indicator_field(grid_ref, -0.5, 0.5)
     with pytest.raises(ValueError):
-        modulation_norm(f, ModulationParams(2.0, 0.0), weights=np.ones(3))
+        profile_norm(band_profile(f), ModulationParams(2.0, 0.0), weights=np.ones(3))
 
 
 def test_sobolev_norm_zero_and_l2(grid_ref, rng):
@@ -148,7 +137,7 @@ def test_embedding_ratio_bounded(grid_ref, rng):
     for p, s in [(1.0, 0.0), (2.0, 0.0), (4.0, 0.0), (4.0, 1.0)]:
         mp = ModulationParams(p, s)
         sigma = admissible_sigma(mp)
-        ratios = [sobolev_norm(f, sigma) / modulation_norm(f, mp) for f in suite]
+        ratios = [sobolev_norm(f, sigma) / profile_norm(band_profile(f), mp) for f in suite]
         assert max(ratios) <= 10.0
 
 
@@ -180,7 +169,7 @@ def test_hs_functional_decay_sweep(grid_ref, rng):
     consts = []
     for _ in range(10):
         f = random_smooth_field(grid_ref, rng, carrier=rng.uniform(-4, 4))
-        m2 = modulation_norm(f, mp) ** 2
+        m2 = profile_norm(band_profile(f), mp) ** 2
         for kappa in (0.5, 1.0, 2.0, 4.0, 8.0):
             consts.append(hs_functional(f, kappa) / (kappa ** (-2 * delta) * m2))
     assert np.isfinite(consts).all()
