@@ -1,14 +1,16 @@
-"""Strang split-step integrators for the three evolutions.
+"""Strang split-step integrators for the two evolutions.
 
 Equations (upper sign defocusing, lower focusing):
 
-    mkdv:      u_t + u_xxx = +-6 |u|^2 u_x
-    nls:       i u_t + u_xx = +-2 |u|^2 u
-    mkdv_nls:  u_t + u_xxx + 3ik u_xx = +-6 |u|^2 u_x +- 6ik |u|^2 u
+    mkdv:  u_t + u_xxx + 3ik u_xx = +-6 |u|^2 (u_x + iku)
+    nls:   i u_t + u_xx = +-2 |u|^2 u
+
+mkdv is written in the frame of wave number k (FlowSpec.k): the Galilei
+boost u^k of an mkdv solution solves it, and k = 0 is mkdv itself.
 
 The linear part is an exact Fourier multiplier.  Each step is symmetric
 Strang: half linear, full nonlinear, half linear.  The nls nonlinear
-substep is an exact phase rotation; the mkdv and mixed substeps use RK4
+substep is an exact phase rotation; the mkdv substep uses RK4
 with spectral derivatives and a 2/3-rule dealiasing mask on every
 product.
 
@@ -16,8 +18,8 @@ product.
 along the last axis.  Between snapshots the state stays spectral and the
 trailing half-step of one step is fused with the leading half-step of the
 next (first-same-as-last Strang).  An nls
-step takes 2 FFTs, a mkdv or mkdv_nls step 8 transform calls.  Real data is
-invariant under mkdv, so the mkdv rows whose samples are exactly real step
+step takes 2 FFTs, a mkdv step 8 transform calls.  Real data is invariant
+under mkdv at k = 0, so the mkdv rows at k = 0 whose samples are exactly real step
 on half spectra with rfft/irfft, where 6 u^2 u_x = 2 (u^3)_x: an RK4 stage
 inverts its masked input, cubes it and differentiates it spectrally.  Other
 rows step full spectra with fft/ifft, inverting a stage's masked input and
@@ -34,7 +36,7 @@ import numpy as np
 
 from .grid import Field, GridSpec
 
-EQUATIONS = ("nls", "mkdv", "mkdv_nls")
+EQUATIONS = ("nls", "mkdv")
 
 BLOWUP_THRESHOLD = 1e6
 
@@ -53,15 +55,17 @@ class FlowSpec:
     equation: str
     sign: str = "defocusing"  # +- sign of the nonlinearity
     dt: float = 1e-3
-    k: float = 0.0  # boost wave number; only used by mkdv_nls
+    k: float = 0.0  # the mkdv frame's wave number; nls has none
 
     def __post_init__(self):
         if self.equation not in EQUATIONS:
-            raise ValueError(f"equation must be one of {EQUATIONS}")
+            raise ValueError(f"equation must be one of {EQUATIONS}, got {self.equation!r}")
         if self.sign not in ("defocusing", "focusing"):
             raise ValueError("sign must be 'defocusing' or 'focusing'")
         if self.dt == 0 or not np.isfinite(self.dt):
             raise ValueError(f"dt must be nonzero and finite, got {self.dt}")
+        if not np.isfinite(self.k) or (self.equation == "nls" and self.k != 0):
+            raise ValueError(f"k must be finite, and 0 for nls, got {self.k}")
 
     @property
     def sigma(self) -> float:
@@ -71,11 +75,9 @@ class FlowSpec:
 def dispersion_symbol(equation: str, xi: np.ndarray, k: float = 0.0) -> np.ndarray:
     """Multiplier m(xi) with uhat(t) = exp(m t) uhat(0) for the linear flow."""
     if equation == "mkdv":
-        return 1j * xi**3
+        return 1j * (xi**3 + 3.0 * k * xi**2)
     if equation == "nls":
         return -1j * xi**2
-    if equation == "mkdv_nls":
-        return 1j * (xi**3 + 3.0 * k * xi**2)
     raise ValueError(f"unknown equation {equation!r}")
 
 
@@ -83,11 +85,10 @@ class _Stepper:
     """Fused Strang steps of a (B, N) batch on numpy's natural-order transforms.
 
     Row i evolves under specs[i]; the caller has checked that the rows share dt
-    and the kind of nonlinear substep.  Equation, sign and k enter only as
-    per-row multipliers and a (B, 1) sign column (k = 0 for an mkdv row); the
-    multipliers are diagonal, so the transform's order and scale cancel in a step.
+    and the equation.  Sign and k enter only as per-row multipliers and (B, 1)
+    sign and k columns; the multipliers are diagonal, so the transform's order and scale cancel in a step.
     The complex kind steps full spectra with fft/ifft.  The real kind is for
-    mkdv rows with real samples, which the flow keeps real: it steps the
+    mkdv rows at k = 0 with real samples, which the flow keeps real: it steps the
     nonnegative half of each spectrum with rfft/irfft, on the same multipliers
     restricted to that half, and a stage forms the nonlinearity as 2 sigma (u^3)_x.
     Its rows' samples are real arrays.
@@ -121,8 +122,8 @@ class _Stepper:
             # for real u, 6 sigma u^2 u_x = 2 sigma (u^3)_x: the masked derivative of the cube
             self.cube = 2.0 * sigma * 1j * xi * self.mask
         else:
-            # the mkdv and mkdv_nls nonlinearity is +-6 |u|^2 (u_x + iku), with k = 0 for mkdv
-            k = np.array([[fs.k if fs.equation == "mkdv_nls" else 0.0] for fs in specs])
+            # the mkdv nonlinearity is +-6 |u|^2 (u_x + iku)
+            k = np.array([[fs.k] for fs in specs])
             self.deriv = 6.0 * sigma * 1j * (xi + k)
         if not self.nls:  # RK4 work arrays, reused by every step
             shape = (len(specs), xi.size)
@@ -202,31 +203,28 @@ class _Stepper:
 class Trajectory:
     times: list
     fields: list
-    observations: list  # one dict per snapshot
 
 
-def evolve_batch(fields, specs, snapshot_times, observers=()) -> list[Trajectory]:
+def evolve_batch(fields, specs, snapshot_times) -> list[Trajectory]:
     """Run the flow specs[i] from fields[i] for every row at once; one Trajectory per row.
 
-    The rows share the grid, the signed dt and the kind of nonlinear substep (the
-    nls phase rotation, or RK4 for mkdv and mkdv_nls); they may differ in
-    equation, sign and k.  snapshot_times are elapsed times, nonnegative
-    multiples of |dt|; dt < 0 integrates backward.  Each observer is a callable
-    (t, Field) -> dict of scalars, evaluated per snapshot and row.  The t = 0
-    snapshot is the input Field itself.
+    The rows share the grid, the signed dt and the equation; they may differ in
+    sign and k.
+    snapshot_times are elapsed times, nonnegative multiples of |dt|; dt < 0
+    integrates backward.  The t = 0 snapshot is the input Field itself.
 
-    The mkdv rows whose samples have imaginary part exactly 0 step as one group
-    on half spectra (the real kind of _Stepper), every other row as a second
-    group; a row's arithmetic depends only on that row.
+    The mkdv rows at k = 0 whose samples have imaginary part exactly 0 step as
+    one group on half spectra (the real kind of _Stepper), every other row as a
+    second group; a row's arithmetic depends only on that row.
     """
     if not fields or len(fields) != len(specs):
         raise ValueError("evolve_batch needs one FlowSpec per field, and at least one field")
     grid = fields[0].grid
     if any(u.grid != grid for u in fields):
         raise ValueError("batched rows must share the grid")
-    dt_signed, nls = specs[0].dt, specs[0].equation == "nls"
-    if any(fs.dt != dt_signed or (fs.equation == "nls") != nls for fs in specs):
-        raise ValueError("batched rows must share dt and the kind of nonlinear substep")
+    dt_signed, equation = specs[0].dt, specs[0].equation
+    if any(fs.dt != dt_signed or fs.equation != equation for fs in specs):
+        raise ValueError("batched rows must share dt and the equation")
     snap = sorted(float(t) for t in snapshot_times)
     if snap and snap[0] < 0:
         raise ValueError("snapshot times must be nonnegative elapsed times")
@@ -239,7 +237,8 @@ def evolve_batch(fields, specs, snapshot_times, observers=()) -> list[Trajectory
             raise ValueError(f"snapshot time {t} is not a multiple of dt = {dt}")
         targets[n] = t
 
-    real = [fs.equation == "mkdv" and np.all(u.values.imag == 0) for u, fs in zip(fields, specs)]
+    real = [fs.equation == "mkdv" and fs.k == 0 and np.all(u.values.imag == 0)
+            for u, fs in zip(fields, specs)]
     # (caller rows, stepper, state); the state is owned here: steps update it in
     # place, and snapshots are separate arrays
     groups = []
@@ -249,17 +248,12 @@ def evolve_batch(fields, specs, snapshot_times, observers=()) -> list[Trajectory
             stepper = _Stepper(grid, [specs[i] for i in rows], real=kind)
             groups.append((rows, stepper, stepper.start(np.array([fields[i].values for i in rows]))))
 
-    trajs = [Trajectory([], [], []) for _ in fields]
+    trajs = [Trajectory([], []) for _ in fields]
 
     def record(n, row_fields):
-        t_signed = sign * n * dt
         for traj, f in zip(trajs, row_fields):
-            traj.times.append(t_signed)
+            traj.times.append(sign * n * dt)
             traj.fields.append(f)
-            obs = {}
-            for fn in observers:
-                obs.update(fn(t_signed, f))
-            traj.observations.append(obs)
 
     if 0 in targets:
         record(0, fields)

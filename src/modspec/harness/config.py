@@ -32,9 +32,12 @@ class ConfigError(ValueError):
 
 DEFAULT_FAMILY = {"kind": "gaussian", "width": 1.0, "amplitude": 0.3, "center_freq": 0.0}
 
-# Every pass/fail threshold a driver reads, with its default.  A config's
-# `tolerances` map may override these keys and no others.  galilei_distance
-# depends on the equation.
+# The pass/fail thresholds a config's `tolerances` map may override, with their
+# defaults; it may override these keys and no others.  galilei_distance depends
+# on the equation and has a value for each one.  The drivers fix a few more,
+# which no config overrides: gaussian_scaling_spectrum_error (1e-10),
+# rescaled_norm (2 * apriori_eps_target), the weights criteria (1, and 2 for
+# weighted_ratio), skipped_boosts (0) and the tails constants (inf: reported).
 TOLERANCES = {
     "conservation_drift": 1e-5,
     "trace_imag": 1e-8,
@@ -167,10 +170,13 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     if cfg.version != 1:
         raise ConfigError(f"unsupported config version {cfg.version}")
     try:
-        cfg.grid()
+        grid = cfg.grid()
         FlowSpec(cfg.equation, cfg.sign, cfg.dt)
     except ValueError as exc:  # the grid's and the flow's own checks of these fields
         raise ConfigError(str(exc)) from None
+    if grid.kmax < 0:
+        raise ConfigError(f"grid (N = {grid.n}, L = {grid.length:g}) resolves no unit band: "
+                          f"its frequencies reach only {grid.n // 2 * grid.dxi:g} < 1/2")
     if not cfg.t_final > 0:
         raise ConfigError(f"t_final must be > 0, got {cfg.t_final}")
     for key, least in (("snapshots", 2), ("suite_size", 1), ("seed", 0)):

@@ -4,16 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from .flows import EQUATIONS
 from .grid import Field, GridSpec, inverse_transform, make_grid
 from .norms import ModulationParams, bracket
 from . import conserved
 
-MKDV = "mkdv"
-NLS = "nls"
-BOOST_EQUATIONS = (MKDV, NLS)  # the flows with a Galilei boost formula
 
-
-def galilei_boost(u: Field, k: float, t: float = 0.0, equation: str = MKDV) -> Field:
+def galilei_boost(u: Field, k: float, t: float = 0.0, equation: str = "mkdv") -> Field:
     """Boosted field u^k at time t, by the boost formula of `equation`.
 
     mkdv: u^k(t,x) = exp(-ikx + 2ik^3 t) u(t, x - 3k^2 t)
@@ -27,13 +24,16 @@ def galilei_boost(u: Field, k: float, t: float = 0.0, equation: str = MKDV) -> F
     whose boundary mismatch aliases at a level set by the field's decay
     toward the box edge.  An equation other than mkdv or nls, or a
     non-finite k or t, is a ValueError.
+
+    The boosted mkdv field solves FlowSpec("mkdv", k=k): mkdv in the frame of
+    wave number k.
     """
-    if equation not in BOOST_EQUATIONS:
-        raise ValueError(f"equation must be one of {BOOST_EQUATIONS}")
+    if equation not in EQUATIONS:
+        raise ValueError(f"equation must be one of {EQUATIONS}, got {equation!r}")
     if not (np.isfinite(k) and np.isfinite(t)):
         raise ValueError("boost parameters must be finite")
     g = u.grid
-    if equation == MKDV:
+    if equation == "mkdv":
         shift = 3.0 * k**2 * t
         phase0 = np.exp(2j * k**3 * t)
     else:

@@ -188,11 +188,12 @@ class AllocatingSubstep:
 def fused_strang(fields, specs, n_steps) -> np.ndarray:
     """(B, N) physical fields after n_steps fused Strang steps, substep by AllocatingSubstep.
 
-    As in evolve_batch, the mkdv rows with exactly real samples step together on
-    half spectra and the other rows on full spectra; rows keep the caller's order.
+    As in evolve_batch, the mkdv rows at k = 0 with exactly real samples step
+    together on half spectra and the other rows on full spectra; rows keep the
+    caller's order.
     """
     out = np.empty((len(fields), fields[0].grid.n), complex)
-    real = np.array([fs.equation == "mkdv" and not np.any(u.values.imag)
+    real = np.array([fs.equation == "mkdv" and fs.k == 0 and not np.any(u.values.imag)
                      for u, fs in zip(fields, specs)])
     for rows in (np.flatnonzero(real), np.flatnonzero(~real)):
         if rows.size == 0:

@@ -15,6 +15,11 @@ from modspec.flows import _Stepper, dispersion_symbol
 from oracles import fused_strang, linear_propagator
 
 
+# (equation, k) of each flow: nls, mkdv, and mkdv in the frame of a nonzero k
+FLOWS = [("nls", 0.0), ("mkdv", 0.0), ("mkdv", 2.0)]
+FLOW_IDS = ["nls", "mkdv", "boosted_mkdv"]
+
+
 def l2_dist(a: Field, b: Field) -> float:
     return float(np.sqrt(np.sum(np.abs(a.values - b.values) ** 2) * a.grid.dx))
 
@@ -26,6 +31,15 @@ def test_flow_spec_validation():
         FlowSpec("mkdv", sign="bright")
     with pytest.raises(ValueError):
         FlowSpec("mkdv", dt=0.0)
+    # the boosted mkdv is mkdv at k: there is no third equation
+    with pytest.raises(ValueError, match="'mkdv_nls'"):
+        FlowSpec("mkdv_nls", k=1.0)
+    # nls has no frame wave number, and k must be finite
+    with pytest.raises(ValueError, match="got 1.5"):
+        FlowSpec("nls", k=1.5)
+    with pytest.raises(ValueError, match="got nan"):
+        FlowSpec("mkdv", k=float("nan"))
+    assert FlowSpec("mkdv", k=-3.0).k == -3.0
 
 
 def test_linear_propagator_identity_and_tone(grid_ref):
@@ -44,8 +58,8 @@ def test_linear_propagator_is_unitary(grid_ref, rng):
     from conftest import random_smooth_field
 
     f = random_smooth_field(grid_ref, rng)
-    for eq in ("mkdv", "nls", "mkdv_nls"):
-        out = linear_propagator(f, 0.37, eq, k=1.0)
+    for eq, k in FLOWS:
+        out = linear_propagator(f, 0.37, eq, k=k)
         assert out.l2_norm() == pytest.approx(f.l2_norm(), rel=1e-12)
 
 
@@ -53,21 +67,21 @@ def test_step_zero_field(grid_ref):
     z = Field(grid_ref, np.zeros(grid_ref.n, dtype=complex))
     # the unpaired Nyquist mode alone: the step zeroes it, as forward_transform does
     nyquist = Field(grid_ref, (-1.0) ** np.arange(grid_ref.n) + 0j)
-    for eq in ("nls", "mkdv", "mkdv_nls"):
-        fs = FlowSpec(eq, dt=1e-3, k=1.0)
+    for eq, k in FLOWS:
+        fs = FlowSpec(eq, dt=1e-3, k=k)
         for u in (z, nyquist):
             out = evolve_batch([u], [fs], [fs.dt])[0].fields[-1]
-            assert np.all(out.values == 0), eq
+            assert np.all(out.values == 0), fs
 
 
-@pytest.mark.parametrize("eq", ["nls", "mkdv", "mkdv_nls"])
-def test_small_data_follows_linear_propagator(grid_ref, eq):
+@pytest.mark.parametrize("eq, k", FLOWS, ids=FLOW_IDS)
+def test_small_data_follows_linear_propagator(grid_ref, eq, k):
     """At amplitude 1e-9 the nonlinearity is far below roundoff: 100 steps must
     match the exact linear flow, so every multiplier sits on its own frequency."""
     u0 = gaussian_field(grid_ref, amplitude=1e-9)
-    fs = FlowSpec(eq, dt=1e-3, k=1.0)
+    fs = FlowSpec(eq, dt=1e-3, k=k)
     uT = evolve_batch([u0], [fs], [100 * fs.dt])[0].fields[-1]
-    ref = linear_propagator(u0, 100 * fs.dt, eq, k=1.0)
+    ref = linear_propagator(u0, 100 * fs.dt, eq, k=k)
     assert l2_dist(uT, ref) <= 1e-12 * ref.l2_norm()
 
 
@@ -87,19 +101,12 @@ def test_mkdv_soliton(grid_ref):
     assert l2_dist(uT, ref) <= 1e-5
 
 
-def test_evolve_snapshots_and_observers(grid_ref):
+def test_evolve_snapshots(grid_ref):
     u0 = gaussian_field(grid_ref, amplitude=0.2)
     fs = FlowSpec("nls", dt=1e-2)
-    seen = []
-
-    def obs(t, f):
-        seen.append(t)
-        return {"mass": f.l2_norm()}
-
-    traj = evolve_batch([u0], [fs], [0.0, 0.05, 0.1], observers=[obs])[0]
+    traj = evolve_batch([u0], [fs], [0.0, 0.05, 0.1])[0]
     assert traj.times == [0.0, 0.05, 0.1]
-    assert seen == traj.times
-    assert all("mass" in row for row in traj.observations)
+    assert len(traj.fields) == 3
     t0 = evolve_batch([u0], [fs], [0.0])[0]
     assert np.array_equal(t0.fields[0].values, u0.values)
     with pytest.raises(ValueError):
@@ -133,27 +140,43 @@ def test_time_reversibility(grid_ref):
 
 
 def test_real_data_stays_real_under_mkdv(grid_ref):
-    """The mkdv row steps on half spectra, so its samples stay exactly real; the
-    same equation as mkdv_nls at k = 0 steps on full spectra and must stay real
-    up to roundoff, next to the half-spectrum result."""
+    """evolve_batch steps a real mkdv row at k = 0 on half spectra, so its samples
+    stay exactly real; the full-spectrum stepper, run here directly on the same
+    row, must keep them real up to roundoff, next to the half-spectrum result."""
     u0 = gaussian_field(grid_ref, amplitude=0.3)
-    half = evolve_batch([u0], [FlowSpec("mkdv", "focusing", dt=1e-3)], [0.5])[0].fields[-1]
-    full = evolve_batch([u0], [FlowSpec("mkdv_nls", "focusing", dt=1e-3, k=0.0)],
-                        [0.5])[0].fields[-1]
+    fs = FlowSpec("mkdv", "focusing", dt=1e-3)
+    half = evolve_batch([u0], [fs], [0.5])[0].fields[-1]
+    stepper = _Stepper(grid_ref, [fs], real=False)
+    s = stepper.start(np.array([u0.values]))
+    for n in range(1, 501):  # evolve_batch's fused loop, 500 steps
+        stepper.step(s)
+        if n < 500:
+            s *= stepper.full
+    full = stepper.inverse(s * stepper.half)[0]
     assert np.all(half.values.imag == 0)
-    assert np.max(np.abs(full.values.imag)) <= 1e-9
-    assert np.max(np.abs(full.values - half.values)) <= 1e-9
+    assert np.max(np.abs(full.imag)) <= 1e-9
+    assert np.max(np.abs(full - half.values)) <= 1e-9
+
+
+def test_boosted_mkdv_steps_real_data_on_full_spectra(grid_ref):
+    """Real data leaves the reals under mkdv at k = 2, so the row steps on full
+    spectra: bit for bit as the allocating oracle, with a sizable imaginary part."""
+    u0 = gaussian_field(grid_ref, amplitude=0.3)
+    fs = FlowSpec("mkdv", "focusing", dt=1e-3, k=2.0)
+    u = evolve_batch([u0], [fs], [0.01])[0].fields[-1]
+    assert np.max(np.abs(u.values.imag)) > 1e-3 * np.max(np.abs(u.values))
+    assert np.array_equal(u.values, fused_strang([u0], [fs], 10)[0])
 
 
 @pytest.mark.parametrize("sign", ["defocusing", "focusing"])
 def test_boost_consistency_quick(grid_ref, sign):
-    """Evolve-then-boost equals boost-then-evolve under the mixed flow."""
+    """Evolve-then-boost equals boost-then-evolve under mkdv in the frame of k."""
     u0 = gaussian_field(grid_ref, amplitude=0.3)
     k, T, dt = 1.0, 0.25, 2e-3
     fs = FlowSpec("mkdv", sign, dt=dt)
     path1 = galilei_boost(evolve_batch([u0], [fs], [T])[0].fields[-1], k, T, "mkdv")
     u0k = galilei_boost(u0, k, 0.0, "mkdv")
-    path2 = evolve_batch([u0k], [FlowSpec("mkdv_nls", sign, dt=dt, k=k)], [T])[0].fields[-1]
+    path2 = evolve_batch([u0k], [FlowSpec("mkdv", sign, dt=dt, k=k)], [T])[0].fields[-1]
     assert l2_dist(path1, path2) <= 1e-5
 
 
@@ -182,12 +205,13 @@ def test_modulus_shift_identity_along_trajectory(grid_ref, eq):
 # the batched, fused stepper
 
 def _boost_batch(grid, ks):
-    """The unboosted mkdv row, then one mixed-flow row per k; signs alternate."""
+    """The unboosted mkdv row, then one row per k of its boost under mkdv at k;
+    signs alternate."""
     u0 = gaussian_field(grid, amplitude=0.3)
     fields = [u0] + [galilei_boost(u0, float(k), 0.0, "mkdv") for k in ks]
     signs = ["defocusing", "focusing"]
     specs = [FlowSpec("mkdv", dt=1e-3)] + [
-        FlowSpec("mkdv_nls", signs[i % 2], dt=1e-3, k=float(k)) for i, k in enumerate(ks)]
+        FlowSpec("mkdv", signs[i % 2], dt=1e-3, k=float(k)) for i, k in enumerate(ks)]
     return fields, specs
 
 
@@ -202,7 +226,7 @@ def _assert_rows_equal_single_calls(fields, specs, times):
 
 
 def test_batch_rows_equal_single_rows(grid_ref):
-    """12 rows (mkdv, then mkdv_nls at k = -5..5) step exactly as 12 one-row calls."""
+    """12 rows (mkdv, then mkdv at k = -5..5) step exactly as 12 one-row calls."""
     fields, specs = _boost_batch(grid_ref, range(-5, 6))
     _assert_rows_equal_single_calls(fields, specs, [0.0, 0.01, 0.02])
 
@@ -221,12 +245,11 @@ def _unfused_strang(u0: Field, fs: FlowSpec, n_steps: int) -> np.ndarray:
     half = np.exp(dispersion_symbol(fs.equation, xi, fs.k) * fs.dt / 2.0)
     half[g.n // 2] = 0.0
     mask = np.abs(xi) <= g.n // 3 * g.dxi
-    k = fs.k if fs.equation == "mkdv_nls" else 0.0
 
     def rhs(s):
         s = s * mask
         v, dv = np.fft.ifft(s), np.fft.ifft(1j * xi * s)
-        w = 6.0 * fs.sigma * np.abs(v) ** 2 * (dv + 1j * k * v)
+        w = 6.0 * fs.sigma * np.abs(v) ** 2 * (dv + 1j * fs.k * v)
         return np.fft.fft(w) * mask
 
     v, dt = np.array(u0.values), fs.dt
@@ -245,33 +268,34 @@ def _unfused_strang(u0: Field, fs: FlowSpec, n_steps: int) -> np.ndarray:
     return v
 
 
-@pytest.mark.parametrize("eq", ["nls", "mkdv", "mkdv_nls"])
-def test_fused_steps_match_unfused_strang(grid_ref, eq):
+@pytest.mark.parametrize("eq, k", FLOWS, ids=FLOW_IDS)
+def test_fused_steps_match_unfused_strang(grid_ref, eq, k):
     u0 = gaussian_field(grid_ref, amplitude=0.3)
-    fs = FlowSpec(eq, "focusing", dt=1e-3, k=2.0)
+    fs = FlowSpec(eq, "focusing", dt=1e-3, k=k)
     traj = evolve_batch([u0], [fs], [0.02, 0.05])[0]
     for n, u in zip((20, 50), traj.fields):
         assert np.max(np.abs(u.values - _unfused_strang(u0, fs, n))) <= 1e-13
 
 
 @pytest.mark.parametrize("sign", ["defocusing", "focusing"])
-@pytest.mark.parametrize("rows", ["mkdv", "mkdv_nls", "boost_batch", "complex_mkdv"])
+@pytest.mark.parametrize("rows", ["mkdv", "boosted_mkdv", "boost_batch", "complex_mkdv"])
 def test_rk4_substep_is_bit_identical_to_allocating_oracle(grid_ref, sign, rows):
     """The in-place RK4 substep keeps the allocating substep's arithmetic bit for bit,
-    for one mkdv row, one mixed row (k = 2), the 12-row boost batch and one mkdv row
-    with complex data.  Real mkdv rows (the first case and row 0 of the batch) step
-    on half spectra, the others on full spectra."""
+    for one mkdv row, one mkdv row at k = 2, the 12-row boost batch and one mkdv row
+    with complex data.  Real mkdv rows at k = 0 (the first case and row 0 of the
+    batch) step on half spectra, the others on full spectra."""
     u0 = gaussian_field(grid_ref, amplitude=0.3)
     if rows == "boost_batch":
         ks = [float(k) for k in range(-5, 6)]
         fields = [u0] + [galilei_boost(u0, k, 0.0, "mkdv") for k in ks]
         specs = [FlowSpec("mkdv", sign, dt=1e-3)] + [
-            FlowSpec("mkdv_nls", sign, dt=1e-3, k=k) for k in ks]
+            FlowSpec("mkdv", sign, dt=1e-3, k=k) for k in ks]
     elif rows == "complex_mkdv":
         fields = [gaussian_field(grid_ref, amplitude=0.3, center_freq=1.0)]
         specs = [FlowSpec("mkdv", sign, dt=1e-3)]
     else:
-        fields, specs = [u0], [FlowSpec(rows, sign, dt=1e-3, k=2.0)]
+        k = 2.0 if rows == "boosted_mkdv" else 0.0
+        fields, specs = [u0], [FlowSpec("mkdv", sign, dt=1e-3, k=k)]
     trajs = evolve_batch(fields, specs, [0.01, 0.02])
     for i, n in enumerate((10, 20)):
         ref = fused_strang(fields, specs, n)

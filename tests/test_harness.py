@@ -13,6 +13,8 @@ from modspec import (
     alpha4,
     band_profile,
     evolve_batch,
+    galilei_boost,
+    gaussian_field,
     profile_norm,
     scale_field,
     scaling_bound_factor,
@@ -31,7 +33,8 @@ from modspec.harness import (
     run_weights,
 )
 from modspec.harness import experiments
-from modspec.harness.cli import main
+from modspec.flows import EQUATIONS
+from modspec.harness.cli import DRIVERS, main
 from modspec.harness.config import (
     FAMILIES,
     build_family,
@@ -156,6 +159,14 @@ def test_tolerance_defaults_and_overrides():
     assert small_cfg(tolerances={"conservation_drift": 1}).tolerance("conservation_drift") == 1.0
     assert small_cfg(equation="mkdv").tolerance("galilei_distance") == 1e-5
     assert small_cfg(equation="nls").tolerance("galilei_distance") == 1e-6
+
+
+@pytest.mark.parametrize("eq", EQUATIONS)
+def test_every_equation_has_a_boost_and_a_galilei_tolerance(grid_small, eq):
+    """galilei and tails boost whatever equation the config names."""
+    u = gaussian_field(grid_small, amplitude=0.3)
+    assert galilei_boost(u, 1.0, 0.1, eq).grid == grid_small
+    assert small_cfg(equation=eq).tolerance("galilei_distance") > 0
 
 
 def test_all_family_kinds_build(grid_small, rng):
@@ -698,6 +709,13 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     # band ranges past the lattice (|xi| < 16 here) would build the zero field
     ["conserve", {"family": {"kind": "random_band", "kmin": 100, "kmax": 200}}],
     ["conserve", {"family": {"kind": "band_indicator", "lo": 50.0, "hi": 60.0}}],
+    # 16 points on [-100, 100) reach |xi| < 0.26: no unit band is resolved
+    ["normequiv", "--grid", "16,100"],
+    ["apriori", "--grid", "16,100"],
+    ["tails", "--grid", "16,100"],
+    ["weights", "--grid", "16,100"],
+    # p = 1000 leaves no Sobolev index sigma > -1/2 for the embedding check
+    ["scaling", {"ps": [[1000, 0]]}],
 ])
 def test_cli_config_errors_exit_2(tmp_path, capsys, extra):
     over = extra[-1] if isinstance(extra[-1], dict) else {}
@@ -709,14 +727,16 @@ def test_cli_config_errors_exit_2(tmp_path, capsys, extra):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("cmd", ["galilei", "tails"])
+@pytest.mark.parametrize("cmd", list(DRIVERS))
 def test_cli_boost_drivers_reject_an_equation_without_a_boost(tmp_path, capsys, monkeypatch,
                                                                cmd):
-    """mkdv_nls has no Galilei boost formula: a config error before any flow runs."""
+    """mkdv_nls is not an equation (the boosted mkdv is mkdv at k): every
+    subcommand, the two that boost included, exits 2 before any flow runs."""
     calls = []
     monkeypatch.setattr(experiments, "evolve_batch", lambda *args: calls.append(args))
     cfgp = tmp_path / "cfg.json"
-    cfgp.write_text(json.dumps(small_cfg(equation="mkdv_nls", n_op=64, t_final=0.01).to_dict()))
+    doc = small_cfg(n_op=64, t_final=0.01).to_dict() | {"equation": "mkdv_nls"}
+    cfgp.write_text(json.dumps(doc))
     assert main([cmd, "--config", str(cfgp), "--out", str(tmp_path / "out")]) == 2
     assert "mkdv_nls" in capsys.readouterr().err
     assert calls == []

@@ -8,8 +8,9 @@ somewhere in the same module.  `from __future__` imports and the two package
 `__init__.py` modules, whose imports are re-exports, are exempt.  A private
 module-level name (leading underscore, not a dunder) defined in src/ must be
 read by some module of src/: the tests alone do not keep it alive.  A public
-module-level function or class defined in src/ must be read by some module of
-src/ or perfbench/; a re-export in an `__init__.py` does not count as a read.
+module-level function, class or constant defined in src/ must be read by some
+module of src/ or perfbench/; a re-export in an `__init__.py` does not count as
+a read.
 """
 
 import ast
@@ -103,11 +104,11 @@ def test_src_reads_every_private_name_it_defines():
 
 
 def unread_public_names(defining: dict, reading: dict) -> list:
-    """(module, line, name) of each public module-level function or class of a
-    module in `defining` that no module in `reading` reads (both map a module
-    name to its source)."""
+    """(module, line, name) of each public module-level function, class or
+    assigned name of a module in `defining` that no module in `reading` reads
+    (both map a module name to its source)."""
     defined = [(mod, line, n) for mod, source in defining.items()
-               for line, n in module_level_names(ast.parse(source), assignments=False)
+               for line, n in module_level_names(ast.parse(source))
                if not n.startswith("_")]
     read = set().union(*(read_names(ast.parse(source)) for source in reading.values()))
     return sorted(d for d in defined if d[2] not in read)
@@ -116,11 +117,13 @@ def unread_public_names(defining: dict, reading: dict) -> list:
 def test_unread_public_names_are_found():
     defining = {
         "a": "def used(): pass\ndef dead(): pass\nclass Kept: pass\nclass Gone: pass\n"
-             "def _private(): pass\nCONSTANT = 1\n",
-        "b": "def helper(): pass\n",
+             "def _private(): pass\nCONSTANT = 1\nTABLE: dict = {}\n_PRIVATE = 2\n",
+        "b": "def helper(): pass\nLIMIT, SPARE = 1, 2\n",
     }
-    reading = {"a": "used()\n", "c": "from a import Kept\nimport b\nb.helper()\n"}
-    assert unread_public_names(defining, reading) == [("a", 2, "dead"), ("a", 4, "Gone")]
+    reading = {"a": "used()\nTABLE['x']\n",
+               "c": "from a import Kept\nimport b\nb.helper()\nb.LIMIT\n"}
+    assert unread_public_names(defining, reading) == [
+        ("a", 2, "dead"), ("a", 4, "Gone"), ("a", 6, "CONSTANT"), ("b", 2, "SPARE")]
 
 
 def test_src_or_the_benchmark_reads_every_public_function_and_class():
