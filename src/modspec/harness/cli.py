@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from pathlib import Path
 
@@ -64,12 +66,39 @@ def _config(args):
     return config_from_dict(doc)
 
 
+def _unwritable(out: Path):
+    """The OSError that writing reports under `out` would meet, or None; creates
+    nothing.  `out` must be a writable directory, or its nearest existing
+    ancestor must be one.  A write that fails anyway is caught where it happens.
+    """
+    path = out
+    while not path.exists():
+        path = path.parent
+    if not path.is_dir():
+        code = errno.ENOTDIR
+    elif not os.access(path, os.W_OK | os.X_OK):
+        code = errno.EACCES
+    else:
+        return None
+    return OSError(code, os.strerror(code), str(path))
+
+
+def _cannot_write(out: Path, exc: OSError) -> int:
+    where = f" ({exc.filename})" if exc.filename and Path(exc.filename) != out else ""
+    print(f"error: cannot write reports to {out}: {exc.strerror or exc}{where}", file=sys.stderr)
+    return 2
+
+
 def main(argv=None) -> int:
     """Exit 0 if every criterion passed, 1 if one failed, 2 on a config or usage
-    error, 3 on a numerical breakdown (recorded in the summary)."""
+    error (an unwritable --out included), 3 on a numerical breakdown (recorded
+    in the summary)."""
     args = _parser().parse_args(argv)
     try:
         cfg = _config(args)
+        unwritable = _unwritable(args.out)
+        if unwritable:
+            return _cannot_write(args.out, unwritable)
         result = DRIVERS[args.command](cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -78,14 +107,20 @@ def main(argv=None) -> int:
         error = {"type": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, BlowUpError):
             error["last_good_time"] = float(exc.last_good_time)
-        args.out.mkdir(parents=True, exist_ok=True)
-        json_path = args.out / f"{args.command}_summary.json"
-        write_summary(json_path, [], {"config": cfg.to_dict(), "error": error})
         print(f"numerical breakdown: {error['type']}: {error['message']}", file=sys.stderr)
+        json_path = args.out / f"{args.command}_summary.json"
+        try:
+            args.out.mkdir(parents=True, exist_ok=True)
+            write_summary(json_path, [], {"config": cfg.to_dict(), "error": error})
+        except OSError as os_exc:
+            return _cannot_write(args.out, os_exc)
         print(f"summary -> {json_path}")
         return 3
 
-    csv_path, json_path = result.write(args.out)
+    try:
+        csv_path, json_path = result.write(args.out)
+    except OSError as exc:
+        return _cannot_write(args.out, exc)
     for e in result.summary:
         status = "PASS" if e.passed else "FAIL"
         print(f"[{status}] {e.criterion}: measured {e.measured:.6g} vs threshold {e.threshold:.6g}")

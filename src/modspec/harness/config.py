@@ -6,6 +6,7 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -17,11 +18,9 @@ from ..grid import (
     band_indicator_field,
     forward_transform,
     gaussian_field,
-    gaussian_samples,
     inverse_transform,
     make_grid,
     random_band_field,
-    random_band_spectrum,
     sech_field,
 )
 
@@ -266,45 +265,85 @@ def build_family(descriptor: dict, grid: GridSpec, rng: np.random.Generator) -> 
     return members
 
 
-# Fields drawn per batched transform in iter_suite.  Larger blocks are no
-# faster, and from 16 on they raise the peak memory of a suite held whole.
+# Rows per block of the suite draw: one envelope exp and one batched forward
+# transform per block.  On a 2-core VM at one BLAS thread, blocks of 16 cut the
+# scaling_bands benchmark's run_s by about 6% but raise its peak memory by
+# about 0.15 MB, which a suite held whole pays.
 SUITE_BLOCK = 8
 SUITE_AMPLITUDE = 0.3  # the amplitude of every suite field
 
 
-def random_suite(grid: GridSpec, size: int, rng: np.random.Generator,
-                 band_span: int = 6) -> list:
-    """Mixed deterministic suite: gaussians of assorted widths/carriers plus random bands."""
-    return list(iter_suite(grid, size, rng, band_span))
+def _suite_blocks(grid: GridSpec, size: int, rng: np.random.Generator, band_span: int):
+    """The suite's draws, SUITE_BLOCK rows at a time: yields (rows, gauss, band).
 
-
-def iter_suite(grid: GridSpec, size: int, rng: np.random.Generator, band_span: int = 6):
-    """random_suite field by field, drawn SUITE_BLOCK fields at a time.
-
-    A block makes the same rng calls, in the same order, as drawing each field
-    alone; then one forward_transform takes the block's gaussian samples and one
-    inverse_transform its band spectra (Nyquist zeroed, as Field.from_spectrum
-    does), so every field is bit-identical to gaussian_field / random_band_field.
+    Row i - start of `rows` is field i: the samples of a gaussian at even i
+    (rows[gauss]), the spectrum of a random band at odd i (rows[band], Nyquist
+    zeroed as Field.from_spectrum does).  A block makes the same rng calls, in
+    the same order, as drawing each field alone, and every row is bit-identical
+    to gaussian_samples / random_band_spectrum: the block's envelopes are one
+    exp call, each carrier exp(i cf x) is formed once per suite, and a band's
+    lattice range is the run of band_of between its searchsorted edges.
     """
+    x = grid.x
+    carriers = {}  # cf -> exp(i cf x)
+    # lattice index at which band k starts, k = -band_span .. band_span + 2
+    edges = np.searchsorted(grid.band_of, np.arange(-band_span, band_span + 3)).tolist()
     for start in range(0, size, SUITE_BLOCK):
-        # row i - start is field i as drawn: the samples of a gaussian at even
-        # i, the spectrum of a random band at odd i
-        drawn = np.empty((min(SUITE_BLOCK, size - start), grid.n), dtype=complex)
-        for i, row in enumerate(drawn, start):
+        rows = np.zeros((min(SUITE_BLOCK, size - start), grid.n), dtype=complex)
+        gauss, band = slice(start % 2, None, 2), slice(1 - start % 2, None, 2)
+        denoms, cfs = [], []
+        for i, row in enumerate(rows, start):
             if i % 2 == 0:
                 width = 0.5 + 3.0 * rng.random()
-                cf = float(rng.integers(-band_span, band_span + 1))
-                row[:] = gaussian_samples(grid, width, SUITE_AMPLITUDE, cf)
+                denoms.append(2.0 * width**2)
+                cfs.append(float(rng.integers(-band_span, band_span + 1)))
             else:
                 lo = int(rng.integers(-band_span, 1))
-                hi = int(rng.integers(0, band_span + 1))
-                row[:] = random_band_spectrum(grid, lo, max(hi, lo + 1), SUITE_AMPLITUDE, rng)
-        gauss, band = slice(start % 2, None, 2), slice(1 - start % 2, None, 2)
-        drawn[band, 0] = 0.0
-        spectra = iter(forward_transform(drawn[gauss], grid))
-        samples = iter(inverse_transform(drawn[band], grid))
-        for i, row in enumerate(drawn, start):
-            if i % 2 == 0:
-                yield Field(grid, row, next(spectra))
-            else:
-                yield Field(grid, next(samples), row)
+                hi = max(int(rng.integers(0, band_span + 1)), lo + 1)
+                a, b = edges[lo + band_span], edges[hi + 1 + band_span]
+                row[a:b] = rng.standard_normal(b - a) + 1j * rng.standard_normal(b - a)
+                norm = np.sqrt(np.sum(np.abs(row) ** 2) * grid.dxi)
+                if norm > 0:
+                    row *= SUITE_AMPLITUDE / norm
+        rows[band, 0] = 0.0
+        envs = SUITE_AMPLITUDE * np.exp(-x**2 / np.array(denoms)[:, None])
+        for row, env, cf in zip(rows[gauss], envs, cfs):
+            if not cf:
+                row.real = env
+                continue
+            if cf not in carriers:
+                carriers[cf] = np.exp(1j * cf * x)
+            np.multiply(env, carriers[cf], out=row)
+        if start + SUITE_BLOCK >= size:
+            carriers.clear()  # a suite held whole need not hold them too
+        yield rows, gauss, band
+
+
+def random_suite(grid: GridSpec, size: int, rng: np.random.Generator,
+                 band_span: int = 6) -> list:
+    """Mixed deterministic suite: gaussians of assorted widths/carriers plus random bands.
+
+    Field i is bit-identical to the gaussian_field (even i) or random_band_field
+    (odd i) that the same rng state would draw.
+    """
+    suite = []
+    for rows, gauss, band in _suite_blocks(grid, size, rng, band_span):
+        block = [None] * len(rows)
+        block[gauss] = map(Field, repeat(grid), rows[gauss], forward_transform(rows[gauss], grid))
+        block[band] = map(Field, repeat(grid), inverse_transform(rows[band], grid), rows[band])
+        suite += block
+    return suite
+
+
+def suite_power(grid: GridSpec, size: int, rng: np.random.Generator,
+                band_span: int = 6) -> np.ndarray:
+    """The (size, n) array of |fhat|^2 of random_suite's fields, bit for bit, and
+    the same rng state after it; no field is built and no sample is synthesized."""
+    power = np.empty((size, grid.n))
+    start = 0
+    for rows, gauss, band in _suite_blocks(grid, size, rng, band_span):
+        out = power[start:start + len(rows)]
+        start += len(rows)
+        out[gauss] = np.abs(forward_transform(rows[gauss], grid)) ** 2
+        out[band] = np.abs(rows[band]) ** 2
+    return power

@@ -41,7 +41,7 @@ from .config import (
     ExperimentConfig,
     build_family,
     family_params,
-    iter_suite,
+    suite_power,
 )
 from .reports import RunResult, criterion
 
@@ -376,9 +376,7 @@ def run_scaling(cfg: ExperimentConfig) -> RunResult:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     rng = np.random.default_rng(cfg.seed)
-    power = np.empty((cfg.suite_size, grid.n))
-    for i, f in enumerate(iter_suite(grid, cfg.suite_size, rng)):
-        power[i] = np.abs(f.spectrum) ** 2  # the row is all the driver keeps of the field
+    power = suite_power(grid, cfg.suite_size, rng)  # |fhat|^2 is all the driver reads
     sc_tol = cfg.tolerance("scaling_constant")
     emb_tol = cfg.tolerance("embedding_constant")
 

@@ -25,9 +25,29 @@ def bracket(x):
     return np.sqrt(4.0 + np.abs(x) ** 2)
 
 
+_TINY = np.finfo(float).tiny  # the smallest normal float64
+
+
 def lp_norm(terms, p: float):
-    """(sum terms**p)**(1/p) over the last axis: the l^p sum of nonnegative band terms."""
-    return np.sum(np.asarray(terms, dtype=float) ** p, axis=-1) ** (1.0 / p)
+    """(sum terms**p)**(1/p) over the last axis: the l^p sum of nonnegative band terms.
+
+    A row whose sum leaves the float64 normal range (it underflows below the
+    smallest normal number or overflows to inf) while its largest term m is
+    finite and nonzero is summed as m * (sum (terms/m)**p)**(1/p) instead, so
+    large p or huge terms neither vanish nor blow up; every other row keeps
+    the plain form, bit for bit.
+    """
+    terms = np.asarray(terms, dtype=float)
+    with np.errstate(over="ignore"):  # an overflowing row is redone below
+        total = np.sum(terms**p, axis=-1)
+    norm = total ** (1.0 / p)
+    top = np.max(terms, axis=-1, initial=0.0)
+    redo = ~((total >= _TINY) & (total < np.inf)) & (top > 0.0) & (top < np.inf)
+    if not np.any(redo):
+        return norm
+    m = np.where(redo, top, 1.0)
+    rescaled = m * np.sum((terms / m[..., None]) ** p, axis=-1) ** (1.0 / p)
+    return np.where(redo, rescaled, norm)
 
 
 @dataclass(frozen=True)

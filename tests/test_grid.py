@@ -17,7 +17,7 @@ from modspec import (
     unresolved_mass_fraction,
 )
 from modspec.harness import ExperimentConfig
-from modspec.harness.config import random_suite
+from modspec.harness.config import random_suite, suite_power
 from modspec.symmetries import scaled_grid
 from conftest import random_smooth_field
 from oracles import band_l2
@@ -196,4 +196,17 @@ def test_random_suite_matches_per_field_draws(grid_ref, size):
     for f, e in zip(suite, expected):
         assert np.array_equal(f.values, e.values) and np.array_equal(f.spectrum, e.spectrum)
         assert not f.values.flags.writeable and not f.spectrum.flags.writeable
+    assert rng_a.random() == rng_b.random()
+
+
+@pytest.mark.parametrize("band_span", [4, 6])
+@pytest.mark.parametrize("size", [1, 16, 37])
+def test_suite_power_matches_the_suite_fields(grid_ref, size, band_span):
+    """suite_power is |fhat|^2 of random_suite's fields, bit for bit, and leaves
+    the rng where random_suite leaves it."""
+    rng_a, rng_b = np.random.default_rng(7), np.random.default_rng(7)
+    power = suite_power(grid_ref, size, rng_a, band_span=band_span)
+    suite = random_suite(grid_ref, size, rng_b, band_span=band_span)
+    assert power.shape == (size, grid_ref.n)
+    assert np.array_equal(power, np.array([np.abs(f.spectrum) ** 2 for f in suite]))
     assert rng_a.random() == rng_b.random()

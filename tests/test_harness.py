@@ -555,6 +555,29 @@ def test_scaling_rows_match_per_field_reference():
                                rtol=1e-13, atol=0)
 
 
+def test_scaling_synthesizes_no_samples(monkeypatch):
+    """run_scaling reads |fhat|^2 only: no spectrum of the suite is inverted."""
+    import modspec.grid
+    import modspec.harness.config
+    import modspec.symmetries
+
+    calls = []
+
+    def counted(inverse):
+        def wrapper(*args, **kwargs):
+            calls.append(1)
+            return inverse(*args, **kwargs)
+        return wrapper
+
+    for module in (modspec.grid, modspec.harness.config, modspec.symmetries):
+        monkeypatch.setattr(module, "inverse_transform", counted(module.inverse_transform))
+    random_suite(small_cfg().grid(), 2, np.random.default_rng(0))
+    assert calls == [1]  # the count sees random_suite's one band row
+    calls.clear()
+    assert run_scaling(small_cfg(suite_size=37)).all_pass
+    assert calls == []
+
+
 def test_scaling_records_unresolved_fraction_per_lambda():
     cfg = small_cfg(ps=[[2.0, 0.0]])
     res = run_scaling(cfg)
@@ -687,6 +710,44 @@ def test_cli_galilei_negative_dt(tmp_path, capsys):
     assert lines[0] == "k,dt,distance"
     assert {tuple(line.split(",")[:2]) for line in lines[1:]} == {
         ("1", "-0.001"), ("1", "-0.002"), ("2", "-0.001"), ("2", "-0.002")}
+
+
+def test_cli_unwritable_out_exits_2_before_the_run(tmp_path, capsys, monkeypatch):
+    """An --out below a regular file is a usage error, found before the driver runs."""
+    monkeypatch.setitem(DRIVERS, "weights", lambda cfg: pytest.fail("the driver ran"))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["weights", "--out", str(blocker / "sub")]) == 2
+    err = capsys.readouterr().err
+    assert f"error: cannot write reports to {blocker / 'sub'}: Not a directory" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("breakdown", [False, True], ids=["report", "breakdown"])
+def test_cli_failed_report_write_exits_2(tmp_path, capsys, monkeypatch, breakdown):
+    """A report file that cannot be opened, found only when it is written, exits 2
+    on the normal path and on the exit-3 breakdown path."""
+    if breakdown:
+        def diverge(cfg):
+            raise SeriesDivergenceError("diverged")
+        monkeypatch.setitem(DRIVERS, "weights", diverge)
+    out = tmp_path / "out"
+    (out / ("weights_summary.json" if breakdown else "weights.csv")).mkdir(parents=True)
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps(small_cfg(grid_n=512).to_dict()))
+    assert main(["weights", "--config", str(cfgp), "--out", str(out)]) == 2
+    assert f"error: cannot write reports to {out}: Is a directory" in capsys.readouterr().err
+
+
+def test_cli_normequiv_large_p_measures_nonzero_norms(tmp_path):
+    """At p = 1000 the band sums underflow in the plain form; both sides of the
+    bracket must still be the nonzero norms of a nonzero field."""
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps(small_cfg(ps=[[1000, 0]], boosts=list(range(-8, 9))).to_dict()))
+    assert main(["normequiv", "--config", str(cfgp), "--out", str(tmp_path / "out")]) == 0
+    with open(tmp_path / "out" / "normequiv.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows and all(float(r["lhs"]) > 0.1 and float(r["rhs"]) > 0.1 for r in rows)
 
 
 def test_cli_rejects_bad_config(tmp_path, capsys):

@@ -9,11 +9,13 @@ from modspec import (
     band_indicator_field,
     band_profile,
     bracket,
+    gaussian_field,
     hs_functional,
     profile_norm,
     sobolev_norm,
 )
 from modspec.harness.config import random_suite
+from modspec.norms import lp_norm
 from conftest import random_smooth_field
 
 
@@ -32,6 +34,21 @@ def test_modulation_params_flags():
         ModulationParams(0.5, 0.0)
     with pytest.raises(ValueError):
         ModulationParams(2.0, -0.1)
+
+
+def test_lp_norm_leaves_no_sum_outside_the_normal_range(grid_ref):
+    """Large p or huge terms neither vanish nor overflow: the l^p norm of a
+    nonzero row is at least its largest term and does not grow with p."""
+    prof = band_profile(gaussian_field(grid_ref, 1.0, 0.3))
+    at_200 = profile_norm(prof, ModulationParams(200.0, 0.0))
+    at_1000 = profile_norm(prof, ModulationParams(1000.0, 0.0))
+    assert np.max(prof) <= at_1000 <= at_200 and at_1000 == pytest.approx(np.max(prof), rel=1e-2)
+    assert lp_norm([1e200, 1e200], 2) == pytest.approx(np.sqrt(2.0) * 1e200, rel=1e-15)
+    assert lp_norm([1e-200, 1e-200], 2) == pytest.approx(np.sqrt(2.0) * 1e-200, rel=1e-15)
+    stacked = lp_norm(np.array([[1e200, 1e200], [3.0, 4.0], [0.0, 0.0]]), 2)
+    assert stacked.tolist() == [lp_norm([1e200, 1e200], 2), 5.0, 0.0]
+    # an infinite or NaN term keeps its plain value
+    assert lp_norm([np.inf, 1.0], 2) == np.inf and np.isnan(lp_norm([np.nan, 1e200], 2))
 
 
 def test_modulation_norm_zero(grid_ref):
