@@ -10,7 +10,7 @@ from itertools import repeat
 
 import numpy as np
 
-from ..conserved import MIN_N_OP, N_OP_CAP
+from ..conserved import DEFAULT_N_OP, MIN_N_OP, N_OP_CAP
 from ..flows import FlowSpec
 from ..grid import (
     Field,
@@ -87,7 +87,7 @@ class ExperimentConfig:
     lambdas: list = field(default_factory=lambda: [0.125, 0.5, 1.0, 2.0, 8.0])
     suite_size: int = 50
     seed: int = 0
-    n_op: int = 512
+    n_op: int = DEFAULT_N_OP
     tolerances: dict = field(default_factory=dict)
 
     def grid(self) -> GridSpec:

@@ -7,13 +7,13 @@ the exact linear flow, and an RK4 substep that allocates a fresh array for
 every stage.
 """
 
+import math
+
 import numpy as np
 
 from modspec import Field
 from modspec.conserved import DEFAULT_N_OP, _window
-from modspec.equicont import _sup_tail
 from modspec.flows import _Stepper, dispersion_symbol
-from modspec.norms import band_terms
 
 
 def band_l2(f: Field, k: int) -> float:
@@ -215,8 +215,16 @@ def fused_strang(fields, specs, n_steps) -> np.ndarray:
 
 
 def equicontinuity_tail(profiles, mp, K: int) -> float:
-    """sup over a family's band-profile rows of the l^p band norm restricted to |k| >= K."""
-    kmax = (np.shape(profiles)[-1] - 1) // 2
-    if K > kmax:
-        return 0.0
-    return _sup_tail(band_terms(profiles, mp), kmax, K, mp.p)
+    """sup over a family's band-profile rows of the l^p norm of the <k>^s-weighted
+    band terms over |k| >= K, summed one band at a time in Python floats, each
+    row scaled by its largest term so that no p-th power leaves the float range."""
+    profiles = np.asarray(profiles, dtype=float)
+    kmax = (profiles.shape[-1] - 1) // 2
+    sup = 0.0
+    for row in profiles:
+        terms = [(4.0 + k * k) ** (mp.s / 2.0) * float(row[k + kmax])
+                 for k in range(-kmax, kmax + 1) if abs(k) >= K]
+        top = max(terms, default=0.0)
+        if top > 0.0:
+            sup = max(sup, top * math.fsum((t / top) ** mp.p for t in terms) ** (1.0 / mp.p))
+    return sup

@@ -70,6 +70,41 @@ def test_tail_decreasing_for_gaussians(grid):
     assert tails[-1] <= 1e-8
 
 
+def greedy_thresholds(fam, mp, kmax):
+    """The greedy threshold search written out over the oracle's tails: k(m) is the
+    first K >= 4 k(m - 1) (>= 2 for m = 1) whose tail beyond K is within the budget
+    2^-m of the family bound A in p-th powers, i.e. tail <= 2^(-m/p) A."""
+    A = equicontinuity_tail(fam, mp, 0)
+    thresholds, lower = [], 2
+    while lower <= kmax:
+        m = len(thresholds) + 1
+        km = next((K for K in range(lower, kmax + 1)
+                   if equicontinuity_tail(fam, mp, K + 1) <= 2.0 ** (-m / mp.p) * A), None)
+        if km is None:
+            break
+        thresholds.append(km)
+        lower = 4 * km
+    return tuple(thresholds)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 8.0, 1000.0])
+def test_build_weights_matches_greedy_over_oracle_tails(grid, p):
+    """Thresholds agree with a greedy search over tails the package did not compute, up
+    to p = 1000, where the band terms' p-th powers underflow (amplitude 0.3) or
+    overflow (amplitude 30)."""
+    families = [
+        [gaussian_field(grid, w) for w in (0.15, 0.3)],
+        [band_indicator_field(grid, -12.5, 30.5), band_indicator_field(grid, -3.5, 3.5, 5.0)],
+        [band_indicator_field(grid, 4.5, 5.5, amplitude=0.3)],
+        [band_indicator_field(grid, 4.5, 5.5, amplitude=30.0)],
+    ]
+    for members in families:
+        fam = profiles(members)
+        for s in (0.0, 0.5):
+            mp = ModulationParams(p, s)
+            assert build_weights(fam, mp).thresholds == greedy_thresholds(fam, mp, grid.kmax)
+
+
 def test_build_weights_zero_tail_family(grid):
     """All mass in band 0: c == 1 on every band carrying mass, factor exactly 1."""
     mp = ModulationParams(2.0, 0.0)

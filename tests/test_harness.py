@@ -9,6 +9,7 @@ import pytest
 from modspec import (
     ModulationParams,
     SeriesDivergenceError,
+    WeightCheck,
     admissible_sigma,
     alpha4,
     band_profile,
@@ -605,6 +606,32 @@ def test_cli_weights_default_config(tmp_path, capsys):
     assert meta["thresholds"] == [2, 8] and meta["thresholds_wide"] == [2, 8, 32]
 
 
+@pytest.mark.parametrize("amplitude", [0.3, 30.0])
+def test_cli_weights_band_family_at_large_p(tmp_path, amplitude):
+    """All mass in band 5: the tails drop to 0 past k = 5, so the thresholds are
+    [5] and [5, 20] at p = 1000 too.  The band terms' p-th powers underflow at
+    amplitude 0.3 and overflow at amplitude 30."""
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({
+        "version": 1, "ps": [[1000, 0]],
+        "family": {"kind": "band_indicator", "lo": 4.5, "hi": 5.5, "amplitude": amplitude},
+    }))
+    assert main(["weights", "--config", str(cfgp), "--out", str(tmp_path / "out")]) == 0
+    meta = json.loads((tmp_path / "out" / "weights_summary.json").read_text())["meta"]
+    assert meta["thresholds"] == [5] and meta["thresholds_wide"] == [5, 20]
+
+
+def test_weighted_ratio_above_two_fails(monkeypatch):
+    """weighted_ratio passes by the one rule, measured <= 2, with no slack."""
+    def just_above_two(w, profiles, mp):
+        return WeightCheck(True, True, True, True, 2.0 + 1e-10, True)
+
+    monkeypatch.setattr(experiments, "verify_weights", just_above_two)
+    verdicts = {e.criterion: e.passed for e in run_weights(small_cfg(grid_n=512)).summary}
+    assert verdicts.pop("weighted_ratio") is False
+    assert all(verdicts.values())
+
+
 def test_weights_driver():
     cfg = small_cfg(grid_n=512)
     res = run_weights(cfg)
@@ -628,6 +655,20 @@ def test_tails_driver_zero_data():
     res = run_tails(cfg)  # both sides vanish; nothing diverges, nothing crashes
     assert all(np.isfinite([e.measured for e in res.summary]).tolist())
     assert res.rows == []  # a zero snapshot writes no boost rows
+    assert all(e.measured == 1.0 and e.passed
+               for e in res.summary if "eps_stability" in e.criterion)
+
+
+def test_tails_zero_amplitude_does_not_mask_stability():
+    """A zero amplitude has no ratio to compare: beside amplitudes 0.1 and 0.4, whose
+    sextic and quartic ratios differ by more than 1e-4, both stability criteria fail."""
+    cfg = config_from_dict({"version": 1, "boosts": [-1, 0, 1], "snapshots": 2, "t_final": 0.1,
+                            "amplitudes": [0.0, 0.1, 0.4],
+                            "tolerances": {"tails_stability": 1.0001}})
+    res = run_tails(cfg)
+    stability = [e for e in res.summary if "eps_stability" in e.criterion]
+    assert len(stability) == 2 and not any(e.passed for e in stability)
+    assert all(e.measured > 1.0001 for e in stability)
 
 
 def _reject_constant(token):
