@@ -35,8 +35,9 @@ DEFAULT_FAMILY = {"kind": "gaussian", "width": 1.0, "amplitude": 0.3, "center_fr
 # defaults; it may override these keys and no others.  galilei_distance depends
 # on the equation and has a value for each one.  The drivers fix a few more,
 # which no config overrides: gaussian_scaling_spectrum_error (1e-10),
-# rescaled_norm (2 * apriori_eps_target), the weights criteria (1, and 2 for
-# weighted_ratio), skipped_boosts (0) and the tails constants (inf: reported).
+# rescaled_norm (2 * apriori_eps_target), the weights criteria (0 for the
+# violation counts and the window check, 2 for weighted_ratio), skipped_boosts (0)
+# and the tails constants (inf: reported).
 TOLERANCES = {
     "conservation_drift": 1e-5,
     "trace_imag": 1e-8,

@@ -31,13 +31,13 @@ def _finite_or_none(value: float):
     return value if math.isfinite(value) else None
 
 
-def criterion(name: str, measured, threshold, ok=None) -> SummaryEntry:
-    """The one pass/fail rule: measured <= threshold, or the verdict `ok` when given.
+def criterion(name: str, measured, threshold) -> SummaryEntry:
+    """The one pass/fail rule: measured <= threshold.
 
     A non-finite measurement never passes.
     """
     measured, threshold = float(measured), float(threshold)
-    passed = math.isfinite(measured) and (measured <= threshold if ok is None else bool(ok))
+    passed = math.isfinite(measured) and measured <= threshold
     return SummaryEntry(name, measured, threshold, passed)
 
 

@@ -32,6 +32,11 @@ def gaussian_family(grid, amplitude=0.5):
     return [gaussian_field(grid, w, amplitude) for w in (1.0, 2.0, 4.0)]
 
 
+def violations(chk):
+    """The bands that violate properties (i)-(iv), summed: 0 when all four hold."""
+    return chk.symmetric_bounded + chk.quadruple_step + chk.monotone + chk.grows
+
+
 def test_family_requires_common_grid(grid):
     """A family is one (members, 2 kmax + 1) stack: profiles of two grids do not
     make one, and weights must cover the bands of the profiles they are checked on."""
@@ -112,7 +117,7 @@ def test_build_weights_zero_tail_family(grid):
     w = build_weights(fam, mp)
     assert w.thresholds[0] >= 2
     chk = verify_weights(w, fam, mp)
-    assert chk.all_pass
+    assert violations(chk) == 0
     assert chk.weighted_ratio == pytest.approx(1.0, abs=1e-12)
 
 
@@ -131,7 +136,7 @@ def test_build_weights_three_gaussians(grid):
         fam = profiles(gaussian_family(grid))
         w = build_weights(fam, mp)
         chk = verify_weights(w, fam, mp)
-        assert chk.all_pass, (p, s, chk)
+        assert violations(chk) == 0, (p, s, chk)
         assert chk.weighted_ratio <= 2.0
 
 
@@ -153,9 +158,9 @@ def test_verify_constant_weights(grid):
     mp = ModulationParams(2.0, 0.0)
     fam = profiles(gaussian_family(grid))
     chk = verify_weights(np.ones(2 * grid.kmax + 1), fam, mp)
-    assert chk.symmetric_bounded and chk.quadruple_step and chk.monotone
-    assert not chk.grows
-    assert chk.within_factor_two and chk.weighted_ratio == pytest.approx(1.0)
+    assert chk.symmetric_bounded == chk.quadruple_step == chk.monotone == 0
+    assert chk.grows == 1
+    assert chk.weighted_ratio == pytest.approx(1.0)
 
 
 def test_verify_logarithmic_boundary_weights(grid):
@@ -164,9 +169,32 @@ def test_verify_logarithmic_boundary_weights(grid):
     ks = np.arange(-grid.kmax, grid.kmax + 1)
     c = 1.0 + np.log(np.abs(ks) + 1.0)
     chk = verify_weights(c, fam, mp)
-    assert chk.symmetric_bounded  # sits exactly on the growth boundary
-    assert not chk.quadruple_step  # 1 + log(4k+1) > 2 + log(k+1) once (4k+1)/(k+1) > e
-    assert chk.monotone and chk.grows
+    assert chk.symmetric_bounded == 0  # sits exactly on the growth boundary
+    # 1 + log(4k+1) > 2 + log(k+1) once (4k+1)/(k+1) > e, i.e. k > (e-1)/(4-e) = 1.34:
+    # k = 2 .. kmax // 4 = 15 violate (ii), k = 1 does not
+    assert chk.quadruple_step == 14
+    assert chk.monotone == chk.grows == 0
+
+
+def test_verify_counts_a_nan_weight(grid):
+    """A NaN c_5 fails every comparison it enters: (i) at k = 5 and its mirror
+    -5, (ii) at c_20 <= c_5 + 1, (iii) at the steps 4 -> 5 and 5 -> 6; the
+    weighted ratio is NaN."""
+    mp = ModulationParams(2.0, 0.0)
+    fam = profiles(gaussian_family(grid))
+    c = build_weights(fam, mp).as_array()
+    c[grid.kmax + 5] = np.nan
+    chk = verify_weights(c, fam, mp)
+    assert chk.symmetric_bounded == 2 and chk.monotone == 2
+    assert chk.quadruple_step == 1 and chk.grows == 0
+    assert np.isnan(chk.weighted_ratio)
+
+
+def test_verify_zero_family_has_no_ratio(grid):
+    """A zero family bounds nothing: its weighted ratio is NaN, not 0."""
+    mp = ModulationParams(2.0, 0.0)
+    fam = profiles([Field(grid, np.zeros(grid.n, dtype=complex))])
+    assert np.isnan(verify_weights(np.ones(2 * grid.kmax + 1), fam, mp).weighted_ratio)
 
 
 def test_build_weights_rejects_edge_mass(grid):
@@ -184,7 +212,7 @@ def test_weights_scaling_compatibility(grid):
         fam_l = profiles([scale_field(f, lam) for f in gaussian_family(grid)])
         w_l = build_weights(fam_l, mp)
         chk = verify_weights(w_l, fam_l, mp)
-        assert chk.all_pass
+        assert violations(chk) == 0
         assert chk.weighted_ratio <= 2.0
 
 

@@ -189,14 +189,12 @@ def test_all_family_kinds_build(grid_small, rng):
 def test_criterion_fails_non_finite(measured):
     assert not criterion("c", measured, 1.0).passed
     assert not criterion("c", measured, math.inf).passed
-    assert not criterion("c", measured, 1.0, ok=True).passed
 
 
 def test_criterion_verdicts():
     assert criterion("c", 1e300, math.inf).passed
     assert criterion("c", 1.0, 1.0).passed
     assert not criterion("c", 1.5, 1.0).passed
-    assert not criterion("c", 0.5, 1.0, ok=False).passed
 
 
 @pytest.mark.parametrize("pos", [0, 1, 2])
@@ -624,7 +622,7 @@ def test_cli_weights_band_family_at_large_p(tmp_path, amplitude):
 def test_weighted_ratio_above_two_fails(monkeypatch):
     """weighted_ratio passes by the one rule, measured <= 2, with no slack."""
     def just_above_two(w, profiles, mp):
-        return WeightCheck(True, True, True, True, 2.0 + 1e-10, True)
+        return WeightCheck(0, 0, 0, 0, 2.0 + 1e-10)
 
     monkeypatch.setattr(experiments, "verify_weights", just_above_two)
     verdicts = {e.criterion: e.passed for e in run_weights(small_cfg(grid_n=512)).summary}
@@ -636,6 +634,40 @@ def test_weights_driver():
     cfg = small_cfg(grid_n=512)
     res = run_weights(cfg)
     assert res.all_pass
+
+
+# a band-0 family on 128 points of the default length: kmax = 1 leaves no room for
+# a threshold, so the weights are constant and (iv) fails
+FLAT_WEIGHTS = {"version": 1, "grid_n": 128,
+                "family": {"kind": "band_indicator", "lo": -0.5, "hi": 0.5}}
+
+
+def test_every_verdict_is_measured_at_most_threshold():
+    """Each driver's summary, and the flat-weights run's, passes exactly the entries
+    with a finite measurement at most their threshold."""
+    runs = [
+        (run_conservation, small_cfg()),
+        (run_norm_equivalence, small_cfg(ps=[[2.0, 0.0]])),
+        (run_apriori, small_cfg(ps=[[2.0, 0.0]])),
+        (run_galilei, small_cfg()),
+        (run_scaling, small_cfg()),
+        (run_tails, small_cfg(grid_n=512, grid_length=16 * math.pi, t_final=0.02, dt=1e-2,
+                              ps=[[2.0, 0.0]], n_op=192)),
+        (run_weights, small_cfg(grid_n=512)),
+        (run_weights, config_from_dict(FLAT_WEIGHTS)),
+    ]
+    for driver, cfg in runs:
+        for e in driver(cfg).summary:
+            assert e.passed == (math.isfinite(e.measured) and e.measured <= e.threshold), e
+
+
+def test_cli_flat_weights_fail_grows(tmp_path, capsys):
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps(FLAT_WEIGHTS))
+    assert main(["weights", "--config", str(cfgp), "--out", str(tmp_path / "out")]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] grows: measured 1 vs threshold 0" in out
+    assert out.count("[FAIL]") == 1
 
 
 def test_norm_equivalence_single_band_bracket():
@@ -818,6 +850,10 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     ["weights", "--grid", "16,100"],
     # p = 1000 leaves no Sobolev index sigma > -1/2 for the embedding check
     ["scaling", {"ps": [[1000, 0]]}],
+    # a zero weights family bounds no tail, and weights checks one (p, s) pair
+    ["weights", {"family": {"kind": "gaussian_mix", "amplitude": 0.0}}],
+    ["weights", {"ps": [[2, 0], [1000, 0]],
+                 "family": {"kind": "band_indicator", "lo": 4.5, "hi": 5.5}}],
 ])
 def test_cli_config_errors_exit_2(tmp_path, capsys, extra):
     over = extra[-1] if isinstance(extra[-1], dict) else {}
