@@ -31,13 +31,12 @@ class ConfigError(ValueError):
 
 DEFAULT_FAMILY = {"kind": "gaussian", "width": 1.0, "amplitude": 0.3, "center_freq": 0.0}
 
-# The pass/fail thresholds a config's `tolerances` map may override, with their
-# defaults; it may override these keys and no others.  galilei_distance depends
-# on the equation and has a value for each one.  The drivers fix a few more,
-# which no config overrides: gaussian_scaling_spectrum_error (1e-10),
-# rescaled_norm (2 * apriori_eps_target), the weights criteria (0 for the
-# violation counts and the window check, 2 for weighted_ratio), skipped_boosts (0)
-# and the tails constants (inf: reported).
+# The fixed pass/fail thresholds, one per criterion (per equation for
+# galilei_distance), plus apriori_small_norm and apriori_eps_target, the two
+# parameters of apriori's large-data rescaling.  The drivers fix a few more:
+# gaussian_scaling_spectrum_error (1e-10), rescaled_norm (2 * apriori_eps_target),
+# the weights criteria (0 for the violation counts and the window check, 2 for
+# weighted_ratio), skipped_boosts (0) and the tails constants (inf: reported).
 TOLERANCES = {
     "conservation_drift": 1e-5,
     "trace_imag": 1e-8,
@@ -58,7 +57,7 @@ TOLERANCES = {
 _WIDTHS = [1.0, 2.0, 4.0]
 
 # Initial-data families: kind -> the keys its descriptor may set, with defaults.
-# gaussian also takes `widths`, the widths of run_apriori's equicontinuous family.
+# gaussian also takes `widths`, for run_apriori's family clause and run_weights' mix.
 FAMILIES = {
     "gaussian": {"width": 1.0, "amplitude": 0.3, "center_freq": 0.0, "widths": _WIDTHS},
     "gaussian_mix": {"widths": _WIDTHS, "amplitude": 0.3, "center_freq": 0.0},
@@ -89,7 +88,6 @@ class ExperimentConfig:
     suite_size: int = 50
     seed: int = 0
     n_op: int = DEFAULT_N_OP
-    tolerances: dict = field(default_factory=dict)
 
     def grid(self) -> GridSpec:
         return make_grid(self.grid_n, self.grid_length)
@@ -108,11 +106,9 @@ class ExperimentConfig:
             raise ConfigError(f"{what} {t} is not a multiple of dt = {self.dt}")
 
     def tolerance(self, name: str) -> float:
-        """The config's value for a TOLERANCES key, else the table's default."""
-        if name in self.tolerances:
-            return float(self.tolerances[name])
-        default = TOLERANCES[name]
-        return float(default[self.equation] if isinstance(default, dict) else default)
+        """The TOLERANCES entry `name`, at this config's equation where it has one per equation."""
+        value = TOLERANCES[name]
+        return float(value[self.equation] if isinstance(value, dict) else value)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -186,11 +182,6 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         _check_list(f"field '{key}'", getattr(cfg, key), rule)
     if not MIN_N_OP <= cfg.n_op <= N_OP_CAP:
         raise ConfigError(f"n_op must lie in [{MIN_N_OP}, {N_OP_CAP}], got {cfg.n_op}")
-    for name, val in cfg.tolerances.items():
-        if name not in TOLERANCES:
-            raise ConfigError(f"unknown tolerance key {name!r}")
-        if not _number(val):
-            raise ConfigError(f"tolerance '{name}' must be a finite number, got {val!r}")
     family_params(cfg.family)
     return cfg
 

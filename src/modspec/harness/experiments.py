@@ -76,6 +76,14 @@ def _stride_health(samplings) -> dict:
             "max_doubling_gap": float(np.max([gap for _, gap in samplings], initial=0.0))}
 
 
+def _one_member(driver: str, descriptor: dict, grid, rng):
+    """The one Field of a family descriptor; a family of more is a ConfigError."""
+    members = build_family(descriptor, grid, rng)
+    if len(members) != 1:
+        raise ConfigError(f"{driver} evolves one family member, got {len(members)}")
+    return members[0]
+
+
 # ---------------------------------------------------------------------------
 
 def run_conservation(cfg: ExperimentConfig) -> RunResult:
@@ -211,14 +219,14 @@ def run_apriori(cfg: ExperimentConfig) -> RunResult:
 
     small_norm = cfg.tolerance("apriori_small_norm")
     eps_target = cfg.tolerance("apriori_eps_target")
-    # the equicontinuous family clause: gaussians of these widths
-    widths = family_params(cfg.family)[1].get("widths", FAMILIES["gaussian"]["widths"])
+    # the equicontinuous family clause: gaussians of the family's widths and carrier
+    fam = {**FAMILIES["gaussian_mix"], **family_params(cfg.family)[1]}
 
     # one field per amplitude and one flow per equicontinuous width, shared by every (p, s)
-    u0s = [build_family(dict(cfg.family, amplitude=float(eps)), grid, rng)[0]
+    u0s = [_one_member("apriori", dict(cfg.family, amplitude=float(eps)), grid, rng)
            for eps in cfg.amplitudes]
     profs0 = [band_profile(u0) for u0 in u0s]
-    fam_fields = [gaussian_field(grid, w, amp) for w in widths]
+    fam_fields = [gaussian_field(grid, w, amp, fam["center_freq"]) for w in fam["widths"]]
     n0s = [[profile_norm(prof0, mp) for prof0 in profs0] for mp in mps]
     # every large-data rescaling must fit the pad budget before any flow runs
     rescalings = [[_rescaling(n0, mp, grid, eps_target) if n0 > small_norm else None
@@ -321,7 +329,7 @@ def run_galilei(cfg: ExperimentConfig) -> RunResult:
     """Two-path check: boost-then-evolve against evolve-then-boost."""
     grid = cfg.grid()
     rng = np.random.default_rng(cfg.seed)
-    u0 = build_family(cfg.family, grid, rng)[0]
+    u0 = _one_member("galilei", cfg.family, grid, rng)
     eq = cfg.equation
     tol = cfg.tolerance("galilei_distance")
     T = cfg.t_final
@@ -429,7 +437,7 @@ def run_tails(cfg: ExperimentConfig) -> RunResult:
     # per (eps, t): the band profile and the boost rows (k, b2, b4, b6, tail2, tail3),
     # independent of (p, s); zero data has no rows, and b6 is NaN at a skipped boost
     snaps_by_eps, skipped, samplings = [], 0, []
-    u0s = [build_family(dict(cfg.family, amplitude=float(eps)), grid, rng)[0]
+    u0s = [_one_member("tails", dict(cfg.family, amplitude=float(eps)), grid, rng)
            for eps in cfg.amplitudes]
     for traj in evolve_batch(u0s, [fs] * len(u0s), times):
         snaps = []
@@ -509,10 +517,9 @@ def run_weights(cfg: ExperimentConfig) -> RunResult:
     grid = cfg.grid()
     rng = np.random.default_rng(cfg.seed)
     kind, params = family_params(cfg.family)
-    # a single gaussian is no family: use the default mix at the same amplitude
-    fam = cfg.family if kind != "gaussian" else {
-        "kind": "gaussian_mix", "amplitude": params["amplitude"],
-    }
+    # a single gaussian is no family: use the mix of its widths, amplitude and carrier
+    fam = cfg.family if kind != "gaussian" else dict(
+        {key: params[key] for key in FAMILIES["gaussian_mix"]}, kind="gaussian_mix")
     if len(cfg.ps) != 1:
         raise ConfigError(f"weights checks one (p, s) pair, got {len(cfg.ps)}")
     mp = _mps(cfg)[0]

@@ -110,9 +110,10 @@ def test_unknown_family_kind(grid_small, rng):
 
 
 @pytest.mark.parametrize("over, match", [
-    ({"tolerances": {"conservation_drif": 1e-30}}, "conservation_drif"),
-    ({"tolerances": {"conservation_drift": True}}, "conservation_drift"),
-    ({"tolerances": {"conservation_drift": "1e-5"}}, "conservation_drift"),
+    # the thresholds are fixed: a tolerances map is an unknown key
+    ({"tolerances": {"conservation_drif": 1e-30}}, "tolerances"),
+    ({"tolerances": {"conservation_drift": True}}, "tolerances"),
+    ({"tolerances": {"conservation_drift": "1e-5"}}, "tolerances"),
     ({"family": {"kind": "gaussian", "widht": 9}}, "widht"),
     ({"family": {"kind": "soliton", "widths": [1.0]}}, "widths"),
     ({"family": {"kind": "plane_wave"}}, "kind"),
@@ -155,9 +156,8 @@ def test_config_rejects_bad_nested_maps(over, match):
         config_from_dict({"version": 1, **over})
 
 
-def test_tolerance_defaults_and_overrides():
+def test_tolerance_defaults():
     assert small_cfg().tolerance("conservation_drift") == 1e-5
-    assert small_cfg(tolerances={"conservation_drift": 1}).tolerance("conservation_drift") == 1.0
     assert small_cfg(equation="mkdv").tolerance("galilei_distance") == 1e-5
     assert small_cfg(equation="nls").tolerance("galilei_distance") == 1e-6
 
@@ -402,6 +402,21 @@ def test_apriori_zero_amplitude(amplitudes):
     assert res.summary == ref.summary
 
 
+def test_apriori_family_clause_takes_the_carrier():
+    """The family clause's gaussians sit at the family's center_freq: its t = 0 rows
+    carry their norms, which move with the carrier at s > 0."""
+    mp = ModulationParams(2.0, 0.5)
+    norms = {}
+    for cf in (0.0, 3.0):
+        cfg = small_cfg(ps=[[mp.p, mp.s]], amplitudes=[0.1],
+                        family={"kind": "gaussian", "center_freq": cf})
+        norms[cf] = [r[4] for r in run_apriori(cfg).rows if r[5] != 0.0 and r[3] == 0.0]
+        expected = [profile_norm(band_profile(gaussian_field(cfg.grid(), w, 0.1, cf)), mp)
+                    for w in FAMILIES["gaussian"]["widths"]]
+        assert norms[cf] == pytest.approx(expected, rel=1e-12)
+    assert norms[0.0] != pytest.approx(norms[3.0])
+
+
 def test_apriori_all_zero_amplitudes_is_a_config_error(tmp_path):
     cfg = small_cfg(ps=[[2.0, 0.0]], amplitudes=[0.0])
     with pytest.raises(ConfigError, match="nonzero amplitude"):
@@ -630,6 +645,17 @@ def test_weighted_ratio_above_two_fails(monkeypatch):
     assert all(verdicts.values())
 
 
+def test_weights_gaussian_family_is_the_mix_of_its_parameters():
+    """A single gaussian is no family: weights checks the mix of its widths, amplitude
+    and carrier, so at center_freq 6 it gives the mix's weights, not the default's."""
+    params = {"widths": [1.0, 2.0], "amplitude": 0.2, "center_freq": 6.0}
+    gauss = run_weights(small_cfg(grid_n=512, family={"kind": "gaussian", **params}))
+    mix = run_weights(small_cfg(grid_n=512, family={"kind": "gaussian_mix", **params}))
+    default = run_weights(small_cfg(grid_n=512))
+    assert gauss.rows == mix.rows and gauss.summary == mix.summary
+    assert gauss.meta["thresholds"] == mix.meta["thresholds"] != default.meta["thresholds"]
+
+
 def test_weights_driver():
     cfg = small_cfg(grid_n=512)
     res = run_weights(cfg)
@@ -693,13 +719,12 @@ def test_tails_driver_zero_data():
 
 def test_tails_zero_amplitude_does_not_mask_stability():
     """A zero amplitude has no ratio to compare: beside amplitudes 0.1 and 0.4, whose
-    sextic and quartic ratios differ by more than 1e-4, both stability criteria fail."""
+    sextic and quartic ratios differ by more than 1e-4, both spreads measure above 1.0001."""
     cfg = config_from_dict({"version": 1, "boosts": [-1, 0, 1], "snapshots": 2, "t_final": 0.1,
-                            "amplitudes": [0.0, 0.1, 0.4],
-                            "tolerances": {"tails_stability": 1.0001}})
+                            "amplitudes": [0.0, 0.1, 0.4]})
     res = run_tails(cfg)
     stability = [e for e in res.summary if "eps_stability" in e.criterion]
-    assert len(stability) == 2 and not any(e.passed for e in stability)
+    assert len(stability) == 2
     assert all(e.measured > 1.0001 for e in stability)
 
 
@@ -878,6 +903,39 @@ def test_cli_boost_drivers_reject_an_equation_without_a_boost(tmp_path, capsys, 
     assert main([cmd, "--config", str(cfgp), "--out", str(tmp_path / "out")]) == 2
     assert "mkdv_nls" in capsys.readouterr().err
     assert calls == []
+
+
+@pytest.mark.parametrize("family, count", [
+    ({"kind": "gaussian_mix", "widths": [1.0, 2.0, 4.0]}, 3),
+    ({"kind": "random_band", "count": 2}, 2),
+])
+@pytest.mark.parametrize("cmd", ["apriori", "tails", "galilei"])
+def test_cli_one_member_drivers_reject_a_larger_family(tmp_path, capsys, monkeypatch, cmd,
+                                                       family, count):
+    """apriori, tails and galilei evolve one member of the family: a family of more
+    exits 2, naming the driver and the count, before any flow runs; a mix of one
+    width runs."""
+    calls = []
+    monkeypatch.setattr(experiments, "evolve_batch", lambda *args: calls.append(args))
+    cfgp = tmp_path / "cfg.json"
+    doc = small_cfg(t_final=0.01).to_dict()
+    cfgp.write_text(json.dumps(doc | {"family": family}))
+    assert main([cmd, "--config", str(cfgp), "--out", str(tmp_path / "out")]) == 2
+    assert f"{cmd} evolves one family member, got {count}" in capsys.readouterr().err
+    assert calls == []
+    monkeypatch.undo()
+    cfgp.write_text(json.dumps(doc | {"family": {"kind": "gaussian_mix", "widths": [1.0]}}))
+    assert main([cmd, "--config", str(cfgp), "--out", str(tmp_path / "out")]) == 0
+
+
+def test_cli_tolerances_map_is_an_unknown_key(tmp_path, capsys, monkeypatch):
+    """The thresholds are fixed: a config with a tolerances map, even an empty one,
+    exits 2 before the driver runs."""
+    monkeypatch.setitem(DRIVERS, "weights", lambda cfg: pytest.fail("the driver ran"))
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"version": 1, "tolerances": {}}))
+    assert main(["weights", "--config", str(cfgp), "--out", str(tmp_path / "out")]) == 2
+    assert "unknown config keys: tolerances" in capsys.readouterr().err
 
 
 def test_cli_tails_window_may_leave_the_lattice(tmp_path):
