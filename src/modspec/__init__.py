@@ -32,7 +32,6 @@ from .conserved import (
     alpha2,
     alpha4,
     alpha_terms,
-    beta2,
     build_operator,
     quartic_integral,
     tail_bound,

@@ -10,14 +10,15 @@ Re log det(I + A) (defocusing) resp. -Re log det(I - A) (focusing).
 
 Three kinds of evaluation coexist and cross-check each other:
 
-* exact-cell quadratures for the quadratic terms (alpha2, beta2) using the
+* an exact-cell quadrature for the quadratic term (alpha2) using the
   arctan antiderivative on the cells [xi_j, xi_j + dxi) -- exact for
-  band-indicator spectra;
+  band-indicator spectra; the quadratic term of beta(kappa) is
+  alpha2(kappa) - alpha2(2 kappa)/2;
 * an FFT-accelerated quadrature for the quartic term: its correlations
   take one batched forward and one batched inverse transform call;
 * a dense matrix discretization of A on a frequency window, whose
-  log-determinant sums the whole series; the matrix is formed from the
-  half operator on first read.
+  log-determinant sums the whole series; build_operator forms it once,
+  with the half operator and the certified radius bound.
 
 The matrix window necessarily truncates the resolvent lattice, which
 perturbs the low-order traces by O(1/window).  alpha_terms is therefore
@@ -34,14 +35,13 @@ converges geometrically as the spacing shrinks, and alpha_terms takes the
 coarsest stride whose remainder agrees with the one at twice that stride
 and whose sub-lattice carries the spectrum.
 
-The series converges only while rho(A) < 1, which log_det() certifies
-first: by ||A||_F when that is below 1, else by a dense eigen-solve.
+The series converges only while rho(A) < 1, which build_operator certifies
+once: by ||A||_F when that is below 1, else by a dense eigen-solve.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -97,29 +97,19 @@ def _arctan_cells(xi: np.ndarray, dxi: float, kappa: float, shift: float = 0.0) 
     return np.arctan((z + dxi) / (2.0 * kappa)) - np.arctan(z / (2.0 * kappa))
 
 
-def alpha2(f: Field, kappa: float) -> float:
-    """Quadratic term: 2 kappa * integral |fhat|^2 / (4 kappa^2 + xi^2) dxi.
+def alpha2(f: Field, kappa: float, shift: float = 0.0) -> float:
+    """Quadratic term: 2 kappa * integral |fhat|^2 / (4 kappa^2 + z^2) dxi, z = xi - shift.
 
     The kernel is integrated exactly over each lattice cell, so band
     indicators evaluate to the arctan closed form to machine precision.
+    shift = k gives alpha2 of the Galilei-boosted field u^k, evaluated
+    without boosting: |u^k-hat(xi)| = |uhat(xi + k)|.  By partial fractions
+    alpha2(kappa) - alpha2(2 kappa)/2 is the quadratic term of beta,
+    24 kappa^3 * integral |fhat|^2 / ((4 kappa^2 + z^2)(16 kappa^2 + z^2)) dxi.
     """
     check_kappa(kappa)
     g = f.grid
-    return float(np.sum(np.abs(f.spectrum) ** 2 * _arctan_cells(g.xi, g.dxi, kappa)))
-
-
-def beta2(f: Field, kappa: float, shift: float = 0.0) -> float:
-    """24 kappa^3 * integral |fhat|^2 / ((4 kappa^2 + z^2)(16 kappa^2 + z^2)) dxi, z = xi - shift.
-
-    By partial fractions the cell weights are those of alpha2 at kappa
-    minus half those at 2 kappa, so beta2 == alpha2(kappa) - alpha2(2 kappa)/2
-    identically.  shift = k gives beta2 of the Galilei-boosted field u^k,
-    evaluated without boosting: |u^k-hat(xi)| = |uhat(xi + k)|.
-    """
-    check_kappa(kappa)
-    g = f.grid
-    w = _arctan_cells(g.xi, g.dxi, kappa, shift) - 0.5 * _arctan_cells(g.xi, g.dxi, 2.0 * kappa, shift)
-    return float(np.sum(np.abs(f.spectrum) ** 2 * w))
+    return float(np.sum(np.abs(f.spectrum) ** 2 * _arctan_cells(g.xi, g.dxi, kappa, shift)))
 
 
 # ---------------------------------------------------------------------------
@@ -185,35 +175,25 @@ def alpha4(f: Field, kp: SpectralParameter) -> float:
 # ---------------------------------------------------------------------------
 # dense operator window
 
-@dataclass
+@dataclass(frozen=True)
 class OperatorPair:
-    """Window discretizations of A (full) and of the half operator B.
+    """Window discretizations of A (`matrix`) and of the half operator B (`half`).
 
     B = (kappa - d)^(-1/2) M_f (kappa + d)^(-1/2); its entrywise HS norm
     controls the series.  A is similar to B Bbar in structure; for real f
-    its spectrum is real and nonnegative.  `matrix` (A, an m^3 product) is
-    formed from B on first read and cached, as is radius_bound().  `stride` is
-    the window's spacing in lattice points; alpha_terms sets `doubling_gap` to
+    its spectrum is real and nonnegative.  `radius_bound` certifies rho(A):
+    ||A||_F (>= ||A||_2 >= rho) when below 1, else the exact max |eigenvalue|,
+    so it is >= 1 exactly when rho is.  `stride` is the window's spacing in
+    lattice points; the operator alpha_terms returns carries `doubling_gap`,
     |remainder - remainder at twice the stride| it accepted.
     """
 
     half: np.ndarray
-    toeplitz: np.ndarray  # V, a strided view of the scaled, zero-padded spectrum
-    s_minus: np.ndarray  # (kappa - i w)^(-1/2) on the window w
-    d_half: np.ndarray  # (kappa + i w)^(-1/2)
-    kappa: float
-    sign: str
+    matrix: np.ndarray
+    radius_bound: float
+    kp: SpectralParameter
     stride: int = 1
-    doubling_gap: float | None = field(default=None, init=False, compare=False)
-    _radius_bound: float | None = field(default=None, init=False, repr=False, compare=False)
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        return (self.half * self.d_half[None, :]) @ (self.toeplitz.conj().T * self.s_minus[None, :])
-
-    @property
-    def defocusing(self) -> bool:
-        return self.sign == DEFOCUSING
+    doubling_gap: float | None = None
 
     def trace(self) -> complex:
         return complex(np.trace(self.matrix))
@@ -221,25 +201,16 @@ class OperatorPair:
     def trace_sq(self) -> complex:
         return complex(np.sum(self.matrix * self.matrix.T))
 
-    def radius_bound(self) -> float:
-        """Certified bound on rho(A): ||A||_F (>= ||A||_2 >= rho) when below 1,
-        else the exact max |eigenvalue|, so it is >= 1 exactly when rho is."""
-        if self._radius_bound is None:
-            bound = float(np.linalg.norm(self.matrix))
-            if bound >= 1.0:
-                bound = float(np.max(np.abs(np.linalg.eigvals(self.matrix))))
-            self._radius_bound = bound
-        return self._radius_bound
-
     def log_det(self) -> float:
         """Re log det(I + A), or -Re log det(I - A) when focusing: the whole series
-        of the window matrix, once radius_bound() certifies rho(A) < 1."""
-        if not self.radius_bound() < 1.0:
-            raise SeriesDivergenceError(f"spectral radius bound {self.radius_bound():.4f} >= 1 "
-                                        f"at kappa = {self.kappa}; series diverges")
-        M = self.matrix.copy() if self.defocusing else -self.matrix
+        of the window matrix, once radius_bound certifies rho(A) < 1."""
+        if not self.radius_bound < 1.0:
+            raise SeriesDivergenceError(f"spectral radius bound {self.radius_bound:.4f} >= 1 "
+                                        f"at kappa = {self.kp.kappa}; series diverges")
+        sign = 1.0 if self.kp.defocusing else -1.0
+        M = sign * self.matrix
         M.flat[:: len(M) + 1] += 1.0  # I + A, or I - A
-        val = np.linalg.slogdet(M)[1] if self.defocusing else -np.linalg.slogdet(M)[1]
+        val = sign * np.linalg.slogdet(M)[1]
         if not np.isfinite(val):
             raise SeriesDivergenceError("determinant vanished; operator window is singular")
         return float(val)
@@ -247,7 +218,7 @@ class OperatorPair:
     def log_det_remainder(self) -> float:
         """The j >= 3 terms: log_det() minus the j = 1, 2 trace terms."""
         t1, t2 = self.trace().real, self.trace_sq().real
-        return self.log_det() - (t1 - 0.5 * t2 if self.defocusing else t1 + 0.5 * t2)
+        return self.log_det() - (t1 - 0.5 * t2 if self.kp.defocusing else t1 + 0.5 * t2)
 
 
 def _window(g: GridSpec, n_op: int, center: float, stride: int = 1) -> np.ndarray:
@@ -282,7 +253,11 @@ def build_operator(f: Field, kp: SpectralParameter, n_op: int = DEFAULT_N_OP,
     s_minus = (kp.kappa - 1j * w) ** -0.5
     d_half = (kp.kappa + 1j * w) ** -0.5
     half = (s_minus[:, None] * V) * d_half[None, :]
-    return OperatorPair(half, V, s_minus, d_half, kp.kappa, kp.sign, stride)
+    A = (half * d_half[None, :]) @ (V.conj().T * s_minus[None, :])
+    bound = float(np.linalg.norm(A))
+    if bound >= 1.0:
+        bound = float(np.max(np.abs(np.linalg.eigvals(A))))
+    return OperatorPair(half, A, bound, kp, stride)
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +310,7 @@ def alpha_terms(f: Field, kp: SpectralParameter, n_op: int = DEFAULT_N_OP,
         if m == 1 or (gap <= tol and sublattice_holds(m)):
             break
         coarse, m = rem, m // 2
-    op.doubling_gap = gap
-    return rem + (a2 + a4), a2, a4, op
+    return rem + (a2 + a4), a2, a4, replace(op, doubling_gap=gap)
 
 
 def tail_bound(f: Field, k: float) -> float:

@@ -106,7 +106,7 @@ def main(argv=None) -> int:
     except (SeriesDivergenceError, BlowUpError, NotEquicontinuousError, AliasingError) as exc:
         error = {"type": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, BlowUpError):
-            error["last_good_time"] = float(exc.last_good_time)
+            error.update(last_good_time=float(exc.last_good_time), row=int(exc.row))
         print(f"numerical breakdown: {error['type']}: {error['message']}", file=sys.stderr)
         json_path = args.out / f"{args.command}_summary.json"
         try:

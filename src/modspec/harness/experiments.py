@@ -10,9 +10,9 @@ import numpy as np
 from ..conserved import (
     SeriesDivergenceError,
     SpectralParameter,
+    alpha2,
     alpha4,
     alpha_terms,
-    beta2,
     tail_bound,
 )
 from ..equicont import build_weights, verify_weights
@@ -104,7 +104,7 @@ def run_conservation(cfg: ExperimentConfig) -> RunResult:
         for k in all_k:
             try:
                 alpha, a2, a4, op = alpha_terms(u, SpectralParameter(k, cfg.sign), cfg.n_op)
-                out[k] = (alpha, a2, a4, op.radius_bound(), op.trace())
+                out[k] = (alpha, a2, a4, op.radius_bound, op.trace())
                 samplings.append((op.stride, op.doubling_gap))
             except SeriesDivergenceError:
                 bad.append(k)
@@ -125,7 +125,7 @@ def run_conservation(cfg: ExperimentConfig) -> RunResult:
             for k in kappas:
                 alpha, a2, a4, rho, _ = m[k]
                 rows.append((mi, ti, k, alpha, alpha - 0.5 * m[2.0 * k][0], a2, a4,
-                             beta2(u, k), hs_functional(u, k), rho))
+                             a2 - 0.5 * m[2.0 * k][1], hs_functional(u, k), rho))
         for k in kappas:
             a_series = [m[k][0] for m in per_t]
             b_series = [m[k][0] - 0.5 * m[2.0 * k][0] for m in per_t]
@@ -161,8 +161,10 @@ def run_norm_equivalence(cfg: ExperimentConfig) -> RunResult:
     kb = max(abs(k) for k in cfg.boosts)
     # the bands the truncated boost sweep ignores on the banded side (maybe none)
     beyond = np.abs(np.arange(-grid.kmax, grid.kmax + 1)) > kb
-    # per (member, t), independent of (p, s): sqrt(beta2) over the boosts and the band profile
-    per_field = [[(np.sqrt([max(beta2(u, 0.5, shift=float(k)), 0.0) for k in cfg.boosts]),
+    # per (member, t), independent of (p, s): sqrt(beta2) over the boosts and the band
+    # profile; beta2 of the boosted u^k is alpha2(1/2) - alpha2(1)/2 of u shifted by k
+    per_field = [[(np.sqrt([max(alpha2(u, 0.5, shift=k) - 0.5 * alpha2(u, 1.0, shift=k), 0.0)
+                            for k in map(float, cfg.boosts)]),
                    band_profile(u)) for u in traj.fields] for traj in trajs]
     profs0 = np.array([fields[0][1] for fields in per_field])  # t = 0: the members
     unresolved = np.max([unresolved_mass_fraction(u) for traj in trajs for u in traj.fields])
@@ -338,7 +340,7 @@ def run_galilei(cfg: ExperimentConfig) -> RunResult:
     header = ["k", "dt", "distance"]
     rows, summary = [], []
     dts = [cfg.dt]
-    if abs(round(T / (2 * cfg.dt)) * 2 * cfg.dt - T) <= 1e-9 * abs(cfg.dt):
+    if round(T / abs(cfg.dt)) % 2 == 0:  # T is a whole number of steps; is it even?
         dts.append(2.0 * cfg.dt)  # refinement companion, only when it divides T
     ks = [float(k) for k in cfg.boosts]
     u0ks = [galilei_boost(u0, k, 0.0, eq) for k in ks]
@@ -450,7 +452,7 @@ def run_tails(cfg: ExperimentConfig) -> RunResult:
             for k in cfg.boosts:
                 kf = float(k)
                 uk = galilei_boost(u, kf, ti, cfg.equation)
-                b2 = beta2(u, 0.5, shift=kf)
+                b2 = alpha2(u, 0.5, shift=kf) - 0.5 * alpha2(u, 1.0, shift=kf)
                 try:
                     a_half, _, a4_half, op_half = alpha_terms(uk, kp_half, cfg.n_op, -kf)
                     a_one, _, a4_one, op_one = alpha_terms(uk, kp_one, cfg.n_op, -kf)
@@ -517,7 +519,11 @@ def run_weights(cfg: ExperimentConfig) -> RunResult:
     grid = cfg.grid()
     rng = np.random.default_rng(cfg.seed)
     kind, params = family_params(cfg.family)
-    # a single gaussian is no family: use the mix of its widths, amplitude and carrier
+    # a single gaussian is no family: use the mix of its widths, amplitude and carrier,
+    # which must include its width
+    if kind == "gaussian" and params["width"] not in params["widths"]:
+        raise ConfigError(f"weights builds the mix of the gaussian's widths "
+                          f"{params['widths']}; its width {params['width']} is not one of them")
     fam = cfg.family if kind != "gaussian" else dict(
         {key: params[key] for key in FAMILIES["gaussian_mix"]}, kind="gaussian_mix")
     if len(cfg.ps) != 1:

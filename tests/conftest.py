@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from modspec import Field, make_grid
+from modspec import Field, alpha2, make_grid
 
 
 @pytest.fixture(scope="session")
@@ -33,3 +33,9 @@ def random_smooth_field(grid, rng, amplitude=0.3, decay=3.0, carrier=0.0):
     spec = z * np.exp(-((grid.xi - carrier) / decay) ** 2)
     norm = np.sqrt(np.sum(np.abs(spec) ** 2) * grid.dxi)
     return Field.from_spectrum(grid, spec * (amplitude / norm))
+
+
+def beta2(f, kappa, shift=0.0):
+    """The quadratic term of beta(kappa) as the drivers form it: alpha2(kappa) -
+    alpha2(2 kappa)/2, both shifted by `shift`."""
+    return alpha2(f, kappa, shift) - 0.5 * alpha2(f, 2.0 * kappa, shift)

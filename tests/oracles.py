@@ -79,6 +79,19 @@ def quartic_integral_per_term(f: Field, kappa: float) -> float:
     return float((total * g.dxi**3 / (2.0 * np.pi)).real)
 
 
+def beta2_gauss_legendre(f: Field, kappa: float, shift: float = 0.0) -> float:
+    """The quadratic term of beta(kappa) from its own kernel, the reference for
+    alpha2(kappa) - alpha2(2 kappa)/2: each cell [xi_j, xi_j + dxi) integrates
+    24 kappa^3 / ((4 kappa^2 + z^2)(16 kappa^2 + z^2)), z = xi - shift, by 8-point
+    Gauss-Legendre, weighted by |fhat_j|^2 and summed with math.fsum."""
+    g = f.grid
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    z = (g.xi - shift)[:, None] + 0.5 * g.dxi * (nodes + 1.0)[None, :]
+    kern = 24.0 * kappa**3 / ((4.0 * kappa**2 + z**2) * (16.0 * kappa**2 + z**2))
+    cells = 0.5 * g.dxi * (kern @ weights)
+    return math.fsum((np.abs(f.spectrum) ** 2 * cells).tolist())
+
+
 def quadratic_trace_windowed(f: Field, kp, n_op: int = DEFAULT_N_OP,
                              center: float = 0.0, stride: int = 1) -> complex:
     """Independent evaluation of tr(A) on the same frequency window.
@@ -129,7 +142,7 @@ def alpha_series_partial_sums(op, jmax: int) -> np.ndarray:
     """Partial sums of the raw trace series of the window matrix, j = 1 .. jmax."""
     tp = trace_powers(op, jmax)
     j = np.arange(1, jmax + 1)
-    if op.defocusing:
+    if op.kp.defocusing:
         terms = (-1.0) ** (j - 1) * tp / j
     else:
         terms = tp / j

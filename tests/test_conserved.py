@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -12,7 +14,6 @@ from modspec import (
     alpha4,
     alpha_terms,
     band_indicator_field,
-    beta2,
     build_operator,
     evolve_batch,
     galilei_boost,
@@ -25,9 +26,10 @@ from modspec import (
 from modspec import conserved
 from modspec.conserved import DEFAULT_N_OP
 from modspec.harness.config import build_family, config_from_dict, random_suite
-from conftest import random_smooth_field
+from conftest import beta2, random_smooth_field
 from oracles import (
     alpha_series_partial_sums,
+    beta2_gauss_legendre,
     gram,
     hs_norm_sq,
     quadratic_trace_windowed,
@@ -53,8 +55,7 @@ def test_spectral_parameter_validation(grid_small):
     f = gaussian_field(grid_small, 1.0, 0.3)
     for kappa in (0.0, -0.5, np.nan):
         for call in (lambda: SpectralParameter(kappa), lambda: alpha2(f, kappa),
-                     lambda: beta2(f, kappa), lambda: beta2(f, kappa, shift=2.0),
-                     lambda: quartic_integral(f, kappa)):
+                     lambda: alpha2(f, kappa, shift=2.0), lambda: quartic_integral(f, kappa)):
             with pytest.raises(ValueError, match="kappa must be positive"):
                 call()
 
@@ -80,13 +81,16 @@ def test_alpha2_large_kappa_asymptotics(grid_ref):
 
 
 def test_beta2_zero_and_partial_fractions(grid_ref, rng):
+    """alpha2(kappa) - alpha2(2 kappa)/2 is the cell integral of beta's own
+    quadratic kernel, evaluated independently, shifted or not."""
     assert beta2(zero_field(grid_ref), 0.5) == 0.0
     for _ in range(5):
         f = random_smooth_field(grid_ref, rng, carrier=rng.uniform(-3, 3))
         for kappa in (0.5, 1.0, 2.0):
-            lhs = beta2(f, kappa)
-            rhs = alpha2(f, kappa) - 0.5 * alpha2(f, 2 * kappa)
-            assert abs(lhs - rhs) <= 1e-10
+            for shift in (0.0, 2.5):
+                lhs = beta2_gauss_legendre(f, kappa, shift)
+                rhs = alpha2(f, kappa, shift) - 0.5 * alpha2(f, 2 * kappa, shift)
+                assert abs(lhs - rhs) <= 1e-10
 
 
 def test_beta2_indicator_quadrature(grid_ref):
@@ -221,7 +225,7 @@ def test_alpha4_aliasing_guard(grid_ref):
 def test_build_operator_zero_field(grid_ref):
     op = build_operator(zero_field(grid_ref), SpectralParameter(0.5), n_op=128)
     assert np.all(op.matrix == 0) and np.all(op.half == 0)
-    assert op.radius_bound() == 0.0
+    assert op.radius_bound == 0.0
 
 
 def test_operator_window_validation(grid_ref):
@@ -309,7 +313,7 @@ def test_spectral_radius_against_dense_eigenvalues(grid_mid, rng):
     f = random_smooth_field(grid_mid, rng, carrier=1.0)
     op = build_operator(f, kp, n_op=256)
     rho_dense = np.max(np.abs(np.linalg.eigvals(op.matrix)))
-    assert op.radius_bound() >= rho_dense * (1 - 1e-12)
+    assert op.radius_bound >= rho_dense * (1 - 1e-12)
 
 
 def test_radius_bound_falls_back_to_eigenvalues(grid_small):
@@ -319,7 +323,7 @@ def test_radius_bound_falls_back_to_eigenvalues(grid_small):
     op = build_operator(f, kp, n_op=128)
     rho_dense = np.max(np.abs(np.linalg.eigvals(op.matrix)))
     assert np.linalg.norm(op.matrix) >= 1.0 > rho_dense
-    assert op.radius_bound() == pytest.approx(rho_dense, abs=1e-10)
+    assert op.radius_bound == pytest.approx(rho_dense, abs=1e-10)
     assert np.isfinite(alpha_terms(f, kp, n_op=128)[0])
 
 
@@ -493,6 +497,8 @@ def test_zero_field_alpha_at_first_stride(grid_ref):
     alpha, a2, a4, op = alpha_terms(zero_field(grid_ref), SpectralParameter(0.5))
     assert alpha == a2 == a4 == 0.0
     assert op.stride == conserved.FIRST_STRIDE and op.doubling_gap == 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        op.doubling_gap = 1.0
 
 
 def test_trace_matches_oracle_at_chosen_stride(grid_ref, rng):

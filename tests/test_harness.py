@@ -456,6 +456,24 @@ def test_galilei_driver_small(monkeypatch):
     assert all(r[2] <= 1e-12 for r in k0)  # identical flows at k = 0
 
 
+@pytest.mark.parametrize("t_final, dts", [
+    (0.045, {0.005}),  # 9 steps: 2 dt does not divide T
+    (0.05 + 1e-9, {0.005, 0.01}),  # a whole number of steps to check_time's tolerance
+])
+def test_galilei_companion_needs_an_even_step_count(t_final, dts):
+    res = run_galilei(small_cfg(boosts=[1], t_final=t_final))
+    assert {r[1] for r in res.rows} == dts
+
+
+def test_galilei_off_the_lattice_boosts():
+    """On L = 100.5 no nonzero integer boost sits on the frequency lattice: both
+    paths boost by the phase ramp, and each two-path distance passes."""
+    res = run_galilei(config_from_dict({"version": 1, "grid_length": 100.5,
+                                        "boosts": list(range(-5, 6)), "t_final": 0.03}))
+    dists = [e for e in res.summary if e.criterion.startswith("two_path_distance")]
+    assert len(dists) == 11 and all(e.passed for e in dists)
+
+
 @pytest.mark.parametrize("driver, name, expected", [
     # one flow per amplitude and per equicontinuous width (no large data here), one batch
     (run_apriori, "evolve_batch",
@@ -877,6 +895,8 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     ["scaling", {"ps": [[1000, 0]]}],
     # a zero weights family bounds no tail, and weights checks one (p, s) pair
     ["weights", {"family": {"kind": "gaussian_mix", "amplitude": 0.0}}],
+    # weights builds the mix of a gaussian's widths, so its width must be one of them
+    ["weights", {"family": {"kind": "gaussian", "width": 3.0}}],
     ["weights", {"ps": [[2, 0], [1000, 0]],
                  "family": {"kind": "band_indicator", "lo": 4.5, "hi": 5.5}}],
 ])
@@ -962,7 +982,8 @@ def test_cli_boost_off_the_lattice_exit_3(tmp_path, capsys, cmd, k):
     pytest.param("conserve", 6.0, 5e-3, 8 * math.pi, {"type": "SeriesDivergenceError"},
                  id="conserve-6.0-0.005-error0"),
     pytest.param("galilei", 40.0, 1e-2, 8 * math.pi,
-                 {"type": "BlowUpError", "last_good_time": 0.0}, id="galilei-40.0-0.01-error1"),
+                 {"type": "BlowUpError", "last_good_time": 0.0, "row": 0},
+                 id="galilei-40.0-0.01-error1"),
     # 256 points on [-32 pi, 32 pi) resolve |xi| < 4 only: too coarse for the quartic sum
     pytest.param("conserve", 0.3, 5e-3, 32 * math.pi, {"type": "AliasingError"},
                  id="conserve-aliasing"),
