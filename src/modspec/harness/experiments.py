@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import logging
 from collections import Counter
 
 import numpy as np
@@ -44,8 +43,6 @@ from .config import (
     suite_power,
 )
 from .reports import RunResult, criterion
-
-log = logging.getLogger(__name__)
 
 
 # the (p, s) ranges a driver can require: ModulationParams property -> inequality
@@ -343,19 +340,25 @@ def run_galilei(cfg: ExperimentConfig) -> RunResult:
     if round(T / abs(cfg.dt)) % 2 == 0:  # T is a whole number of steps; is it even?
         dts.append(2.0 * cfg.dt)  # refinement companion, only when it divides T
     ks = [float(k) for k in cfg.boosts]
-    u0ks = [galilei_boost(u0, k, 0.0, eq) for k in ks]
+    # each distinct nonzero k is evolved once; k = 0 is the identity boost, so
+    # both of its paths are the unboosted row 0
+    moving = list(dict.fromkeys(k for k in ks if k != 0.0))
+    row_of = {0.0: 0, **{k: i for i, k in enumerate(moving, start=1)}}
+    u0ks = [galilei_boost(u0, k, 0.0, eq) for k in moving]
 
-    def specs(dt):  # the unboosted path, then one boosted path per k
+    def specs(dt):  # the unboosted path, then one boosted path per distinct nonzero k
         fs = FlowSpec(eq, cfg.sign, dt)
         # nls is boost-invariant; a boosted mkdv field solves mkdv in the frame of k
-        return [fs] + [FlowSpec(eq, cfg.sign, dt, k=k) if eq == "mkdv" else fs for k in ks]
+        return [fs] + [FlowSpec(eq, cfg.sign, dt, k=k) if eq == "mkdv" else fs
+                       for k in moving]
 
     batches = {dt: evolve_batch([u0] + u0ks, specs(dt), [T]) for dt in dts}
-    for i, k in enumerate(ks, start=1):
+    for k in ks:
         for dt, trajs in batches.items():
+            end = trajs[0].fields[-1]
             # boost at the flow's signed end time: a backward flow ends at -T
-            path1 = galilei_boost(trajs[0].fields[-1], k, trajs[0].times[-1], eq)
-            path2 = trajs[i].fields[-1]
+            path1 = end if k == 0.0 else galilei_boost(end, k, trajs[0].times[-1], eq)
+            path2 = trajs[row_of[k]].fields[-1]
             dist = float(np.sqrt(np.sum(np.abs(path1.values - path2.values) ** 2) * grid.dx))
             rows.append((k, dt, dist))
             if dt == cfg.dt:
@@ -458,7 +461,6 @@ def run_tails(cfg: ExperimentConfig) -> RunResult:
                     a_one, _, a4_one, op_one = alpha_terms(uk, kp_one, cfg.n_op, -kf)
                     samplings += [(op.stride, op.doubling_gap) for op in (op_half, op_one)]
                 except SeriesDivergenceError:
-                    log.warning("series diverged at boost k=%s, t=%s; skipped", k, ti)
                     skipped += 1
                     b4 = alpha4(uk, kp_half) - 0.5 * alpha4(uk, kp_one)
                     b6 = np.nan

@@ -442,18 +442,28 @@ def test_galilei_driver_small(monkeypatch):
         return evolve_batch(fields, specs, *args, **kwargs)
 
     monkeypatch.setattr(experiments, "evolve_batch", counted)
-    cfg = small_cfg(boosts=[0, 1], t_final=0.05)
+    cfg = small_cfg(boosts=[0, 1, -1, 1, 0], t_final=0.05)
     res = run_galilei(cfg)
     assert res.all_pass
     dts = {r[1] for r in res.rows}
     assert len(dts) == 2
-    # one batch per dt: the unboosted row, then one boosted row per k
+    assert [r[0] for r in res.rows] == [k for k in cfg.boosts for _ in dts]
+    # one batch per dt: the unboosted row, then one row per distinct nonzero k
     assert sorted(specs[0].dt for specs in calls) == sorted(dts)
-    assert all(len(specs) == 1 + len(cfg.boosts) for specs in calls)
-    assert all(specs[0].equation == "mkdv" and [fs.k for fs in specs[1:]] == cfg.boosts
+    assert all(specs[0].equation == "mkdv" and [fs.k for fs in specs] == [0.0, 1.0, -1.0]
                for specs in calls)
     k0 = [r for r in res.rows if r[0] == 0.0]
-    assert all(r[2] <= 1e-12 for r in k0)  # identical flows at k = 0
+    assert len(k0) == 4 and all(r[2] == 0.0 for r in k0)  # the unboosted path against itself
+
+
+@pytest.mark.parametrize("eq", ["mkdv", "nls"])
+def test_galilei_repeated_and_zero_boosts_move_no_other_row(eq):
+    """Batch rows are independent, so a k = 0 or a repeated k changes no other
+    row's distance, bit for bit."""
+    rows = [r for r in run_galilei(small_cfg(equation=eq, boosts=[-1, 0, 1, 1])).rows
+            if r[0] != 0.0]
+    ref = run_galilei(small_cfg(equation=eq, boosts=[-1, 1])).rows
+    assert rows == ref + ref[len(ref) // 2:]
 
 
 @pytest.mark.parametrize("t_final, dts", [

@@ -10,10 +10,13 @@ module-level name (leading underscore, not a dunder) defined in src/ must be
 read by some module of src/: the tests alone do not keep it alive.  A public
 module-level function, class or constant defined in src/ must be read by some
 module of src/ or perfbench/; a re-export in an `__init__.py` does not count as
-a read.
+a read.  Importing the package as the benchmark worker does loads no `logging`.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -132,3 +135,18 @@ def test_src_or_the_benchmark_reads_every_public_function_and_class():
                for d in ("src", "perfbench") for p in (ROOT / d).rglob("*.py")
                if p not in REEXPORTS}
     assert unread_public_names(defining, reading) == []
+
+
+def test_the_benchmark_import_path_loads_no_logging():
+    """Importing the package as the benchmark worker does loads no `logging`
+    (a few ms of every run's setup). Run in a fresh interpreter, since pytest
+    itself imports `logging`."""
+    code = ("import sys\n"
+            "import modspec\n"
+            "from modspec.harness import experiments\n"
+            "from modspec.harness.config import build_family, config_from_dict, random_suite\n"
+            "print('logging' in sys.modules)\n")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=path))
+    assert out.stdout.strip() == "False"
