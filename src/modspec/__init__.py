@@ -2,6 +2,7 @@
 quantities, banded (modulation-type) norms, and equicontinuity weights."""
 
 from .grid import (
+    AliasingError,
     BandRangeError,
     Field,
     GridError,
@@ -25,7 +26,6 @@ from .norms import (
     sobolev_norm,
 )
 from .conserved import (
-    AliasingError,
     OperatorPair,
     SeriesDivergenceError,
     SpectralParameter,

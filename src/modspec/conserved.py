@@ -46,7 +46,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .grid import Field, GridSpec
+from .grid import ALIAS_EDGE_FRACTION, ALIAS_THRESHOLD, AliasingError, Field, GridSpec
 from .norms import bracket, check_kappa
 
 DEFOCUSING = "defocusing"
@@ -56,9 +56,6 @@ DEFAULT_N_OP = 512
 N_OP_CAP = 2048
 MIN_N_OP = 4  # alpha_terms compares a window with its stride-2 sampling
 
-ALIAS_EDGE_FRACTION = 0.1
-ALIAS_THRESHOLD = 1e-8
-
 # alpha_terms: the first stride tried, and the doubling gap it accepts relative
 # to |alpha2 + alpha4|
 FIRST_STRIDE = 8
@@ -67,10 +64,6 @@ STRIDE_RTOL = 1e-9
 
 class SeriesDivergenceError(RuntimeError):
     """Spectral radius of the operator reached 1; the trace series diverges."""
-
-
-class AliasingError(ValueError):
-    """Spectral mass too close to the lattice boundary for a faithful quartic sum."""
 
 
 @dataclass(frozen=True)
@@ -231,16 +224,20 @@ def _window(g: GridSpec, n_op: int, center: float, stride: int = 1) -> np.ndarra
     return g.dxi * (np.rint(center / g.dxi) + stride * np.arange(-(m // 2), m - m // 2))
 
 
-def build_operator(f: Field, kp: SpectralParameter, n_op: int = DEFAULT_N_OP,
-                   center: float = 0.0, stride: int = 1) -> OperatorPair:
-    """Dense window discretization of the sandwiched operator.
+def half_operator(f: Field, kp: SpectralParameter, n_op: int = DEFAULT_N_OP,
+                  center: float = 0.0, stride: int = 1) -> tuple:
+    """(B, V, s_minus, d_half): the window discretization of the half operator
+    B = (kappa - d)^(-1/2) M_f (kappa + d)^(-1/2) and its factors, B = S V D with
+    S, D the diagonals s_minus = (kappa - i w)^(-1/2), d_half = (kappa + i w)^(-1/2)
+    on the window frequencies w and V the Toeplitz matrix of fhat.
 
     Multiplication by f acts as discrete convolution with fhat; the
     resolvent square roots take the principal branch, positive at
     frequency zero.  The window is n_op lattice points wide, centred at
     `center`, which helps spectra concentrated away from the origin, and
     sampled at `stride`: the matrices hold n_op // stride frequencies.
-    N_OP_CAP is the memory budget on that size.
+    N_OP_CAP is the memory budget on that size.  B costs O(m^2); A, which
+    build_operator forms from these factors, costs an m^3 product.
     """
     g = f.grid
     w = _window(g, n_op, center, stride)
@@ -252,7 +249,14 @@ def build_operator(f: Field, kp: SpectralParameter, n_op: int = DEFAULT_N_OP,
     V = sliding_window_view(v * (stride * g.dxi / np.sqrt(2.0 * np.pi)), m)[:, ::-1]
     s_minus = (kp.kappa - 1j * w) ** -0.5
     d_half = (kp.kappa + 1j * w) ** -0.5
-    half = (s_minus[:, None] * V) * d_half[None, :]
+    return (s_minus[:, None] * V) * d_half[None, :], V, s_minus, d_half
+
+
+def build_operator(f: Field, kp: SpectralParameter, n_op: int = DEFAULT_N_OP,
+                   center: float = 0.0, stride: int = 1) -> OperatorPair:
+    """Dense window discretization of the sandwiched operator A = B D V^H S on
+    half_operator's window and factors, with its certified radius bound."""
+    half, V, s_minus, d_half = half_operator(f, kp, n_op, center, stride)
     A = (half * d_half[None, :]) @ (V.conj().T * s_minus[None, :])
     bound = float(np.linalg.norm(A))
     if bound >= 1.0:

@@ -5,8 +5,10 @@ Equations (upper sign defocusing, lower focusing):
     mkdv:  u_t + u_xxx + 3ik u_xx = +-6 |u|^2 (u_x + iku)
     nls:   i u_t + u_xx = +-2 |u|^2 u
 
-mkdv is written in the frame of wave number k (FlowSpec.k): the Galilei
-boost u^k of an mkdv solution solves it, and k = 0 is mkdv itself.
+mkdv is written in the frame of wave number k: the Galilei boost u^k of an
+mkdv solution solves it, and k = 0 is mkdv itself.  A FlowSpec names the
+equation, the sign and dt of a batch; only the frame's k varies across its
+rows (`evolve_batch`'s `ks`).
 
 The linear part is an exact Fourier multiplier.  Each step is symmetric
 Strang: half linear, full nonlinear, half linear.  The nls nonlinear
@@ -55,7 +57,6 @@ class FlowSpec:
     equation: str
     sign: str = "defocusing"  # +- sign of the nonlinearity
     dt: float = 1e-3
-    k: float = 0.0  # the mkdv frame's wave number; nls has none
 
     def __post_init__(self):
         if self.equation not in EQUATIONS:
@@ -64,8 +65,6 @@ class FlowSpec:
             raise ValueError("sign must be 'defocusing' or 'focusing'")
         if self.dt == 0 or not np.isfinite(self.dt):
             raise ValueError(f"dt must be nonzero and finite, got {self.dt}")
-        if not np.isfinite(self.k) or (self.equation == "nls" and self.k != 0):
-            raise ValueError(f"k must be finite, and 0 for nls, got {self.k}")
 
     @property
     def sigma(self) -> float:
@@ -84,9 +83,9 @@ def dispersion_symbol(equation: str, xi: np.ndarray, k: float = 0.0) -> np.ndarr
 class _Stepper:
     """Fused Strang steps of a (B, N) batch on numpy's natural-order transforms.
 
-    Row i evolves under specs[i]; the caller has checked that the rows share dt
-    and the equation.  Sign and k enter only as per-row multipliers and (B, 1)
-    sign and k columns; the multipliers are diagonal, so the transform's order and scale cancel in a step.
+    Every row evolves under the flow fs; row i in the frame of wave number ks[i],
+    which enters only as a per-row multiplier and a (B, 1) k column.  The
+    multipliers are diagonal, so the transform's order and scale cancel in a step.
     The complex kind steps full spectra with fft/ifft.  The real kind is for
     mkdv rows at k = 0 with real samples, which the flow keeps real: it steps the
     nonnegative half of each spectrum with rfft/irfft, on the same multipliers
@@ -99,34 +98,32 @@ class _Stepper:
     certificate trips).
     """
 
-    def __init__(self, grid: GridSpec, specs, real: bool = False):
-        self.dt = specs[0].dt
-        self.nls = specs[0].equation == "nls"
+    def __init__(self, grid: GridSpec, fs: FlowSpec, ks, real: bool = False):
+        self.dt = fs.dt
+        self.nls = fs.equation == "nls"
         self.n, self.real = grid.n, real
         xi = np.fft.ifftshift(grid.xi)
         if real:
             xi = xi[: grid.n // 2 + 1]  # rfft's half: xi >= 0, then the Nyquist entry
-        self.half = np.exp(np.stack([dispersion_symbol(fs.equation, xi, fs.k) for fs in specs])
+        self.half = np.exp(np.stack([dispersion_symbol(fs.equation, xi, k) for k in ks])
                            * self.dt / 2.0)
         self.half[:, grid.n // 2] = 0.0  # unpaired Nyquist mode breaks Hermitian symmetry
         self.full = self.half * self.half
         self.scale = np.max(np.abs(self.half), axis=-1) / grid.n  # the blow-up bound's factor
         self.mask = (np.abs(xi) <= grid.n // 3 * grid.dxi).astype(float)
-        sigma = np.array([[fs.sigma] for fs in specs])
-        self.c_rot = -2j * sigma
+        self.c_rot = -2j * fs.sigma
         if real:
             # sum |s| over the full spectrum: a half-spectrum entry other than 0 and
             # Nyquist stands for itself and its mirror
             self.weight = np.full(xi.size, 2.0)
             self.weight[[0, -1]] = 1.0
             # for real u, 6 sigma u^2 u_x = 2 sigma (u^3)_x: the masked derivative of the cube
-            self.cube = 2.0 * sigma * 1j * xi * self.mask
+            self.cube = 2.0 * fs.sigma * 1j * xi * self.mask
         else:
             # the mkdv nonlinearity is +-6 |u|^2 (u_x + iku)
-            k = np.array([[fs.k] for fs in specs])
-            self.deriv = 6.0 * sigma * 1j * (xi + k)
+            self.deriv = 6.0 * fs.sigma * 1j * (xi + np.asarray(ks, dtype=float)[:, None])
         if not self.nls:  # RK4 work arrays, reused by every step
-            shape = (len(specs), xi.size)
+            shape = (len(ks), xi.size)
             # a stage's masked input (the complex kind adds deriv times it: one inverse call)
             self.stack = np.empty((1 if real else 2, *shape), complex)
             self.slopes = np.empty((4, *shape), complex)  # k1..k4
@@ -205,11 +202,11 @@ class Trajectory:
     fields: list
 
 
-def evolve_batch(fields, specs, snapshot_times) -> list[Trajectory]:
-    """Run the flow specs[i] from fields[i] for every row at once; one Trajectory per row.
+def evolve_batch(fields, fs: FlowSpec, snapshot_times, ks=None) -> list[Trajectory]:
+    """Run the flow fs from every field at once; one Trajectory per row.
 
-    The rows share the grid, the signed dt and the equation; they may differ in
-    sign and k.
+    The rows share the grid.  Row i evolves in the frame of wave number ks[i]
+    (default 0 for every row); ks must be finite, one per field, and 0 for nls.
     snapshot_times are elapsed times, nonnegative multiples of |dt|; dt < 0
     integrates backward.  The t = 0 snapshot is the input Field itself.
 
@@ -217,19 +214,19 @@ def evolve_batch(fields, specs, snapshot_times) -> list[Trajectory]:
     one group on half spectra (the real kind of _Stepper), every other row as a
     second group; a row's arithmetic depends only on that row.
     """
-    if not fields or len(fields) != len(specs):
-        raise ValueError("evolve_batch needs one FlowSpec per field, and at least one field")
+    ks = np.zeros(len(fields)) if ks is None else np.asarray(ks, dtype=float)
+    if not fields or ks.shape != (len(fields),):
+        raise ValueError(f"evolve_batch needs at least one field and one wave number "
+                         f"per field, got {len(fields)} fields and ks of shape {ks.shape}")
+    if not np.all(np.isfinite(ks)) or (fs.equation == "nls" and np.any(ks != 0)):
+        raise ValueError(f"ks must be finite, and 0 for nls, got {ks.tolist()}")
     grid = fields[0].grid
     if any(u.grid != grid for u in fields):
         raise ValueError("batched rows must share the grid")
-    dt_signed, equation = specs[0].dt, specs[0].equation
-    if any(fs.dt != dt_signed or fs.equation != equation for fs in specs):
-        raise ValueError("batched rows must share dt and the equation")
     snap = sorted(float(t) for t in snapshot_times)
     if snap and snap[0] < 0:
         raise ValueError("snapshot times must be nonnegative elapsed times")
-    dt = abs(dt_signed)
-    sign = np.sign(dt_signed)
+    dt, sign = abs(fs.dt), np.sign(fs.dt)
     targets = {}
     for t in snap:
         n = int(round(t / dt))
@@ -237,15 +234,15 @@ def evolve_batch(fields, specs, snapshot_times) -> list[Trajectory]:
             raise ValueError(f"snapshot time {t} is not a multiple of dt = {dt}")
         targets[n] = t
 
-    real = [fs.equation == "mkdv" and fs.k == 0 and np.all(u.values.imag == 0)
-            for u, fs in zip(fields, specs)]
+    real = [fs.equation == "mkdv" and k == 0 and np.all(u.values.imag == 0)
+            for u, k in zip(fields, ks)]
     # (caller rows, stepper, state); the state is owned here: steps update it in
     # place, and snapshots are separate arrays
     groups = []
     for kind in (True, False):
         rows = [i for i, r in enumerate(real) if r == kind]
         if rows:
-            stepper = _Stepper(grid, [specs[i] for i in rows], real=kind)
+            stepper = _Stepper(grid, fs, ks[rows], real=kind)
             groups.append((rows, stepper, stepper.start(np.array([fields[i].values for i in rows]))))
 
     trajs = [Trajectory([], []) for _ in fields]

@@ -164,6 +164,17 @@ def band_profile(f: Field | np.ndarray, grid: GridSpec | None = None) -> np.ndar
     return np.sqrt(sums * g.dxi)
 
 
+# the aliasing policy: the spectral mass within ALIAS_EDGE_FRACTION of the lattice
+# edge (the quartic sum), or that a boost shifts off the lattice, may be at most
+# ALIAS_THRESHOLD of the total
+ALIAS_EDGE_FRACTION = 0.1
+ALIAS_THRESHOLD = 1e-8
+
+
+class AliasingError(ValueError):
+    """Spectral mass too close to the lattice boundary, or shifted past it."""
+
+
 def unresolved_mass_fraction(f: Field | np.ndarray, grid: GridSpec | None = None):
     """Spectral mass fraction outside the resolved bands |k| <= kmax; a float for a
     Field, one value per row for a (..., n) power array on `grid`."""

@@ -8,9 +8,10 @@ import os
 import sys
 from pathlib import Path
 
-from ..conserved import AliasingError, SeriesDivergenceError
+from ..conserved import SeriesDivergenceError
 from ..equicont import NotEquicontinuousError
 from ..flows import BlowUpError
+from ..grid import AliasingError
 from .config import ConfigError, config_from_dict, read_config
 from .reports import write_summary
 from . import experiments

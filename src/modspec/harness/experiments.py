@@ -115,7 +115,7 @@ def run_conservation(cfg: ExperimentConfig) -> RunResult:
     # evolve_batch records t = 0 as the member itself; measuring every member
     # first stops divergent data before the flow runs
     at_zero = [measure(u0, 0.0) for u0 in members]
-    trajs = evolve_batch(members, [fs] * len(members), times)
+    trajs = evolve_batch(members, fs, times)
     for mi, (m0, traj) in enumerate(zip(at_zero, trajs)):
         per_t = [m0] + [measure(u, ti) for ti, u in zip(traj.times[1:], traj.fields[1:])]
         for ti, u, m in zip(traj.times, traj.fields, per_t):
@@ -151,17 +151,17 @@ def run_norm_equivalence(cfg: ExperimentConfig) -> RunResult:
     bracket_tol = cfg.tolerance("normequiv_bracket")
     tail_tol = cfg.tolerance("normequiv_sweep_tail")
 
-    trajs = evolve_batch(members, [fs] * len(members), times)
+    trajs = evolve_batch(members, fs, times)
     header = ["member", "t", "p", "s", "weighted", "lhs", "rhs", "ratio"]
     rows, summary = [], []
-    ks_boost = np.array(cfg.boosts)
-    kb = max(abs(k) for k in cfg.boosts)
-    # the bands the truncated boost sweep ignores on the banded side (maybe none)
-    beyond = np.abs(np.arange(-grid.kmax, grid.kmax + 1)) > kb
+    # the sweep is the set of boosts: a repeated boost counts once
+    ks_boost = np.array(list(dict.fromkeys(cfg.boosts)))
+    # the resolved bands with no boost, which the sweep ignores on the banded side
+    beyond = ~np.isin(np.arange(-grid.kmax, grid.kmax + 1), ks_boost)
     # per (member, t), independent of (p, s): sqrt(beta2) over the boosts and the band
     # profile; beta2 of the boosted u^k is alpha2(1/2) - alpha2(1)/2 of u shifted by k
     per_field = [[(np.sqrt([max(alpha2(u, 0.5, shift=k) - 0.5 * alpha2(u, 1.0, shift=k), 0.0)
-                            for k in map(float, cfg.boosts)]),
+                            for k in map(float, ks_boost)]),
                    band_profile(u)) for u in traj.fields] for traj in trajs]
     profs0 = np.array([fields[0][1] for fields in per_field])  # t = 0: the members
     unresolved = np.max([unresolved_mass_fraction(u) for traj in trajs for u in traj.fields])
@@ -169,7 +169,7 @@ def run_norm_equivalence(cfg: ExperimentConfig) -> RunResult:
                              cfg.tolerance("normequiv_unresolved")))
     for mp in mps:
         for mode, w in (("unit", None), ("built", build_weights(profs0, mp))):
-            c_boost = np.ones(len(cfg.boosts)) if w is None else w.c_of(ks_boost)
+            c_boost = np.ones(len(ks_boost)) if w is None else w.c_of(ks_boost)
             warr = None if w is None else w.as_array()
             ratios, tail_fracs = [], []
             for mi, (traj, fields) in enumerate(zip(trajs, per_field)):
@@ -233,7 +233,7 @@ def run_apriori(cfg: ExperimentConfig) -> RunResult:
 
     def profiles(fields):  # (times, band profiles) of the flow from each field
         return [(traj.times, [band_profile(u) for u in traj.fields])
-                for traj in evolve_batch(fields, [fs] * len(fields), times)]
+                for traj in evolve_batch(fields, fs, times)]
 
     # an amplitude needs the small-data flow when some (p, s) finds its norm small;
     # those flows run in one batch with the family's
@@ -346,13 +346,11 @@ def run_galilei(cfg: ExperimentConfig) -> RunResult:
     row_of = {0.0: 0, **{k: i for i, k in enumerate(moving, start=1)}}
     u0ks = [galilei_boost(u0, k, 0.0, eq) for k in moving]
 
-    def specs(dt):  # the unboosted path, then one boosted path per distinct nonzero k
-        fs = FlowSpec(eq, cfg.sign, dt)
-        # nls is boost-invariant; a boosted mkdv field solves mkdv in the frame of k
-        return [fs] + [FlowSpec(eq, cfg.sign, dt, k=k) if eq == "mkdv" else fs
-                       for k in moving]
-
-    batches = {dt: evolve_batch([u0] + u0ks, specs(dt), [T]) for dt in dts}
+    # the unboosted path, then one boosted path per distinct nonzero k: nls is
+    # boost-invariant, and a boosted mkdv field solves mkdv in the frame of k
+    frames = [0.0] + moving if eq == "mkdv" else None
+    batches = {dt: evolve_batch([u0] + u0ks, FlowSpec(eq, cfg.sign, dt), [T], frames)
+               for dt in dts}
     for k in ks:
         for dt, trajs in batches.items():
             end = trajs[0].fields[-1]
@@ -444,7 +442,7 @@ def run_tails(cfg: ExperimentConfig) -> RunResult:
     snaps_by_eps, skipped, samplings = [], 0, []
     u0s = [_one_member("tails", dict(cfg.family, amplitude=float(eps)), grid, rng)
            for eps in cfg.amplitudes]
-    for traj in evolve_batch(u0s, [fs] * len(u0s), times):
+    for traj in evolve_batch(u0s, fs, times):
         snaps = []
         for ti, u in zip(traj.times, traj.fields):
             prof = band_profile(u)
@@ -452,7 +450,7 @@ def run_tails(cfg: ExperimentConfig) -> RunResult:
                 snaps.append((ti, prof, None))
                 continue
             boost_rows = []
-            for k in cfg.boosts:
+            for k in dict.fromkeys(cfg.boosts):  # a repeated boost counts once
                 kf = float(k)
                 uk = galilei_boost(u, kf, ti, cfg.equation)
                 b2 = alpha2(u, 0.5, shift=kf) - 0.5 * alpha2(u, 1.0, shift=kf)

@@ -5,9 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from .flows import EQUATIONS
-from .grid import Field, GridSpec, inverse_transform, make_grid
+from .grid import ALIAS_THRESHOLD, AliasingError, Field, GridSpec, inverse_transform, make_grid
 from .norms import ModulationParams, bracket
-from . import conserved
 
 
 def galilei_boost(u: Field, k: float, t: float = 0.0, equation: str = "mkdv") -> Field:
@@ -25,8 +24,8 @@ def galilei_boost(u: Field, k: float, t: float = 0.0, equation: str = "mkdv") ->
     toward the box edge.  An equation other than mkdv or nls, or a
     non-finite k or t, is a ValueError.
 
-    The boosted mkdv field solves FlowSpec("mkdv", k=k): mkdv in the frame of
-    wave number k.
+    The boosted mkdv field solves mkdv in the frame of wave number k: evolve it
+    with evolve_batch(..., ks=[k]).
     """
     if equation not in EQUATIONS:
         raise ValueError(f"equation must be one of {EQUATIONS}, got {equation!r}")
@@ -47,10 +46,10 @@ def galilei_boost(u: Field, k: float, t: float = 0.0, equation: str = "mkdv") ->
         on = (src >= mi) & (src < g.n + mi)  # the modes that stay on the lattice
         power = np.abs(u.spectrum) ** 2
         lost, total = float(np.sum(power[~on])), float(np.sum(power))
-        if lost > conserved.ALIAS_THRESHOLD * total:
-            raise conserved.AliasingError(
+        if lost > ALIAS_THRESHOLD * total:
+            raise AliasingError(
                 f"boost k = {k} shifts a spectral mass fraction {lost / total:.2e} "
-                f"off the lattice, above {conserved.ALIAS_THRESHOLD:.0e}")
+                f"off the lattice, above {ALIAS_THRESHOLD:.0e}")
         spec = np.zeros(g.n, dtype=complex)
         spec[src[on] - mi] = u.spectrum[on]
         spec = spec * phase0 * np.exp(-1j * (g.xi + k) * shift)

@@ -118,9 +118,9 @@ def quadratic_trace_windowed(f: Field, kp, n_op: int = DEFAULT_N_OP,
     return complex(tot * h**2 / (2.0 * np.pi))
 
 
-def hs_norm_sq(op) -> float:
-    """Entrywise |B|^2 sum, the squared Hilbert-Schmidt norm of the half operator."""
-    return float(np.sum(np.abs(op.half) ** 2))
+def hs_norm_sq(half: np.ndarray) -> float:
+    """Entrywise |B|^2 sum, the squared Hilbert-Schmidt norm of the half operator B."""
+    return float(np.sum(np.abs(half) ** 2))
 
 
 def gram(op) -> np.ndarray:
@@ -160,18 +160,17 @@ class AllocatingSubstep:
     Its arithmetic is the stepper's, written out of place: the package's work
     arrays and in-place updates must reproduce it bit for bit.  On a real-kind
     stepper it steps half spectra with rfft/irfft and takes the nonlinearity as
-    2 sigma (u^3)_x, on a derivative symbol built here from the specs' signs and
+    2 sigma (u^3)_x, on a derivative symbol built here from the flow's sign and
     the lattice frequencies 0 .. N/2.
     """
 
-    def __init__(self, stepper: _Stepper, grid, specs):
+    def __init__(self, stepper: _Stepper, grid, fs):
         self.dt, self.nls, self.mask = stepper.dt, stepper.nls, stepper.mask
         self.c_rot = stepper.c_rot
         self.real, self.n = stepper.real, stepper.n
         if self.real:
-            sigma = np.array([[fs.sigma] for fs in specs])
             xi = grid.dxi * np.arange(grid.n // 2 + 1)
-            self.cube = 2.0 * sigma * 1j * xi * self.mask
+            self.cube = 2.0 * fs.sigma * 1j * xi * self.mask
         else:
             self.deriv = stepper.deriv
 
@@ -198,21 +197,23 @@ class AllocatingSubstep:
         return s + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def fused_strang(fields, specs, n_steps) -> np.ndarray:
-    """(B, N) physical fields after n_steps fused Strang steps, substep by AllocatingSubstep.
+def fused_strang(fields, fs, ks, n_steps) -> np.ndarray:
+    """(B, N) physical fields after n_steps fused Strang steps of the flow fs, row i
+    in the frame of ks[i], substep by AllocatingSubstep.
 
     As in evolve_batch, the mkdv rows at k = 0 with exactly real samples step
     together on half spectra and the other rows on full spectra; rows keep the
     caller's order.
     """
     out = np.empty((len(fields), fields[0].grid.n), complex)
-    real = np.array([fs.equation == "mkdv" and fs.k == 0 and not np.any(u.values.imag)
-                     for u, fs in zip(fields, specs)])
+    ks = np.asarray(ks, dtype=float)
+    real = np.array([fs.equation == "mkdv" and k == 0 and not np.any(u.values.imag)
+                     for u, k in zip(fields, ks)])
     for rows in (np.flatnonzero(real), np.flatnonzero(~real)):
         if rows.size == 0:
             continue
-        stepper = _Stepper(fields[0].grid, [specs[i] for i in rows], real=bool(real[rows[0]]))
-        substep = AllocatingSubstep(stepper, fields[0].grid, [specs[i] for i in rows])
+        stepper = _Stepper(fields[0].grid, fs, ks[rows], real=bool(real[rows[0]]))
+        substep = AllocatingSubstep(stepper, fields[0].grid, fs)
         values = np.array([fields[i].values for i in rows])
         if stepper.real:
             s = np.fft.rfft(values.real) * stepper.half

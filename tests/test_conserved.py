@@ -24,7 +24,7 @@ from modspec import (
     tail_bound,
 )
 from modspec import conserved
-from modspec.conserved import DEFAULT_N_OP
+from modspec.conserved import DEFAULT_N_OP, half_operator
 from modspec.harness.config import build_family, config_from_dict, random_suite
 from conftest import beta2, random_smooth_field
 from oracles import (
@@ -303,8 +303,8 @@ def test_hs_norm_comparable_to_functional(grid_ref, rng):
     for kappa in (0.5, 1.0, 2.0, 4.0):
         kp = SpectralParameter(kappa)
         for f in suite[::5]:
-            op = build_operator(f, kp, n_op=512)
-            ratios.append(hs_norm_sq(op) / hs_functional(f, kappa))
+            half = half_operator(f, kp, n_op=512)[0]
+            ratios.append(hs_norm_sq(half) / hs_functional(f, kappa))
     assert max(ratios) <= 10.0 and min(ratios) >= 0.1
 
 
@@ -341,7 +341,7 @@ def test_alpha_full_matches_partial_sums(grid_mid, rng, sign):
     op = build_operator(f, kp, n_op=256)
     pure = op.log_det()
     sums = alpha_series_partial_sums(op, 8)
-    h = hs_norm_sq(op)
+    h = hs_norm_sq(op.half)
     tail_bound_8 = h**9 / (1 - h)
     assert abs(pure - sums[-1]) <= tail_bound_8 + 1e-13
 
@@ -354,7 +354,7 @@ def test_series_tail_decays_geometrically(grid_mid, rng, sign):
     pure = op.log_det()
     sums = alpha_series_partial_sums(op, 10)
     tails = np.abs(pure - sums)
-    h = hs_norm_sq(op)
+    h = hs_norm_sq(op.half)
     floor = 1e-12 * max(1.0, abs(pure))
     for j in range(4, 9):
         if tails[j] > floor and tails[j + 1] > floor:
@@ -464,7 +464,7 @@ def _stride_one_alpha(monkeypatch, f, kp, **kw):
 def _conserve_default_snapshots():
     cfg = config_from_dict({"version": 1})
     u0 = build_family(cfg.family, cfg.grid(), np.random.default_rng(cfg.seed))[0]
-    traj = evolve_batch([u0], [FlowSpec(cfg.equation, cfg.sign, cfg.dt)], [0.0, 1.0])[0]
+    traj = evolve_batch([u0], FlowSpec(cfg.equation, cfg.sign, cfg.dt), [0.0, 1.0])[0]
     return cfg, traj.fields
 
 

@@ -437,9 +437,9 @@ def test_galilei_driver_small(monkeypatch):
 
     calls = []
 
-    def counted(fields, specs, *args, **kwargs):
-        calls.append(specs)
-        return evolve_batch(fields, specs, *args, **kwargs)
+    def counted(fields, fs, times, ks=None):
+        calls.append((fs, ks))
+        return evolve_batch(fields, fs, times, ks)
 
     monkeypatch.setattr(experiments, "evolve_batch", counted)
     cfg = small_cfg(boosts=[0, 1, -1, 1, 0], t_final=0.05)
@@ -449,9 +449,8 @@ def test_galilei_driver_small(monkeypatch):
     assert len(dts) == 2
     assert [r[0] for r in res.rows] == [k for k in cfg.boosts for _ in dts]
     # one batch per dt: the unboosted row, then one row per distinct nonzero k
-    assert sorted(specs[0].dt for specs in calls) == sorted(dts)
-    assert all(specs[0].equation == "mkdv" and [fs.k for fs in specs] == [0.0, 1.0, -1.0]
-               for specs in calls)
+    assert sorted(fs.dt for fs, _ in calls) == sorted(dts)
+    assert all(fs.equation == "mkdv" and ks == [0.0, 1.0, -1.0] for fs, ks in calls)
     k0 = [r for r in res.rows if r[0] == 0.0]
     assert len(k0) == 4 and all(r[2] == 0.0 for r in k0)  # the unboosted path against itself
 
@@ -722,6 +721,34 @@ def test_cli_flat_weights_fail_grows(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "[FAIL] grows: measured 1 vs threshold 0" in out
     assert out.count("[FAIL]") == 1
+
+
+def test_normequiv_sweep_tail_counts_every_band_without_a_boost():
+    """sweep_tail_fraction is the band mass the boost sweep leaves out.  On the
+    default Gaussian the boosts 0..8 leave out the bands -15..-1 as well as
+    9..15, so every tail fails, where the symmetric sweep -8..8 passes."""
+    def tails(boosts):
+        res = run_norm_equivalence(config_from_dict({"version": 1, "boosts": boosts}))
+        return [e for e in res.summary if e.criterion.startswith("sweep_tail_fraction")]
+
+    symmetric, one_sided = tails(list(range(-8, 9))), tails(list(range(0, 9)))
+    assert symmetric and all(e.passed for e in symmetric)
+    assert len(one_sided) == len(symmetric) and not any(e.passed for e in one_sided)
+
+
+def test_normequiv_and_tails_count_a_repeated_boost_once():
+    """The boost sweep is a set: listing a boost again moves no row and no criterion."""
+    ref = run_norm_equivalence(config_from_dict({"version": 1}))
+    rep = run_norm_equivalence(config_from_dict(
+        {"version": 1, "boosts": list(range(-8, 9)) + [0, 0, 0]}))
+    assert rep.rows == ref.rows
+    assert [(e.criterion, e.measured) for e in rep.summary] == [
+        (e.criterion, e.measured) for e in ref.summary]
+    ref = run_tails(small_cfg(t_final=0.01, boosts=[0, 1]))
+    rep = run_tails(small_cfg(t_final=0.01, boosts=[0, 1, 0, 1]))
+    assert rep.rows == ref.rows
+    assert [(e.criterion, e.measured) for e in rep.summary] == [
+        (e.criterion, e.measured) for e in ref.summary]
 
 
 def test_norm_equivalence_single_band_bracket():
