@@ -1,13 +1,15 @@
-"""Report persistence: fixed-column CSV plus JSON pass/fail summaries."""
+"""Report persistence: fixed-column CSV, rendered a column at a time and written
+whole, plus JSON pass/fail summaries."""
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 
 @dataclass
@@ -71,42 +73,44 @@ class RunResult:
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 
 
-def _quoted(text: str) -> str:
-    """csv.writer's QUOTE_MINIMAL rendering of one cell's text."""
+def _cell(value) -> str:
+    """csv.writer's text for one cell: a float (numpy's float64 included) to 17
+    significant digits, else str(), quoted if it holds a comma, quote or line break."""
+    if isinstance(value, float):
+        return "%.17g" % value
+    text = str(value)
     return '"' + text.replace('"', '""') + '"' if _NEEDS_QUOTES.search(text) else text
 
 
-def _row_format(types: tuple) -> tuple:
-    """(%-template, indices of cells to render as quoted text) for a row of `types`.
-
-    A float (numpy's float64 included) is written to 17 significant digits; an
-    int or bool as str() gives it, which never needs quoting; anything else as
-    its str(), quoted when csv.writer would quote it.
-    """
-    fields = ["%.17g" if issubclass(t, float) else "%s" for t in types]
-    text = [i for i, t in enumerate(types) if not issubclass(t, (float, int))]
-    return ",".join(fields) + "\r\n", text
+def _column(cells) -> list:
+    """Every cell's text, each distinct value formatted once: floats keyed by bit
+    pattern (0.0, -0.0 and each NaN keep their own), exact ints and strs by value
+    (1 == 1.0 == True, so no mixed column shares a key), any other column per cell."""
+    kinds = set(map(type, cells))
+    if kinds == {float}:
+        values = np.fromiter(cells, np.float64, len(cells))
+        bits, index = np.unique(values.view(np.uint64), return_inverse=True)
+        text = list(map("%.17g".__mod__, bits.view(np.float64).tolist()))
+        return np.array(text, dtype=object)[index].tolist()
+    if kinds == {int} or kinds == {str}:
+        text = {v: _cell(v) for v in set(cells)}
+        return list(map(text.__getitem__, cells))
+    return list(map(_cell, cells))
 
 
 def write_csv(path, header, rows) -> None:
-    """One line per row, each rendered by a template cached on its cell types."""
-    formats = {}
+    """Write `header` and `rows` as csv.writer would, in one write; a row of the
+    wrong width raises ValueError before `path` is opened or truncated."""
+    rows, width = tuple(rows), len(header)
+    wrong = set(map(len, rows)) - {width}
+    if wrong:
+        raise ValueError(f"row width {min(wrong)} != header width {width}")
+    lines = [",".join(map(_cell, header))]
+    lines += map(",".join, zip(*map(_column, zip(*rows)))) if width else [""] * len(rows)
+    if width == 1:  # csv.writer's spelling of a lone empty cell
+        lines = ['""' if line == "" else line for line in lines]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        for row in itertools.chain([header], rows):
-            if len(row) != len(header):
-                raise ValueError(f"row width {len(row)} != header width {len(header)}")
-            types = tuple(map(type, row))
-            form = formats.get(types)
-            if form is None:
-                form = formats[types] = _row_format(types)
-            template, text = form
-            if text:
-                row = list(row)
-                for i in text:
-                    row[i] = _quoted(str(row[i]))
-                if len(row) == 1 and row[0] == "":
-                    row[0] = '""'  # csv.writer's spelling of a lone empty cell
-            fh.write(template % tuple(row))
+        fh.write("\r\n".join(lines) + "\r\n")
 
 
 def write_summary(path, entries, meta=None) -> None:

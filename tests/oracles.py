@@ -2,14 +2,15 @@
 
 Each one computes a quantity the package computes differently, without
 sharing its code path, so the tests can cross-check the two: brute-force
-sums, the quartic sum one term at a time, per-band masks, dense matrix powers,
-the exact linear flow, and an RK4 substep that allocates a fresh array for
-every stage.
+sums, the quartic sum one term at a time, the exact quartic term of sech
+data, per-band masks, dense matrix powers, the exact linear flow, and an
+RK4 substep that allocates a fresh array for every stage.
 """
 
 import math
 
 import numpy as np
+from scipy.special import zeta
 
 from modspec import Field
 from modspec.conserved import DEFAULT_N_OP, _window
@@ -90,6 +91,15 @@ def beta2_gauss_legendre(f: Field, kappa: float, shift: float = 0.0) -> float:
     kern = 24.0 * kappa**3 / ((4.0 * kappa**2 + z**2) * (16.0 * kappa**2 + z**2))
     cells = 0.5 * g.dxi * (kern @ weights)
     return math.fsum((np.abs(f.spectrum) ** 2 * cells).tolist())
+
+
+def sech_alpha4(amplitude: float, kappa: float, sign: str) -> float:
+    """Exact quartic term of q = A sech x on the line: -+ A^4 zeta(4, 1/2 + kappa) / 2,
+    minus when defocusing.  For this q the eigenvalues of A(kappa) are
+    A^2 / (n + 1/2 + kappa)^2, n >= 0 (Satsuma and Yajima, Prog. Theor. Phys. Suppl.
+    55 (1974) 284), so tr A^2 is a Hurwitz zeta value and rho(A) = A^2 / (1/2 + kappa)^2."""
+    value = 0.5 * amplitude**4 * float(zeta(4.0, 0.5 + kappa))
+    return -value if sign == "defocusing" else value
 
 
 def quadratic_trace_windowed(f: Field, kp, n_op: int = DEFAULT_N_OP,

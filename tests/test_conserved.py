@@ -21,6 +21,7 @@ from modspec import (
     hs_functional,
     make_grid,
     quartic_integral,
+    sech_field,
     tail_bound,
 )
 from modspec import conserved
@@ -35,6 +36,7 @@ from oracles import (
     quadratic_trace_windowed,
     quartic_integral_direct,
     quartic_integral_per_term,
+    sech_alpha4,
 )
 
 
@@ -208,6 +210,16 @@ def test_quartic_symmetrization_invariance(grid64):
     assert abs(direct("swap13") - base) <= 1e-10
     assert abs(direct("swap24") - base) <= 1e-10
     assert abs(quartic_integral(f, kappa) - base) <= 1e-10
+
+
+@pytest.mark.parametrize("sign", ["defocusing", "focusing"])
+def test_alpha4_matches_exact_sech_value(grid_ref, sign):
+    for amplitude in (0.1, 0.3, 0.6):
+        f = sech_field(grid_ref, amplitude)
+        for kappa in (0.5, 1.0, 2.0):
+            exact = sech_alpha4(amplitude, kappa, sign)
+            # measured within 1.3e-15 relative (2e-17 absolute)
+            assert alpha4(f, SpectralParameter(kappa, sign)) == pytest.approx(exact, rel=1e-13)
 
 
 def test_alpha4_aliasing_guard(grid_ref):
@@ -397,6 +409,19 @@ def test_alpha_full_small_amplitude_expansion(grid_ref):
         resid = alpha_terms(f, kp)[0] - eps**2 * a2_base - eps**4 * a4_base
         ratios.append(abs(resid) / eps**6)
     assert max(ratios) <= 10.0 * min(r for r in ratios if r > 0)
+
+
+@pytest.mark.parametrize("sign", ["defocusing", "focusing"])
+def test_divergence_guard_at_exact_sech_radius(grid_small, sign):
+    """At kappa = 1/2 the exact rho(A) of A sech x is A^2: the stride-1 radius bound
+    reads it, and the series guard trips between A = 0.98 and A = 1.02."""
+    kp = SpectralParameter(0.5, sign)
+    for amplitude in (0.98, 1.02):
+        op = build_operator(sech_field(grid_small, amplitude), kp, 128)  # stride 1
+        assert op.radius_bound == pytest.approx(amplitude**2, rel=1e-8)  # measured 3.4e-10
+    alpha_terms(sech_field(grid_small, 0.98), kp, 128)
+    with pytest.raises(SeriesDivergenceError):
+        alpha_terms(sech_field(grid_small, 1.02), kp, 128)
 
 
 def test_alpha_full_divergence_guard(grid_ref):

@@ -95,6 +95,32 @@ def test_mkdv_soliton(grid_ref):
     assert l2_dist(uT, ref) <= 1e-5
 
 
+def _carrier_soliton(grid, a, k, t):
+    """Focusing mkdv's exact travelling soliton a sech(a (x - c t)) e^{i (k x - w t)},
+    c = a^2 - 3 k^2 and w = 3 k a^2 - k^3, with x - c t wrapped onto the box."""
+    c, w = a * a - 3 * k * k, 3 * k * a * a - k**3
+    half = grid.n * grid.dx / 2
+    z = (grid.x - c * t + half) % (2 * half) - half
+    return Field(grid, a / np.cosh(a * z) * np.exp(1j * (k * grid.x - w * t)))
+
+
+def test_mkdv_carrier_soliton_error_and_order(grid_ref):
+    """Complex data with a carrier, at frame 0: the L2 error at T = 0.25 stays at its
+    measured level (2e-8 .. 5e-4 at dt 1e-3) and falls 4x when dt halves."""
+    cases = [(a, k) for a in (0.5, 1.0) for k in (0.0, 2.0, 4.0)]
+    u0 = [_carrier_soliton(grid_ref, a, k, 0.0) for a, k in cases]
+    T = 0.25
+    ref = [_carrier_soliton(grid_ref, a, k, T) for a, k in cases]
+    err = {}
+    for dt in (2e-3, 1e-3):
+        out = evolve_batch(u0, FlowSpec("mkdv", "focusing", dt), [T])
+        err[dt] = np.array([l2_dist(tr.fields[-1], r) for tr, r in zip(out, ref)])
+    # measured: 1.9e-8 5.0e-7 3.9e-6 1.8e-6 6.7e-5 5.0e-4
+    assert np.all(err[1e-3] <= [4e-8, 1e-6, 8e-6, 4e-6, 1.4e-4, 1e-3]), err[1e-3]
+    # measured 3.94 .. 4.00 on every row, so every row is checked for order 2
+    assert np.all(np.abs(err[2e-3] / err[1e-3] / 4.0 - 1.0) <= 0.1), err[2e-3] / err[1e-3]
+
+
 def test_evolve_snapshots(grid_ref):
     u0 = gaussian_field(grid_ref, amplitude=0.2)
     fs = FlowSpec("nls", dt=1e-2)

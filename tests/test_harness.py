@@ -2,6 +2,7 @@ import csv
 import itertools
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -228,6 +229,9 @@ def _csv_cell_by_cell(path, header, rows):
         w.writerows([cell(v) for v in row] for row in rows)
 
 
+_NAN_PAYLOAD = struct.unpack("<d", struct.pack("<Q", 0xFFF8_0000_0000_0ABC))[0]
+
+
 @pytest.mark.parametrize("header, rows", [
     (["label", "a", "b", "c", "d"], [
         ("plain", math.pi, np.float64(0.1), 3, np.int64(-7)),
@@ -239,10 +243,40 @@ def _csv_cell_by_cell(path, header, rows):
     ]),
     (["only"], [("",), (1.5,), ("a,b",), (np.int64(2),)]),
     (["a,b", 'q"'], []),
+    # column-shaped tables: each column of one exact type, values repeated
+    (["check", "field", "p", "lam", "ratio"],
+     [(("scaling", "embed,ding")[i % 2], i // 3 - 50, (1.0, 2.0, 4.0)[i % 3],
+       (0.125, 0.0, -0.0, 8.0)[i % 4], 1.0 / (i + 1)) for i in range(300)]),
+    (["pure", "mixed"], [(v, w) for _ in range(3) for v, w in zip(
+        [0.0, -0.0, math.nan, -math.nan, _NAN_PAYLOAD, math.inf, -math.inf, 5e-324, -5e-324],
+        [0.0, np.float64(-0.0), -0.0, _NAN_PAYLOAD, np.float64(np.nan), np.float64(5e-324),
+         math.inf, -0.0, 5e-324])]),
+    (["numpy", "python"], list(zip(
+        [1, True, 1.0, np.int64(1), np.float64(1.0), np.float32(0.1), False, 0, 0.0] * 2,
+        [1, True, 1.0, 1, 1.0, True, False, 0, -0.0] * 2))),
+    (["big"], [(v,) for v in (2**70, -(2**70), 0, 7, 7, -3)]),
+    (["only"], [("",)] * 4),
+    ([""], [("x",), ("",)]),
+    ([], [(), ()]),
 ])
 def test_write_csv_matches_cell_by_cell_rendering(tmp_path, header, rows):
     write_csv(tmp_path / "new.csv", header, rows)
     _csv_cell_by_cell(tmp_path / "ref.csv", header, rows)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_scaling_report_matches_cell_by_cell_rendering(tmp_path):
+    res = run_scaling(ExperimentConfig())
+    assert len(res.rows) == 300
+    csv_path, _ = res.write(tmp_path)
+    _csv_cell_by_cell(tmp_path / "ref.csv", res.header, res.rows)
+    assert csv_path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_write_csv_takes_rows_from_an_iterator(tmp_path):
+    rows = [(1.5, "a"), (-0.0, "b")]
+    write_csv(tmp_path / "new.csv", ["v", "s"], iter(rows))
+    _csv_cell_by_cell(tmp_path / "ref.csv", ["v", "s"], rows)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
@@ -254,12 +288,19 @@ def test_write_csv_label_reads_back(tmp_path):
 
 
 def test_csv_fixed_columns(tmp_path):
+    path = tmp_path / "r.csv"
     with pytest.raises(ValueError):
-        write_csv(tmp_path / "r.csv", ["a", "b"], [(1.0,)])
-    write_csv(tmp_path / "r.csv", ["a", "b"], [(1.0, 2.0)])
-    lines = (tmp_path / "r.csv").read_text().strip().splitlines()
+        write_csv(path, ["a", "b"], [(1.0,)])
+    assert not path.exists()  # every width is checked before the file is opened
+    write_csv(path, ["a", "b"], [(1.0, 2.0), (3.0, 4.0)])
+    lines = path.read_text().strip().splitlines()
     assert lines[0] == "a,b"
     assert all(len(line.split(",")) == 2 for line in lines)
+    before = path.read_bytes()
+    for rows in ([(1.0, 2.0), (3.0,)], [(1.0, 2.0), (3.0, 4.0, 5.0)], [()]):
+        with pytest.raises(ValueError, match="row width"):
+            write_csv(path, ["a", "b"], rows)
+        assert path.read_bytes() == before
 
 
 # ---------------------------------------------------------------------------
