@@ -36,7 +36,10 @@ coarsest stride whose remainder agrees with the one at twice that stride
 and whose sub-lattice carries the spectrum.
 
 The series converges only while rho(A) < 1, which build_operator certifies
-once: by ||A||_F when that is below 1, else by a dense eigen-solve.
+once: by ||A||_F when that is below 1, else by a dense eigen-solve.  Where
+it does not, the series has no value: log_det and alpha are NaN, and the
+operator's radius_bound (>= 1) is the certificate.  What a NaN means is the
+drivers' call.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ STRIDE_RTOL = 1e-9
 
 
 class SeriesDivergenceError(RuntimeError):
-    """Spectral radius of the operator reached 1; the trace series diverges."""
+    """A driver that cannot go on past a diverged series: rho(A) reached 1."""
 
 
 @dataclass(frozen=True)
@@ -196,17 +199,15 @@ class OperatorPair:
 
     def log_det(self) -> float:
         """Re log det(I + A), or -Re log det(I - A) when focusing: the whole series
-        of the window matrix, once radius_bound certifies rho(A) < 1."""
+        of the window matrix.  NaN when radius_bound does not certify rho(A) < 1
+        (the series diverges) or the determinant vanishes."""
         if not self.radius_bound < 1.0:
-            raise SeriesDivergenceError(f"spectral radius bound {self.radius_bound:.4f} >= 1 "
-                                        f"at kappa = {self.kp.kappa}; series diverges")
+            return np.nan
         sign = 1.0 if self.kp.defocusing else -1.0
         M = sign * self.matrix
         M.flat[:: len(M) + 1] += 1.0  # I + A, or I - A
         val = sign * np.linalg.slogdet(M)[1]
-        if not np.isfinite(val):
-            raise SeriesDivergenceError("determinant vanished; operator window is singular")
-        return float(val)
+        return float(val) if np.isfinite(val) else np.nan
 
     def log_det_remainder(self) -> float:
         """The j >= 3 terms: log_det() minus the j = 1, 2 trace terms."""
@@ -267,20 +268,6 @@ def build_operator(f: Field, kp: SpectralParameter, n_op: int = DEFAULT_N_OP,
 # ---------------------------------------------------------------------------
 # full series
 
-def _remainder(f: Field, kp: SpectralParameter, n_op: int, center: float,
-               stride: int) -> tuple:
-    """(j >= 3 remainder, operator) of the n_op-point window sampled at `stride`.
-    Past stride 1 a failed radius certificate gives a NaN remainder, which no
-    doubling test accepts: only the stride-1 window certifies divergence."""
-    op = build_operator(f, kp, n_op, center, stride)
-    try:
-        return op.log_det_remainder(), op
-    except SeriesDivergenceError:
-        if stride == 1:
-            raise
-        return np.nan, op
-
-
 def alpha_terms(f: Field, kp: SpectralParameter, n_op: int = DEFAULT_N_OP,
                 center: float = 0.0) -> tuple:
     """(alpha, alpha2, alpha4, op): alpha(kappa) is the window's j >= 3 remainder
@@ -291,7 +278,10 @@ def alpha_terms(f: Field, kp: SpectralParameter, n_op: int = DEFAULT_N_OP,
     FIRST_STRIDE: m is accepted once its remainder is within
     STRIDE_RTOL * |alpha2 + alpha4| of the one at 2m and the stride-m sub-lattice
     through 0, weighted by m, carries the spectrum's whole mass to within
-    ALIAS_THRESHOLD; else m halves, down to 1.  op.stride is the accepted m."""
+    ALIAS_THRESHOLD; else m halves, down to 1.  op.stride is the accepted m.
+    A window that does not certify rho(A) < 1 has a NaN remainder, which no
+    doubling test accepts, so divergence sends m down to 1; there alpha is NaN
+    and op.radius_bound >= 1."""
     if n_op < MIN_N_OP:
         raise ValueError(f"n_op = {n_op} is below {MIN_N_OP}: no stride-2 comparison runs")
     a2 = alpha2(f, kp.kappa)
@@ -307,9 +297,10 @@ def alpha_terms(f: Field, kp: SpectralParameter, n_op: int = DEFAULT_N_OP,
     m = FIRST_STRIDE
     while n_op < 4 * m:  # the 2m window keeps at least two points
         m //= 2
-    coarse = _remainder(f, kp, n_op, center, 2 * m)[0]
+    coarse = build_operator(f, kp, n_op, center, 2 * m).log_det_remainder()
     while True:
-        rem, op = _remainder(f, kp, n_op, center, m)
+        op = build_operator(f, kp, n_op, center, m)
+        rem = op.log_det_remainder()
         gap = abs(rem - coarse)
         if m == 1 or (gap <= tol and sublattice_holds(m)):
             break

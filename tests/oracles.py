@@ -2,15 +2,15 @@
 
 Each one computes a quantity the package computes differently, without
 sharing its code path, so the tests can cross-check the two: brute-force
-sums, the quartic sum one term at a time, the exact quartic term of sech
-data, per-band masks, dense matrix powers, the exact linear flow, and an
+sums, the quartic sum one term at a time, the exact determinant, quartic
+term and eigenvalues of sech data, per-band masks, dense matrix powers, the exact linear flow, and an
 RK4 substep that allocates a fresh array for every stage.
 """
 
 import math
 
 import numpy as np
-from scipy.special import zeta
+from scipy.special import loggamma, zeta
 
 from modspec import Field
 from modspec.conserved import DEFAULT_N_OP, _window
@@ -100,6 +100,26 @@ def sech_alpha4(amplitude: float, kappa: float, sign: str) -> float:
     55 (1974) 284), so tr A^2 is a Hurwitz zeta value and rho(A) = A^2 / (1/2 + kappa)^2."""
     value = 0.5 * amplitude**4 * float(zeta(4.0, 0.5 + kappa))
     return -value if sign == "defocusing" else value
+
+
+def sech_alpha(amplitude: float, kappa: float, sign: str) -> float:
+    """Exact alpha(kappa) of q = A sech x on the line, the whole determinant series.
+
+    With x = 1/2 + kappa and the eigenvalues A^2 / (n + x)^2 of A(kappa), the
+    product formula for Gamma gives -log det(I - A) = log Gamma(x + A)
+    + log Gamma(x - A) - 2 log Gamma(x) (focusing, A < x) and log det(I + A)
+    = -Re[log Gamma(x + iA) + log Gamma(x - iA) - 2 log Gamma(x)] (defocusing)."""
+    x = 0.5 + kappa
+    if sign == "defocusing":
+        return -float((loggamma(x + 1j * amplitude) + loggamma(x - 1j * amplitude)
+                       - 2.0 * loggamma(x)).real)
+    return float(loggamma(x + amplitude) + loggamma(x - amplitude) - 2.0 * loggamma(x))
+
+
+def sech_eigenvalues(amplitude: float, kappa: float, count: int) -> np.ndarray:
+    """The `count` largest eigenvalues A^2 / (n + 1/2 + kappa)^2 of A(kappa) for
+    q = A sech x, for either sign."""
+    return amplitude**2 / (np.arange(count) + 0.5 + kappa) ** 2
 
 
 def quadratic_trace_windowed(f: Field, kp, n_op: int = DEFAULT_N_OP,

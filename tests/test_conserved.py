@@ -3,12 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import polygamma
 
 from modspec import (
     AliasingError,
     Field,
     FlowSpec,
-    SeriesDivergenceError,
     SpectralParameter,
     alpha2,
     alpha4,
@@ -36,7 +36,9 @@ from oracles import (
     quadratic_trace_windowed,
     quartic_integral_direct,
     quartic_integral_per_term,
+    sech_alpha,
     sech_alpha4,
+    sech_eigenvalues,
 )
 
 
@@ -414,20 +416,62 @@ def test_alpha_full_small_amplitude_expansion(grid_ref):
 @pytest.mark.parametrize("sign", ["defocusing", "focusing"])
 def test_divergence_guard_at_exact_sech_radius(grid_small, sign):
     """At kappa = 1/2 the exact rho(A) of A sech x is A^2: the stride-1 radius bound
-    reads it, and the series guard trips between A = 0.98 and A = 1.02."""
+    reads it, and alpha turns NaN between A = 0.98 and A = 1.02, where the ladder
+    has gone down to stride 1 and the operator certifies rho(A) >= 1."""
     kp = SpectralParameter(0.5, sign)
     for amplitude in (0.98, 1.02):
         op = build_operator(sech_field(grid_small, amplitude), kp, 128)  # stride 1
         assert op.radius_bound == pytest.approx(amplitude**2, rel=1e-8)  # measured 3.4e-10
-    alpha_terms(sech_field(grid_small, 0.98), kp, 128)
-    with pytest.raises(SeriesDivergenceError):
-        alpha_terms(sech_field(grid_small, 1.02), kp, 128)
+    assert np.isfinite(alpha_terms(sech_field(grid_small, 0.98), kp, 128)[0])
+    alpha, _, _, op = alpha_terms(sech_field(grid_small, 1.02), kp, 128)
+    assert np.isnan(alpha)
+    assert op.stride == 1 and op.radius_bound >= 1.0
+
+
+def test_log_det_is_nan_on_an_uncertified_window(grid_small):
+    """The stride-1 window of 1.02 sech x has rho(A) = 1.0404: its log-det and
+    remainder are NaN for both signs, while those of 0.98 sech x are finite.
+    A does not depend on the sign, so each window is built once."""
+    for amplitude, certified in ((1.02, False), (0.98, True)):
+        op = build_operator(sech_field(grid_small, amplitude), SpectralParameter(0.5), 128)
+        assert (op.radius_bound < 1.0) == certified
+        for sign in ("defocusing", "focusing"):
+            signed = dataclasses.replace(op, kp=SpectralParameter(0.5, sign))
+            assert np.isfinite(signed.log_det()) == certified
+            assert np.isfinite(signed.log_det_remainder()) == certified
 
 
 def test_alpha_full_divergence_guard(grid_ref):
     f = gaussian_field(grid_ref, amplitude=4.0)
-    with pytest.raises(SeriesDivergenceError):
-        alpha_terms(f, SpectralParameter(0.5))
+    alpha, _, _, op = alpha_terms(f, SpectralParameter(0.5))
+    assert np.isnan(alpha) and np.isnan(op.log_det())
+    assert op.stride == 1 and op.radius_bound >= 1.0
+
+
+@pytest.mark.parametrize("sign", ["defocusing", "focusing"])
+def test_alpha_remainder_matches_exact_sech_value(grid_ref, sign):
+    """The window's j >= 3 remainder alpha - alpha2 - alpha4 against the exact one,
+    sech_alpha - A^2 psi'(x) - sech_alpha4 with x = 1/2 + kappa, relative to the
+    quadratic term A^2 psi'(x); measured within 1.5e-6 (A = 0.9, kappa = 2)."""
+    for amplitude in (0.3, 0.9):
+        f = sech_field(grid_ref, amplitude)
+        for kappa in (0.5, 2.0):
+            alpha, a2, a4, _ = alpha_terms(f, SpectralParameter(kappa, sign))
+            quadratic = amplitude**2 * float(polygamma(1, 0.5 + kappa))
+            exact = (sech_alpha(amplitude, kappa, sign) - quadratic
+                     - sech_alpha4(amplitude, kappa, sign))
+            assert abs((alpha - a2 - a4) - exact) <= 2e-6 * quadratic
+
+
+@pytest.mark.parametrize("kappa", [0.5, 1.0])
+def test_operator_eigenvalues_match_exact_sech_spectrum(grid_small, kappa):
+    """The 4 largest |eigenvalues| of the stride-1 window matrix of 0.6 sech x against
+    A^2 / (n + 1/2 + kappa)^2; measured within 5.2e-5 (kappa = 1/2) and 1.6e-4 (kappa = 1)
+    relative.  The spectrum does not depend on the sign."""
+    op = build_operator(sech_field(grid_small, 0.6), SpectralParameter(kappa), 128)
+    top = np.sort(np.abs(np.linalg.eigvals(op.matrix)))[::-1][:4]
+    exact = sech_eigenvalues(0.6, kappa, 4)
+    assert np.max(np.abs(top - exact) / exact) <= 3e-4
 
 
 def test_beta_full_zero_and_quadratic_part(grid_ref):

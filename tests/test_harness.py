@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from modspec import (
+    FlowSpec,
     ModulationParams,
     SeriesDivergenceError,
+    SpectralParameter,
     WeightCheck,
     admissible_sigma,
     alpha4,
@@ -326,7 +328,6 @@ def test_conservation_divergence_precondition(monkeypatch):
 
 def test_conservation_computes_alpha4_once_per_t_and_kappa(monkeypatch):
     from modspec import conserved
-    from modspec.harness import experiments
 
     calls = []
 
@@ -335,7 +336,6 @@ def test_conservation_computes_alpha4_once_per_t_and_kappa(monkeypatch):
         return alpha4(f, kp)
 
     monkeypatch.setattr(conserved, "alpha4", counted)
-    monkeypatch.setattr(experiments, "alpha4", counted)
     cfg = small_cfg()
     run_conservation(cfg)
     # kappa and 2 kappa at each snapshot
@@ -841,6 +841,36 @@ def test_tails_diverged_amplitude_fails_in_any_order(amplitudes):
     assert len(skipped) == 4 and all(np.isfinite(r[6]) for r in skipped)
 
 
+def test_cli_tails_diverged_boost_exits_1_and_keeps_its_quartic_term(tmp_path):
+    """tails goes on past a diverged series and reports it: exit 1, not the exit 3 of a
+    numerical breakdown, with exactly the constants, the spreads and the skip count
+    failing.  A diverged boost's beta4 is alpha4(u^k, 1/2) - alpha4(u^k, 1)/2 bit for
+    bit, and the stride health counts only the certified operators: amplitude 0.1
+    at 2 times, 2 boosts and 2 kappas."""
+    cfg = small_cfg(boosts=[0, 1], t_final=0.01, amplitudes=[0.1, 2.0], ps=[[2.0, 0.0]])
+    cfgp, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfgp.write_text(json.dumps(cfg.to_dict()))
+    assert main(["tails", "--config", str(cfgp), "--out", str(out)]) == 1
+    doc = json.loads((out / "tails_summary.json").read_text())
+    failed = [c["criterion"] for c in doc["criteria"] if not c["pass"]]
+    assert failed == [f"{name}[p=2,s=0]" for name in (
+        "sextic_constant", "quartic_constant", "sextic_eps_stability", "quartic_eps_stability",
+        "skipped_boosts")]
+    assert sum(doc["meta"]["operator_strides"].values()) == 8
+    with open(out / "tails.csv", newline="") as fh:
+        skipped = [r for r in csv.DictReader(fh) if r["beta_geq6"] == "nan"]
+    assert len(skipped) == 4 and {r["eps"] for r in skipped} == {"2"}
+
+    grid, rng = cfg.grid(), np.random.default_rng(cfg.seed)
+    u0s = [build_family(dict(cfg.family, amplitude=eps), grid, rng)[0] for eps in cfg.amplitudes]
+    traj = evolve_batch(u0s, FlowSpec(cfg.equation, cfg.sign, cfg.dt), cfg.snapshot_times())[1]
+    kp_half, kp_one = SpectralParameter(0.5, cfg.sign), SpectralParameter(1.0, cfg.sign)
+    for r in skipped:  # %.17g round-trips the float
+        t, k = float(r["t"]), float(r["k"])
+        uk = galilei_boost(traj.fields[traj.times.index(t)], k, t, cfg.equation)
+        assert float(r["beta4"]) == alpha4(uk, kp_half) - 0.5 * alpha4(uk, kp_one)
+
+
 def test_tails_driver_quick(tmp_path):
     cfg = small_cfg(
         grid_n=512, grid_length=16 * math.pi, boosts=[0, 1], snapshots=2,
@@ -1057,7 +1087,9 @@ def test_cli_boost_off_the_lattice_exit_3(tmp_path, capsys, cmd, k):
 
 
 @pytest.mark.parametrize("cmd, amplitude, dt, length, error", [
-    pytest.param("conserve", 6.0, 5e-3, 8 * math.pi, {"type": "SeriesDivergenceError"},
+    pytest.param("conserve", 6.0, 5e-3, 8 * math.pi,
+                 {"type": "SeriesDivergenceError",
+                  "message": "series diverges at t=0 for kappa in [0.5, 1.0]"},
                  id="conserve-6.0-0.005-error0"),
     pytest.param("galilei", 40.0, 1e-2, 8 * math.pi,
                  {"type": "BlowUpError", "last_good_time": 0.0, "row": 0},
