@@ -27,7 +27,6 @@ from .norms import (
 )
 from .conserved import (
     OperatorPair,
-    SeriesDivergenceError,
     SpectralParameter,
     alpha2,
     alpha4,

@@ -65,10 +65,6 @@ FIRST_STRIDE = 8
 STRIDE_RTOL = 1e-9
 
 
-class SeriesDivergenceError(RuntimeError):
-    """A driver that cannot go on past a diverged series: rho(A) reached 1."""
-
-
 @dataclass(frozen=True)
 class SpectralParameter:
     kappa: float

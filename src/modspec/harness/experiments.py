@@ -7,9 +7,9 @@ from collections import Counter
 import numpy as np
 
 from ..conserved import (
-    SeriesDivergenceError,
     SpectralParameter,
     alpha2,
+    alpha4,
     alpha_terms,
     tail_bound,
 )
@@ -42,6 +42,10 @@ from .config import (
     suite_power,
 )
 from .reports import RunResult, criterion
+
+
+class SeriesDivergenceError(RuntimeError):
+    """A driver that cannot go on past a diverged series: rho(A) reached 1."""
 
 
 # the (p, s) ranges a driver can require: ModulationParams property -> inequality
@@ -337,15 +341,24 @@ def run_galilei(cfg: ExperimentConfig) -> RunResult:
     if round(T / abs(cfg.dt)) % 2 == 0:  # T is a whole number of steps; is it even?
         dts.append(2.0 * cfg.dt)  # refinement companion, only when it divides T
     ks = [float(k) for k in cfg.boosts]
-    # each distinct nonzero k is evolved once; k = 0 is the identity boost, so
-    # both of its paths are the unboosted row 0
-    moving = list(dict.fromkeys(k for k in ks if k != 0.0))
-    row_of = {0.0: 0, **{k: i for i, k in enumerate(moving, start=1)}}
-    u0ks = [galilei_boost(u0, k, 0.0, eq) for k in moving]
+    # k -> (batch row, conjugate): each distinct nonzero k is evolved once; k = 0
+    # is the identity boost, so both of its paths are the unboosted row 0.  For
+    # real mkdv data the frame -k equation is the conjugate of the frame k one and
+    # u0^-k = conj(u0^k), so a +-k pair evolves the sign seen first and the other
+    # reads its conjugate (under nls, conjugation reverses time instead)
+    fold = eq == "mkdv" and not np.any(u0.values.imag)
+    row_of, evolved = {0.0: (0, False)}, [0.0]
+    for k in dict.fromkeys(k for k in ks if k != 0.0):
+        if fold and -k in row_of:
+            row_of[k] = (row_of[-k][0], True)
+        else:
+            row_of[k] = (len(evolved), False)
+            evolved.append(k)
+    u0ks = [galilei_boost(u0, k, 0.0, eq) for k in evolved[1:]]
 
-    # the unboosted path, then one boosted path per distinct nonzero k: nls is
+    # the unboosted path, then one boosted path per evolved k: nls is
     # boost-invariant, and a boosted mkdv field solves mkdv in the frame of k
-    frames = [0.0] + moving if eq == "mkdv" else None
+    frames = evolved if eq == "mkdv" else None
     batches = {dt: evolve_batch([u0] + u0ks, FlowSpec(eq, cfg.sign, dt), [T], frames)
                for dt in dts}
     for k in ks:
@@ -353,12 +366,17 @@ def run_galilei(cfg: ExperimentConfig) -> RunResult:
             end = trajs[0].fields[-1]
             # boost at the flow's signed end time: a backward flow ends at -T
             path1 = end if k == 0.0 else galilei_boost(end, k, trajs[0].times[-1], eq)
-            path2 = trajs[row_of[k]].fields[-1]
-            dist = float(np.sqrt(np.sum(np.abs(path1.values - path2.values) ** 2) * grid.dx))
+            row, conjugate = row_of[k]
+            path2 = trajs[row].fields[-1].values
+            if conjugate:
+                path2 = path2.conj()
+            dist = float(np.sqrt(np.sum(np.abs(path1.values - path2) ** 2) * grid.dx))
             rows.append((k, dt, dist))
             if dt == cfg.dt:
                 summary.append(criterion(f"two_path_distance[k={k:g}]", dist, tol))
-    return RunResult("galilei", header, rows, summary, {"config": cfg.to_dict()})
+    # row i of every batch evolves evolved_boosts[i]; a boost not listed is read as a conjugate
+    meta = {"config": cfg.to_dict(), "evolved_boosts": evolved}
+    return RunResult("galilei", header, rows, summary, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +470,10 @@ def run_tails(cfg: ExperimentConfig) -> RunResult:
                 uk = galilei_boost(u, kf, ti, cfg.equation)
                 b2 = alpha2(u, 0.5, shift=kf) - 0.5 * alpha2(u, 1.0, shift=kf)
                 a_half, _, a4_half, op_half = alpha_terms(uk, kp_half, cfg.n_op, -kf)
-                a_one, _, a4_one, op_one = alpha_terms(uk, kp_one, cfg.n_op, -kf)
+                if np.isnan(a_half):  # b6 is NaN anyway: kappa = 1 adds only its quartic term
+                    a_one, a4_one = np.nan, alpha4(uk, kp_one)
+                else:
+                    a_one, _, a4_one, op_one = alpha_terms(uk, kp_one, cfg.n_op, -kf)
                 b4 = a4_half - 0.5 * a4_one
                 b6 = (a_half - 0.5 * a_one) - b2 - b4  # NaN where a series diverged
                 if np.isnan(b6):

@@ -25,7 +25,9 @@ def galilei_boost(u: Field, k: float, t: float = 0.0, equation: str = "mkdv") ->
     non-finite k or t, is a ValueError.
 
     The boosted mkdv field solves mkdv in the frame of wave number k: evolve it
-    with evolve_batch(..., ks=[k]).
+    with evolve_batch(..., ks=[k]).  Complex conjugation maps the frame k equation
+    to the frame -k one, and for real u, u^-k = conj(u^k): the -k path of real
+    mkdv data is the conjugate of the k path.
     """
     if equation not in EQUATIONS:
         raise ValueError(f"equation must be one of {EQUATIONS}, got {equation!r}")

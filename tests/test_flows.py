@@ -200,6 +200,22 @@ def test_boost_consistency_quick(grid_ref, sign):
     assert l2_dist(path1, path2) <= 1e-5
 
 
+@pytest.mark.parametrize("sign", ["defocusing", "focusing"])
+def test_frame_minus_k_is_conjugate_of_frame_k(grid_ref, sign):
+    """Conjugation maps mkdv in the frame of k to the frame of -k: the -k row evolved
+    from conj(u0^k) is the conjugate of the k row, and for real u0, conj(u0^k) is
+    u0^-k.  run_galilei reads a real datum's -k path this way."""
+    u0 = gaussian_field(grid_ref, amplitude=0.3)
+    k = 2.0
+    u0k = galilei_boost(u0, k, 0.0, "mkdv")
+    assert np.allclose(galilei_boost(u0, -k, 0.0, "mkdv").values, u0k.values.conj(),
+                       rtol=0.0, atol=1e-15)
+    fs = FlowSpec("mkdv", sign, dt=1e-3)
+    plus, minus = evolve_batch([u0k, Field(grid_ref, u0k.values.conj())], fs, [0.02], [k, -k])
+    a, b = plus.fields[-1].values, minus.fields[-1].values
+    assert np.max(np.abs(b - a.conj())) <= 1e-14 * np.max(np.abs(a))
+
+
 def test_blow_up_detection(grid_ref):
     u0 = sech_field(grid_ref, amplitude=50.0)
     with pytest.raises(BlowUpError) as err:

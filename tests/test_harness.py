@@ -10,7 +10,6 @@ import pytest
 from modspec import (
     FlowSpec,
     ModulationParams,
-    SeriesDivergenceError,
     SpectralParameter,
     WeightCheck,
     admissible_sigma,
@@ -28,6 +27,7 @@ from modspec import (
 from modspec.harness import (
     ConfigError,
     ExperimentConfig,
+    SeriesDivergenceError,
     run_apriori,
     run_conservation,
     run_galilei,
@@ -489,9 +489,11 @@ def test_galilei_driver_small(monkeypatch):
     dts = {r[1] for r in res.rows}
     assert len(dts) == 2
     assert [r[0] for r in res.rows] == [k for k in cfg.boosts for _ in dts]
-    # one batch per dt: the unboosted row, then one row per distinct nonzero k
+    # one batch per dt: the unboosted row, then one row per distinct +-k pair of the
+    # real datum (k = -1 reads the conjugate of the k = 1 row)
     assert sorted(fs.dt for fs, _ in calls) == sorted(dts)
-    assert all(fs.equation == "mkdv" and ks == [0.0, 1.0, -1.0] for fs, ks in calls)
+    assert all(fs.equation == "mkdv" and ks == [0.0, 1.0] for fs, ks in calls)
+    assert res.meta["evolved_boosts"] == [0.0, 1.0]
     k0 = [r for r in res.rows if r[0] == 0.0]
     assert len(k0) == 4 and all(r[2] == 0.0 for r in k0)  # the unboosted path against itself
 
@@ -504,6 +506,41 @@ def test_galilei_repeated_and_zero_boosts_move_no_other_row(eq):
             if r[0] != 0.0]
     ref = run_galilei(small_cfg(equation=eq, boosts=[-1, 1])).rows
     assert rows == ref + ref[len(ref) // 2:]
+
+
+@pytest.mark.parametrize("eq, family, evolved", [
+    ("mkdv", {"kind": "gaussian"}, [0.0, -2.0, 1.0]),
+    ("mkdv", {"kind": "gaussian", "center_freq": 2.0}, [0.0, -2.0, 1.0, -1.0, 2.0]),
+    ("nls", {"kind": "gaussian"}, [0.0, -2.0, 1.0, -1.0, 2.0]),
+], ids=["real_mkdv", "complex_mkdv", "nls"])
+def test_galilei_folds_only_real_mkdv_data(monkeypatch, eq, family, evolved):
+    """A real mkdv datum evolves the sign of each +-k pair seen first, and the other
+    sign reads its conjugate; complex data and nls evolve both signs.  The folded run's
+    distances match both signs evolved to roundoff."""
+    batch_rows = []
+
+    def counted(fields, fs, times, ks=None):
+        batch_rows.append(len(fields))
+        return evolve_batch(fields, fs, times, ks)
+
+    monkeypatch.setattr(experiments, "evolve_batch", counted)
+    cfg = small_cfg(equation=eq, family=family, boosts=[-2, 0, 1, -1, 2], t_final=0.02)
+    res = run_galilei(cfg)
+    assert res.all_pass and res.meta["evolved_boosts"] == evolved
+    assert batch_rows == [len(evolved)] * 2  # one batch per dt
+    if len(evolved) == 3:
+        # each sign evolved in its own frame, one at a time: a read conjugate stays
+        # within roundoff of it
+        grid = cfg.grid()
+        u0 = build_family(cfg.family, grid, np.random.default_rng(cfg.seed))[0]
+        fs = FlowSpec(eq, cfg.sign, cfg.dt)
+        end = evolve_batch([u0], fs, [cfg.t_final])[0].fields[-1]
+        for k, _, dist in (r for r in res.rows if r[1] == cfg.dt and r[0] != 0.0):
+            path1 = galilei_boost(end, k, cfg.t_final, eq)
+            path2 = evolve_batch([galilei_boost(u0, k, 0.0, eq)], fs, [cfg.t_final],
+                                 [k])[0].fields[-1]
+            ref = float(np.sqrt(np.sum(np.abs(path1.values - path2.values) ** 2) * grid.dx))
+            assert abs(dist - ref) <= 1e-16
 
 
 @pytest.mark.parametrize("t_final, dts", [
@@ -839,6 +876,23 @@ def test_tails_diverged_amplitude_fails_in_any_order(amplitudes):
                         "skipped_boosts": False}
     skipped = [r for r in res.rows if np.isnan(r[7])]  # beta_geq6 is NaN, beta4 still reported
     assert len(skipped) == 4 and all(np.isfinite(r[6]) for r in skipped)
+
+
+def test_tails_diverged_boost_runs_no_kappa_one_series(monkeypatch):
+    """Where the kappa = 1/2 series diverged, beta_geq6 is NaN whatever kappa = 1
+    gives, so that boost reads only alpha4 at kappa = 1: alpha_terms runs at both
+    kappas on the 4 boosted snapshots of amplitude 0.1, at 1/2 only on those of 2.0."""
+    kappas, alpha_terms = [], experiments.alpha_terms
+
+    def counted(f, kp, *args):
+        kappas.append(kp.kappa)
+        return alpha_terms(f, kp, *args)
+
+    monkeypatch.setattr(experiments, "alpha_terms", counted)
+    res = run_tails(small_cfg(boosts=[0, 1], t_final=0.01, amplitudes=[0.1, 2.0],
+                              ps=[[2.0, 0.0]]))
+    assert [np.isnan(r[7]) for r in res.rows] == [False] * 4 + [True] * 4
+    assert kappas == [0.5, 1.0] * 4 + [0.5] * 4
 
 
 def test_cli_tails_diverged_boost_exits_1_and_keeps_its_quartic_term(tmp_path):
