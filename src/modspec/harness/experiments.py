@@ -136,7 +136,7 @@ def run_conservation(cfg: ExperimentConfig) -> RunResult:
                                  cfg.tolerance("trace_imag")))
         max_bound = float(np.max([max_bound] + [rho for m in per_t for *_, rho, _ in m.values()]))
     meta = {"config": cfg.to_dict(), "max_radius_bound": max_bound, **_stride_health(samplings)}
-    return RunResult("conserve", header, rows, summary, meta)
+    return RunResult.from_rows("conserve", header, rows, summary, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +194,7 @@ def run_norm_equivalence(cfg: ExperimentConfig) -> RunResult:
             summary.append(criterion(f"ratio_bracket[{tag}]", cbr, bracket_tol))
             summary.append(criterion(f"sweep_tail_fraction[{tag}]",
                                      np.max(tail_fracs, initial=0.0), tail_tol))
-    return RunResult("normequiv", header, rows, summary, {"config": cfg.to_dict()})
+    return RunResult.from_rows("normequiv", header, rows, summary, {"config": cfg.to_dict()})
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +280,7 @@ def run_apriori(cfg: ExperimentConfig) -> RunResult:
                 rows.append((mp.p, mp.s, amp, ti, profile_norm(prof, mp), wn))
                 wns.append(wn)
         summary.append(criterion(f"equicontinuity_factor[{tag}]", np.max(wns) / w0, equi_tol))
-    return RunResult("apriori", header, rows, summary, {"config": cfg.to_dict()})
+    return RunResult.from_rows("apriori", header, rows, summary, {"config": cfg.to_dict()})
 
 
 def _rescaling(n0, mp, g, eps_target):
@@ -376,7 +376,7 @@ def run_galilei(cfg: ExperimentConfig) -> RunResult:
                 summary.append(criterion(f"two_path_distance[k={k:g}]", dist, tol))
     # row i of every batch evolves evolved_boosts[i]; a boost not listed is read as a conjugate
     meta = {"config": cfg.to_dict(), "evolved_boosts": evolved}
-    return RunResult("galilei", header, rows, summary, meta)
+    return RunResult.from_rows("galilei", header, rows, summary, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -418,16 +418,25 @@ def run_scaling(cfg: ExperimentConfig) -> RunResult:
         unresolved[f"{lam:g}"] = float(np.max(unresolved_mass_fraction(power, g)))
     sobolev = {sigma: sobolev_norm(power, sigma, grid) for sigma in set(sigmas)}
 
-    header = ["check", "field", "p", "s", "lam", "ratio"]
-    rows, summary = [], []
+    # blocks[j]: per field of the suite, its scaling ratio at each lam, then its
+    # embedding ratio, at mps[j]
+    blocks, summary = [], []
     for mp, sigma, base, r in zip(mps, sigmas, bases, ratios):
         emb = sobolev[sigma] / base
-        for i, (row, e) in enumerate(zip(r.tolist(), emb.tolist())):
-            rows += [("scaling", i, mp.p, mp.s, lam, x) for lam, x in zip(lams, row)]
-            rows.append(("embedding", i, mp.p, mp.s, 0.0, e))
+        blocks.append(np.column_stack([r, emb]).ravel())
         tag = f"p={mp.p:g},s={mp.s:g}"
         summary.append(criterion(f"scaling_constant[{tag}]", np.max(r, initial=0.0), sc_tol))
         summary.append(criterion(f"embedding_constant[{tag}]", np.max(emb, initial=0.0), emb_tol))
+    header = ["check", "field", "p", "s", "lam", "ratio"]
+    per_field, per_mp = len(lams) + 1, cfg.suite_size * (len(lams) + 1)
+    columns = [
+        (["scaling"] * len(lams) + ["embedding"]) * (cfg.suite_size * len(mps)),
+        np.repeat(range(cfg.suite_size), per_field).tolist() * len(mps),
+        np.repeat([mp.p for mp in mps], per_mp),
+        np.repeat([mp.s for mp in mps], per_mp),
+        np.tile(lams + [0.0], cfg.suite_size * len(mps)),  # an embedding row's lam is 0
+        np.concatenate(blocks),
+    ]
 
     # analytic cross-check: scaled gaussian spectrum is exactly the dilated gaussian
     g1 = gaussian_field(grid, 1.0, 1.0)
@@ -436,7 +445,7 @@ def run_scaling(cfg: ExperimentConfig) -> RunResult:
     err = float(np.max(np.abs(fl.spectrum - np.exp(-(lam * fl.grid.xi) ** 2 / 2.0))))
     summary.append(criterion("gaussian_scaling_spectrum_error", err, 1e-10))
     meta = {"config": cfg.to_dict(), "max_unresolved_fraction": unresolved}
-    return RunResult("scaling", header, rows, summary, meta)
+    return RunResult("scaling", header, columns, summary, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +533,7 @@ def run_tails(cfg: ExperimentConfig) -> RunResult:
         if skipped:
             summary.append(criterion(f"skipped_boosts[{tag}]", skipped, 0.0))
     meta = {"config": cfg.to_dict(), **_stride_health(samplings)}
-    return RunResult("tails", header, rows, summary, meta)
+    return RunResult.from_rows("tails", header, rows, summary, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -570,4 +579,4 @@ def run_weights(cfg: ExperimentConfig) -> RunResult:
     ]
     meta = {"config": cfg.to_dict(), "thresholds": list(w.thresholds),
             "thresholds_wide": list(w2.thresholds)}
-    return RunResult("weights", header, rows, summary, meta)
+    return RunResult.from_rows("weights", header, rows, summary, meta)

@@ -1,5 +1,6 @@
-"""Report persistence: fixed-column CSV, rendered a column at a time and written
-whole, plus JSON pass/fail summaries."""
+"""Report persistence: a report's table is stored as columns and written as a
+fixed-width CSV, rendered a column at a time and written whole, plus JSON
+pass/fail summaries."""
 
 from __future__ import annotations
 
@@ -50,11 +51,30 @@ def _all_passed(entries) -> bool:
 
 @dataclass
 class RunResult:
+    """A driver's report: the CSV table as `columns`, one sequence per `header`
+    name and all of one length, plus the criteria and meta of its summary."""
+
     name: str
     header: list
-    rows: list
+    columns: list
     summary: list = field(default_factory=list)
     meta: dict = field(default_factory=dict)
+
+    @classmethod
+    def from_rows(cls, name, header, rows, summary, meta) -> "RunResult":
+        """The report of a table built row by row; a row of the wrong width
+        raises ValueError."""
+        rows, width = tuple(rows), len(header)
+        wrong = set(map(len, rows)) - {width}
+        if wrong:
+            raise ValueError(f"row width {min(wrong)} != header width {width}")
+        columns = list(zip(*rows)) if rows else [()] * width
+        return cls(name, header, columns, summary, meta)
+
+    @property
+    def rows(self) -> list:
+        """The table as row tuples, built on each read."""
+        return list(zip(*self.columns))
 
     @property
     def all_pass(self) -> bool:
@@ -65,7 +85,7 @@ class RunResult:
         out.mkdir(parents=True, exist_ok=True)
         csv_path = out / f"{self.name}.csv"
         json_path = out / f"{self.name}_summary.json"
-        write_csv(csv_path, self.header, self.rows)
+        write_csv(csv_path, self.header, self.columns)
         write_summary(json_path, self.summary, self.meta)
         return csv_path, json_path
 
@@ -83,30 +103,34 @@ def _cell(value) -> str:
 
 
 def _column(cells) -> list:
-    """Every cell's text, each distinct value formatted once: floats keyed by bit
-    pattern (0.0, -0.0 and each NaN keep their own), exact ints and strs by value
-    (1 == 1.0 == True, so no mixed column shares a key), any other column per cell."""
-    kinds = set(map(type, cells))
-    if kinds == {float}:
-        values = np.fromiter(cells, np.float64, len(cells))
-        bits, index = np.unique(values.view(np.uint64), return_inverse=True)
+    """Every cell's text.  A float64 array formats each distinct bit pattern once
+    (0.0, -0.0 and each NaN keep their own); a sequence of exact ints or of strs
+    formats each distinct value once (1 == 1.0 == True, so no mixed sequence
+    shares a key); any other column, a short float list included, goes cell by cell."""
+    if isinstance(cells, np.ndarray) and cells.dtype == np.float64:
+        bits, index = np.unique(cells.view(np.uint64), return_inverse=True)
         text = list(map("%.17g".__mod__, bits.view(np.float64).tolist()))
         return np.array(text, dtype=object)[index].tolist()
+    kinds = set(map(type, cells))
     if kinds == {int} or kinds == {str}:
         text = {v: _cell(v) for v in set(cells)}
         return list(map(text.__getitem__, cells))
     return list(map(_cell, cells))
 
 
-def write_csv(path, header, rows) -> None:
-    """Write `header` and `rows` as csv.writer would, in one write; a row of the
-    wrong width raises ValueError before `path` is opened or truncated."""
-    rows, width = tuple(rows), len(header)
-    wrong = set(map(len, rows)) - {width}
-    if wrong:
-        raise ValueError(f"row width {min(wrong)} != header width {width}")
+def write_csv(path, header, columns) -> None:
+    """Write `header` and `columns` (one sequence per header name, all of one
+    length) as csv.writer would write their rows, in one write.  A wrong number
+    of columns or a column of another length raises ValueError before `path` is
+    opened or truncated."""
+    columns, width = list(columns), len(header)
+    if len(columns) != width:
+        raise ValueError(f"{len(columns)} columns != header width {width}")
+    lengths = set(map(len, columns))
+    if len(lengths) > 1:
+        raise ValueError(f"column lengths {sorted(lengths)} differ")
     lines = [",".join(map(_cell, header))]
-    lines += map(",".join, zip(*map(_column, zip(*rows)))) if width else [""] * len(rows)
+    lines += map(",".join, zip(*map(_column, columns)))
     if width == 1:  # csv.writer's spelling of a lone empty cell
         lines = ['""' if line == "" else line for line in lines]
     with open(path, "w", newline="", encoding="utf-8") as fh:

@@ -3,14 +3,15 @@
 Each one computes a quantity the package computes differently, without
 sharing its code path, so the tests can cross-check the two: brute-force
 sums, the quartic sum one term at a time, the exact determinant, quartic
-term and eigenvalues of sech data, per-band masks, dense matrix powers, the exact linear flow, and an
+term (boosted data too, through a Hurwitz zeta sum at complex argument) and
+eigenvalues of sech data, per-band masks, dense matrix powers, the exact linear flow, and an
 RK4 substep that allocates a fresh array for every stage.
 """
 
 import math
 
 import numpy as np
-from scipy.special import loggamma, zeta
+from scipy.special import bernoulli, loggamma, poch, zeta
 
 from modspec import Field
 from modspec.conserved import DEFAULT_N_OP, _window
@@ -93,12 +94,30 @@ def beta2_gauss_legendre(f: Field, kappa: float, shift: float = 0.0) -> float:
     return math.fsum((np.abs(f.spectrum) ** 2 * cells).tolist())
 
 
-def sech_alpha4(amplitude: float, kappa: float, sign: str) -> float:
-    """Exact quartic term of q = A sech x on the line: -+ A^4 zeta(4, 1/2 + kappa) / 2,
-    minus when defocusing.  For this q the eigenvalues of A(kappa) are
-    A^2 / (n + 1/2 + kappa)^2, n >= 0 (Satsuma and Yajima, Prog. Theor. Phys. Suppl.
-    55 (1974) 284), so tr A^2 is a Hurwitz zeta value and rho(A) = A^2 / (1/2 + kappa)^2."""
-    value = 0.5 * amplitude**4 * float(zeta(4.0, 0.5 + kappa))
+def hurwitz_zeta(s: int, x: complex, head: int = 16) -> complex:
+    """zeta(s, x) = sum_{n >= 0} (n + x)^-s for an integer s > 1 and complex x with
+    Re x > 0, which scipy.special.zeta (real arguments only) does not take: the
+    first `head` terms summed directly, and the rest by Euler-Maclaurin,
+    a^(1-s)/(s-1) + a^-s/2 + sum_{j<=6} B_2j/(2j)! (s)_(2j-1) a^(-s-2j+1), a = head + x.
+    With |a| >= 16 the first omitted term is below 1e-18 of the sum at s = 4."""
+    a = head + x
+    total = sum((n + x) ** -s for n in range(head)) + a ** (1 - s) / (s - 1) + 0.5 * a**-s
+    b = bernoulli(12)
+    for j in range(1, 7):
+        total += b[2 * j] / math.factorial(2 * j) * poch(s, 2 * j - 1) * a ** (-s - 2 * j + 1)
+    return complex(total)
+
+
+def sech_alpha4(amplitude: float, kappa: float, sign: str, k: float = 0.0) -> float:
+    """Exact quartic term of the boost e^(-ikx) A sech x of q = A sech x on the line:
+    -+ A^4 Re zeta(4, x) / 2 with x = 1/2 + kappa - ik/2, minus when defocusing.
+    For q the eigenvalues of A(kappa) are A^2 / (n + 1/2 + kappa)^2, n >= 0
+    (Satsuma and Yajima, Prog. Theor. Phys. Suppl. 55 (1974) 284), so tr A^2 is a
+    Hurwitz zeta value and rho(A) = A^2 / (1/2 + kappa)^2; a boost by k moves kappa
+    to kappa - ik/2, and Re zeta(4, x) does not depend on the sign of k.  k = 0 takes
+    scipy's zeta, any other k the Euler-Maclaurin sum of hurwitz_zeta."""
+    x = 0.5 + kappa - 0.5j * k
+    value = 0.5 * amplitude**4 * (float(zeta(4.0, x.real)) if k == 0 else hurwitz_zeta(4, x).real)
     return -value if sign == "defocusing" else value
 
 

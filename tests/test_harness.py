@@ -46,7 +46,7 @@ from modspec.harness.config import (
     random_suite,
     read_config,
 )
-from modspec.harness.reports import criterion, write_csv
+from modspec.harness.reports import RunResult, criterion, write_csv
 
 
 def small_cfg(**over):
@@ -210,7 +210,7 @@ def test_nan_anywhere_in_a_conserve_series_fails_its_drift(pos):
 
 
 def test_fmt_17_digits(tmp_path):
-    write_csv(tmp_path / "r.csv", ["v", "s"], [(math.pi, "x")])
+    write_csv(tmp_path / "r.csv", ["v", "s"], [[math.pi], ["x"]])
     cells = (tmp_path / "r.csv").read_text(encoding="utf-8").splitlines()[1].split(",")
     assert cells[0] == f"{math.pi:.17g}"
     assert cells[1] == "x"
@@ -231,10 +231,27 @@ def _csv_cell_by_cell(path, header, rows):
         w.writerows([cell(v) for v in row] for row in rows)
 
 
+def _columns(header, rows) -> list:
+    """The columns of `rows`, one list per header name."""
+    return [list(col) for col in zip(*rows)] if rows else [[] for _ in header]
+
+
+def _as_arrays(columns) -> list:
+    """Each column of floats (numpy's float64 included) as a float64 array, and each
+    of exact ints that fit as an int64 array; any other column stays a list."""
+    def convert(col):
+        if col and all(isinstance(v, float) for v in col):
+            return np.array(col, dtype=np.float64)
+        if col and all(type(v) in (int, np.int64) and -2**63 <= v < 2**63 for v in col):
+            return np.array(col, dtype=np.int64)
+        return col
+
+    return [convert(col) for col in columns]
+
+
 _NAN_PAYLOAD = struct.unpack("<d", struct.pack("<Q", 0xFFF8_0000_0000_0ABC))[0]
 
-
-@pytest.mark.parametrize("header, rows", [
+_TABLES = [
     (["label", "a", "b", "c", "d"], [
         ("plain", math.pi, np.float64(0.1), 3, np.int64(-7)),
         ("x", math.nan, math.inf, True, False),
@@ -259,10 +276,28 @@ _NAN_PAYLOAD = struct.unpack("<d", struct.pack("<Q", 0xFFF8_0000_0000_0ABC))[0]
     (["big"], [(v,) for v in (2**70, -(2**70), 0, 7, 7, -3)]),
     (["only"], [("",)] * 4),
     ([""], [("x",), ("",)]),
-    ([], [(), ()]),
-])
+    ([], []),  # a table of no columns has no rows
+]
+
+
+@pytest.mark.parametrize("header, rows", _TABLES)
 def test_write_csv_matches_cell_by_cell_rendering(tmp_path, header, rows):
-    write_csv(tmp_path / "new.csv", header, rows)
+    write_csv(tmp_path / "new.csv", header, _columns(header, rows))
+    _csv_cell_by_cell(tmp_path / "ref.csv", header, rows)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("header, rows", _TABLES + [
+    (["special", "int64", "big"], [(v, i, b) for v, i, b in zip(
+        [-0.0, 0.0, _NAN_PAYLOAD, -math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e308],
+        [-2**63, 2**63 - 1, 0, -1, 7, 7, 2**53 + 1, -(2**53) - 1, 3],
+        [2**70, -(2**70), 2**70, 0, 1, 2**64, -1, 2**63, 5])]),
+])
+def test_write_csv_array_columns_match_cell_by_cell_rendering(tmp_path, header, rows):
+    """The same tables with each float column as a float64 array and each int column
+    as an int64 array (2**70 does not fit, so that column stays a list)."""
+    columns = _as_arrays(_columns(header, rows))
+    write_csv(tmp_path / "new.csv", header, columns)
     _csv_cell_by_cell(tmp_path / "ref.csv", header, rows)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
@@ -275,34 +310,49 @@ def test_scaling_report_matches_cell_by_cell_rendering(tmp_path):
     assert csv_path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
-def test_write_csv_takes_rows_from_an_iterator(tmp_path):
+def test_write_csv_takes_columns_from_an_iterator(tmp_path):
     rows = [(1.5, "a"), (-0.0, "b")]
-    write_csv(tmp_path / "new.csv", ["v", "s"], iter(rows))
+    write_csv(tmp_path / "new.csv", ["v", "s"], iter([np.array([1.5, -0.0]), ("a", "b")]))
     _csv_cell_by_cell(tmp_path / "ref.csv", ["v", "s"], rows)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_write_csv_label_reads_back(tmp_path):
     label = 'comma, "quote"\nnewline'
-    write_csv(tmp_path / "r.csv", ["label", "v"], [(label, 0.5)])
+    write_csv(tmp_path / "r.csv", ["label", "v"], [[label], [0.5]])
     with open(tmp_path / "r.csv", newline="", encoding="utf-8") as fh:
         assert list(csv.reader(fh)) == [["label", "v"], [label, "0.5"]]
 
 
 def test_csv_fixed_columns(tmp_path):
     path = tmp_path / "r.csv"
-    with pytest.raises(ValueError):
-        write_csv(path, ["a", "b"], [(1.0,)])
-    assert not path.exists()  # every width is checked before the file is opened
-    write_csv(path, ["a", "b"], [(1.0, 2.0), (3.0, 4.0)])
+    # the table's shape is checked before the file is opened
+    for columns in ([[1.0]], [np.array([1.0, 2.0]), np.arange(3)], [["x"], []]):
+        with pytest.raises(ValueError):
+            write_csv(path, ["a", "b"], columns)
+        assert not path.exists()
+    write_csv(path, ["a", "b"], [[1.0, 3.0], [2.0, 4.0]])
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "a,b"
     assert all(len(line.split(",")) == 2 for line in lines)
     before = path.read_bytes()
+    for columns in ([[1.0, 3.0]], [[1.0], [2.0], [3.0]], []):
+        with pytest.raises(ValueError, match="header width"):
+            write_csv(path, ["a", "b"], columns)
+        assert path.read_bytes() == before
+    for columns in ([[1.0, 3.0], [2.0]], [np.array([1.0, 3.0]), ["x"]], [[], ["x"]]):
+        with pytest.raises(ValueError, match="column lengths"):
+            write_csv(path, ["a", "b"], columns)
+        assert path.read_bytes() == before
+
+
+def test_run_result_from_rows_checks_widths_and_transposes():
+    res = RunResult.from_rows("r", ["a", "b"], iter([(1, "x"), (2, "y")]), [], {})
+    assert res.columns == [(1, 2), ("x", "y")] and res.rows == [(1, "x"), (2, "y")]
+    assert RunResult.from_rows("r", ["a", "b"], [], [], {}).columns == [(), ()]
     for rows in ([(1.0, 2.0), (3.0,)], [(1.0, 2.0), (3.0, 4.0, 5.0)], [()]):
         with pytest.raises(ValueError, match="row width"):
-            write_csv(path, ["a", "b"], rows)
-        assert path.read_bytes() == before
+            RunResult.from_rows("r", ["a", "b"], rows, [], {})
 
 
 # ---------------------------------------------------------------------------
@@ -646,6 +696,9 @@ def test_scaling_driver(tmp_path):
     res = run_scaling(cfg)
     assert res.all_pass
     assert {r[0] for r in res.rows} == {"scaling", "embedding"}
+    # the numbers reach the report as the driver's arrays, not as row tuples
+    assert all(isinstance(col, np.ndarray) and col.dtype == np.float64
+               for col in res.columns[2:])
     csvp, jsonp = res.write(tmp_path)
     doc = json.loads(jsonp.read_text())
     assert doc["all_pass"] is True
