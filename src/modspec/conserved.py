@@ -18,7 +18,7 @@ Three kinds of evaluation coexist and cross-check each other:
   take one batched forward and one batched inverse transform call;
 * a dense matrix discretization of A on a frequency window, whose
   log-determinant sums the whole series; build_operator forms it once,
-  with the half operator and the certified radius bound.
+  with its certified radius bound.
 
 The matrix window necessarily truncates the resolvent lattice, which
 perturbs the low-order traces by O(1/window).  alpha_terms is therefore
@@ -56,6 +56,8 @@ DEFOCUSING = "defocusing"
 FOCUSING = "focusing"
 
 DEFAULT_N_OP = 512
+# the most window points: build_operator's working set is three m x m complex
+# arrays (16 m^2 bytes each), 192 MiB at m = 2048, plus the A a caller keeps
 N_OP_CAP = 2048
 MIN_N_OP = 4  # alpha_terms compares a window with its stride-2 sampling
 
@@ -169,18 +171,18 @@ def alpha4(f: Field, kp: SpectralParameter) -> float:
 
 @dataclass(frozen=True)
 class OperatorPair:
-    """Window discretizations of A (`matrix`) and of the half operator B (`half`).
+    """The window discretization `matrix` of A and its certificate; B is not kept.
 
-    B = (kappa - d)^(-1/2) M_f (kappa + d)^(-1/2); its entrywise HS norm
-    controls the series.  A is similar to B Bbar in structure; for real f
-    its spectrum is real and nonnegative.  `radius_bound` certifies rho(A):
+    A = B D V^H S with B the half operator of half_operator, whose entrywise HS
+    norm controls the series.  A is similar to B Bbar in structure; for real f
+    its spectrum is real and nonnegative.  Fields: `matrix`, `radius_bound`,
+    `kp`, `stride`, `doubling_gap`.  `radius_bound` certifies rho(A):
     ||A||_F (>= ||A||_2 >= rho) when below 1, else the exact max |eigenvalue|,
     so it is >= 1 exactly when rho is.  `stride` is the window's spacing in
     lattice points; the operator alpha_terms returns carries `doubling_gap`,
     |remainder - remainder at twice the stride| it accepted.
     """
 
-    half: np.ndarray
     matrix: np.ndarray
     radius_bound: float
     kp: SpectralParameter
@@ -233,8 +235,9 @@ def half_operator(f: Field, kp: SpectralParameter, n_op: int = DEFAULT_N_OP,
     frequency zero.  The window is n_op lattice points wide, centred at
     `center`, which helps spectra concentrated away from the origin, and
     sampled at `stride`: the matrices hold n_op // stride frequencies.
-    N_OP_CAP is the memory budget on that size.  B costs O(m^2); A, which
-    build_operator forms from these factors, costs an m^3 product.
+    N_OP_CAP is the memory budget on that size.  B costs O(m^2) and is one
+    m x m array, S V scaled in place by D; A, which build_operator forms from
+    these factors, costs an m^3 product.
     """
     g = f.grid
     w = _window(g, n_op, center, stride)
@@ -246,19 +249,28 @@ def half_operator(f: Field, kp: SpectralParameter, n_op: int = DEFAULT_N_OP,
     V = sliding_window_view(v * (stride * g.dxi / np.sqrt(2.0 * np.pi)), m)[:, ::-1]
     s_minus = (kp.kappa - 1j * w) ** -0.5
     d_half = (kp.kappa + 1j * w) ** -0.5
-    return (s_minus[:, None] * V) * d_half[None, :], V, s_minus, d_half
+    B = s_minus[:, None] * V
+    B *= d_half
+    return B, V, s_minus, d_half
 
 
 def build_operator(f: Field, kp: SpectralParameter, n_op: int = DEFAULT_N_OP,
                    center: float = 0.0, stride: int = 1) -> OperatorPair:
     """Dense window discretization of the sandwiched operator A = B D V^H S on
-    half_operator's window and factors, with its certified radius bound."""
-    half, V, s_minus, d_half = half_operator(f, kp, n_op, center, stride)
-    A = (half * d_half[None, :]) @ (V.conj().T * s_minus[None, :])
+    half_operator's window and factors, with its certified radius bound.
+
+    The left factor B D is B's own array scaled in place, and the right factor
+    is (S V-bar)^T, so the product holds three m x m arrays: B D, S V-bar and A."""
+    left, V, s_minus, d_half = half_operator(f, kp, n_op, center, stride)
+    left *= d_half
+    right = V.conj()
+    right *= s_minus[:, None]
+    A = left @ right.T
+    del left, right  # an eigen-solve below copies A: hold only A beside it
     bound = float(np.linalg.norm(A))
     if bound >= 1.0:
         bound = float(np.max(np.abs(np.linalg.eigvals(A))))
-    return OperatorPair(half, A, bound, kp, stride)
+    return OperatorPair(A, bound, kp, stride)
 
 
 # ---------------------------------------------------------------------------

@@ -121,18 +121,21 @@ def sech_alpha4(amplitude: float, kappa: float, sign: str, k: float = 0.0) -> fl
     return -value if sign == "defocusing" else value
 
 
-def sech_alpha(amplitude: float, kappa: float, sign: str) -> float:
-    """Exact alpha(kappa) of q = A sech x on the line, the whole determinant series.
+def sech_alpha(amplitude: float, kappa: float, sign: str, k: float = 0.0) -> float:
+    """Exact alpha(kappa) of the boost e^(-ikx) A sech x on the line, the whole
+    determinant series.
 
-    With x = 1/2 + kappa and the eigenvalues A^2 / (n + x)^2 of A(kappa), the
-    product formula for Gamma gives -log det(I - A) = log Gamma(x + A)
-    + log Gamma(x - A) - 2 log Gamma(x) (focusing, A < x) and log det(I + A)
-    = -Re[log Gamma(x + iA) + log Gamma(x - iA) - 2 log Gamma(x)] (defocusing)."""
-    x = 0.5 + kappa
+    With x = 1/2 + kappa - ik/2 and the eigenvalues A^2 / (n + x)^2 of A(kappa)
+    (see sech_alpha4), the product formula for Gamma gives -Re log det(I - A)
+    = Re[log Gamma(x + A) + log Gamma(x - A) - 2 log Gamma(x)] (focusing, A < x
+    at k = 0) and Re log det(I + A) = -Re[log Gamma(x + iA) + log Gamma(x - iA)
+    - 2 log Gamma(x)] (defocusing).  k = 0 keeps x real, where scipy's loggamma
+    is real on the focusing side."""
+    x = 0.5 + kappa - 0.5j * k if k else 0.5 + kappa
     if sign == "defocusing":
         return -float((loggamma(x + 1j * amplitude) + loggamma(x - 1j * amplitude)
                        - 2.0 * loggamma(x)).real)
-    return float(loggamma(x + amplitude) + loggamma(x - amplitude) - 2.0 * loggamma(x))
+    return float(np.real(loggamma(x + amplitude) + loggamma(x - amplitude) - 2.0 * loggamma(x)))
 
 
 def sech_eigenvalues(amplitude: float, kappa: float, count: int) -> np.ndarray:
@@ -172,8 +175,9 @@ def hs_norm_sq(half: np.ndarray) -> float:
     return float(np.sum(np.abs(half) ** 2))
 
 
-def gram(op) -> np.ndarray:
-    return op.half @ op.half.conj().T
+def gram(half: np.ndarray) -> np.ndarray:
+    """B B^H for the half operator B."""
+    return half @ half.conj().T
 
 
 def trace_powers(op, jmax: int) -> np.ndarray:

@@ -168,7 +168,7 @@ def test_c04_series_structure(grid):
     pure = op.log_det()
     sums = alpha_series_partial_sums(op, 10)
     tails = np.abs(pure - sums)
-    h = hs_norm_sq(op.half)
+    h = hs_norm_sq(half_operator(f, kp, n_op=512)[0])
     floor = 1e-12 * max(1.0, abs(pure))
     ratios = [tails[j + 1] / tails[j] for j in range(3, 9)
               if tails[j] > floor and tails[j + 1] > floor]

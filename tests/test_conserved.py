@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -233,6 +234,23 @@ def test_hurwitz_zeta_oracle_matches_scipy_on_real_x():
 
 
 @pytest.mark.parametrize("sign", ["defocusing", "focusing"])
+def test_boosted_sech_alpha_oracle_matches_the_weierstrass_product(sign):
+    """sech_alpha at x = 1/2 + kappa - ik/2 (loggamma at complex argument) against
+    the product it sums, sum_n log(1 -+ A^2 / (n + x)^2) over 2e5 terms plus the
+    tail -+ A^2 / (N + x - 1/2), in real parts; measured within 1.2e-14."""
+    n = 200_000
+    sg = 1.0 if sign == "defocusing" else -1.0
+    for k in (2.0, 4.0, 8.0):
+        for amplitude in (0.3, 0.6, 0.9):
+            for kappa in (0.5, 1.0):
+                x = 0.5 + kappa - 0.5j * k
+                z = sg * amplitude**2 / (np.arange(n) + x) ** 2
+                head = np.sum(0.5 * np.log1p(2.0 * z.real + np.abs(z) ** 2))  # Re log(1 + z)
+                product = sg * (head + sg * (amplitude**2 / (n + x - 0.5)).real)
+                assert abs(sech_alpha(amplitude, kappa, sign, k) - product) <= 1e-10
+
+
+@pytest.mark.parametrize("sign", ["defocusing", "focusing"])
 def test_alpha4_matches_exact_boosted_sech_value(grid_ref, sign):
     """alpha4 of the boost e^(-ikx) A sech x against A^4 Re zeta(4, 1/2 + kappa - ik/2) / 2;
     measured within 6.1e-15 relative for k in {2, 4} and 2.7e-9 at k = 8, where the
@@ -259,9 +277,35 @@ def test_alpha4_aliasing_guard(grid_ref):
 # operator window
 
 def test_build_operator_zero_field(grid_ref):
-    op = build_operator(zero_field(grid_ref), SpectralParameter(0.5), n_op=128)
-    assert np.all(op.matrix == 0) and np.all(op.half == 0)
+    f, kp = zero_field(grid_ref), SpectralParameter(0.5)
+    op = build_operator(f, kp, n_op=128)
+    assert np.all(op.matrix == 0) and np.all(half_operator(f, kp, n_op=128)[0] == 0)
     assert op.radius_bound == 0.0
+
+
+@pytest.mark.parametrize("k, stride", [(0.0, 2), (4.0, 1)])
+def test_window_working_set_is_three_arrays(grid_ref, k, stride):
+    """One alpha_terms call holds at most three m x m complex arrays at once: B's
+    array scaled into the left factor, the right factor and A during the product,
+    then A, I +- A and slogdet's copy.  The conserve default Gaussian at kappa = 1/2
+    takes stride 2 (m = 256); its boost by 4, centred at -4, stride 1 (m = 512).
+    Measured 3.28 and 3.26 arrays under tracemalloc (4.65 and 4.54 while the
+    operator also kept B)."""
+    f = gaussian_field(grid_ref, 1.0, 0.3)
+    if k:
+        f = galilei_boost(f, k)
+    kp = SpectralParameter(0.5)
+    alpha_terms(f, kp, center=-k)  # warm: first-call allocations are not the window's
+    tracemalloc.start()
+    try:
+        op = alpha_terms(f, kp, center=-k)[3]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    m = len(op.matrix)
+    assert (op.stride, m) == (stride, DEFAULT_N_OP // stride)
+    assert peak <= 3.5 * 16 * m * m
+    assert "half" not in {fl.name for fl in dataclasses.fields(conserved.OperatorPair)}
 
 
 def test_operator_window_validation(grid_ref):
@@ -317,8 +361,7 @@ def test_spectrum_real_nonnegative_for_smooth_real_fields(grid_mid):
 def test_gram_matrix_nonnegative(grid_mid, rng):
     kp = SpectralParameter(0.5)
     f = random_smooth_field(grid_mid, rng, carrier=2.0)
-    op = build_operator(f, kp, n_op=256)
-    evh = np.linalg.eigvalsh(gram(op))
+    evh = np.linalg.eigvalsh(gram(half_operator(f, kp, n_op=256)[0]))
     assert evh.min() >= -1e-10
 
 
@@ -377,7 +420,7 @@ def test_alpha_full_matches_partial_sums(grid_mid, rng, sign):
     op = build_operator(f, kp, n_op=256)
     pure = op.log_det()
     sums = alpha_series_partial_sums(op, 8)
-    h = hs_norm_sq(op.half)
+    h = hs_norm_sq(half_operator(f, kp, n_op=256)[0])
     tail_bound_8 = h**9 / (1 - h)
     assert abs(pure - sums[-1]) <= tail_bound_8 + 1e-13
 
@@ -390,7 +433,7 @@ def test_series_tail_decays_geometrically(grid_mid, rng, sign):
     pure = op.log_det()
     sums = alpha_series_partial_sums(op, 10)
     tails = np.abs(pure - sums)
-    h = hs_norm_sq(op.half)
+    h = hs_norm_sq(half_operator(f, kp, n_op=256)[0])
     floor = 1e-12 * max(1.0, abs(pure))
     for j in range(4, 9):
         if tails[j] > floor and tails[j + 1] > floor:
@@ -607,10 +650,10 @@ def test_strided_window_is_a_subset_of_the_lattice_window(grid_ref, rng):
     are the stride-1 ones at the shared rows and columns, times m."""
     f = random_smooth_field(grid_ref, rng)
     kp = SpectralParameter(1.0)
-    full = build_operator(f, kp, n_op=256, center=-1.0)
-    sub = build_operator(f, kp, n_op=256, center=-1.0, stride=4)
-    assert sub.matrix.shape == (64, 64)
-    assert np.allclose(sub.half, 4.0 * full.half[::4, ::4], rtol=1e-13, atol=0.0)
+    full = half_operator(f, kp, n_op=256, center=-1.0)[0]
+    sub = half_operator(f, kp, n_op=256, center=-1.0, stride=4)[0]
+    assert build_operator(f, kp, n_op=256, center=-1.0, stride=4).matrix.shape == (64, 64)
+    assert np.allclose(sub, 4.0 * full[::4, ::4], rtol=1e-13, atol=0.0)
     with pytest.raises(ValueError, match="cap"):
         build_operator(f, kp, n_op=4 * 4096, stride=4)  # 4096 points
 
@@ -630,7 +673,8 @@ def test_window_past_the_lattice_is_the_zero_padded_window(rng):
         op = build_operator(f, kp, n_op=256, center=-6.0, stride=stride)
         op2 = build_operator(f2, kp, n_op=256, center=-6.0, stride=stride)
         assert np.array_equal(op.matrix, op2.matrix)
-        assert np.array_equal(op.half, op2.half)
+        assert np.array_equal(half_operator(f, kp, 256, -6.0, stride)[0],
+                              half_operator(f2, kp, 256, -6.0, stride)[0])
 
 
 def test_n_op_below_four_is_refused(grid_ref):
