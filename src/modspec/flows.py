@@ -26,7 +26,9 @@ on half spectra with rfft/irfft, where 6 u^2 u_x = 2 (u^3)_x: an RK4 stage
 inverts its masked input, cubes it and differentiates it spectrally.  Other
 rows step full spectra with fft/ifft, inverting a stage's masked input and
 its derivative in one stacked call.  The RK4 work arrays are allocated once
-per `evolve_batch` call, and the state is updated in place.  The blow-up
+per `evolve_batch` call, every stage's transforms write into them (numpy >= 2.0
+`out=`), the RK4 sum is accumulated in two slots in the order
+((k1 + 2 k2) + 2 k3) + k4, and the state is updated in place.  The blow-up
 check is a per-row certificate on the spectral state.
 """
 
@@ -91,6 +93,8 @@ class _Stepper:
     nonnegative half of each spectrum with rfft/irfft, on the same multipliers
     restricted to that half, and a stage forms the nonlinearity as 2 sigma (u^3)_x.
     Its rows' samples are real arrays.
+    An RK4 stage transforms into the work arrays `samples` and its slope slot, and
+    the sum accumulates in two slots, acc and the latest slope k.
     The state is the spectrum after a step's leading linear half-step, and `step`
     applies the nonlinear substep to it in place.  The caller fuses a step's
     trailing half-step with the next step's leading one into one full-step factor,
@@ -123,11 +127,16 @@ class _Stepper:
             # the mkdv nonlinearity is +-6 |u|^2 (u_x + iku)
             self.deriv = 6.0 * fs.sigma * 1j * (xi + np.asarray(ks, dtype=float)[:, None])
         if not self.nls:  # RK4 work arrays, reused by every step
-            shape = (len(ks), xi.size)
+            shape, phys = (len(ks), xi.size), (len(ks), grid.n)
             # a stage's masked input (the complex kind adds deriv times it: one inverse call)
             self.stack = np.empty((1 if real else 2, *shape), complex)
-            self.slopes = np.empty((4, *shape), complex)  # k1..k4
+            self.slopes = np.empty((2, *shape), complex)  # the RK4 sum and the latest slope
             self.masked = np.empty(shape, complex)  # the masked state
+            if real:  # a stage's samples v
+                self.samples = np.empty(phys)
+            else:  # the samples of stack, v and its derivative, and |v|^2
+                self.samples = np.empty((2, *phys), complex)
+                self.modsq = np.empty(phys)
 
     def forward(self, a: np.ndarray) -> np.ndarray:
         """The unscaled spectra of the rows of a, along its last axis."""
@@ -141,19 +150,24 @@ class _Stepper:
         """The state of the (B, N) samples `values`: their spectra after a leading half-step."""
         return self.forward(values.real if self.real else values) * self.half
 
-    def _nonlinear_rhs(self, out):
-        """Write to out the masked spectrum of the nonlinear term at stack[0], a masked spectrum."""
+    def _nonlinear_rhs(self, x, out):
+        """Write to out the masked spectrum of the nonlinear term at x, a masked spectrum.
+
+        The complex kind's x is stack[0]; every transform writes into a work array.
+        """
         if self.real:
-            v = np.fft.irfft(self.stack[0], self.n)
+            v = np.fft.irfft(x, self.n, out=self.samples)
             v *= v * v
-            np.multiply(np.fft.rfft(v), self.cube, out=out)
+            np.fft.rfft(v, out=out)
+            out *= self.cube
             return
-        np.multiply(self.deriv, self.stack[0], out=self.stack[1])
-        v, dv = np.fft.ifft(self.stack)
-        w = v.real**2
+        np.multiply(self.deriv, x, out=self.stack[1])
+        v, dv = np.fft.ifft(self.stack, out=self.samples)
+        w = np.square(v.real, out=self.modsq)
         w += v.imag**2
         np.multiply(w, dv, out=dv)
-        np.multiply(np.fft.fft(dv), self.mask, out=out)
+        np.fft.fft(dv, out=out)
+        out *= self.mask
 
     def step(self, s: np.ndarray) -> None:
         """The nonlinear substep, in place on the spectral state s."""
@@ -162,22 +176,26 @@ class _Stepper:
             v = np.fft.ifft(s)
             s[...] = np.fft.fft(v * np.exp(self.c_rot * np.abs(v) ** 2 * dt))
             return
-        x, k = self.stack[0], self.slopes
+        x, (acc, k) = self.stack[0], self.slopes
         np.multiply(s, self.mask, out=self.masked)
-        x[...] = self.masked
-        self._nonlinear_rhs(k[0])
-        for j, c in ((1, 0.5 * dt), (2, 0.5 * dt), (3, dt)):
+        if self.real:  # irfft reads the masked state itself
+            self._nonlinear_rhs(self.masked, acc)
+        else:  # the stacked inverse call reads stack
+            x[...] = self.masked
+            self._nonlinear_rhs(x, acc)
+        # s + dt/6 (((k1 + 2 k2) + 2 k3) + k4), in that order: acc starts as k1, and
+        # k2 and k3 each form the next stage's input before they are doubled and added
+        for j, c in enumerate((0.5 * dt, 0.5 * dt, dt)):
             # c k + s mask is (s + c k) mask: k is masked, so only signs of zeros may differ
-            np.multiply(k[j - 1], c, out=x)
+            np.multiply(k if j else acc, c, out=x)
             x += self.masked
-            self._nonlinear_rhs(k[j])
-        # s + dt/6 (((k1 + 2 k2) + 2 k3) + k4), in that order
-        k[1:3] *= 2.0
-        k[0] += k[1]
-        k[0] += k[2]
-        k[0] += k[3]
-        k[0] *= dt / 6.0
-        s += k[0]
+            if j:
+                k *= 2.0
+                acc += k
+            self._nonlinear_rhs(x, k)
+        acc += k
+        acc *= dt / 6.0
+        s += acc
 
     def blown_up_row(self, s: np.ndarray):
         """First row whose physical field is non-finite or exceeds BLOWUP_THRESHOLD, else None.
