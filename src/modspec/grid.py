@@ -150,8 +150,11 @@ def band_profile(f: Field | np.ndarray, grid: GridSpec | None = None) -> np.ndar
     ordered k = -kmax .. kmax along the last axis.
 
     `f` is a Field, or a (..., n) array of |fhat|^2 on `grid` whose rows are
-    binned together: each band is a contiguous run of lattice points (see
-    GridSpec.band_edges), so one reduceat over the nonempty runs sums them all.
+    binned together in one pass: each band is a contiguous run of lattice points
+    (see GridSpec.band_edges), so one reduceat over the nonempty runs sums them
+    all, and the sums are scaled and square-rooted in place.  No temporary the
+    size of the power array is made, and a stacked row equals the profile of
+    that row alone bit for bit.
     """
     power, g = spectral_power(f, grid)
     if g.kmax < 0:
@@ -161,7 +164,8 @@ def band_profile(f: Field | np.ndarray, grid: GridSpec | None = None) -> np.ndar
     sums = np.zeros(power.shape[:-1] + full.shape)
     sums[..., full] = np.add.reduceat(power[..., edges[0]:edges[-1]],
                                       edges[:-1][full] - edges[0], axis=-1)
-    return np.sqrt(sums * g.dxi)
+    sums *= g.dxi
+    return np.sqrt(sums, out=sums)
 
 
 # the aliasing policy: the spectral mass within ALIAS_EDGE_FRACTION of the lattice
@@ -177,9 +181,15 @@ class AliasingError(ValueError):
 
 def unresolved_mass_fraction(f: Field | np.ndarray, grid: GridSpec | None = None):
     """Spectral mass fraction outside the resolved bands |k| <= kmax; a float for a
-    Field, one value per row for a (..., n) power array on `grid`."""
+    Field, one value per row for a (..., n) power array on `grid`.
+
+    The lost mass is one contraction of the power against the outside-band
+    indicator, so no temporary the size of the power array is made, and a
+    stacked row equals the fraction of that row alone bit for bit.
+    """
     power, g = spectral_power(f, grid)
-    lost = np.sum(power[..., np.abs(g.band_of) > g.kmax], axis=-1)
+    outside = (np.abs(g.band_of) > g.kmax).astype(float)
+    lost = np.einsum("...i,i->...", power, outside)
     total = np.sum(power, axis=-1)
     frac = np.where(total > 0.0, lost / np.where(total > 0.0, total, 1.0), 0.0)
     return frac if frac.ndim else float(frac)

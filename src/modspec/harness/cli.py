@@ -125,7 +125,7 @@ def main(argv=None) -> int:
     for e in result.summary:
         status = "PASS" if e.passed else "FAIL"
         print(f"[{status}] {e.criterion}: measured {e.measured:.6g} vs threshold {e.threshold:.6g}")
-    print(f"rows: {len(result.rows)} -> {csv_path}")
+    print(f"rows: {len(result.columns[0]) if result.columns else 0} -> {csv_path}")
     print(f"summary -> {json_path}")
     return 0 if result.all_pass else 1
 

@@ -35,11 +35,12 @@ def lp_norm(terms, p: float):
     smallest normal number or overflows to inf) while its largest term m is
     finite and nonzero is summed as m * (sum (terms/m)**p)**(1/p) instead, so
     large p or huge terms neither vanish nor blow up; every other row keeps
-    the plain form, bit for bit.
+    the plain form, bit for bit.  At p = 1 the terms are summed as they are,
+    with no temporary of their size.
     """
     terms = np.asarray(terms, dtype=float)
     with np.errstate(over="ignore"):  # an overflowing row is redone below
-        total = np.sum(terms**p, axis=-1)
+        total = np.sum(terms if p == 1 else terms**p, axis=-1)
     norm = total ** (1.0 / p)
     top = np.max(terms, axis=-1, initial=0.0)
     redo = ~((total >= _TINY) & (total < np.inf)) & (top > 0.0) & (top < np.inf)
@@ -78,11 +79,12 @@ def band_terms(prof: np.ndarray, mp: ModulationParams, weights: np.ndarray | Non
     """c_k <k>^s prof_k over the resolved bands k = -kmax .. kmax; c == 1 when absent.
 
     `prof` is a band_profile or a stack of them (bands along the last axis),
-    and `weights` must supply one value per band.
+    and `weights` must supply one value per band.  At s = 0 with no weights the
+    terms are `prof` itself, not a copy.
     """
     prof = np.asarray(prof, dtype=float)
     kmax = (prof.shape[-1] - 1) // 2
-    terms = bracket(np.arange(-kmax, kmax + 1)) ** mp.s * prof
+    terms = prof if mp.s == 0 else bracket(np.arange(-kmax, kmax + 1)) ** mp.s * prof
     if weights is not None:
         weights = np.asarray(weights, dtype=float)
         if weights.shape != terms.shape[-1:]:
@@ -98,9 +100,13 @@ def profile_norm(prof: np.ndarray, mp: ModulationParams, weights: np.ndarray | N
     the resolved bands of band_terms(prof, mp, weights).  The profile does not
     depend on (p, s), so a caller can take it once and reduce it per pair.
 
-    A stack of profiles (bands along the last axis) gives one norm per row; a
-    single profile gives a float.  `weights` must supply one value per resolved
-    band, ordered k = -kmax .. kmax (a WeightSequence.as_array() does).
+    A stack of profiles (bands along the last axis) gives one norm per row, in
+    one pass; a single profile gives a float.  At (p, s) = (1, 0) with no
+    weights no temporary the size of the profile is made, and each stacked row
+    equals that row's own norm bit for bit (elsewhere an elementwise x**p may
+    round its last bit differently across array layouts).  `weights` must
+    supply one value per resolved band, ordered k = -kmax .. kmax (a
+    WeightSequence.as_array() does).
     """
     norm = lp_norm(band_terms(prof, mp, weights), mp.p)
     return norm if norm.ndim else float(norm)
@@ -110,10 +116,12 @@ def sobolev_norm(f: Field | np.ndarray, sigma: float, grid: GridSpec | None = No
     """(sum <xi>^(2 sigma) |fhat|^2 dxi)**(1/2) over the lattice.
 
     `f` is a Field (a float is returned) or a (..., n) array of |fhat|^2 on
-    `grid` (one norm per row).
+    `grid` (one norm per row).  The weighted sum is one contraction of the power
+    against the weight, so no temporary the size of the power array is made, and
+    a stacked row equals the norm of that row alone bit for bit.
     """
     power, g = spectral_power(f, grid)
-    norm = np.sqrt(np.sum(bracket(g.xi) ** (2.0 * sigma) * power, axis=-1) * g.dxi)
+    norm = np.sqrt(np.einsum("...i,i->...", power, bracket(g.xi) ** (2.0 * sigma)) * g.dxi)
     return norm if norm.ndim else float(norm)
 
 

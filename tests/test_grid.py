@@ -124,8 +124,9 @@ def test_band_profile_needs_a_resolved_band():
 
 
 def test_stacked_band_profile_matches_rescaled_fields(grid_ref):
-    """One (S, N) power array binned on the rescaled grid gives band_profile of every
-    rescaled field, row by row, at every default lambda."""
+    """One (S, N) power array binned on the rescaled grid gives band_profile and
+    unresolved_mass_fraction of every rescaled field, row by row and bit for bit,
+    at every default lambda."""
     suite = random_suite(grid_ref, 20, np.random.default_rng(3))
     power = np.array([np.abs(f.spectrum) ** 2 for f in suite])
     for lam in ExperimentConfig().lambdas:
@@ -135,8 +136,8 @@ def test_stacked_band_profile_matches_rescaled_fields(grid_ref):
         assert stacked.shape == (len(suite), 2 * g.kmax + 1) and fracs.shape == (len(suite),)
         for f, row, frac in zip(suite, stacked, fracs):
             fl = scale_field(f, lam)
-            np.testing.assert_allclose(row, band_profile(fl), rtol=1e-14, atol=0)
-            assert frac == pytest.approx(unresolved_mass_fraction(fl), rel=1e-14, abs=0)
+            assert row.tobytes() == band_profile(fl).tobytes()
+            assert frac == unresolved_mass_fraction(fl)
 
 
 def test_power_array_needs_its_grid(grid_small):

@@ -1163,6 +1163,24 @@ def test_cli_one_member_drivers_reject_a_larger_family(tmp_path, capsys, monkeyp
     assert main([cmd, "--config", str(cfgp), "--out", str(tmp_path / "out")]) == 0
 
 
+@pytest.mark.parametrize("header, columns, count", [
+    (["a", "b"], [np.arange(3.0), ["x", "y", "z"]], 3),
+    (["a"], [[]], 0),
+    ([], [], 0),
+])
+def test_cli_counts_rows_from_the_columns(tmp_path, capsys, monkeypatch, header, columns,
+                                          count):
+    """The printed "rows: N" is the CSV's data row count, read from the columns
+    without building row tuples; a zero-width table has 0 rows."""
+    result = RunResult("weights", header, columns, [criterion("c", 0.0, 1.0)])
+    monkeypatch.setitem(DRIVERS, "weights", lambda cfg: result)
+    monkeypatch.setattr(RunResult, "rows", property(lambda self: pytest.fail("rows built")))
+    assert main(["weights", "--out", str(tmp_path)]) == 0
+    assert f"rows: {count} -> " in capsys.readouterr().out
+    with open(tmp_path / "weights.csv", newline="", encoding="utf-8") as fh:
+        assert len(list(csv.reader(fh))) == 1 + count
+
+
 def test_cli_tolerances_map_is_an_unknown_key(tmp_path, capsys, monkeypatch):
     """The thresholds are fixed: a config with a tolerances map, even an empty one,
     exits 2 before the driver runs."""
