@@ -80,23 +80,43 @@ def make_grid(n: int, length: float) -> GridSpec:
     return GridSpec(int(n), float(length))
 
 
+def _centered_transform(a, transform, scale: float) -> np.ndarray:
+    """scale * transform(a) along the last axis, in and out in centered order.
+
+    For even n, both ifftshift and fftshift swap the two halves of a row, so the
+    reorder into natural order is two slice copies into one work buffer, the
+    transform runs in place in it, and the scale is applied while the halves
+    are copied back into centered order.  Reordering is a permutation and the
+    scalar scale commutes with it, so this equals scale * fftshift(transform(
+    ifftshift(a))) bit for bit, with no roll and no separate scaling pass.
+    """
+    a = np.asarray(a)
+    h = a.shape[-1] // 2
+    work = np.empty(a.shape, dtype=complex)
+    work[..., :h] = a[..., h:]
+    work[..., h:] = a[..., :h]
+    transform(work, out=work)
+    out = np.empty_like(work)
+    np.multiply(work[..., h:], scale, out=out[..., :h])
+    np.multiply(work[..., :h], scale, out=out[..., h:])
+    return out
+
+
 def forward_transform(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Discrete approximation of fhat on the centered lattice; Nyquist zeroed.
 
-    `values` is (..., n): each row along the last axis is transformed alone.
+    `values` is (..., n): each row along the last axis is transformed alone,
+    roll-free (see _centered_transform), into a new complex array.
     """
-    spec = (grid.dx / np.sqrt(2.0 * np.pi)) * np.fft.fftshift(
-        np.fft.fft(np.fft.ifftshift(values, axes=-1)), axes=-1
-    )
+    spec = _centered_transform(values, np.fft.fft, grid.dx / np.sqrt(2.0 * np.pi))
     spec[..., 0] = 0.0  # unpaired Nyquist mode breaks Hermitian symmetry
     return spec
 
 
 def inverse_transform(spectrum: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Samples of a centered (..., n) spectrum, row by row along the last axis."""
-    return np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(spectrum, axes=-1)), axes=-1) * (
-        grid.dxi * grid.n / np.sqrt(2.0 * np.pi)
-    )
+    """Samples of a centered (..., n) spectrum, row by row along the last axis,
+    roll-free (see _centered_transform), into a new complex array."""
+    return _centered_transform(spectrum, np.fft.ifft, grid.dxi * grid.n / np.sqrt(2.0 * np.pi))
 
 
 class Field:
@@ -152,18 +172,23 @@ def band_profile(f: Field | np.ndarray, grid: GridSpec | None = None) -> np.ndar
     `f` is a Field, or a (..., n) array of |fhat|^2 on `grid` whose rows are
     binned together in one pass: each band is a contiguous run of lattice points
     (see GridSpec.band_edges), so one reduceat over the nonempty runs sums them
-    all, and the sums are scaled and square-rooted in place.  No temporary the
-    size of the power array is made, and a stacked row equals the profile of
-    that row alone bit for bit.
+    all, and the sums are scaled and square-rooted in place.  When every band
+    holds a lattice point the reduceat result is the profile's own array; only
+    a lattice coarser than the bands scatters its runs into a zero-filled one,
+    so the empty bands read 0.  No temporary the size of the power array is
+    made, and a stacked row equals the profile of that row alone bit for bit.
     """
     power, g = spectral_power(f, grid)
     if g.kmax < 0:
         raise BandRangeError(f"the lattice resolves no band (kmax = {g.kmax})")
     edges = g.band_edges
     full = edges[:-1] < edges[1:]
-    sums = np.zeros(power.shape[:-1] + full.shape)
-    sums[..., full] = np.add.reduceat(power[..., edges[0]:edges[-1]],
-                                      edges[:-1][full] - edges[0], axis=-1)
+    runs = np.add.reduceat(power[..., edges[0]:edges[-1]], edges[:-1][full] - edges[0], axis=-1)
+    if full.all():
+        sums = runs
+    else:
+        sums = np.zeros(power.shape[:-1] + full.shape)
+        sums[..., full] = runs
     sums *= g.dxi
     return np.sqrt(sums, out=sums)
 
@@ -179,20 +204,29 @@ class AliasingError(ValueError):
     """Spectral mass too close to the lattice boundary, or shifted past it."""
 
 
-def unresolved_mass_fraction(f: Field | np.ndarray, grid: GridSpec | None = None):
+def unresolved_mass_fraction(f: Field | np.ndarray, grid: GridSpec | list | tuple | None = None):
     """Spectral mass fraction outside the resolved bands |k| <= kmax; a float for a
     Field, one value per row for a (..., n) power array on `grid`.
 
-    The lost mass is one contraction of the power against the outside-band
-    indicator, so no temporary the size of the power array is made, and a
-    stacked row equals the fraction of that row alone bit for bit.
+    `grid` may also be a list or tuple of grids sharing n (the power array read
+    on each): the result is then a list with one entry per grid, and the total
+    mass, the same on every grid, is summed once.  The lost mass is one
+    contraction of the power against each grid's outside-band indicator, so no
+    temporary the size of the power array is made; a stacked row equals the
+    fraction of that row alone, and an entry of a list equals the call on its
+    grid alone, bit for bit.
     """
-    power, g = spectral_power(f, grid)
-    outside = (np.abs(g.band_of) > g.kmax).astype(float)
-    lost = np.einsum("...i,i->...", power, outside)
-    total = np.sum(power, axis=-1)
-    frac = np.where(total > 0.0, lost / np.where(total > 0.0, total, 1.0), 0.0)
-    return frac if frac.ndim else float(frac)
+    many = isinstance(grid, (list, tuple))
+    pairs = [spectral_power(f, g) for g in (grid if many else [grid])]
+    total = np.sum(pairs[0][0], axis=-1) if pairs else 0.0
+    safe = np.where(total > 0.0, total, 1.0)
+    fracs = []
+    for power, g in pairs:
+        outside = (np.abs(g.band_of) > g.kmax).astype(float)
+        lost = np.einsum("...i,i->...", power, outside)
+        frac = np.where(total > 0.0, lost / safe, 0.0)
+        fracs.append(frac if frac.ndim else float(frac))
+    return fracs if many else fracs[0]
 
 
 # ---------------------------------------------------------------------------

@@ -270,11 +270,14 @@ def _suite_blocks(grid: GridSpec, size: int, rng: np.random.Generator, band_span
 
     Row i - start of `rows` is field i: the samples of a gaussian at even i
     (rows[gauss]), the spectrum of a random band at odd i (rows[band], Nyquist
-    zeroed as Field.from_spectrum does).  A block makes the same rng calls, in
-    the same order, as drawing each field alone, and every row is bit-identical
-    to gaussian_samples / random_band_spectrum: the block's envelopes are one
-    exp call, each carrier exp(i cf x) is formed once per suite, and a band's
-    lattice range is the run of band_of between its searchsorted edges.
+    zeroed as Field.from_spectrum does).  A block consumes the same random
+    stream as drawing each field alone, and every row is bit-identical to
+    gaussian_samples / random_band_spectrum: the block's envelopes are one exp
+    call, each carrier exp(i cf x) is formed once per suite, and a band's
+    lattice range is the run of band_of between its searchsorted edges, filled
+    from one standard_normal(2w) call (its real then its imaginary part: the
+    stream of random_band_spectrum's two w-draws).  The block's band rows are
+    normalized from one sum over their last axis, each row's own pairwise sum.
     """
     x = grid.x
     carriers = {}  # cf -> exp(i cf x)
@@ -283,7 +286,7 @@ def _suite_blocks(grid: GridSpec, size: int, rng: np.random.Generator, band_span
     for start in range(0, size, SUITE_BLOCK):
         rows = np.zeros((min(SUITE_BLOCK, size - start), grid.n), dtype=complex)
         gauss, band = slice(start % 2, None, 2), slice(1 - start % 2, None, 2)
-        denoms, cfs = [], []
+        denoms, cfs, runs = [], [], []
         for i, row in enumerate(rows, start):
             if i % 2 == 0:
                 width = 0.5 + 3.0 * rng.random()
@@ -293,10 +296,14 @@ def _suite_blocks(grid: GridSpec, size: int, rng: np.random.Generator, band_span
                 lo = int(rng.integers(-band_span, 1))
                 hi = max(int(rng.integers(0, band_span + 1)), lo + 1)
                 a, b = edges[lo + band_span], edges[hi + 1 + band_span]
-                row[a:b] = rng.standard_normal(b - a) + 1j * rng.standard_normal(b - a)
-                norm = np.sqrt(np.sum(np.abs(row) ** 2) * grid.dxi)
-                if norm > 0:
-                    row *= SUITE_AMPLITUDE / norm
+                z = rng.standard_normal(2 * (b - a))
+                row.real[a:b] = z[:b - a]
+                row.imag[a:b] = z[b - a:]
+                runs.append(slice(a, b))
+        norms = np.sqrt(np.sum(np.abs(rows[band]) ** 2, axis=-1) * grid.dxi)
+        for row, run, norm in zip(rows[band], runs, norms):
+            if norm > 0:
+                row[run] *= SUITE_AMPLITUDE / norm  # the rest of the row is 0
         rows[band, 0] = 0.0
         envs = SUITE_AMPLITUDE * np.exp(-x**2 / np.array(denoms)[:, None])
         for row, env, cf in zip(rows[gauss], envs, cfs):

@@ -410,12 +410,12 @@ def run_scaling(cfg: ExperimentConfig) -> RunResult:
     bases = [profile_norm(prof, mp) for mp in mps]
     # ratios[j][i, l]: field i's scaling ratio at (mps[j], lams[l])
     ratios = [np.empty((cfg.suite_size, len(lams))) for _ in mps]
-    unresolved = {}
     for li, (lam, g) in enumerate(zip(lams, grids)):
         prof_l = band_profile(power, g)
         for mp, base, r in zip(mps, bases, ratios):
             r[:, li] = profile_norm(prof_l, mp) / (scaling_bound_factor(lam, mp) * base)
-        unresolved[f"{lam:g}"] = float(np.max(unresolved_mass_fraction(power, g)))
+    unresolved = {f"{lam:g}": float(np.max(frac))
+                  for lam, frac in zip(lams, unresolved_mass_fraction(power, grids))}
     sobolev = {sigma: sobolev_norm(power, sigma, grid) for sigma in set(sigmas)}
 
     # blocks[j]: per field of the suite, its scaling ratio at each lam, then its

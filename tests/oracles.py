@@ -4,8 +4,9 @@ Each one computes a quantity the package computes differently, without
 sharing its code path, so the tests can cross-check the two: brute-force
 sums, the quartic sum one term at a time, the exact determinant, quartic
 term (boosted data too, through a Hurwitz zeta sum at complex argument) and
-eigenvalues of sech data, per-band masks, dense matrix powers, the exact linear flow, and an
-RK4 substep that allocates a fresh array for every stage.
+eigenvalues of sech data, per-band masks, dense matrix powers, the exact linear flow, an
+RK4 substep that allocates a fresh array for every stage, and the transform pair composed
+from fftshift / ifftshift.
 """
 
 import math
@@ -16,6 +17,24 @@ from scipy.special import bernoulli, loggamma, poch, zeta
 from modspec import Field
 from modspec.conserved import DEFAULT_N_OP, _window
 from modspec.flows import _Stepper, dispersion_symbol
+
+
+def shifted_fft(values: np.ndarray, grid) -> np.ndarray:
+    """forward_transform composed as (dx / sqrt(2 pi)) * fftshift(fft(ifftshift(v)))
+    along the last axis, Nyquist zeroed."""
+    spec = (grid.dx / np.sqrt(2.0 * np.pi)) * np.fft.fftshift(
+        np.fft.fft(np.fft.ifftshift(values, axes=-1)), axes=-1
+    )
+    spec[..., 0] = 0.0
+    return spec
+
+
+def shifted_ifft(spectrum: np.ndarray, grid) -> np.ndarray:
+    """inverse_transform composed as fftshift(ifft(ifftshift(s))) * (dxi n / sqrt(2 pi))
+    along the last axis."""
+    return np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(spectrum, axes=-1)), axes=-1) * (
+        grid.dxi * grid.n / np.sqrt(2.0 * np.pi)
+    )
 
 
 def band_l2(f: Field, k: int) -> float:

@@ -20,7 +20,7 @@ from modspec.harness import ExperimentConfig
 from modspec.harness.config import random_suite, suite_power
 from modspec.symmetries import scaled_grid
 from conftest import random_smooth_field
-from oracles import band_l2
+from oracles import band_l2, shifted_fft, shifted_ifft
 
 
 def test_make_grid_lattice_spacing():
@@ -172,6 +172,39 @@ def test_batched_transforms_match_row_by_row(grid_small, rng):
         assert np.array_equal(b, inverse_transform(v, grid_small))
 
 
+@pytest.mark.parametrize("case", ["row", "stack", "strided", "real", "read-only"])
+@pytest.mark.parametrize("n, length", [(256, 8 * np.pi), (1024, 32 * np.pi)])
+def test_transforms_match_the_shifted_composition(n, length, case, rng):
+    """The roll-free transform pair equals (dx/sqrt(2 pi)) fftshift(fft(ifftshift(v))),
+    Nyquist zeroed, and its inverse (oracles) bit for bit: on one row, a (5, n) stack,
+    a strided view of it, a real row and a read-only row."""
+    g = make_grid(n, length)
+    stack = rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n))
+    frozen = stack[2].copy()
+    frozen.setflags(write=False)
+    v = {"row": stack[0], "stack": stack, "strided": stack[::2],
+         "real": stack[1].real.copy(), "read-only": frozen}[case]
+    for got, want in ((forward_transform(v, g), shifted_fft(v, g)),
+                      (inverse_transform(v, g), shifted_ifft(v, g))):
+        assert got.shape == want.shape == v.shape and got.dtype == want.dtype == complex
+        assert got.tobytes() == want.tobytes()
+
+
+def test_transforms_and_suite_draw_make_no_roll_or_shift(grid_ref, monkeypatch):
+    """The transform pair and the suite draw reorder halves by slicing: with np.roll,
+    fftshift and ifftshift made to raise, all four still run."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.roll, fftshift or ifftshift was called")
+
+    for module, name in ((np, "roll"), (np.fft, "fftshift"), (np.fft, "ifftshift")):
+        monkeypatch.setattr(module, name, refuse)
+    v = np.exp(-grid_ref.x**2) + 0j
+    forward_transform(v, grid_ref)
+    inverse_transform(v, grid_ref)
+    random_suite(grid_ref, 9, np.random.default_rng(1))  # two blocks, both kinds of row
+    suite_power(grid_ref, 9, np.random.default_rng(1))
+
+
 def _suite_field_by_field(grid, size, rng, amplitude=0.3, band_span=6):
     """random_suite's draws, made one field at a time by the stock constructors."""
     suite = []
@@ -211,3 +244,44 @@ def test_suite_power_matches_the_suite_fields(grid_ref, size, band_span):
     assert power.shape == (size, grid_ref.n)
     assert np.array_equal(power, np.array([np.abs(f.spectrum) ** 2 for f in suite]))
     assert rng_a.random() == rng_b.random()
+
+
+class _CountingGenerator:
+    """A numpy Generator that counts its standard_normal calls."""
+
+    def __init__(self, rng):
+        self._rng, self.normal_calls = rng, 0
+
+    def standard_normal(self, *args, **kwargs):
+        self.normal_calls += 1
+        return self._rng.standard_normal(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+@pytest.mark.parametrize("size", [16, 37])
+def test_suite_draw_makes_one_normal_call_per_band_row(grid_ref, size):
+    """A band row's lattice range, real and imaginary parts, comes from one
+    standard_normal call; the drawn power is what the bare generator gives."""
+    rng = _CountingGenerator(np.random.default_rng(5))
+    power = suite_power(grid_ref, size, rng)
+    assert rng.normal_calls == size // 2  # the odd rows are the band rows
+    assert np.array_equal(power, suite_power(grid_ref, size, np.random.default_rng(5)))
+
+
+def test_unresolved_mass_fraction_over_several_grids(grid_ref):
+    """One call over the five default lambda grids equals five per-grid calls bit for
+    bit, for a stack (a zero row included) and for one row; every grid must share n."""
+    power = suite_power(grid_ref, 40, np.random.default_rng(3))
+    power[0] = 0.0
+    grids = [scaled_grid(grid_ref, lam) for lam in ExperimentConfig().lambdas]
+    fracs = unresolved_mass_fraction(power, grids)
+    assert isinstance(fracs, list) and len(fracs) == len(grids) == 5
+    assert any(np.any(frac > 0.0) for frac in fracs)
+    for frac, g in zip(fracs, grids):
+        assert frac.tobytes() == unresolved_mass_fraction(power, g).tobytes()
+    assert unresolved_mass_fraction(power[7], tuple(grids)) == [
+        unresolved_mass_fraction(power[7], g) for g in grids]
+    with pytest.raises(GridError):
+        unresolved_mass_fraction(power, [grids[0], make_grid(512, grids[0].length)])
