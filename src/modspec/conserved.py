@@ -49,7 +49,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .grid import ALIAS_EDGE_FRACTION, ALIAS_THRESHOLD, AliasingError, Field, GridSpec
+from .grid import ALIAS_EDGE_FRACTION, ALIAS_THRESHOLD, AliasingError, Field, GridSpec, fft, ifft
 from .norms import bracket, check_kappa
 
 DEFOCUSING = "defocusing"
@@ -133,8 +133,8 @@ def quartic_integral(f: Field, kappa: float) -> float:
     The weight factors into four separable terms, which reduces the triple sum
     to linear cross-correlations corr(u, v)[l] = sum_j u[j] v[j - l], zero
     padded: term i is cst_i * sum corr(a_i fbar, b_i fhat) corr(c_i fhat, fbar).
-    The correlations have 7 distinct inputs, transformed in one call, and 6
-    distinct products, inverted in one more.
+    The correlations have 7 distinct inputs, zero-padded to length m and
+    transformed in one call, and 6 distinct products, inverted in one more.
     """
     check_kappa(kappa)
     g = f.grid
@@ -148,10 +148,11 @@ def quartic_integral(f: Field, kappa: float) -> float:
     # rows: 0 a_xi fbar, 1 a_1 fbar, 2 a_xi fhat, 3 a_1 fhat, then the reversed
     # second arguments 4 (a_xi fhat)[::-1], 5 (a_1 fhat)[::-1], 6 fbar[::-1]
     ins = np.array([a_xi * fb, a_1 * fb, a_xi * fhat, a_1 * fhat])
-    F = np.fft.fft(np.concatenate([ins, ins[2:, ::-1], fb[None, ::-1]]), m)
+    F = fft(np.concatenate([ins, ins[2:, ::-1], fb[None, ::-1]]), np.empty((7, m), complex))
     # P for (a, b) = (a_xi, a_xi), (a_xi, a_1), (a_1, a_xi), (a_1, a_1), then Q for c = a_1, a_xi
     pairs = ((0, 4), (0, 5), (1, 4), (1, 5), (3, 6), (2, 6))
-    corr = np.fft.ifft(np.array([F[i] * F[j] for i, j in pairs]))[:, : 2 * n - 1]
+    corr = ifft(np.array([F[i] * F[j] for i, j in pairs]), np.empty((6, m), complex))
+    corr = corr[:, : 2 * n - 1]
     total = 0.0 + 0j
     for cst, p, q in ((2.0 * kappa, 0, 4), (2.0 * kappa, 1, 5), (2.0 * kappa, 2, 5),
                       (-8.0 * kappa**3, 3, 4)):

@@ -26,10 +26,17 @@ on half spectra with rfft/irfft, where 6 u^2 u_x = 2 (u^3)_x: an RK4 stage
 inverts its masked input, cubes it and differentiates it spectrally.  Other
 rows step full spectra with fft/ifft, inverting a stage's masked input and
 its derivative in one stacked call.  The RK4 work arrays are allocated once
-per `evolve_batch` call, every stage's transforms write into them (numpy >= 2.0
-`out=`), the RK4 sum is accumulated in two slots in the order
-((k1 + 2 k2) + 2 k3) + k4, and the state is updated in place.  The blow-up
-check is a per-row certificate on the spectral state.
+per `evolve_batch` call, every stage's transforms write into them, the RK4
+sum is accumulated in two slots in the order ((k1 + 2 k2) + 2 k3) + k4, and
+the state is updated in place.  The blow-up check is a per-row certificate on
+the spectral state.
+
+Every transform is a call of the grid module's binding of numpy's pocketfft
+gufuncs (grid.fft, ifft, rfft, irfft: scale 1 forward, 1/N inverse, output
+owned by the caller), not of numpy.fft: a lone real row's step makes 8 one-row
+calls, and numpy.fft's argument handling would add about 2-3 us to the ~6 us
+of each at N = 1024.  Outside the work arrays, a start, a snapshot and a
+blow-up check transform into arrays they allocate.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, GridSpec
+from .grid import Field, GridSpec, fft, ifft, irfft, rfft
 
 EQUATIONS = ("nls", "mkdv")
 
@@ -126,8 +133,10 @@ class _Stepper:
         else:
             # the mkdv nonlinearity is +-6 |u|^2 (u_x + iku)
             self.deriv = 6.0 * fs.sigma * 1j * (xi + np.asarray(ks, dtype=float)[:, None])
-        if not self.nls:  # RK4 work arrays, reused by every step
-            shape, phys = (len(ks), xi.size), (len(ks), grid.n)
+        shape, phys = (len(ks), xi.size), (len(ks), grid.n)
+        if self.nls:  # the samples of the state
+            self.samples = np.empty(phys, complex)
+        else:  # RK4 work arrays, reused by every step
             # a stage's masked input (the complex kind adds deriv times it: one inverse call)
             self.stack = np.empty((1 if real else 2, *shape), complex)
             self.slopes = np.empty((2, *shape), complex)  # the RK4 sum and the latest slope
@@ -139,12 +148,15 @@ class _Stepper:
                 self.modsq = np.empty(phys)
 
     def forward(self, a: np.ndarray) -> np.ndarray:
-        """The unscaled spectra of the rows of a, along its last axis."""
-        return np.fft.rfft(a) if self.real else np.fft.fft(a)
+        """The unscaled spectra of the rows of a, along its last axis, in a new array."""
+        out = np.empty((*a.shape[:-1], self.half.shape[-1]), complex)
+        return rfft(a, out) if self.real else fft(a, out)
 
     def inverse(self, s: np.ndarray) -> np.ndarray:
-        """The samples of the spectra s, real arrays for the real kind."""
-        return np.fft.irfft(s, self.n) if self.real else np.fft.ifft(s)
+        """The samples of the spectra s in a new array, real for the real kind."""
+        if self.real:
+            return irfft(s, np.empty((*s.shape[:-1], self.n)))
+        return ifft(s, np.empty(s.shape, complex))
 
     def start(self, values: np.ndarray) -> np.ndarray:
         """The state of the (B, N) samples `values`: their spectra after a leading half-step."""
@@ -156,25 +168,25 @@ class _Stepper:
         The complex kind's x is stack[0]; every transform writes into a work array.
         """
         if self.real:
-            v = np.fft.irfft(x, self.n, out=self.samples)
+            v = irfft(x, self.samples)
             v *= v * v
-            np.fft.rfft(v, out=out)
+            rfft(v, out)
             out *= self.cube
             return
         np.multiply(self.deriv, x, out=self.stack[1])
-        v, dv = np.fft.ifft(self.stack, out=self.samples)
+        v, dv = ifft(self.stack, self.samples)
         w = np.square(v.real, out=self.modsq)
         w += v.imag**2
         np.multiply(w, dv, out=dv)
-        np.fft.fft(dv, out=out)
+        fft(dv, out)
         out *= self.mask
 
     def step(self, s: np.ndarray) -> None:
         """The nonlinear substep, in place on the spectral state s."""
         dt = self.dt
         if self.nls:
-            v = np.fft.ifft(s)
-            s[...] = np.fft.fft(v * np.exp(self.c_rot * np.abs(v) ** 2 * dt))
+            v = ifft(s, self.samples)
+            fft(v * np.exp(self.c_rot * np.abs(v) ** 2 * dt), s)
             return
         x, (acc, k) = self.stack[0], self.slopes
         np.multiply(s, self.mask, out=self.masked)
@@ -200,7 +212,7 @@ class _Stepper:
     def blown_up_row(self, s: np.ndarray):
         """First row whose physical field is non-finite or exceeds BLOWUP_THRESHOLD, else None.
 
-        Under numpy's ifft, max|v| <= max|half| * sum|s| / N, summed over the full
+        Under ifft's 1/N scale, max|v| <= max|half| * sum|s| / N, summed over the full
         spectrum, and the sum carries NaN and inf (a NaN bound fails the scalar
         test); the physical field is formed only for rows where this bound trips.
         """

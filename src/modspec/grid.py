@@ -10,6 +10,16 @@ approximated by dx-weighted lattice sums, so that Plancherel reads
 sum |f|^2 dx = sum |fhat|^2 dxi.  Spectra are stored in centered order,
 xi_j = (pi/L) * j for j = -N/2 .. N/2-1.  Frequency space is partitioned
 into the unit bands I_k = [k - 1/2, k + 1/2).
+
+Every transform in the package, here and in the steppers and the quartic sum,
+goes through one binding of numpy's pocketfft gufuncs (numpy >= 2.0; there is
+no fallback): `fft`, `ifft`, `rfft` and `irfft` below transform the rows of
+their input along the last axis into a caller-owned `out`, with numpy's own
+scales, 1 forward and 1/len inverse, so each equals the numpy.fft call of the
+same shapes bit for bit.  The steppers make thousands of one-row calls whose
+shapes, axis and outputs are fixed, and numpy.fft's argument handling adds
+about 2-3 us to each, against the gufunc's ~6 us for one 1024-point real row
+(measured on a 2-core VM).
 """
 
 from __future__ import annotations
@@ -18,6 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.fft import _pocketfft_umath as _pocketfft
 
 
 class GridError(ValueError):
@@ -80,6 +91,31 @@ def make_grid(n: int, length: float) -> GridSpec:
     return GridSpec(int(n), float(length))
 
 
+# The transform binding.  The length of each transform is out's last axis: fft
+# zero-pads or crops its input to it, and irfft reads its input's first
+# len(out) // 2 + 1 entries.  Every length is even (GridSpec.n is a power of
+# two, and so is the quartic sum's padded length), which rfft's gufunc assumes.
+
+def fft(a, out: np.ndarray) -> np.ndarray:
+    """The unscaled DFT of each row of a, written to out."""
+    return _pocketfft.fft(a, 1, out=out)
+
+
+def ifft(a, out: np.ndarray) -> np.ndarray:
+    """The inverse DFT, scaled by 1/len, of each row of a, written to out."""
+    return _pocketfft.ifft(a, 1 / out.shape[-1], out=out)
+
+
+def rfft(a, out: np.ndarray) -> np.ndarray:
+    """The nonnegative half (len(out) entries) of the unscaled DFT of each real row of a."""
+    return _pocketfft.rfft_n_even(a, 1, out=out)
+
+
+def irfft(a, out: np.ndarray) -> np.ndarray:
+    """The real rows, of out's length, whose rfft is each row of a, written to out."""
+    return _pocketfft.irfft(a, 1 / out.shape[-1], out=out)
+
+
 def _centered_transform(a, transform, scale: float) -> np.ndarray:
     """scale * transform(a) along the last axis, in and out in centered order.
 
@@ -95,7 +131,7 @@ def _centered_transform(a, transform, scale: float) -> np.ndarray:
     work = np.empty(a.shape, dtype=complex)
     work[..., :h] = a[..., h:]
     work[..., h:] = a[..., :h]
-    transform(work, out=work)
+    transform(work, work)
     out = np.empty_like(work)
     np.multiply(work[..., h:], scale, out=out[..., :h])
     np.multiply(work[..., :h], scale, out=out[..., h:])
@@ -108,7 +144,7 @@ def forward_transform(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     `values` is (..., n): each row along the last axis is transformed alone,
     roll-free (see _centered_transform), into a new complex array.
     """
-    spec = _centered_transform(values, np.fft.fft, grid.dx / np.sqrt(2.0 * np.pi))
+    spec = _centered_transform(values, fft, grid.dx / np.sqrt(2.0 * np.pi))
     spec[..., 0] = 0.0  # unpaired Nyquist mode breaks Hermitian symmetry
     return spec
 
@@ -116,7 +152,7 @@ def forward_transform(values: np.ndarray, grid: GridSpec) -> np.ndarray:
 def inverse_transform(spectrum: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Samples of a centered (..., n) spectrum, row by row along the last axis,
     roll-free (see _centered_transform), into a new complex array."""
-    return _centered_transform(spectrum, np.fft.ifft, grid.dxi * grid.n / np.sqrt(2.0 * np.pi))
+    return _centered_transform(spectrum, ifft, grid.dxi * grid.n / np.sqrt(2.0 * np.pi))
 
 
 class Field:

@@ -4,18 +4,24 @@ from scipy.integrate import quad
 
 from modspec import (
     BandRangeError,
+    BlowUpError,
     Field,
+    FlowSpec,
     GridError,
     band_indicator_field,
     band_profile,
+    evolve_batch,
     forward_transform,
     gaussian_field,
     inverse_transform,
     make_grid,
+    quartic_integral,
     random_band_field,
     scale_field,
+    sech_field,
     unresolved_mass_fraction,
 )
+from modspec import grid
 from modspec.harness import ExperimentConfig
 from modspec.harness.config import random_suite, suite_power
 from modspec.symmetries import scaled_grid
@@ -203,6 +209,69 @@ def test_transforms_and_suite_draw_make_no_roll_or_shift(grid_ref, monkeypatch):
     inverse_transform(v, grid_ref)
     random_suite(grid_ref, 9, np.random.default_rng(1))  # two blocks, both kinds of row
     suite_power(grid_ref, 9, np.random.default_rng(1))
+
+
+# binding name, its input from the (2, 3, n) complex z and the (3, n) real x, and the
+# numpy.fft call it stands for; every shape the package transforms
+BINDING_CASES = {
+    "rfft-row": ("rfft", lambda z, x: x[:1], lambda a, n: np.fft.rfft(a)),
+    "rfft-stack": ("rfft", lambda z, x: x, lambda a, n: np.fft.rfft(a)),
+    "rfft-strided": ("rfft", lambda z, x: z[0].real, lambda a, n: np.fft.rfft(a)),
+    "irfft-row": ("irfft", lambda z, x: np.fft.rfft(x[:1]), lambda a, n: np.fft.irfft(a, n)),
+    "irfft-stack": ("irfft", lambda z, x: np.fft.rfft(x), lambda a, n: np.fft.irfft(a, n)),
+    "ifft-stacked-pair": ("ifft", lambda z, x: z, lambda a, n: np.fft.ifft(a)),
+    "ifft-strided": ("ifft", lambda z, x: z[:, ::2], lambda a, n: np.fft.ifft(a)),
+    "fft-stack": ("fft", lambda z, x: z[0], lambda a, n: np.fft.fft(a)),
+    "fft-zero-padded": ("fft", lambda z, x: np.concatenate([z[0], z[1], z[0, :1]]),
+                        lambda a, n: np.fft.fft(a, 2 * n)),
+    "fft-read-only": ("fft", lambda z, x: _read_only(z[1]), lambda a, n: np.fft.fft(a)),
+    "ifft-read-only": ("ifft", lambda z, x: _read_only(z[1, :1]), lambda a, n: np.fft.ifft(a)),
+}
+
+
+def _read_only(a):
+    a = a.copy()
+    a.setflags(write=False)
+    return a
+
+
+@pytest.mark.parametrize("case", list(BINDING_CASES))
+@pytest.mark.parametrize("n", [16, 1024])
+def test_transform_binding_matches_numpy_fft(n, case, rng):
+    """Each binding of numpy's pocketfft gufuncs equals the public numpy.fft call bit
+    for bit, in the output it is given; the zero-padded case is the quartic sum's
+    (7, n) -> (7, 2n).  These gufuncs are private to numpy: if a release changes
+    them, this test is where it shows."""
+    name, make, reference = BINDING_CASES[case]
+    z = rng.standard_normal((2, 3, n)) + 1j * rng.standard_normal((2, 3, n))
+    a = make(z, rng.standard_normal((3, n)))
+    want = reference(a, n)
+    out = np.empty(want.shape, want.dtype)
+    assert getattr(grid, name)(a, out) is out
+    assert out.tobytes() == want.tobytes()
+
+
+def test_no_transform_goes_through_numpy_fft(grid_ref, monkeypatch):
+    """Every transform is a call of the grid binding: with numpy.fft's fft, ifft,
+    rfft and irfft made to raise, the steppers of every kind, a blow-up check that
+    forms the physical field, the centered transform pair and the quartic sum run."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.fft's fft, ifft, rfft or irfft was called")
+
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, refuse)
+    u = gaussian_field(grid_ref, amplitude=0.3)
+    tone = gaussian_field(grid_ref, amplitude=0.3, center_freq=1.0)
+    mkdv, times = FlowSpec("mkdv", dt=1e-3), [0.0, 0.002]
+    evolve_batch([u], mkdv, times)  # the half-spectrum stepper
+    evolve_batch([tone, u], mkdv, times, ks=[0.0, 2.0])  # the full-spectrum stepper
+    evolve_batch([u, tone], FlowSpec("nls", dt=1e-3), times)
+    bad = [sech_field(grid_ref, amplitude=50.0),
+           gaussian_field(grid_ref, amplitude=50.0, center_freq=1.0)]
+    with pytest.raises(BlowUpError):  # both kinds trip the certificate
+        evolve_batch(bad, FlowSpec("mkdv", "focusing", dt=5e-2), [1.0])
+    inverse_transform(forward_transform(u.values, grid_ref), grid_ref)
+    quartic_integral(u, 0.5)
 
 
 def _suite_field_by_field(grid, size, rng, amplitude=0.3, band_span=6):
