@@ -49,11 +49,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .flows import sign_factor
 from .grid import ALIAS_EDGE_FRACTION, ALIAS_THRESHOLD, AliasingError, Field, GridSpec, fft, ifft
 from .norms import bracket, check_kappa
-
-DEFOCUSING = "defocusing"
-FOCUSING = "focusing"
 
 DEFAULT_N_OP = 512
 # the most window points: build_operator's working set is three m x m complex
@@ -70,16 +68,20 @@ STRIDE_RTOL = 1e-9
 @dataclass(frozen=True)
 class SpectralParameter:
     kappa: float
-    sign: str = DEFOCUSING
+    sign: str = "defocusing"
 
     def __post_init__(self):
         check_kappa(self.kappa)
-        if self.sign not in (DEFOCUSING, FOCUSING):
-            raise ValueError(f"sign must be '{DEFOCUSING}' or '{FOCUSING}'")
+        sign_factor(self.sign)
+
+    @property
+    def sigma(self) -> float:
+        """+1 defocusing, -1 focusing: the series' sign, that of the flow's nonlinearity."""
+        return sign_factor(self.sign)
 
     @property
     def defocusing(self) -> bool:
-        return self.sign == DEFOCUSING
+        return self.sigma > 0
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +166,7 @@ def alpha4(f: Field, kp: SpectralParameter) -> float:
     """Quartic term of the determinant series, matching -+ Re tr(A^2)/2."""
     _check_aliasing(f)
     q = quartic_integral(f, kp.kappa)
-    return q if kp.defocusing else -q
+    return kp.sigma * q
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +204,7 @@ class OperatorPair:
         (the series diverges) or the determinant vanishes."""
         if not self.radius_bound < 1.0:
             return np.nan
-        sign = 1.0 if self.kp.defocusing else -1.0
+        sign = self.kp.sigma
         M = sign * self.matrix
         M.flat[:: len(M) + 1] += 1.0  # I + A, or I - A
         val = sign * np.linalg.slogdet(M)[1]
@@ -211,7 +213,7 @@ class OperatorPair:
     def log_det_remainder(self) -> float:
         """The j >= 3 terms: log_det() minus the j = 1, 2 trace terms."""
         t1, t2 = self.trace().real, self.trace_sq().real
-        return self.log_det() - (t1 - 0.5 * t2 if self.kp.defocusing else t1 + 0.5 * t2)
+        return self.log_det() - (t1 - (0.5 * self.kp.sigma) * t2)
 
 
 def _window(g: GridSpec, n_op: int, center: float, stride: int = 1) -> np.ndarray:

@@ -51,6 +51,16 @@ EQUATIONS = ("nls", "mkdv")
 
 BLOWUP_THRESHOLD = 1e6
 
+# the sign of the nonlinearity: its name -> sigma, the upper (+1) or lower (-1) sign above
+SIGNS = {"defocusing": 1.0, "focusing": -1.0}
+
+
+def sign_factor(sign: str) -> float:
+    """sigma of a sign name; any other name is a ValueError."""
+    if sign not in SIGNS:
+        raise ValueError(f"sign must be 'defocusing' or 'focusing', got {sign!r}")
+    return SIGNS[sign]
+
 
 class BlowUpError(RuntimeError):
     """A row's field became non-finite or exceeded BLOWUP_THRESHOLD."""
@@ -70,14 +80,13 @@ class FlowSpec:
     def __post_init__(self):
         if self.equation not in EQUATIONS:
             raise ValueError(f"equation must be one of {EQUATIONS}, got {self.equation!r}")
-        if self.sign not in ("defocusing", "focusing"):
-            raise ValueError("sign must be 'defocusing' or 'focusing'")
+        sign_factor(self.sign)
         if self.dt == 0 or not np.isfinite(self.dt):
             raise ValueError(f"dt must be nonzero and finite, got {self.dt}")
 
     @property
     def sigma(self) -> float:
-        return 1.0 if self.sign == "defocusing" else -1.0
+        return sign_factor(self.sign)
 
 
 def dispersion_symbol(equation: str, xi: np.ndarray, k: float = 0.0) -> np.ndarray:

@@ -190,11 +190,23 @@ def _reject_constant(token):
     raise ConfigError(f"non-finite number {token} is not allowed")
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object as a dict; a key repeated within it, which json.loads would
+    silently resolve to its last value, is a ConfigError."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        keys = [k for k, _ in pairs]
+        key = next(k for i, k in enumerate(keys) if k in keys[:i])
+        raise ConfigError(f"key {key!r} appears more than once in one object")
+    return doc
+
+
 def read_config(path) -> dict:
     """Parse a JSON config file into a document for config_from_dict."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.loads(fh.read(), parse_constant=_reject_constant)
+            return json.loads(fh.read(), parse_constant=_reject_constant,
+                              object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read: {exc.strerror}") from None
     except json.JSONDecodeError as exc:

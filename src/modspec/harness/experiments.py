@@ -451,85 +451,79 @@ def run_scaling(cfg: ExperimentConfig) -> RunResult:
 # ---------------------------------------------------------------------------
 
 def run_tails(cfg: ExperimentConfig) -> RunResult:
-    """High-order tail inequalities: sextic-and-up and quartic band aggregates."""
+    """High-order tail inequalities: sextic-and-up and quartic band aggregates.
+
+    The boost sweep is one frame table, independent of (p, s): for each amplitude
+    and nonzero snapshot, one row (k, beta2, beta4, beta_geq6, tail2, tail3) per
+    distinct boost.  beta_geq6 is NaN where a series diverged, and each (p, s)
+    reads its CSV rows, its ratios and its skipped boosts from the table.
+    """
     grid = cfg.grid()
     rng = np.random.default_rng(cfg.seed)
     fs = FlowSpec(cfg.equation, cfg.sign, cfg.dt)
-    times = cfg.snapshot_times()
     mps = _mps(cfg, "main_range")
     stab_tol = cfg.tolerance("tails_stability")
     kp_half = SpectralParameter(0.5, cfg.sign)
     kp_one = SpectralParameter(1.0, cfg.sign)
+    boosts = [float(k) for k in dict.fromkeys(cfg.boosts)]  # a repeated boost counts once
+    samplings = []  # (stride, doubling gap) of the operators of every certified frame
 
-    # per (eps, t): the band profile and the boost rows (k, b2, b4, b6, tail2, tail3),
-    # independent of (p, s); zero data has no rows, and b6 is NaN at a skipped boost
-    snaps_by_eps, skipped, samplings = [], 0, []
+    def frame(u, t, k):  # the table row of the boosted snapshot u^k
+        uk = galilei_boost(u, k, t, cfg.equation)
+        b2 = alpha2(u, 0.5, shift=k) - 0.5 * alpha2(u, 1.0, shift=k)
+        a_half, _, a4_half, op_half = alpha_terms(uk, kp_half, cfg.n_op, -k)
+        if np.isnan(a_half):  # b6 is NaN anyway: kappa = 1 adds only its quartic term
+            a_one, a4_one = np.nan, alpha4(uk, kp_one)
+        else:
+            a_one, _, a4_one, op_one = alpha_terms(uk, kp_one, cfg.n_op, -k)
+        b4 = a4_half - 0.5 * a4_one
+        b6 = (a_half - 0.5 * a_one) - b2 - b4  # NaN where a series diverged
+        if not np.isnan(b6):
+            samplings.extend((op.stride, op.doubling_gap) for op in (op_half, op_one))
+        tail = tail_bound(u, k)
+        return k, b2, b4, b6, tail**2, tail**3
+
     u0s = [_one_member("tails", dict(cfg.family, amplitude=float(eps)), grid, rng)
            for eps in cfg.amplitudes]
-    for traj in evolve_batch(u0s, fs, times):
-        snaps = []
-        for ti, u in zip(traj.times, traj.fields):
+    # (amplitude index, t, band profile) of each nonzero snapshot, and its rows, boost by boost
+    snaps, frames = [], []
+    for i, traj in enumerate(evolve_batch(u0s, fs, cfg.snapshot_times())):
+        for t, u in zip(traj.times, traj.fields):
             prof = band_profile(u)
-            if not prof.any():
-                snaps.append((ti, prof, None))
-                continue
-            boost_rows = []
-            for k in dict.fromkeys(cfg.boosts):  # a repeated boost counts once
-                kf = float(k)
-                uk = galilei_boost(u, kf, ti, cfg.equation)
-                b2 = alpha2(u, 0.5, shift=kf) - 0.5 * alpha2(u, 1.0, shift=kf)
-                a_half, _, a4_half, op_half = alpha_terms(uk, kp_half, cfg.n_op, -kf)
-                if np.isnan(a_half):  # b6 is NaN anyway: kappa = 1 adds only its quartic term
-                    a_one, a4_one = np.nan, alpha4(uk, kp_one)
-                else:
-                    a_one, _, a4_one, op_one = alpha_terms(uk, kp_one, cfg.n_op, -kf)
-                b4 = a4_half - 0.5 * a4_one
-                b6 = (a_half - 0.5 * a_one) - b2 - b4  # NaN where a series diverged
-                if np.isnan(b6):
-                    skipped += 1
-                else:
-                    samplings += [(op.stride, op.doubling_gap) for op in (op_half, op_one)]
-                tail = tail_bound(u, kf)
-                boost_rows.append((k, b2, b4, b6, tail**2, tail**3))
-            snaps.append((ti, prof, boost_rows))
-        snaps_by_eps.append(snaps)
+            if prof.any():  # a zero snapshot has no rows: both sides vanish
+                snaps.append((i, t, prof))
+                frames += [frame(u, t, k) for k in boosts]
+    table = np.array(frames).reshape(len(snaps), len(boosts), 6)
+    skipped = int(np.isnan(table[..., 3]).sum())
 
     header = ["p", "s", "eps", "t", "k", "beta2", "beta4", "beta_geq6", "tail2", "tail3"]
     rows, summary = [], []
     for mp in mps:
-        ratio6_by_eps, ratio4_by_eps = [], []
-        for eps, snaps in zip(cfg.amplitudes, snaps_by_eps):
-            if all(boost_rows is None for *_, boost_rows in snaps):
-                continue  # zero data: both sides vanish, so it has no ratio to compare
-            r6s, r4s = [], []
-            for ti, prof, boost_rows in snaps:
-                if boost_rows is None:
-                    r6s.append(0.0)  # a zero snapshot: both sides vanish
-                    r4s.append(0.0)
-                    continue
-                M = profile_norm(prof, mp)
-                t6, t4 = [], []
-                for k, b2, b4, b6, tail2, tail3 in boost_rows:
-                    rows.append((mp.p, mp.s, eps, ti, k, b2, b4, b6, tail2, tail3))
-                    if not np.isnan(b6):
-                        t6.append(bracket(k) ** mp.s * np.sqrt(abs(b6)))
-                        t4.append(bracket(k) ** mp.s * np.sqrt(abs(b4)))
-                if t6:
-                    r6s.append(float(lp_norm(t6, mp.p)) / M**3)
-                    r4s.append(float(lp_norm(t4, mp.p)) / M**2)
-            ratio6_by_eps.append(max(r6s) if r6s else np.nan)
-            ratio4_by_eps.append(max(r4s) if r4s else np.nan)
-        tag = f"p={mp.p:g},s={mp.s:g}"
+        # amplitude index -> the (sextic, quartic) ratios of its nonzero snapshots, NaN
+        # where every boost was skipped; zero data has no entry, so no ratio to compare
+        ratios = {}
+        for (i, t, prof), snap_rows in zip(snaps, table.tolist()):
+            rows += [(mp.p, mp.s, cfg.amplitudes[i], t, *row) for row in snap_rows]
+            live = [(bracket(k) ** mp.s, b4, b6) for k, _, b4, b6, *_ in snap_rows
+                    if not np.isnan(b6)]
+            M = profile_norm(prof, mp)
+            r6 = r4 = np.nan  # every boost skipped
+            if live:
+                r6 = float(lp_norm([w * np.sqrt(abs(b6)) for w, _, b6 in live], mp.p)) / M**3
+                r4 = float(lp_norm([w * np.sqrt(abs(b4)) for w, b4, _ in live], mp.p)) / M**2
+            ratios.setdefault(i, []).append((r6, r4))
+        # per amplitude, np.fmax passes over NaN snapshots: it is NaN only when all are
+        by_eps = np.array([np.fmax.reduce(r) for r in ratios.values()]).reshape(-1, 2)
         # the spreads compare the amplitudes with nonzero data (1 when there are none);
         # np.max/np.min keep a NaN (an amplitude with every boost skipped) wherever it sits
-        hi6, hi4 = np.max(ratio6_by_eps, initial=0.0), np.max(ratio4_by_eps, initial=0.0)
-        spread6 = hi6 / np.min(ratio6_by_eps) if ratio6_by_eps else 1.0
-        spread4 = hi4 / np.min(ratio4_by_eps) if ratio4_by_eps else 1.0
+        hi = np.max(by_eps, axis=0, initial=0.0)
+        spread = hi / np.min(by_eps, axis=0) if len(by_eps) else (1.0, 1.0)
+        tag = f"p={mp.p:g},s={mp.s:g}"
         # the constants are reported, not bounded: only a non-finite one fails
-        summary.append(criterion(f"sextic_constant[{tag}]", hi6, np.inf))
-        summary.append(criterion(f"quartic_constant[{tag}]", hi4, np.inf))
-        summary.append(criterion(f"sextic_eps_stability[{tag}]", spread6, stab_tol))
-        summary.append(criterion(f"quartic_eps_stability[{tag}]", spread4, stab_tol))
+        summary += [criterion(f"{name}_constant[{tag}]", c, np.inf)
+                    for name, c in zip(("sextic", "quartic"), hi)]
+        summary += [criterion(f"{name}_eps_stability[{tag}]", r, stab_tol)
+                    for name, r in zip(("sextic", "quartic"), spread)]
         if skipped:
             summary.append(criterion(f"skipped_boosts[{tag}]", skipped, 0.0))
     meta = {"config": cfg.to_dict(), **_stride_health(samplings)}

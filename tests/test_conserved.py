@@ -651,6 +651,25 @@ def test_zero_field_alpha_at_first_stride(grid_ref):
         op.doubling_gap = 1.0
 
 
+@pytest.mark.parametrize("n_op, first", [(4, 1), (8, 2), (16, 4)])
+def test_small_window_shrinks_the_first_stride(grid_small, monkeypatch, n_op, first):
+    """Below 4 FIRST_STRIDE points the first stride m halves until the 2m window,
+    the first one built, keeps two points; the strides then halve from m."""
+    strides, build = [], conserved.build_operator
+
+    def recorded(f, kp, n_op, center, stride):
+        strides.append(stride)
+        return build(f, kp, n_op, center, stride)
+
+    monkeypatch.setattr(conserved, "build_operator", recorded)
+    f = gaussian_field(grid_small, 1.0, 0.3)
+    alpha, _, _, op = alpha_terms(f, SpectralParameter(0.5), n_op=n_op)
+    assert strides[0] == 2 * first and n_op // strides[0] == 2
+    assert strides[1:] == [first >> j for j in range(len(strides) - 1)]
+    assert op.stride == strides[-1] and len(op.matrix) == n_op // op.stride
+    assert np.isfinite(alpha)
+
+
 def test_trace_matches_oracle_at_chosen_stride(grid_ref, rng):
     kp = SpectralParameter(0.5)
     for carrier in (0.0, 3.0):

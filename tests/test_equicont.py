@@ -121,6 +121,17 @@ def test_build_weights_zero_tail_family(grid):
     assert chk.weighted_ratio == pytest.approx(1.0, abs=1e-12)
 
 
+def test_build_weights_stops_where_no_tail_reaches_the_floor(grid):
+    """The search stops, with the thresholds found so far, once no later tail is
+    at most 2^(-m/p) A.  The tail past kmax is 0, which reaches every finite floor,
+    so only a NaN family bound A stops it: here before the first threshold."""
+    mp = ModulationParams(2.0, 0.0)
+    fam = profiles(gaussian_family(grid))
+    assert build_weights(fam, mp).thresholds  # the finite family finds thresholds
+    fam[0, 0] = np.nan
+    assert build_weights(fam, mp).thresholds == ()
+
+
 def test_build_weights_p_exponent(grid):
     """Identical thresholds across p make c^(p=1) the square of c^(p=2)."""
     fam = profiles([band_indicator_field(grid, -0.5, 0.5)])

@@ -354,6 +354,21 @@ def test_real_stage_slope_matches_complex_stage_slope(grid_ref):
     assert np.max(np.abs(real - full)) <= 1e-12 * np.max(np.abs(full))
 
 
+def test_blown_up_row_is_none_when_only_the_l1_bound_trips(grid_small):
+    """The l^1 bound may trip on a field it does not condemn: a chirped spectrum of
+    modulus 2e6 bounds max|v| by about 2e6, while the chirp spreads v to about
+    2e6 / sqrt(N) everywhere, finite and under BLOWUP_THRESHOLD."""
+    n = grid_small.n
+    stepper = _Stepper(grid_small, FlowSpec("mkdv", dt=1e-3), [0.0])
+    spec = 2e6 * np.exp(1j * np.pi * np.arange(n) ** 2 / n)  # |ifft(chirp)| is flat
+    # the state whose trailing half-step gives spec; the Nyquist mode, which half zeroes, is 0
+    s = np.divide(spec, stepper.half, out=np.zeros((1, n), complex), where=stepper.half != 0)
+    assert np.abs(s).sum() * stepper.scale[0] > flows.BLOWUP_THRESHOLD
+    v = stepper.inverse(s * stepper.half)
+    assert np.all(np.isfinite(v)) and np.abs(v).max() < flows.BLOWUP_THRESHOLD
+    assert stepper.blown_up_row(s) is None
+
+
 @pytest.mark.parametrize("kind", ["real", "complex"])
 def test_warm_step_allocates_no_transform_outputs(grid_ref, kind):
     """A warm mkdv step's transforms write into the stepper's work arrays.

@@ -100,6 +100,37 @@ def test_config_malformed_json_has_location(tmp_path):
         config_from_dict(read_config(path))
 
 
+def test_config_rejects_a_non_object_and_another_version():
+    with pytest.raises(ConfigError, match="JSON object"):
+        config_from_dict([{"version": 1}])
+    with pytest.raises(ConfigError, match="unsupported config version 2"):
+        config_from_dict({"version": 2})
+
+
+def test_read_config_names_the_file_of_a_nan_and_a_missing_file(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text('{"version": 1, "dt": NaN}')
+    with pytest.raises(ConfigError, match=r"c\.json: non-finite number NaN"):
+        read_config(path)
+    with pytest.raises(ConfigError, match=r"absent\.json: cannot read"):
+        read_config(tmp_path / "absent.json")
+
+
+@pytest.mark.parametrize("text, key", [
+    ('{"version": 1, "t_final": 0.01, "dt": 0.001, "dt": 0.005}', "dt"),
+    ('{"version": 1, "t_final": 0.01, "family": {"kind": "gaussian", "amplitude": 0.3, '
+     '"amplitude": 5.0}}', "amplitude"),
+], ids=["top-level", "nested"])
+def test_cli_repeated_config_key_exits_2(tmp_path, capsys, text, key):
+    """json.loads keeps a repeated key's last value; a config file may not repeat one,
+    at any depth: a repeated amplitude 5.0 would otherwise diverge and exit 3."""
+    path, out = tmp_path / "c.json", tmp_path / "out"
+    path.write_text(text)
+    assert main(["conserve", "--config", str(path), "--out", str(out)]) == 2
+    assert f"key '{key}' appears more than once" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_type_validation():
     with pytest.raises(ConfigError, match="grid_n"):
         config_from_dict({"version": 1, "grid_n": "big"})
@@ -929,6 +960,19 @@ def test_tails_diverged_amplitude_fails_in_any_order(amplitudes):
                         "skipped_boosts": False}
     skipped = [r for r in res.rows if np.isnan(r[7])]  # beta_geq6 is NaN, beta4 still reported
     assert len(skipped) == 4 and all(np.isfinite(r[6]) for r in skipped)
+
+
+def test_tails_skipped_boosts_count_the_nan_rows_of_each_block():
+    """skipped_boosts[p, s] is the number of NaN beta_geq6 rows in that (p, s) block of
+    the CSV: amplitude 2.0 diverges at both boosts and snapshots, and zero data has no rows."""
+    ps = [[2.0, 0.0], [4.0, 0.5]]
+    res = run_tails(small_cfg(boosts=[0, 1], t_final=0.01, amplitudes=[0.1, 2.0, 0.0], ps=ps))
+    skipped = {e.criterion: e.measured for e in res.summary
+               if e.criterion.startswith("skipped_boosts")}
+    for p, s in ps:
+        block = [r for r in res.rows if (r[0], r[1]) == (p, s)]
+        assert len(block) == 2 * 2 * 2  # nonzero amplitudes x snapshots x boosts
+        assert skipped[f"skipped_boosts[p={p:g},s={s:g}]"] == sum(np.isnan(r[7]) for r in block) == 4
 
 
 def test_tails_diverged_boost_runs_no_kappa_one_series(monkeypatch):
