@@ -77,7 +77,7 @@ def build_weights(profiles, mp: ModulationParams) -> WeightSequence:
 
     Raises NotEquicontinuousError when mass at the window edge exceeds
     EDGE_FLOOR_RATIO times the family bound, i.e. the tails cannot be
-    certified at this resolution.
+    certified at this resolution, or when that comparison is NaN.
     """
     terms = _family_terms(profiles, mp)
     kmax = (terms.shape[1] - 1) // 2
@@ -86,7 +86,7 @@ def build_weights(profiles, mp: ModulationParams) -> WeightSequence:
     beyond = np.abs(np.arange(-kmax, kmax + 1)) >= np.arange(kmax + 2)[:, None]
     tails = np.max(lp_norm(np.where(beyond[:, None, :], terms, 0.0), p), axis=1)
     A, edge = tails[0], tails[kmax]
-    if edge > EDGE_FLOOR_RATIO * A:
+    if not edge <= EDGE_FLOOR_RATIO * A:
         raise NotEquicontinuousError(
             f"edge-band tail {edge:.3e} exceeds {EDGE_FLOOR_RATIO:.0e} x family bound {A:.3e}"
         )
@@ -94,11 +94,9 @@ def build_weights(profiles, mp: ModulationParams) -> WeightSequence:
     m = 1
     lower = 2
     while lower <= kmax:
-        # tail(K + 1)^p <= 2^-m A^p, taken in l^p units so no p-th power is formed here
-        cands = np.nonzero(tails[lower + 1:] <= 2.0 ** (-m / p) * A)[0]
-        if cands.size == 0:
-            break  # tail floor not reachable past here; spacing rule ends the sequence
-        km = lower + int(cands[0])
+        # the first K >= lower with tail(K + 1)^p <= 2^-m A^p, taken in l^p units so no
+        # p-th power is formed; the tail past kmax is 0, so a finite A always has one
+        km = lower + int(np.nonzero(tails[lower + 1:] <= 2.0 ** (-m / p) * A)[0][0])
         thresholds.append(km)
         lower = 4 * km
         m += 1

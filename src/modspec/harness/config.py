@@ -32,11 +32,11 @@ class ConfigError(ValueError):
 DEFAULT_FAMILY = {"kind": "gaussian", "width": 1.0, "amplitude": 0.3, "center_freq": 0.0}
 
 # The fixed pass/fail thresholds, one per criterion (per equation for
-# galilei_distance), plus apriori_small_norm and apriori_eps_target, the two
-# parameters of apriori's large-data rescaling.  The drivers fix a few more:
-# gaussian_scaling_spectrum_error (1e-10), rescaled_norm (2 * apriori_eps_target),
-# the weights criteria (0 for the violation counts and the window check, 2 for
-# weighted_ratio), skipped_boosts (0) and the tails constants (inf: reported).
+# galilei_distance), plus apriori_small_norm, the largest data norm that
+# apriori's sup_ratio reads.  The drivers fix a few more:
+# gaussian_scaling_spectrum_error (1e-10), the weights criteria (0 for the
+# violation counts and the window check, 2 for weighted_ratio), skipped_boosts
+# (0) and the tails constants (inf: reported).
 TOLERANCES = {
     "conservation_drift": 1e-5,
     "trace_imag": 1e-8,
@@ -46,8 +46,6 @@ TOLERANCES = {
     "apriori_ratio": 2.0,
     "apriori_equi_factor": 2.0,
     "apriori_small_norm": 1.0,
-    "apriori_eps_target": 0.25,
-    "apriori_large_constant": 50.0,
     "galilei_distance": {"mkdv": 1e-5, "nls": 1e-6},
     "scaling_constant": 10.0,
     "embedding_constant": 10.0,

@@ -202,9 +202,11 @@ def run_norm_equivalence(cfg: ExperimentConfig) -> RunResult:
 def run_apriori(cfg: ExperimentConfig) -> RunResult:
     """Global-in-time norm bounds over an amplitude sweep, plus the weighted family clause.
 
-    Data whose norm exceeds apriori_small_norm is rescaled into the small
-    regime first; see _rescaling and _large_data_criteria. Zero data adds its
-    rows but no ratio; the family clause takes the first nonzero amplitude.
+    Every amplitude's datum evolves directly, in one batch with the family's
+    widths.  sup_ratio reads the data of norm at most apriori_small_norm (the
+    small-data bound); normalized_ratio, sup / ((1 + n0)^c n0), reads every
+    nonzero datum.  Zero data adds its rows but no ratio; the family clause
+    takes the first nonzero amplitude.
     """
     grid = cfg.grid()
     rng = np.random.default_rng(cfg.seed)
@@ -218,56 +220,36 @@ def run_apriori(cfg: ExperimentConfig) -> RunResult:
         raise ConfigError("apriori needs a nonzero amplitude for its family clause")
 
     small_norm = cfg.tolerance("apriori_small_norm")
-    eps_target = cfg.tolerance("apriori_eps_target")
     # the equicontinuous family clause: gaussians of the family's widths and carrier
     fam = {**FAMILIES["gaussian_mix"], **family_params(cfg.family)[1]}
 
-    # one field per amplitude and one flow per equicontinuous width, shared by every (p, s)
+    # one flow per amplitude and per equicontinuous width, in one batch shared by
+    # every (p, s): (times, band profiles) of each, t = 0 being the field itself
     u0s = [_one_member("apriori", dict(cfg.family, amplitude=float(eps)), grid, rng)
            for eps in cfg.amplitudes]
-    profs0 = [band_profile(u0) for u0 in u0s]
     fam_fields = [gaussian_field(grid, w, amp, fam["center_freq"]) for w in fam["widths"]]
-    n0s = [[profile_norm(prof0, mp) for prof0 in profs0] for mp in mps]
-    # every large-data rescaling must fit the pad budget before any flow runs
-    rescalings = [[_rescaling(n0, mp, grid, eps_target) if n0 > small_norm else None
-                   for n0 in row] for mp, row in zip(mps, n0s)]
-
-    def profiles(fields):  # (times, band profiles) of the flow from each field
-        return [(traj.times, [band_profile(u) for u in traj.fields])
-                for traj in evolve_batch(fields, fs, times)]
-
-    # an amplitude needs the small-data flow when some (p, s) finds its norm small;
-    # those flows run in one batch with the family's
-    small = [i for i in range(len(u0s)) if any(row[i] is None for row in rescalings)]
-    snaps = profiles([u0s[i] for i in small] + fam_fields)
-    small_snaps = dict(zip(small, snaps))
-    fam_snaps = snaps[len(small):]
+    snaps = [(traj.times, [band_profile(u) for u in traj.fields])
+             for traj in evolve_batch(u0s + fam_fields, fs, times)]
+    data_snaps, fam_snaps = snaps[:len(u0s)], snaps[len(u0s):]
     fam_profs = np.array([profs[0] for _, profs in fam_snaps])  # t = 0: the family itself
-    # per (p, s) and amplitude, the (times, band profiles) of the flow it reads;
-    # a rescaled field has a grid of its own, so it is a batch of one row
-    flows = [[small_snaps[i] if r is None else profiles([scale_field(u0s[i], r[0], pad=r[1])])[0]
-              for i, r in enumerate(row)] for row in rescalings]
 
     header = ["p", "s", "eps", "t", "norm", "weighted_norm"]
     rows, summary = [], []
-    for mp, mp_n0s, mp_rescalings, mp_flows in zip(mps, n0s, rescalings, flows):
+    for mp in mps:
         cexp = apriori_exponent(mp)
-        plain, normalized = [], []  # the small-data growth ratios
-        for eps, n0, rescaling, (flow_times, profs) in zip(cfg.amplitudes, mp_n0s,
-                                                           mp_rescalings, mp_flows):
+        plain, normalized = [], []  # the growth ratios
+        for eps, (flow_times, profs) in zip(cfg.amplitudes, data_snaps):
             norms = [profile_norm(prof, mp) for prof in profs]
-            # a rescaled flow's rows carry the data's norm n0 in the eps column
-            label = eps if rescaling is None else n0
-            rows += [(mp.p, mp.s, label, ti, nv, 0.0) for ti, nv in zip(flow_times, norms)]
-            if rescaling is not None:
-                summary += _large_data_criteria(norms, n0, mp, rescaling[0], cfg)
-            elif n0 > 0.0:
-                sup = np.max(norms)
-                plain.append(sup / n0)
+            rows += [(mp.p, mp.s, eps, ti, nv, 0.0) for ti, nv in zip(flow_times, norms)]
+            n0, sup = norms[0], np.max(norms)
+            if n0 != 0.0:  # a NaN n0 joins both lists, and fails
+                if not n0 > small_norm:
+                    plain.append(sup / n0)
                 normalized.append(sup / ((1.0 + n0) ** cexp * n0))
         tag = f"p={mp.p:g},s={mp.s:g}"
         if plain:
             summary.append(criterion(f"sup_ratio[{tag}]", np.max(plain), ratio_tol))
+        if normalized:
             summary.append(criterion(f"normalized_ratio[{tag}]", np.max(normalized), ratio_tol))
 
         # equicontinuous family: weighted norms stay within the factor-2 budget
@@ -281,46 +263,6 @@ def run_apriori(cfg: ExperimentConfig) -> RunResult:
                 wns.append(wn)
         summary.append(criterion(f"equicontinuity_factor[{tag}]", np.max(wns) / w0, equi_tol))
     return RunResult.from_rows("apriori", header, rows, summary, {"config": cfg.to_dict()})
-
-
-def _rescaling(n0, mp, g, eps_target):
-    """(lam0, pad) that take data of norm n0 on grid g into the small regime.
-
-    lam0 follows the recipe (1 + norm/eps)^p for p >= 2 and exponent 2 for
-    p <= 2; pad is the power of two that keeps the rescaled spectrum resolved,
-    and a pad above 64 is a ConfigError.
-    """
-    base_exp = mp.p if mp.p >= 2.0 else 2.0
-    lam0 = (1.0 + n0 / eps_target) ** base_exp
-    window = (g.n // 2) * g.dxi
-    need = 3.0 * lam0 / window
-    pad = 1
-    while pad < need:
-        pad *= 2
-    if pad > 64:
-        raise ConfigError(f"rescaling pad {pad} exceeds the budget; data too large")
-    return lam0, pad
-
-
-def _large_data_criteria(norms, n0, mp, lam0, cfg):
-    """The criteria of data of norm n0, from the norms along its flow after the
-    rescaling by lam0 (norms[0], at t = 0, is the rescaled data's own).
-
-    The rescaled run must obey the small-data bound, and the bound transported
-    back through the scaling factor gives the measured large-data constant
-    relative to (1 + norm)^c * norm.
-    """
-    n_small, sup_small = norms[0], np.max(norms)
-    implied = scaling_bound_factor(1.0 / lam0, mp) * sup_small
-    large_const = implied / ((1.0 + n0) ** apriori_exponent(mp) * n0)
-    tag = f"p={mp.p:g},s={mp.s:g},norm={n0:.3g}"
-    return [
-        criterion(f"rescaled_norm[{tag}]", n_small, 2.0 * cfg.tolerance("apriori_eps_target")),
-        criterion(f"rescaled_sup_ratio[{tag}]", sup_small / n_small,
-                  cfg.tolerance("apriori_ratio")),
-        criterion(f"large_data_constant[{tag}]", large_const,
-                  cfg.tolerance("apriori_large_constant")),
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -384,9 +326,9 @@ def run_galilei(cfg: ExperimentConfig) -> RunResult:
 def run_scaling(cfg: ExperimentConfig) -> RunResult:
     """Scaling-factor and Sobolev-embedding constants over a random suite.
 
-    scale_field at pad 1 keeps every spectrum sample and only re-grids
-    L -> lam L, so the suite's |fhat|^2 is stacked once as an (S, N) array
-    and each rescaled band profile bins that array on scaled_grid(grid, lam).
+    scale_field keeps every spectrum sample and only re-grids L -> lam L, so
+    the suite's |fhat|^2 is stacked once as an (S, N) array and each rescaled
+    band profile bins that array on scaled_grid(grid, lam).
     """
     grid = cfg.grid()
     lams = [float(lam) for lam in cfg.lambdas]

@@ -61,35 +61,21 @@ def galilei_boost(u: Field, k: float, t: float = 0.0, equation: str = "mkdv") ->
     return Field(g, phase0 * np.exp(-1j * k * g.x) * vals)
 
 
-def scaled_grid(g: GridSpec, lam: float, pad: int = 1) -> GridSpec:
-    """The grid scale_field(f, lam, pad) puts a field on `g` onto: L -> lam L, pad * n points."""
+def scaled_grid(g: GridSpec, lam: float) -> GridSpec:
+    """The grid scale_field(f, lam) puts a field on `g` onto: L -> lam L, same n."""
     if not lam > 0:
         raise ValueError(f"scaling parameter must be positive, got {lam}")
-    if pad < 1 or (pad & (pad - 1)) != 0:
-        raise ValueError(f"pad must be a power of two >= 1, got {pad}")
-    return make_grid(g.n * pad, lam * g.length)
+    return make_grid(g.n, lam * g.length)
 
 
-def scale_field(f: Field, lam: float, pad: int = 1) -> Field:
+def scale_field(f: Field, lam: float) -> Field:
     """f_lam(x) = lam^-1 f(x / lam) realized by re-gridding L -> lam L.
 
     The new grid's samples sit at x' = lam x, so values map exactly and the
     spectrum satisfies fhat_lam(xi) = fhat(lam xi) with no interpolation:
     sample for sample it is f's spectrum, which is read-only and so is shared.
-
-    `pad` (a power of two) widens the new grid to pad * n points at the same
-    dual spacing by zero-padding the spectrum.  Large lam compresses the
-    spectrum into a window that shrinks like 1/lam; padding restores enough
-    resolved bands to take banded norms of the rescaled field.
     """
-    g = f.grid
-    g2 = scaled_grid(g, lam, pad)
-    if pad == 1:
-        return Field(g2, f.values / lam, f.spectrum)
-    spec = np.zeros(g2.n, dtype=complex)
-    lo = g2.n // 2 - g.n // 2
-    spec[lo: lo + g.n] = f.spectrum
-    return Field.from_spectrum(g2, spec)
+    return Field(scaled_grid(f.grid, lam), f.values / lam, f.spectrum)
 
 
 def scaling_bound_factor(lam: float, mp: ModulationParams) -> float:

@@ -122,14 +122,18 @@ def test_build_weights_zero_tail_family(grid):
 
 
 def test_build_weights_stops_where_no_tail_reaches_the_floor(grid):
-    """The search stops, with the thresholds found so far, once no later tail is
-    at most 2^(-m/p) A.  The tail past kmax is 0, which reaches every finite floor,
-    so only a NaN family bound A stops it: here before the first threshold."""
+    """The tail past kmax is 0, which reaches every finite floor, so only a NaN
+    family bound A leaves a threshold unreachable: a NaN band, at the window edge
+    or inside it, raises NotEquicontinuousError instead of returning no
+    thresholds (c = 1)."""
     mp = ModulationParams(2.0, 0.0)
     fam = profiles(gaussian_family(grid))
     assert build_weights(fam, mp).thresholds  # the finite family finds thresholds
-    fam[0, 0] = np.nan
-    assert build_weights(fam, mp).thresholds == ()
+    for band in (0, grid.kmax):
+        nan_fam = fam.copy()
+        nan_fam[0, band] = np.nan
+        with pytest.raises(NotEquicontinuousError, match="nan"):
+            build_weights(nan_fam, mp)
 
 
 def test_build_weights_p_exponent(grid):

@@ -14,6 +14,7 @@ from modspec import (
     WeightCheck,
     admissible_sigma,
     alpha4,
+    apriori_exponent,
     band_profile,
     evolve_batch,
     galilei_boost,
@@ -41,6 +42,7 @@ from modspec.flows import EQUATIONS
 from modspec.harness.cli import DRIVERS, main
 from modspec.harness.config import (
     FAMILIES,
+    TOLERANCES,
     build_family,
     config_from_dict,
     random_suite,
@@ -454,18 +456,50 @@ def test_apriori_range_validation():
         run_apriori(cfg)
 
 
+# amplitude 3 is large data (n0 > apriori_small_norm) at every pair, beside zero
+# and small data
+LARGE_APRIORI = dict(amplitudes=[3.0, 0.0, 0.1], ps=[[2.0, 0.0], [1.0, 0.0], [4.0, 1.0]])
+
+
 def test_apriori_large_data_path():
-    """Data above the smallness threshold goes through the rescaling reduction."""
-    cfg = small_cfg(
-        ps=[[2.0, 0.0]], amplitudes=[1.0],
-        family={"kind": "gaussian", "width": 1.0, "amplitude": 1.0},
-        dt=1e-2, t_final=0.02, snapshots=2,
-    )
+    """Data above apriori_small_norm evolve as they are: each large datum's t = 0
+    row carries its own norm under its eps, normalized_ratio reads it, and
+    sup_ratio reads only the small data."""
+    cfg = small_cfg(**LARGE_APRIORI)
     res = run_apriori(cfg)
-    names = [e.criterion for e in res.summary]
-    assert any(n.startswith("rescaled_norm") for n in names)
-    assert any(n.startswith("large_data_constant") for n in names)
-    assert res.all_pass
+    u0s = {eps: gaussian_field(cfg.grid(), 1.0, eps) for eps in (3.0, 0.1)}
+    for p, s in cfg.ps:
+        mp = ModulationParams(p, s)
+        tag = f"p={p:g},s={s:g}"
+        ratios = {}  # eps -> (sup / n0, sup / ((1 + n0)^c n0))
+        for eps, u0 in u0s.items():
+            n0 = profile_norm(band_profile(u0), mp)
+            assert (n0 > TOLERANCES["apriori_small_norm"]) == (eps == 3.0)
+            data = [r[4] for r in res.rows if r[:3] == (p, s, eps) and r[5] == 0.0]
+            assert data[0] == n0
+            sup = max(data)
+            ratios[eps] = (sup / n0, sup / ((1.0 + n0) ** apriori_exponent(mp) * n0))
+        measured = {e.criterion: e.measured for e in res.summary}
+        assert measured[f"sup_ratio[{tag}]"] == ratios[0.1][0]
+        assert measured[f"normalized_ratio[{tag}]"] == max(r[1] for r in ratios.values())
+
+
+def test_apriori_large_data_is_not_a_config_error(tmp_path, monkeypatch):
+    """Large data need no pad budget: the CLI runs them in its one flow batch."""
+    from modspec.harness import experiments
+
+    calls = []
+    inner = experiments.evolve_batch
+
+    def counted(*args, **kwargs):  # evolve_batch is the one flow entry point
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "evolve_batch", counted)
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps(small_cfg(**LARGE_APRIORI).to_dict()))
+    assert main(["apriori", "--config", str(cfgp), "--out", str(tmp_path / "out")]) != 2
+    assert len(calls) == 1
 
 
 def nan_at_last_snapshot(monkeypatch, row):
@@ -504,9 +538,10 @@ def test_normequiv_nan_at_a_later_snapshot_fails(monkeypatch):
 @pytest.mark.parametrize("over, row, prefix", [
     ({}, 0, "sup_ratio"),  # the first small-data amplitude
     ({}, 2, "equicontinuity_factor"),  # the first family member, after both amplitudes
-    ({"amplitudes": [1.0], "family": {"kind": "gaussian", "amplitude": 1.0},
-      "dt": 1e-2, "t_final": 0.02}, 0, "rescaled_sup_ratio"),  # the one-row rescaled flow
-], ids=["sup_ratio", "equicontinuity_factor", "rescaled_sup_ratio"])
+    # large data (n0 = 1.33): only normalized_ratio reads it
+    ({"amplitudes": [1.0], "family": {"kind": "gaussian", "amplitude": 1.0}}, 0,
+     "normalized_ratio"),
+], ids=["sup_ratio", "equicontinuity_factor", "normalized_ratio"])
 def test_apriori_nan_at_a_later_snapshot_fails(monkeypatch, over, row, prefix):
     nan_at_last_snapshot(monkeypatch, row)
     res = run_apriori(small_cfg(ps=[[2.0, 0.0]], **over))
@@ -642,26 +677,30 @@ def test_galilei_off_the_lattice_boosts():
     assert len(dists) == 11 and all(e.passed for e in dists)
 
 
-@pytest.mark.parametrize("driver, name, expected", [
-    # one flow per amplitude and per equicontinuous width (no large data here), one batch
+@pytest.mark.parametrize("driver, name, expected, over", [
+    # one flow per amplitude and per equicontinuous width, one batch
     (run_apriori, "evolve_batch",
-     lambda cfg: len(cfg.amplitudes) + len(FAMILIES["gaussian"]["widths"])),
-    (run_tails, "evolve_batch", lambda cfg: len(cfg.amplitudes)),
+     lambda cfg: len(cfg.amplitudes) + len(FAMILIES["gaussian"]["widths"]), {}),
+    # large data joins the same batch
+    (run_apriori, "evolve_batch",
+     lambda cfg: len(cfg.amplitudes) + len(FAMILIES["gaussian"]["widths"]), LARGE_APRIORI),
+    (run_tails, "evolve_batch", lambda cfg: len(cfg.amplitudes), {}),
     # kappa = 1/2 and 1 at each boost of each snapshot
     (run_tails, "alpha_terms",
-     lambda cfg: 2 * len(cfg.boosts) * cfg.snapshots * len(cfg.amplitudes)),
+     lambda cfg: 2 * len(cfg.boosts) * cfg.snapshots * len(cfg.amplitudes), {}),
     # the suite is binned from its power array: only the gaussian cross-check rescales
-    (run_scaling, "scale_field", lambda cfg: 1),
+    (run_scaling, "scale_field", lambda cfg: 1, {}),
     # one binning pass on the base grid and one per lambda
-    (run_scaling, "band_profile", lambda cfg: 1 + len(cfg.lambdas)),
+    (run_scaling, "band_profile", lambda cfg: 1 + len(cfg.lambdas), {}),
     # the one gaussian member at each snapshot; the weights take the t = 0 rows
-    (run_norm_equivalence, "band_profile", lambda cfg: cfg.snapshots),
-    # each amplitude at t = 0, then each small-data and family flow at each snapshot
-    (run_apriori, "band_profile", lambda cfg: len(cfg.amplitudes) + cfg.snapshots
-     * (len(cfg.amplitudes) + len(FAMILIES["gaussian"]["widths"]))),
-], ids=["apriori-evolve", "tails-evolve", "tails-alpha_terms", "scaling-scale_field",
-        "scaling-band_profile", "normequiv-band_profile", "apriori-band_profile"])
-def test_ps_independent_work_runs_once(monkeypatch, driver, name, expected):
+    (run_norm_equivalence, "band_profile", lambda cfg: cfg.snapshots, {}),
+    # each amplitude's and each family member's flow at each snapshot, t = 0 included
+    (run_apriori, "band_profile", lambda cfg: cfg.snapshots
+     * (len(cfg.amplitudes) + len(FAMILIES["gaussian"]["widths"])), {}),
+], ids=["apriori-evolve", "apriori-evolve-large", "tails-evolve", "tails-alpha_terms",
+        "scaling-scale_field", "scaling-band_profile", "normequiv-band_profile",
+        "apriori-band_profile"])
+def test_ps_independent_work_runs_once(monkeypatch, driver, name, expected, over):
     """Work that does not depend on (p, s) runs once, however many pairs there are."""
     from modspec import equicont, grid, norms
     from modspec.harness import experiments
@@ -677,35 +716,12 @@ def test_ps_independent_work_runs_once(monkeypatch, driver, name, expected):
     for module in (experiments, grid, norms, equicont):
         if hasattr(module, name):
             monkeypatch.setattr(module, name, counted)
-    cfg = small_cfg(t_final=0.01, ps=[[2.0, 0.0], [1.0, 0.0], [4.0, 1.0]])
+    cfg = small_cfg(**{"t_final": 0.01, "ps": [[2.0, 0.0], [1.0, 0.0], [4.0, 1.0]], **over})
     driver(cfg)
     if name == "evolve_batch":  # count the rows of the one batch
         assert len(calls) == 1
         calls = calls[0][0]
     assert len(calls) == expected(cfg)
-
-
-def test_apriori_pad_budget_is_checked_before_any_flow(tmp_path, monkeypatch, capsys):
-    """A large amplitude whose rescaling pad exceeds the budget at a later (p, s) pair
-    is a config error raised before any flow runs."""
-    from modspec.harness import experiments
-
-    calls = []
-    inner = experiments.evolve_batch
-
-    def counted(*args, **kwargs):  # evolve_batch is the one flow entry point
-        calls.append(args)
-        return inner(*args, **kwargs)
-
-    monkeypatch.setattr(experiments, "evolve_batch", counted)
-    cfg = small_cfg(amplitudes=[3.0, 0.0, 0.1], ps=[[2.0, 0.0], [1.0, 0.0], [4.0, 1.0]])
-    with pytest.raises(ConfigError, match="rescaling pad .* exceeds the budget"):
-        run_apriori(cfg)
-    cfgp = tmp_path / "cfg.json"
-    cfgp.write_text(json.dumps(cfg.to_dict()))
-    assert main(["apriori", "--config", str(cfgp), "--out", str(tmp_path / "out")]) == 2
-    assert "exceeds the budget" in capsys.readouterr().err
-    assert calls == []
 
 
 def test_every_ps_pair_sees_the_same_fields():

@@ -105,30 +105,14 @@ def test_scale_field_gaussian_spectrum(grid_ref):
 
 
 def test_scale_field_reuses_the_spectrum(grid_ref, rng):
-    """Unpadded rescaling shares the read-only spectrum, which the transform of
-    the rescaled values reproduces to roundoff."""
+    """Rescaling shares the read-only spectrum, which the transform of the
+    rescaled values reproduces to roundoff."""
     for f in random_suite(grid_ref, 6, rng):
         for lam in (0.125, 0.5, 2.0, 8.0):
             fl = scale_field(f, lam)
             assert fl.spectrum is f.spectrum and not fl.spectrum.flags.writeable
             fresh = forward_transform(fl.values, fl.grid)
             assert np.max(np.abs(fresh - fl.spectrum)) <= 1e-14 * np.max(np.abs(fl.spectrum))
-
-
-def test_scale_field_padded(grid_ref):
-    f = gaussian_field(grid_ref, width=1.0, amplitude=0.7)
-    lam = 16.0
-    plain = scale_field(f, lam)
-    padded = scale_field(f, lam, pad=4)
-    assert padded.grid.n == 4 * grid_ref.n
-    assert padded.grid.dxi == pytest.approx(plain.grid.dxi)
-    assert padded.l2_norm() == pytest.approx(lam**-0.5 * f.l2_norm(), rel=1e-10)
-    # padded spectrum agrees with the unpadded one on the shared window
-    lo = padded.grid.n // 2 - grid_ref.n // 2
-    inner = padded.spectrum[lo: lo + grid_ref.n]
-    assert np.max(np.abs(inner[1:] - plain.spectrum[1:])) <= 1e-12
-    with pytest.raises(ValueError):
-        scale_field(f, lam, pad=3)
 
 
 def test_scaling_bound_factor_values():
