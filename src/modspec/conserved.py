@@ -18,7 +18,7 @@ Three kinds of evaluation coexist and cross-check each other:
   take one batched forward and one batched inverse transform call;
 * a dense matrix discretization of A on a frequency window, whose
   log-determinant sums the whole series; build_operator forms it once,
-  with its certified radius bound.
+  with its certified radius bound and that log-determinant.
 
 The matrix window necessarily truncates the resolvent lattice, which
 perturbs the low-order traces by O(1/window).  alpha_terms is therefore
@@ -54,9 +54,11 @@ from .grid import ALIAS_EDGE_FRACTION, ALIAS_THRESHOLD, AliasingError, Field, Gr
 from .norms import bracket, check_kappa
 
 DEFAULT_N_OP = 512
-# the most window points: build_operator's working set is three m x m complex
-# arrays (16 m^2 bytes each), 192 MiB at m = 2048, plus the A a caller keeps
+# the most window points: build_operator's working set is two m x m complex
+# arrays (16 m^2 bytes each) and a quarter-array row block, 128 MiB plus the
+# block at m = 2048; the A it returns is one of the two
 N_OP_CAP = 2048
+ROW_BLOCKS = 4  # build_operator forms A in this many row blocks
 MIN_N_OP = 4  # alpha_terms compares a window with its stride-2 sampling
 
 # alpha_terms: the first stride tried, and the doubling gap it accepts relative
@@ -179,16 +181,20 @@ class OperatorPair:
     A = B D V^H S with B the half operator of half_operator, whose entrywise HS
     norm controls the series.  A is similar to B Bbar in structure; for real f
     its spectrum is real and nonnegative.  Fields: `matrix`, `radius_bound`,
-    `kp`, `stride`, `doubling_gap`.  `radius_bound` certifies rho(A):
+    `kp`, `window_log_det`, `stride`, `doubling_gap`.  `matrix` is read-only.
+    `radius_bound` certifies rho(A):
     ||A||_F (>= ||A||_2 >= rho) when below 1, else the exact max |eigenvalue|,
-    so it is >= 1 exactly when rho is.  `stride` is the window's spacing in
-    lattice points; the operator alpha_terms returns carries `doubling_gap`,
-    |remainder - remainder at twice the stride| it accepted.
+    so it is >= 1 exactly when rho is.  `window_log_det` is log_det(), taken once
+    by build_operator for kp's sign: A itself is sign-free, so an operator for
+    the other sign is built anew, not `replace`d.  `stride` is the window's
+    spacing in lattice points; the operator alpha_terms returns carries
+    `doubling_gap`, |remainder - remainder at twice the stride| it accepted.
     """
 
     matrix: np.ndarray
     radius_bound: float
     kp: SpectralParameter
+    window_log_det: float
     stride: int = 1
     doubling_gap: float | None = None
 
@@ -202,18 +208,29 @@ class OperatorPair:
         """Re log det(I + A), or -Re log det(I - A) when focusing: the whole series
         of the window matrix.  NaN when radius_bound does not certify rho(A) < 1
         (the series diverges) or the determinant vanishes."""
-        if not self.radius_bound < 1.0:
-            return np.nan
-        sign = self.kp.sigma
-        M = sign * self.matrix
-        M.flat[:: len(M) + 1] += 1.0  # I + A, or I - A
-        val = sign * np.linalg.slogdet(M)[1]
-        return float(val) if np.isfinite(val) else np.nan
+        return self.window_log_det
 
     def log_det_remainder(self) -> float:
         """The j >= 3 terms: log_det() minus the j = 1, 2 trace terms."""
         t1, t2 = self.trace().real, self.trace_sq().real
         return self.log_det() - (t1 - (0.5 * self.kp.sigma) * t2)
+
+
+def _log_det(A: np.ndarray, radius_bound: float, sigma: float) -> float:
+    """sigma log|det(A + sigma I)|, which is Re log det(I + A) for sigma = +1 and
+    -Re log det(I - A) for sigma = -1, taken on A itself: sigma is added to its
+    diagonal and the saved diagonal put back, so only slogdet's copy is formed.
+    For sigma = -1 the bits are those of slogdet(I - A): A - I is exactly
+    -(I - A), whose LU is the negated LU of I - A."""
+    if not radius_bound < 1.0:
+        return np.nan
+    diag = A.diagonal().copy()
+    try:
+        A.flat[:: len(A) + 1] += sigma
+        val = sigma * np.linalg.slogdet(A)[1]
+    finally:
+        A.flat[:: len(A) + 1] = diag
+    return float(val) if np.isfinite(val) else np.nan
 
 
 def _window(g: GridSpec, n_op: int, center: float, stride: int = 1) -> np.ndarray:
@@ -260,20 +277,36 @@ def half_operator(f: Field, kp: SpectralParameter, n_op: int = DEFAULT_N_OP,
 def build_operator(f: Field, kp: SpectralParameter, n_op: int = DEFAULT_N_OP,
                    center: float = 0.0, stride: int = 1) -> OperatorPair:
     """Dense window discretization of the sandwiched operator A = B D V^H S on
-    half_operator's window and factors, with its certified radius bound.
+    half_operator's window and factors, with its certified radius bound and its
+    log-determinant for kp's sign.
 
     The left factor B D is B's own array scaled in place, and the right factor
-    is (S V-bar)^T, so the product holds three m x m arrays: B D, S V-bar and A."""
+    is (S V-bar)^T.  Row r of A reads only row r of the left factor, so A is
+    formed over the left factor's array ROW_BLOCKS row blocks at a time through
+    one block buffer: the product holds two m x m arrays and one block.  The
+    log-determinant then holds A and slogdet's copy."""
     left, V, s_minus, d_half = half_operator(f, kp, n_op, center, stride)
     left *= d_half
     right = V.conj()
     right *= s_minus[:, None]
-    A = left @ right.T
-    del left, right  # an eigen-solve below copies A: hold only A beside it
+    m = len(left)
+    # every block has two rows or more: a one-row product runs as gemv, whose
+    # bits differ from the one-call zgemm's
+    blocks = max(1, min(ROW_BLOCKS, m // 2))
+    edges = [m * i // blocks for i in range(blocks + 1)]
+    block = np.empty((edges[-1] - edges[-2], m), complex)  # the last block is the largest
+    for r0, r1 in zip(edges, edges[1:]):
+        out = block[: r1 - r0]
+        np.matmul(left[r0:r1], right.T, out=out)
+        left[r0:r1] = out
+    A = left
+    del right, block  # an eigen-solve below copies A: hold only A beside it
     bound = float(np.linalg.norm(A))
     if bound >= 1.0:
         bound = float(np.max(np.abs(np.linalg.eigvals(A))))
-    return OperatorPair(A, bound, kp, stride)
+    logdet = _log_det(A, bound, kp.sigma)
+    A.setflags(write=False)
+    return OperatorPair(A, bound, kp, logdet, stride)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +348,7 @@ def alpha_terms(f: Field, kp: SpectralParameter, n_op: int = DEFAULT_N_OP,
         gap = abs(rem - coarse)
         if m == 1 or (gap <= tol and sublattice_holds(m)):
             break
-        coarse, m = rem, m // 2
+        coarse, m, op = rem, m // 2, None  # drop the coarser window before the next build
     return rem + (a2 + a4), a2, a4, replace(op, doubling_gap=gap)
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -300,13 +301,14 @@ def test_build_operator_zero_field(grid_ref):
 
 
 @pytest.mark.parametrize("k, stride", [(0.0, 2), (4.0, 1)])
-def test_window_working_set_is_three_arrays(grid_ref, k, stride):
-    """One alpha_terms call holds at most three m x m complex arrays at once: B's
-    array scaled into the left factor, the right factor and A during the product,
-    then A, I +- A and slogdet's copy.  The conserve default Gaussian at kappa = 1/2
-    takes stride 2 (m = 256); its boost by 4, centred at -4, stride 1 (m = 512).
-    Measured 3.28 and 3.26 arrays under tracemalloc (4.65 and 4.54 while the
-    operator also kept B)."""
+def test_window_working_set_is_two_arrays(grid_ref, k, stride):
+    """One alpha_terms call holds at most two m x m complex arrays and a row block at
+    once: B's array scaled into the left factor and overwritten by A block by block,
+    the right factor and one quarter-array block during the product, then A and
+    slogdet's copy.  The conserve default Gaussian at kappa = 1/2 takes stride 2
+    (m = 256); its boost by 4, centred at -4, stride 1 (m = 512).  Measured 2.28 and
+    2.26 arrays under tracemalloc (3.28 and 3.26 when the product and I +- A each
+    took a third array and the coarser window was held through the next build)."""
     f = gaussian_field(grid_ref, 1.0, 0.3)
     if k:
         f = galilei_boost(f, k)
@@ -320,8 +322,58 @@ def test_window_working_set_is_three_arrays(grid_ref, k, stride):
         tracemalloc.stop()
     m = len(op.matrix)
     assert (op.stride, m) == (stride, DEFAULT_N_OP // stride)
-    assert peak <= 3.5 * 16 * m * m
+    assert peak <= 2.75 * 16 * m * m
     assert "half" not in {fl.name for fl in dataclasses.fields(conserved.OperatorPair)}
+
+
+def _slogdet_of_a_copy(A, kp):
+    """sigma log|det(I + sigma A)| on a separate array, as a reference for log_det."""
+    M = kp.sigma * A
+    M.flat[:: len(M) + 1] += 1.0
+    return kp.sigma * np.linalg.slogdet(M)[1]
+
+
+@pytest.mark.parametrize("center", [0.0, -2.0])
+@pytest.mark.parametrize("stride", [1, 2, 4])
+@pytest.mark.parametrize("sign", ["defocusing", "focusing"])
+def test_blocked_window_is_bit_identical_to_one_product(grid_small, sign, stride, center):
+    """build_operator's row-blocked A equals the one-call product of half_operator's
+    factors bit for bit, and log_det and log_det_remainder equal those of slogdet on
+    a separate I +- A; no call changes the matrix (log_det_remainder reads both
+    traces).  n_op = 13 gives m = 13, 6 and 3,
+    where the blocks are uneven or the product is one block.  The amplitude-1.05
+    Gaussian has ||A||_F >= 1, so its radius bound is an eigen-solve's."""
+    kp = SpectralParameter(0.5, sign)
+    fallbacks = 0
+    for f in (gaussian_field(grid_small, 1.0, 0.5), gaussian_field(grid_small, 1.0, 1.05)):
+        for n_op in (128, 13):
+            left, V, s_minus, d_half = half_operator(f, kp, n_op, center, stride)
+            left *= d_half
+            right = V.conj()
+            right *= s_minus[:, None]
+            A = left @ right.T
+            op = build_operator(f, kp, n_op, center, stride)
+            digest = hashlib.sha256(op.matrix.tobytes()).hexdigest()
+            assert op.matrix.tobytes() == A.tobytes()
+            fallbacks += bool(np.linalg.norm(A) >= 1.0)
+            if op.radius_bound < 1.0:
+                ref = _slogdet_of_a_copy(A, kp)
+                low = np.trace(A).real - 0.5 * kp.sigma * np.sum(A * A.T).real
+                assert op.log_det() == ref
+                assert op.log_det_remainder() == ref - low
+            else:
+                assert np.isnan(op.log_det()) and np.isnan(op.log_det_remainder())
+            assert hashlib.sha256(op.matrix.tobytes()).hexdigest() == digest
+    assert fallbacks
+
+
+def test_operator_matrix_is_read_only(grid_small):
+    """No operator changes after it is built: a write into its matrix raises, also
+    into the copy alpha_terms returns."""
+    f, kp = gaussian_field(grid_small, 1.0, 0.5), SpectralParameter(0.5)
+    for op in (build_operator(f, kp, 64), alpha_terms(f, kp, 64)[3]):
+        with pytest.raises(ValueError, match="read-only"):
+            op.matrix[0, 0] = 0.0
 
 
 def test_operator_window_validation(grid_ref):
@@ -512,14 +564,13 @@ def test_divergence_guard_at_exact_sech_radius(grid_small, sign):
 def test_log_det_is_nan_on_an_uncertified_window(grid_small):
     """The stride-1 window of 1.02 sech x has rho(A) = 1.0404: its log-det and
     remainder are NaN for both signs, while those of 0.98 sech x are finite.
-    A does not depend on the sign, so each window is built once."""
+    The log-det is taken at build for kp's sign, so each sign builds its window."""
     for amplitude, certified in ((1.02, False), (0.98, True)):
-        op = build_operator(sech_field(grid_small, amplitude), SpectralParameter(0.5), 128)
-        assert (op.radius_bound < 1.0) == certified
         for sign in ("defocusing", "focusing"):
-            signed = dataclasses.replace(op, kp=SpectralParameter(0.5, sign))
-            assert np.isfinite(signed.log_det()) == certified
-            assert np.isfinite(signed.log_det_remainder()) == certified
+            op = build_operator(sech_field(grid_small, amplitude), SpectralParameter(0.5, sign), 128)
+            assert (op.radius_bound < 1.0) == certified
+            assert np.isfinite(op.log_det()) == certified
+            assert np.isfinite(op.log_det_remainder()) == certified
 
 
 def test_alpha_full_divergence_guard(grid_ref):
