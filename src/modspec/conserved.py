@@ -17,13 +17,14 @@ Three kinds of evaluation coexist and cross-check each other:
 * an FFT-accelerated quadrature for the quartic term: its correlations
   take one batched forward and one batched inverse transform call;
 * a dense matrix discretization of A on a frequency window, whose
-  log-determinant sums the whole series; build_operator forms it once,
-  with its certified radius bound and that log-determinant.
+  log-determinant sums the whole series; build_operator forms it once and
+  reads its certified radius bound, that log-determinant, its trace and the
+  j >= 3 remainder off it into the plain record OperatorPair.
 
 The matrix window necessarily truncates the resolvent lattice, which
 perturbs the low-order traces by O(1/window).  alpha_terms is therefore
 the one place that sums alpha: the window's j >= 3 remainder plus the
-closed-form alpha2 and alpha4.  OperatorPair.log_det() is the raw window
+closed-form alpha2 and alpha4.  OperatorPair.log_det is the raw window
 log-determinant, e.g. to compare against partial trace sums of the same
 matrix.
 
@@ -80,10 +81,6 @@ class SpectralParameter:
     def sigma(self) -> float:
         """+1 defocusing, -1 focusing: the series' sign, that of the flow's nonlinearity."""
         return sign_factor(self.sign)
-
-    @property
-    def defocusing(self) -> bool:
-        return self.sigma > 0
 
 
 # ---------------------------------------------------------------------------
@@ -176,44 +173,30 @@ def alpha4(f: Field, kp: SpectralParameter) -> float:
 
 @dataclass(frozen=True)
 class OperatorPair:
-    """The window discretization `matrix` of A and its certificate; B is not kept.
+    """The window discretization `matrix` of A, its certificate and the numbers
+    read off it once, by build_operator for one sign; B is not kept.
 
     A = B D V^H S with B the half operator of half_operator, whose entrywise HS
     norm controls the series.  A is similar to B Bbar in structure; for real f
-    its spectrum is real and nonnegative.  Fields: `matrix`, `radius_bound`,
-    `kp`, `window_log_det`, `stride`, `doubling_gap`.  `matrix` is read-only.
-    `radius_bound` certifies rho(A):
-    ||A||_F (>= ||A||_2 >= rho) when below 1, else the exact max |eigenvalue|,
-    so it is >= 1 exactly when rho is.  `window_log_det` is log_det(), taken once
-    by build_operator for kp's sign: A itself is sign-free, so an operator for
-    the other sign is built anew, not `replace`d.  `stride` is the window's
-    spacing in lattice points; the operator alpha_terms returns carries
-    `doubling_gap`, |remainder - remainder at twice the stride| it accepted.
+    its spectrum is real and nonnegative.  `matrix` is read-only.
+    `radius_bound` certifies rho(A): ||A||_F (>= ||A||_2 >= rho) when below 1,
+    else the exact max |eigenvalue|, so it is >= 1 exactly when rho is.
+    `log_det` is Re log det(I + A), or -Re log det(I - A) when focusing: the
+    whole series of the window matrix, NaN when radius_bound does not certify
+    rho(A) < 1 (the series diverges) or the determinant vanishes.  `trace` is
+    tr A, and `remainder` the j >= 3 terms: log_det minus the j = 1, 2 trace
+    terms.  `stride` is the window's spacing in lattice points; the operator
+    alpha_terms returns carries `doubling_gap`, |remainder - remainder at twice
+    the stride| it accepted.
     """
 
     matrix: np.ndarray
     radius_bound: float
-    kp: SpectralParameter
-    window_log_det: float
+    log_det: float
+    trace: complex
+    remainder: float
     stride: int = 1
     doubling_gap: float | None = None
-
-    def trace(self) -> complex:
-        return complex(np.trace(self.matrix))
-
-    def trace_sq(self) -> complex:
-        return complex(np.sum(self.matrix * self.matrix.T))
-
-    def log_det(self) -> float:
-        """Re log det(I + A), or -Re log det(I - A) when focusing: the whole series
-        of the window matrix.  NaN when radius_bound does not certify rho(A) < 1
-        (the series diverges) or the determinant vanishes."""
-        return self.window_log_det
-
-    def log_det_remainder(self) -> float:
-        """The j >= 3 terms: log_det() minus the j = 1, 2 trace terms."""
-        t1, t2 = self.trace().real, self.trace_sq().real
-        return self.log_det() - (t1 - (0.5 * self.kp.sigma) * t2)
 
 
 def _log_det(A: np.ndarray, radius_bound: float, sigma: float) -> float:
@@ -277,14 +260,15 @@ def half_operator(f: Field, kp: SpectralParameter, n_op: int = DEFAULT_N_OP,
 def build_operator(f: Field, kp: SpectralParameter, n_op: int = DEFAULT_N_OP,
                    center: float = 0.0, stride: int = 1) -> OperatorPair:
     """Dense window discretization of the sandwiched operator A = B D V^H S on
-    half_operator's window and factors, with its certified radius bound and its
-    log-determinant for kp's sign.
+    half_operator's window and factors, with its certified radius bound, and its
+    log-determinant, trace and j >= 3 remainder for kp's sign.
 
     The left factor B D is B's own array scaled in place, and the right factor
     is (S V-bar)^T.  Row r of A reads only row r of the left factor, so A is
     formed over the left factor's array ROW_BLOCKS row blocks at a time through
     one block buffer: the product holds two m x m arrays and one block.  The
-    log-determinant then holds A and slogdet's copy."""
+    log-determinant then holds A and slogdet's copy, and the remainder A and
+    the product A * A^T that sums tr(A^2)."""
     left, V, s_minus, d_half = half_operator(f, kp, n_op, center, stride)
     left *= d_half
     right = V.conj()
@@ -300,13 +284,15 @@ def build_operator(f: Field, kp: SpectralParameter, n_op: int = DEFAULT_N_OP,
         np.matmul(left[r0:r1], right.T, out=out)
         left[r0:r1] = out
     A = left
-    del right, block  # an eigen-solve below copies A: hold only A beside it
+    del right, block, out  # an eigen-solve below copies A: hold only A beside it
     bound = float(np.linalg.norm(A))
     if bound >= 1.0:
         bound = float(np.max(np.abs(np.linalg.eigvals(A))))
     logdet = _log_det(A, bound, kp.sigma)
     A.setflags(write=False)
-    return OperatorPair(A, bound, kp, logdet, stride)
+    trace = complex(np.trace(A))
+    remainder = logdet - (trace.real - (0.5 * kp.sigma) * complex(np.sum(A * A.T)).real)
+    return OperatorPair(A, bound, logdet, trace, remainder, stride)
 
 
 # ---------------------------------------------------------------------------
@@ -341,15 +327,14 @@ def alpha_terms(f: Field, kp: SpectralParameter, n_op: int = DEFAULT_N_OP,
     m = FIRST_STRIDE
     while n_op < 4 * m:  # the 2m window keeps at least two points
         m //= 2
-    coarse = build_operator(f, kp, n_op, center, 2 * m).log_det_remainder()
+    coarse = build_operator(f, kp, n_op, center, 2 * m).remainder
     while True:
         op = build_operator(f, kp, n_op, center, m)
-        rem = op.log_det_remainder()
-        gap = abs(rem - coarse)
+        gap = abs(op.remainder - coarse)
         if m == 1 or (gap <= tol and sublattice_holds(m)):
             break
-        coarse, m, op = rem, m // 2, None  # drop the coarser window before the next build
-    return rem + (a2 + a4), a2, a4, replace(op, doubling_gap=gap)
+        coarse, m, op = op.remainder, m // 2, None  # drop the coarser window before the next build
+    return op.remainder + (a2 + a4), a2, a4, replace(op, doubling_gap=gap)
 
 
 def tail_bound(f: Field, k: float) -> float:

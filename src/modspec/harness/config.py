@@ -202,11 +202,13 @@ def _unique_keys(pairs) -> dict:
 def read_config(path) -> dict:
     """Parse a JSON config file into a document for config_from_dict."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return json.loads(fh.read(), parse_constant=_reject_constant,
-                              object_pairs_hook=_unique_keys)
+        with open(path, "rb") as fh:  # decoded whole, so an error's offset is the file's
+            text = fh.read().decode("utf-8")
+        return json.loads(text, parse_constant=_reject_constant, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not valid UTF-8 at byte {exc.start}: {exc.reason}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: malformed JSON at line {exc.lineno} column {exc.colno}: "
                           f"{exc.msg}") from None

@@ -103,7 +103,7 @@ def run_conservation(cfg: ExperimentConfig) -> RunResult:
         out = {}
         for k in all_k:
             alpha, a2, a4, op = alpha_terms(u, SpectralParameter(k, cfg.sign), cfg.n_op)
-            out[k] = (alpha, a2, a4, op.radius_bound, op.trace())
+            out[k] = (alpha, a2, a4, op.radius_bound, op.trace)
             samplings.append((op.stride, op.doubling_gap))
         bad = [k for k in all_k if not np.isfinite(out[k][0])]
         if bad:  # conservation of a diverged series is undefined: stop
@@ -205,8 +205,9 @@ def run_apriori(cfg: ExperimentConfig) -> RunResult:
     Every amplitude's datum evolves directly, in one batch with the family's
     widths.  sup_ratio reads the data of norm at most apriori_small_norm (the
     small-data bound); normalized_ratio, sup / ((1 + n0)^c n0), reads every
-    nonzero datum.  Zero data adds its rows but no ratio; the family clause
-    takes the first nonzero amplitude.
+    nonzero datum.  Zero data adds its rows but no ratio.  The family clause
+    runs at the family's own amplitude, which must be nonzero, whatever the
+    data amplitudes.
     """
     grid = cfg.grid()
     rng = np.random.default_rng(cfg.seed)
@@ -215,13 +216,13 @@ def run_apriori(cfg: ExperimentConfig) -> RunResult:
     mps = _mps(cfg, "main_range")
     ratio_tol = cfg.tolerance("apriori_ratio")
     equi_tol = cfg.tolerance("apriori_equi_factor")
-    amp = next((float(eps) for eps in cfg.amplitudes if eps > 0), None)
-    if amp is None:
-        raise ConfigError("apriori needs a nonzero amplitude for its family clause")
-
     small_norm = cfg.tolerance("apriori_small_norm")
-    # the equicontinuous family clause: gaussians of the family's widths and carrier
+    # the equicontinuous family clause: gaussians of the family's widths, amplitude
+    # and carrier
     fam = {**FAMILIES["gaussian_mix"], **family_params(cfg.family)[1]}
+    amp = float(fam["amplitude"])
+    if amp == 0.0:
+        raise ConfigError("apriori's family clause needs a nonzero family amplitude")
 
     # one flow per amplitude and per equicontinuous width, in one batch shared by
     # every (p, s): (times, band profiles) of each, t = 0 being the field itself

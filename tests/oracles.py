@@ -210,15 +210,12 @@ def trace_powers(op, jmax: int) -> np.ndarray:
     return out
 
 
-def alpha_series_partial_sums(op, jmax: int) -> np.ndarray:
-    """Partial sums of the raw trace series of the window matrix, j = 1 .. jmax."""
+def alpha_series_partial_sums(op, sigma: float, jmax: int) -> np.ndarray:
+    """Partial sums of the raw trace series of the window matrix, j = 1 .. jmax, for
+    the series' sign sigma (+1 defocusing, -1 focusing)."""
     tp = trace_powers(op, jmax)
     j = np.arange(1, jmax + 1)
-    if op.kp.defocusing:
-        terms = (-1.0) ** (j - 1) * tp / j
-    else:
-        terms = tp / j
-    return np.cumsum(terms)
+    return np.cumsum((-sigma) ** (j - 1) * tp / j)
 
 
 def linear_propagator(u: Field, t: float, equation: str, k: float = 0.0) -> Field:

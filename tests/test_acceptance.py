@@ -146,7 +146,7 @@ def test_c03_closed_form_cross_checks(grid):
     f = gaussian_field(grid, 1.0, 0.3, center_freq=2.0)
     kp = SpectralParameter(0.5)
     op = build_operator(f, kp, n_op=512)
-    gap_tr = abs(op.trace() - quadratic_trace_windowed(f, kp, n_op=512))
+    gap_tr = abs(op.trace - quadratic_trace_windowed(f, kp, n_op=512))
     check("c3 trace(A) vs windowed quadratic-term oracle", gap_tr, 1e-8)
 
 
@@ -165,8 +165,8 @@ def test_c04_series_structure(grid):
 
     f = Field.from_spectrum(grid, 0.5 * f0.spectrum)
     op = build_operator(f, kp, n_op=512)
-    pure = op.log_det()
-    sums = alpha_series_partial_sums(op, 10)
+    pure = op.log_det
+    sums = alpha_series_partial_sums(op, kp.sigma, 10)
     tails = np.abs(pure - sums)
     h = hs_norm_sq(half_operator(f, kp, n_op=512)[0])
     floor = 1e-12 * max(1.0, abs(pure))

@@ -58,7 +58,7 @@ def beta_full(f, kp, n_op=DEFAULT_N_OP, center=0.0):
 def test_spectral_parameter_validation(grid_small):
     with pytest.raises(ValueError):
         SpectralParameter(1.0, "both")
-    assert SpectralParameter(0.5).defocusing
+    assert SpectralParameter(0.5).sigma > 0
     f = gaussian_field(grid_small, 1.0, 0.3)
     for kappa in (0.0, -0.5, np.nan):
         for call in (lambda: SpectralParameter(kappa), lambda: alpha2(f, kappa),
@@ -178,7 +178,7 @@ def test_alpha4_sign_convention(grid_ref):
     assert alpha4(f, kp_d) == -alpha4(f, kp_f)
     # j = 2 term of the series: -+ Re tr(A^2)/2, matched by the quadrature
     op = build_operator(f, kp_d, n_op=512)
-    t2 = op.trace_sq().real / 2
+    t2 = complex(np.sum(op.matrix * op.matrix.T)).real / 2
     assert alpha4(f, kp_d) == pytest.approx(-t2, rel=2e-3)
 
 
@@ -338,9 +338,9 @@ def _slogdet_of_a_copy(A, kp):
 @pytest.mark.parametrize("sign", ["defocusing", "focusing"])
 def test_blocked_window_is_bit_identical_to_one_product(grid_small, sign, stride, center):
     """build_operator's row-blocked A equals the one-call product of half_operator's
-    factors bit for bit, and log_det and log_det_remainder equal those of slogdet on
-    a separate I +- A; no call changes the matrix (log_det_remainder reads both
-    traces).  n_op = 13 gives m = 13, 6 and 3,
+    factors bit for bit, its trace is tr A, and its log_det and remainder equal
+    those of slogdet on a separate I +- A; building them leaves the matrix as it
+    is.  n_op = 13 gives m = 13, 6 and 3,
     where the blocks are uneven or the product is one block.  The amplitude-1.05
     Gaussian has ||A||_F >= 1, so its radius bound is an eigen-solve's."""
     kp = SpectralParameter(0.5, sign)
@@ -355,14 +355,15 @@ def test_blocked_window_is_bit_identical_to_one_product(grid_small, sign, stride
             op = build_operator(f, kp, n_op, center, stride)
             digest = hashlib.sha256(op.matrix.tobytes()).hexdigest()
             assert op.matrix.tobytes() == A.tobytes()
+            assert op.trace == complex(np.trace(A))
             fallbacks += bool(np.linalg.norm(A) >= 1.0)
             if op.radius_bound < 1.0:
                 ref = _slogdet_of_a_copy(A, kp)
                 low = np.trace(A).real - 0.5 * kp.sigma * np.sum(A * A.T).real
-                assert op.log_det() == ref
-                assert op.log_det_remainder() == ref - low
+                assert op.log_det == ref
+                assert op.remainder == ref - low
             else:
-                assert np.isnan(op.log_det()) and np.isnan(op.log_det_remainder())
+                assert np.isnan(op.log_det) and np.isnan(op.remainder)
             assert hashlib.sha256(op.matrix.tobytes()).hexdigest() == digest
     assert fallbacks
 
@@ -390,7 +391,7 @@ def test_trace_matches_windowed_oracle(grid_ref, rng):
         f = random_smooth_field(grid_ref, rng, carrier=carrier)
         op = build_operator(f, kp, n_op=512)
         oracle = quadratic_trace_windowed(f, kp, n_op=512)
-        assert abs(op.trace() - oracle) <= 1e-8
+        assert abs(op.trace - oracle) <= 1e-8
 
 
 def test_trace_oracle_with_shifted_window(grid_ref, rng):
@@ -398,7 +399,7 @@ def test_trace_oracle_with_shifted_window(grid_ref, rng):
     f = random_smooth_field(grid_ref, rng, carrier=-6.0)
     op = build_operator(f, kp, n_op=256, center=-6.0)
     oracle = quadratic_trace_windowed(f, kp, n_op=256, center=-6.0)
-    assert abs(op.trace() - oracle) <= 1e-10
+    assert abs(op.trace - oracle) <= 1e-10
 
 
 def test_trace_real_for_real_fields(grid_mid, rng):
@@ -407,7 +408,7 @@ def test_trace_real_for_real_fields(grid_mid, rng):
         f0 = random_smooth_field(grid_mid, rng)
         f = Field(grid_mid, np.real(f0.values) + 0j)
         op = build_operator(f, kp, n_op=256)
-        tr = op.trace()
+        tr = op.trace
         assert abs(tr.imag) <= 1e-10 * max(abs(tr.real), 1.0)
 
 
@@ -440,7 +441,7 @@ def test_trace_approaches_alpha2_as_window_grows(grid_mid, rng):
     gaps = []
     for n_op in (256, 512, 1024):
         op = build_operator(f, kp, n_op=n_op)
-        gaps.append(abs(op.trace().real - a2))
+        gaps.append(abs(op.trace.real - a2))
     assert gaps[1] <= 0.7 * gaps[0] and gaps[2] <= 0.7 * gaps[1]
 
 
@@ -486,8 +487,8 @@ def test_alpha_full_matches_partial_sums(grid_mid, rng, sign):
     kp = SpectralParameter(0.5, sign)
     f = random_smooth_field(grid_mid, rng, amplitude=0.25)
     op = build_operator(f, kp, n_op=256)
-    pure = op.log_det()
-    sums = alpha_series_partial_sums(op, 8)
+    pure = op.log_det
+    sums = alpha_series_partial_sums(op, kp.sigma, 8)
     h = hs_norm_sq(half_operator(f, kp, n_op=256)[0])
     tail_bound_8 = h**9 / (1 - h)
     assert abs(pure - sums[-1]) <= tail_bound_8 + 1e-13
@@ -498,8 +499,8 @@ def test_series_tail_decays_geometrically(grid_mid, rng, sign):
     kp = SpectralParameter(0.5, sign)
     f = random_smooth_field(grid_mid, rng, amplitude=0.4)
     op = build_operator(f, kp, n_op=256)
-    pure = op.log_det()
-    sums = alpha_series_partial_sums(op, 10)
+    pure = op.log_det
+    sums = alpha_series_partial_sums(op, kp.sigma, 10)
     tails = np.abs(pure - sums)
     h = hs_norm_sq(half_operator(f, kp, n_op=256)[0])
     floor = 1e-12 * max(1.0, abs(pure))
@@ -515,9 +516,9 @@ def test_alpha_terms_parts(grid_mid, rng, sign):
     f = random_smooth_field(grid_mid, rng, amplitude=0.25)
     alpha, a2, a4, op = alpha_terms(f, kp, n_op=256)
     assert (a2, a4) == (alpha2(f, 0.5), alpha4(f, kp))
-    assert alpha == op.log_det_remainder() + (a2 + a4)
-    low = alpha_series_partial_sums(op, 2)[-1]
-    assert abs(op.log_det_remainder() - (op.log_det() - low)) <= 1e-14
+    assert alpha == op.remainder + (a2 + a4)
+    low = alpha_series_partial_sums(op, kp.sigma, 2)[-1]
+    assert abs(op.remainder - (op.log_det - low)) <= 1e-14
 
 
 def test_alpha_full_low_order_structure(grid_ref):
@@ -569,14 +570,14 @@ def test_log_det_is_nan_on_an_uncertified_window(grid_small):
         for sign in ("defocusing", "focusing"):
             op = build_operator(sech_field(grid_small, amplitude), SpectralParameter(0.5, sign), 128)
             assert (op.radius_bound < 1.0) == certified
-            assert np.isfinite(op.log_det()) == certified
-            assert np.isfinite(op.log_det_remainder()) == certified
+            assert np.isfinite(op.log_det) == certified
+            assert np.isfinite(op.remainder) == certified
 
 
 def test_alpha_full_divergence_guard(grid_ref):
     f = gaussian_field(grid_ref, amplitude=4.0)
     alpha, _, _, op = alpha_terms(f, SpectralParameter(0.5))
-    assert np.isnan(alpha) and np.isnan(op.log_det())
+    assert np.isnan(alpha) and np.isnan(op.log_det)
     assert op.stride == 1 and op.radius_bound >= 1.0
 
 
@@ -728,7 +729,7 @@ def test_trace_matches_oracle_at_chosen_stride(grid_ref, rng):
         _, _, _, op = alpha_terms(f, kp)
         oracle = quadratic_trace_windowed(f, kp, stride=op.stride)
         assert len(op.matrix) == DEFAULT_N_OP // op.stride
-        assert abs(op.trace() - oracle) <= 1e-10
+        assert abs(op.trace - oracle) <= 1e-10
 
 
 def test_strided_window_is_a_subset_of_the_lattice_window(grid_ref, rng):

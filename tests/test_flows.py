@@ -39,6 +39,18 @@ def test_flow_spec_validation():
         FlowSpec("mkdv_nls")
 
 
+def test_dispersion_symbol_rejects_an_unknown_equation(grid_small):
+    with pytest.raises(ValueError, match="unknown equation 'kdv'"):
+        dispersion_symbol("kdv", grid_small.xi)
+
+
+def test_evolve_batch_rejects_a_negative_snapshot_time(grid_small):
+    """Snapshot times are elapsed times; a backward flow takes a negative dt."""
+    u = gaussian_field(grid_small, amplitude=0.3)
+    with pytest.raises(ValueError, match="nonnegative elapsed times"):
+        evolve_batch([u], FlowSpec("mkdv", dt=1e-3), [0.0, -0.01])
+
+
 def test_linear_propagator_identity_and_tone(grid_ref):
     f = gaussian_field(grid_ref, amplitude=0.5)
     same = linear_propagator(f, 0.0, "mkdv")

@@ -146,6 +146,15 @@ def test_stacked_band_profile_matches_rescaled_fields(grid_ref):
             assert frac == unresolved_mass_fraction(fl)
 
 
+def test_field_rejects_the_wrong_shape(grid_small):
+    n = grid_small.n
+    for bad in (np.ones(n + 1), np.ones((2, n)), np.ones(n // 2)):
+        with pytest.raises(GridError, match=f"expected {n} samples"):
+            Field(grid_small, bad)
+        with pytest.raises(GridError, match=f"expected {n} coefficients"):
+            Field.from_spectrum(grid_small, bad)
+
+
 def test_power_array_needs_its_grid(grid_small):
     with pytest.raises(GridError):
         band_profile(np.ones(grid_small.n))

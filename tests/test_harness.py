@@ -133,6 +133,18 @@ def test_cli_repeated_config_key_exits_2(tmp_path, capsys, text, key):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("cmd", list(DRIVERS))
+def test_cli_config_that_is_not_utf8_exits_2(tmp_path, capsys, cmd):
+    """A config file that is not UTF-8 is a config error naming the file and the
+    byte, not a decode traceback that would exit 1."""
+    path, out = tmp_path / "c.json", tmp_path / "out"
+    path.write_bytes(b'{"version": 1, "seed": \xff}')
+    assert main([cmd, "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {path}: not valid UTF-8 at byte 23" in err
+    assert "Traceback" not in err and not out.exists()
+
+
 def test_config_type_validation():
     with pytest.raises(ConfigError, match="grid_n"):
         config_from_dict({"version": 1, "grid_n": "big"})
@@ -550,7 +562,7 @@ def test_apriori_nan_at_a_later_snapshot_fails(monkeypatch, over, row, prefix):
 
 @pytest.mark.parametrize("amplitudes", [[0.0, 0.1], [0.1, 0.0]])
 def test_apriori_zero_amplitude(amplitudes):
-    """Zero data adds its rows but no ratio; the family clause takes the first nonzero amplitude."""
+    """Zero data adds its rows but no ratio; the family clause runs at the family's amplitude."""
     ref = run_apriori(small_cfg(ps=[[2.0, 0.0]], amplitudes=[0.1]))
     res = run_apriori(small_cfg(ps=[[2.0, 0.0]], amplitudes=amplitudes))
     zero_rows = [r for r in res.rows if r[2] == 0.0]
@@ -560,27 +572,48 @@ def test_apriori_zero_amplitude(amplitudes):
 
 
 def test_apriori_family_clause_takes_the_carrier():
-    """The family clause's gaussians sit at the family's center_freq: its t = 0 rows
-    carry their norms, which move with the carrier at s > 0."""
+    """The family clause's gaussians sit at the family's center_freq and amplitude:
+    its t = 0 rows carry their norms, which move with the carrier at s > 0."""
     mp = ModulationParams(2.0, 0.5)
     norms = {}
     for cf in (0.0, 3.0):
         cfg = small_cfg(ps=[[mp.p, mp.s]], amplitudes=[0.1],
-                        family={"kind": "gaussian", "center_freq": cf})
+                        family={"kind": "gaussian", "center_freq": cf, "amplitude": 0.2})
         norms[cf] = [r[4] for r in run_apriori(cfg).rows if r[5] != 0.0 and r[3] == 0.0]
-        expected = [profile_norm(band_profile(gaussian_field(cfg.grid(), w, 0.1, cf)), mp)
+        expected = [profile_norm(band_profile(gaussian_field(cfg.grid(), w, 0.2, cf)), mp)
                     for w in FAMILIES["gaussian"]["widths"]]
         assert norms[cf] == pytest.approx(expected, rel=1e-12)
     assert norms[0.0] != pytest.approx(norms[3.0])
 
 
-def test_apriori_all_zero_amplitudes_is_a_config_error(tmp_path):
-    cfg = small_cfg(ps=[[2.0, 0.0]], amplitudes=[0.0])
-    with pytest.raises(ConfigError, match="nonzero amplitude"):
+def test_apriori_family_clause_ignores_the_amplitude_order():
+    """The clause runs at the family's amplitude, so listing the data amplitudes in
+    another order changes no criterion and no family row."""
+    runs = [run_apriori(small_cfg(ps=[[1.0, 0.0]], amplitudes=amps))
+            for amps in ([2.0, 0.1], [0.1, 2.0])]
+    assert runs[0].summary == runs[1].summary
+    family_rows = [[r for r in res.rows if r[5] != 0.0] for res in runs]
+    assert family_rows[0] == family_rows[1]
+    assert {r[2] for r in family_rows[0]} == {FAMILIES["gaussian"]["amplitude"]}
+
+
+def test_apriori_zero_family_amplitude_is_a_config_error(tmp_path):
+    cfg = small_cfg(ps=[[2.0, 0.0]], family={"kind": "gaussian", "amplitude": 0.0})
+    with pytest.raises(ConfigError, match="nonzero family amplitude"):
         run_apriori(cfg)
     cfgp = tmp_path / "cfg.json"
     cfgp.write_text(json.dumps(cfg.to_dict()))
     assert main(["apriori", "--config", str(cfgp), "--out", str(tmp_path / "out")]) == 2
+
+
+def test_apriori_all_zero_data_has_only_the_family_clause():
+    """All-zero data adds its rows and no ratio; the family clause runs as with any data."""
+    ref = run_apriori(small_cfg(ps=[[2.0, 0.0]], amplitudes=[0.1]))
+    res = run_apriori(small_cfg(ps=[[2.0, 0.0]], amplitudes=[0.0]))
+    assert [e.criterion for e in res.summary] == ["equicontinuity_factor[p=2,s=0]"]
+    assert res.summary == [e for e in ref.summary if e.criterion.startswith("equicontinuity")]
+    zero_rows = [r for r in res.rows if r[5] == 0.0]
+    assert zero_rows and all(r[2] == 0.0 and r[4] == 0.0 for r in zero_rows)
 
 
 def test_conservation_reports_trace_imag():
@@ -1112,6 +1145,21 @@ def test_cli_unwritable_out_exits_2_before_the_run(tmp_path, capsys, monkeypatch
     err = capsys.readouterr().err
     assert f"error: cannot write reports to {blocker / 'sub'}: Not a directory" in err
     assert "Traceback" not in err
+
+
+def test_cli_out_in_a_directory_without_write_access_exits_2(tmp_path, capsys, monkeypatch):
+    """An --out whose nearest existing ancestor denies write access is found before
+    the driver runs.  Access is denied through os.access, since a root user may
+    write anywhere."""
+    from modspec.harness import cli
+
+    monkeypatch.setitem(DRIVERS, "weights", lambda cfg: pytest.fail("the driver ran"))
+    monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+    out = tmp_path / "out" / "sub"
+    assert main(["weights", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: cannot write reports to {out}: Permission denied ({tmp_path})" in err
+    assert not out.parent.exists()
 
 
 @pytest.mark.parametrize("breakdown", [False, True], ids=["report", "breakdown"])

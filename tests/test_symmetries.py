@@ -115,6 +115,12 @@ def test_scale_field_reuses_the_spectrum(grid_ref, rng):
             assert np.max(np.abs(fresh - fl.spectrum)) <= 1e-14 * np.max(np.abs(fl.spectrum))
 
 
+@pytest.mark.parametrize("lam", [0.0, -1.0, np.nan])
+def test_scaling_bound_factor_rejects_a_nonpositive_lambda(lam):
+    with pytest.raises(ValueError, match="scaling parameter must be positive"):
+        scaling_bound_factor(lam, ModulationParams(2.0, 0.0))
+
+
 def test_scaling_bound_factor_values():
     assert scaling_bound_factor(1.0, ModulationParams(2.0, 0.0)) == pytest.approx(1.0)
     expected = 20.0 ** (-1.0 / 8.0) * (4.0 + 1.0 / 16.0) ** 0.25
