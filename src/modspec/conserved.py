@@ -17,16 +17,14 @@ Three kinds of evaluation coexist and cross-check each other:
 * an FFT-accelerated quadrature for the quartic term: its correlations
   take one batched forward and one batched inverse transform call;
 * a dense matrix discretization of A on a frequency window, whose
-  log-determinant sums the whole series; build_operator forms it once and
-  reads its certified radius bound, that log-determinant, its trace and the
-  j >= 3 remainder off it into the plain record OperatorPair.
+  log-determinant sums the whole series; build_operator forms it once, reads
+  its certified radius bound, that log-determinant, its trace and the j >= 3
+  remainder off it into the plain record OperatorPair, and frees it.
 
 The matrix window necessarily truncates the resolvent lattice, which
 perturbs the low-order traces by O(1/window).  alpha_terms is therefore
 the one place that sums alpha: the window's j >= 3 remainder plus the
-closed-form alpha2 and alpha4.  OperatorPair.log_det is the raw window
-log-determinant, e.g. to compare against partial trace sums of the same
-matrix.
+closed-form alpha2 and alpha4.
 
 The window is a quadrature grid of its own, n_op lattice spacings wide;
 at stride m it holds n_op // m frequencies m * dxi apart and may reach past
@@ -55,9 +53,8 @@ from .grid import ALIAS_EDGE_FRACTION, ALIAS_THRESHOLD, AliasingError, Field, Gr
 from .norms import bracket, check_kappa
 
 DEFAULT_N_OP = 512
-# the most window points: build_operator's working set is two m x m complex
-# arrays (16 m^2 bytes each) and a quarter-array row block, 128 MiB plus the
-# block at m = 2048; the A it returns is one of the two
+# the most window points: build_operator holds two m x m complex arrays (16 m^2 bytes
+# each) and a quarter-array row block until it returns, 128 MiB plus the block at m = 2048
 N_OP_CAP = 2048
 ROW_BLOCKS = 4  # build_operator forms A in this many row blocks
 MIN_N_OP = 4  # alpha_terms compares a window with its stride-2 sampling
@@ -173,12 +170,12 @@ def alpha4(f: Field, kp: SpectralParameter) -> float:
 
 @dataclass(frozen=True)
 class OperatorPair:
-    """The window discretization `matrix` of A, its certificate and the numbers
-    read off it once, by build_operator for one sign; B is not kept.
+    """The numbers build_operator reads once off the window discretization of A
+    for one sign; neither A nor B is kept.
 
     A = B D V^H S with B the half operator of half_operator, whose entrywise HS
     norm controls the series.  A is similar to B Bbar in structure; for real f
-    its spectrum is real and nonnegative.  `matrix` is read-only.
+    its spectrum is real and nonnegative.
     `radius_bound` certifies rho(A): ||A||_F (>= ||A||_2 >= rho) when below 1,
     else the exact max |eigenvalue|, so it is >= 1 exactly when rho is.
     `log_det` is Re log det(I + A), or -Re log det(I - A) when focusing: the
@@ -190,7 +187,6 @@ class OperatorPair:
     the stride| it accepted.
     """
 
-    matrix: np.ndarray
     radius_bound: float
     log_det: float
     trace: complex
@@ -268,7 +264,7 @@ def build_operator(f: Field, kp: SpectralParameter, n_op: int = DEFAULT_N_OP,
     formed over the left factor's array ROW_BLOCKS row blocks at a time through
     one block buffer: the product holds two m x m arrays and one block.  The
     log-determinant then holds A and slogdet's copy, and the remainder A and
-    the product A * A^T that sums tr(A^2)."""
+    the product A * A^T that sums tr(A^2).  A is freed on return."""
     left, V, s_minus, d_half = half_operator(f, kp, n_op, center, stride)
     left *= d_half
     right = V.conj()
@@ -289,10 +285,9 @@ def build_operator(f: Field, kp: SpectralParameter, n_op: int = DEFAULT_N_OP,
     if bound >= 1.0:
         bound = float(np.max(np.abs(np.linalg.eigvals(A))))
     logdet = _log_det(A, bound, kp.sigma)
-    A.setflags(write=False)
     trace = complex(np.trace(A))
     remainder = logdet - (trace.real - (0.5 * kp.sigma) * complex(np.sum(A * A.T)).real)
-    return OperatorPair(A, bound, logdet, trace, remainder, stride)
+    return OperatorPair(bound, logdet, trace, remainder, stride)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +328,7 @@ def alpha_terms(f: Field, kp: SpectralParameter, n_op: int = DEFAULT_N_OP,
         gap = abs(op.remainder - coarse)
         if m == 1 or (gap <= tol and sublattice_holds(m)):
             break
-        coarse, m, op = op.remainder, m // 2, None  # drop the coarser window before the next build
+        coarse, m = op.remainder, m // 2
     return op.remainder + (a2 + a4), a2, a4, replace(op, doubling_gap=gap)
 
 

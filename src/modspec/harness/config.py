@@ -23,6 +23,7 @@ from ..grid import (
     random_band_field,
     sech_field,
 )
+from ..norms import KAPPA_MAX
 
 
 class ConfigError(ValueError):
@@ -31,12 +32,8 @@ class ConfigError(ValueError):
 
 DEFAULT_FAMILY = {"kind": "gaussian", "width": 1.0, "amplitude": 0.3, "center_freq": 0.0}
 
-# The fixed pass/fail thresholds, one per criterion (per equation for
-# galilei_distance), plus apriori_small_norm, the largest data norm that
-# apriori's sup_ratio reads.  The drivers fix a few more:
-# gaussian_scaling_spectrum_error (1e-10), the weights criteria (0 for the
-# violation counts and the window check, 2 for weighted_ratio), skipped_boosts
-# (0) and the tails constants (inf: reported).
+# The fixed pass/fail thresholds by name (per equation for galilei_distance), and
+# apriori_small_norm, the largest data norm that apriori's sup_ratio reads.
 TOLERANCES = {
     "conservation_drift": 1e-5,
     "trace_imag": 1e-8,
@@ -49,7 +46,12 @@ TOLERANCES = {
     "galilei_distance": {"mkdv": 1e-5, "nls": 1e-6},
     "scaling_constant": 10.0,
     "embedding_constant": 10.0,
+    "gaussian_scaling_spectrum_error": 1e-10,
+    "tails_constant": math.inf,  # reported, not bounded: only a non-finite one fails
     "tails_stability": 3.0,
+    "tails_skipped_boosts": 0.0,
+    "weights_violations": 0.0,  # the violation counts and the window check
+    "weights_ratio": 2.0,
 }
 
 _WIDTHS = [1.0, 2.0, 4.0]
@@ -135,7 +137,8 @@ _POSITIVE = (lambda v: _number(v) and v > 0, "finite numbers > 0")
 
 # list field -> (check of each element, what it checks); every list must be non-empty
 _ELEMENTS = {
-    "kappas": _POSITIVE,
+    "kappas": (lambda v: _number(v) and 0 < v <= KAPPA_MAX / 2,  # conserve also reads 2 kappa
+               f"numbers in (0, {KAPPA_MAX / 2:g}]"),
     "lambdas": _POSITIVE,
     "amplitudes": (lambda v: _number(v) and v >= 0, "finite numbers >= 0"),
     "boosts": (lambda v: isinstance(v, int) and not isinstance(v, bool), "ints"),
@@ -144,10 +147,12 @@ _ELEMENTS = {
 }
 
 
-def _check_list(name: str, vals: list, rule: tuple) -> None:
+def _check_list(name: str, vals: list, rule: tuple, distinct: bool = False) -> None:
     ok, what = rule
     if not vals or not all(ok(v) for v in vals):
         raise ConfigError(f"{name} must be a non-empty list of {what}, got {vals!r}")
+    if distinct and any(v in vals[:i] for i, v in enumerate(vals)):
+        raise ConfigError(f"{name} lists an entry more than once, got {vals!r}")
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
@@ -177,7 +182,8 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         if getattr(cfg, key) < least:
             raise ConfigError(f"{key} must be >= {least}, got {getattr(cfg, key)}")
     for key, rule in _ELEMENTS.items():
-        _check_list(f"field '{key}'", getattr(cfg, key), rule)
+        # amplitudes are data; an entry of another list names rows and criteria
+        _check_list(f"field '{key}'", getattr(cfg, key), rule, distinct=key != "amplitudes")
     if not MIN_N_OP <= cfg.n_op <= N_OP_CAP:
         raise ConfigError(f"n_op must lie in [{MIN_N_OP}, {N_OP_CAP}], got {cfg.n_op}")
     family_params(cfg.family)

@@ -14,18 +14,19 @@ import numpy as np
 from .grid import Field, GridSpec, spectral_power
 
 
+KAPPA_MAX = 1e102  # the largest kappa: the quadratures' 8 kappa^3 overflows past 2.8e102
+_TINY = np.finfo(float).tiny  # the smallest normal float64
+
+
 def check_kappa(kappa: float) -> None:
-    """Reject a spectral parameter that is not a positive number (NaN included)."""
-    if not kappa > 0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
+    """Reject a spectral parameter outside (0, KAPPA_MAX] (NaN included)."""
+    if not 0 < kappa <= KAPPA_MAX:
+        raise ValueError(f"kappa must be positive and at most {KAPPA_MAX:g}, got {kappa}")
 
 
 def bracket(x):
     """Nonvanishing bracket <x> = (4 + |x|^2)**(1/2); <0> = 2."""
     return np.sqrt(4.0 + np.abs(x) ** 2)
-
-
-_TINY = np.finfo(float).tiny  # the smallest normal float64
 
 
 def lp_norm(terms, p: float):

@@ -4,9 +4,9 @@ Each one computes a quantity the package computes differently, without
 sharing its code path, so the tests can cross-check the two: brute-force
 sums, the quartic sum one term at a time, the exact determinant, quartic
 term (boosted data too, through a Hurwitz zeta sum at complex argument) and
-eigenvalues of sech data, per-band masks, dense matrix powers, the exact linear flow, an
-RK4 substep that allocates a fresh array for every stage, and the transform pair composed
-from fftshift / ifftshift.
+eigenvalues of sech data, per-band masks, the dense window matrix as one product
+and its powers, the exact linear flow, an RK4 substep that allocates a fresh array
+for every stage, and the transform pair composed from fftshift / ifftshift.
 """
 
 import math
@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import bernoulli, loggamma, poch, zeta
 
 from modspec import Field
-from modspec.conserved import DEFAULT_N_OP, _window
+from modspec.conserved import DEFAULT_N_OP, _window, half_operator
 from modspec.flows import _Stepper, dispersion_symbol
 
 
@@ -199,21 +199,31 @@ def gram(half: np.ndarray) -> np.ndarray:
     return half @ half.conj().T
 
 
-def trace_powers(op, jmax: int) -> np.ndarray:
+def window_matrix(f: Field, kp, n_op: int, center: float = 0.0, stride: int = 1) -> np.ndarray:
+    """The window matrix A = (B D)(S Vbar)^T as one product of half_operator's
+    factors, the array build_operator forms in row blocks and frees."""
+    left, V, s_minus, d_half = half_operator(f, kp, n_op, center, stride)
+    left *= d_half
+    right = V.conj()
+    right *= s_minus[:, None]
+    return left @ right.T
+
+
+def trace_powers(A: np.ndarray, jmax: int) -> np.ndarray:
     """Re tr(A^j) for j = 1 .. jmax."""
     out = np.empty(jmax)
-    P = op.matrix
+    P = A
     out[0] = np.trace(P).real
     for j in range(1, jmax):
-        P = P @ op.matrix
+        P = P @ A
         out[j] = np.trace(P).real
     return out
 
 
-def alpha_series_partial_sums(op, sigma: float, jmax: int) -> np.ndarray:
-    """Partial sums of the raw trace series of the window matrix, j = 1 .. jmax, for
-    the series' sign sigma (+1 defocusing, -1 focusing)."""
-    tp = trace_powers(op, jmax)
+def alpha_series_partial_sums(A: np.ndarray, sigma: float, jmax: int) -> np.ndarray:
+    """Partial sums of the raw trace series of the window matrix A, j = 1 .. jmax,
+    for the series' sign sigma (+1 defocusing, -1 focusing)."""
+    tp = trace_powers(A, jmax)
     j = np.arange(1, jmax + 1)
     return np.cumsum((-sigma) ** (j - 1) * tp / j)
 

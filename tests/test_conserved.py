@@ -29,6 +29,7 @@ from modspec import (
 from modspec import conserved
 from modspec.conserved import DEFAULT_N_OP, half_operator
 from modspec.harness.config import build_family, config_from_dict, random_suite
+from modspec.norms import KAPPA_MAX
 from conftest import beta2, random_smooth_field
 from oracles import (
     alpha_series_partial_sums,
@@ -42,6 +43,7 @@ from oracles import (
     sech_alpha,
     sech_alpha4,
     sech_eigenvalues,
+    window_matrix,
 )
 
 
@@ -56,15 +58,22 @@ def beta_full(f, kp, n_op=DEFAULT_N_OP, center=0.0):
 
 
 def test_spectral_parameter_validation(grid_small):
+    """A kappa that is not positive, or above KAPPA_MAX = 1e102 (past 2.8e102 the
+    quadratures' 8 kappa^3 overflows, and past 1.3e154 kappa^2 raises), is refused
+    by every entry point; at KAPPA_MAX every value is finite (a numpy warning is
+    an error here)."""
     with pytest.raises(ValueError):
         SpectralParameter(1.0, "both")
     assert SpectralParameter(0.5).sigma > 0
     f = gaussian_field(grid_small, 1.0, 0.3)
-    for kappa in (0.0, -0.5, np.nan):
+    for kappa in (0.0, -0.5, np.nan, 2e102, 1e160, np.inf):
         for call in (lambda: SpectralParameter(kappa), lambda: alpha2(f, kappa),
-                     lambda: alpha2(f, kappa, shift=2.0), lambda: quartic_integral(f, kappa)):
+                     lambda: alpha2(f, kappa, shift=2.0), lambda: quartic_integral(f, kappa),
+                     lambda: hs_functional(f, kappa)):
             with pytest.raises(ValueError, match="kappa must be positive"):
                 call()
+    alpha, a2, a4, op = alpha_terms(f, SpectralParameter(KAPPA_MAX))
+    assert np.all(np.isfinite([alpha, a2, a4, op.log_det, hs_functional(f, KAPPA_MAX)]))
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +186,8 @@ def test_alpha4_sign_convention(grid_ref):
     kp_f = SpectralParameter(0.5, "focusing")
     assert alpha4(f, kp_d) == -alpha4(f, kp_f)
     # j = 2 term of the series: -+ Re tr(A^2)/2, matched by the quadrature
-    op = build_operator(f, kp_d, n_op=512)
-    t2 = complex(np.sum(op.matrix * op.matrix.T)).real / 2
+    A = window_matrix(f, kp_d, 512)
+    t2 = complex(np.sum(A * A.T)).real / 2
     assert alpha4(f, kp_d) == pytest.approx(-t2, rel=2e-3)
 
 
@@ -296,7 +305,8 @@ def test_alpha4_aliasing_guard(grid_ref):
 def test_build_operator_zero_field(grid_ref):
     f, kp = zero_field(grid_ref), SpectralParameter(0.5)
     op = build_operator(f, kp, n_op=128)
-    assert np.all(op.matrix == 0) and np.all(half_operator(f, kp, n_op=128)[0] == 0)
+    assert np.all(window_matrix(f, kp, 128) == 0)
+    assert np.all(half_operator(f, kp, n_op=128)[0] == 0)
     assert op.radius_bound == 0.0
 
 
@@ -308,7 +318,9 @@ def test_window_working_set_is_two_arrays(grid_ref, k, stride):
     slogdet's copy.  The conserve default Gaussian at kappa = 1/2 takes stride 2
     (m = 256); its boost by 4, centred at -4, stride 1 (m = 512).  Measured 2.28 and
     2.26 arrays under tracemalloc (3.28 and 3.26 when the product and I +- A each
-    took a third array and the coarser window was held through the next build)."""
+    took a third array and the coarser window was held through the next build).
+    The operator it returns holds no array: with it alive, what stays allocated is
+    below a tenth of one (at least one array while the operator kept A)."""
     f = gaussian_field(grid_ref, 1.0, 0.3)
     if k:
         f = galilei_boost(f, k)
@@ -317,12 +329,13 @@ def test_window_working_set_is_two_arrays(grid_ref, k, stride):
     tracemalloc.start()
     try:
         op = alpha_terms(f, kp, center=-k)[3]
-        peak = tracemalloc.get_traced_memory()[1]
+        current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    m = len(op.matrix)
-    assert (op.stride, m) == (stride, DEFAULT_N_OP // stride)
+    m = DEFAULT_N_OP // op.stride
+    assert op.stride == stride
     assert peak <= 2.75 * 16 * m * m
+    assert current < 0.1 * 16 * m * m
     assert "half" not in {fl.name for fl in dataclasses.fields(conserved.OperatorPair)}
 
 
@@ -336,25 +349,31 @@ def _slogdet_of_a_copy(A, kp):
 @pytest.mark.parametrize("center", [0.0, -2.0])
 @pytest.mark.parametrize("stride", [1, 2, 4])
 @pytest.mark.parametrize("sign", ["defocusing", "focusing"])
-def test_blocked_window_is_bit_identical_to_one_product(grid_small, sign, stride, center):
-    """build_operator's row-blocked A equals the one-call product of half_operator's
-    factors bit for bit, its trace is tr A, and its log_det and remainder equal
-    those of slogdet on a separate I +- A; building them leaves the matrix as it
-    is.  n_op = 13 gives m = 13, 6 and 3,
-    where the blocks are uneven or the product is one block.  The amplitude-1.05
-    Gaussian has ||A||_F >= 1, so its radius bound is an eigen-solve's."""
+def test_blocked_window_is_bit_identical_to_one_product(grid_small, monkeypatch, sign,
+                                                        stride, center):
+    """build_operator's row-blocked A, the array it passes to the Frobenius norm,
+    equals the one-call product of half_operator's factors bit for bit, its trace
+    is tr A, and its log_det and remainder equal those of slogdet on a separate
+    I +- A; taking them leaves A as it was at the norm.  n_op = 13 gives m = 13,
+    6 and 3, where the blocks are uneven or the product is one block.  The
+    amplitude-1.05 Gaussian has ||A||_F >= 1, so its radius bound is an
+    eigen-solve's."""
+    seen, norm = [], np.linalg.norm
+
+    def capture(x, *args, **kw):  # build_operator's A and its digest at the norm
+        seen.append((x, hashlib.sha256(x.tobytes()).hexdigest()))
+        return norm(x, *args, **kw)
+
+    monkeypatch.setattr(np.linalg, "norm", capture)
     kp = SpectralParameter(0.5, sign)
     fallbacks = 0
     for f in (gaussian_field(grid_small, 1.0, 0.5), gaussian_field(grid_small, 1.0, 1.05)):
         for n_op in (128, 13):
-            left, V, s_minus, d_half = half_operator(f, kp, n_op, center, stride)
-            left *= d_half
-            right = V.conj()
-            right *= s_minus[:, None]
-            A = left @ right.T
+            A = window_matrix(f, kp, n_op, center, stride)
+            seen.clear()
             op = build_operator(f, kp, n_op, center, stride)
-            digest = hashlib.sha256(op.matrix.tobytes()).hexdigest()
-            assert op.matrix.tobytes() == A.tobytes()
+            [(built, digest)] = seen
+            assert built.tobytes() == A.tobytes()
             assert op.trace == complex(np.trace(A))
             fallbacks += bool(np.linalg.norm(A) >= 1.0)
             if op.radius_bound < 1.0:
@@ -364,17 +383,8 @@ def test_blocked_window_is_bit_identical_to_one_product(grid_small, sign, stride
                 assert op.remainder == ref - low
             else:
                 assert np.isnan(op.log_det) and np.isnan(op.remainder)
-            assert hashlib.sha256(op.matrix.tobytes()).hexdigest() == digest
+            assert hashlib.sha256(built.tobytes()).hexdigest() == digest
     assert fallbacks
-
-
-def test_operator_matrix_is_read_only(grid_small):
-    """No operator changes after it is built: a write into its matrix raises, also
-    into the copy alpha_terms returns."""
-    f, kp = gaussian_field(grid_small, 1.0, 0.5), SpectralParameter(0.5)
-    for op in (build_operator(f, kp, 64), alpha_terms(f, kp, 64)[3]):
-        with pytest.raises(ValueError, match="read-only"):
-            op.matrix[0, 0] = 0.0
 
 
 def test_operator_window_validation(grid_ref):
@@ -382,7 +392,9 @@ def test_operator_window_validation(grid_ref):
     kp = SpectralParameter(0.5)
     with pytest.raises(ValueError):
         build_operator(f, kp, n_op=4096)
-    assert build_operator(f, kp, n_op=129).matrix.shape == (129, 129)  # odd sizes too
+    A = window_matrix(f, kp, 129)  # odd sizes too
+    assert A.shape == (129, 129)
+    assert build_operator(f, kp, n_op=129).trace == complex(np.trace(A))
 
 
 def test_trace_matches_windowed_oracle(grid_ref, rng):
@@ -421,8 +433,8 @@ def test_spectrum_real_nonnegative_for_smooth_real_fields(grid_mid):
     ]
     for kappa in (0.5, 2.0):
         for vals in profiles:
-            op = build_operator(Field(g, vals + 0j), SpectralParameter(kappa), n_op=256)
-            ev = np.linalg.eigvals(op.matrix)
+            A = window_matrix(Field(g, vals + 0j), SpectralParameter(kappa), 256)
+            ev = np.linalg.eigvals(A)
             assert np.max(np.abs(ev.imag)) <= 1e-10
             assert np.min(ev.real) >= -1e-10
 
@@ -460,7 +472,7 @@ def test_spectral_radius_against_dense_eigenvalues(grid_mid, rng):
     kp = SpectralParameter(0.5)
     f = random_smooth_field(grid_mid, rng, carrier=1.0)
     op = build_operator(f, kp, n_op=256)
-    rho_dense = np.max(np.abs(np.linalg.eigvals(op.matrix)))
+    rho_dense = np.max(np.abs(np.linalg.eigvals(window_matrix(f, kp, 256))))
     assert op.radius_bound >= rho_dense * (1 - 1e-12)
 
 
@@ -469,8 +481,9 @@ def test_radius_bound_falls_back_to_eigenvalues(grid_small):
     f = gaussian_field(grid_small, 1.0, 1.05)
     kp = SpectralParameter(0.5)
     op = build_operator(f, kp, n_op=128)
-    rho_dense = np.max(np.abs(np.linalg.eigvals(op.matrix)))
-    assert np.linalg.norm(op.matrix) >= 1.0 > rho_dense
+    A = window_matrix(f, kp, 128)
+    rho_dense = np.max(np.abs(np.linalg.eigvals(A)))
+    assert np.linalg.norm(A) >= 1.0 > rho_dense
     assert op.radius_bound == pytest.approx(rho_dense, abs=1e-10)
     assert np.isfinite(alpha_terms(f, kp, n_op=128)[0])
 
@@ -488,7 +501,7 @@ def test_alpha_full_matches_partial_sums(grid_mid, rng, sign):
     f = random_smooth_field(grid_mid, rng, amplitude=0.25)
     op = build_operator(f, kp, n_op=256)
     pure = op.log_det
-    sums = alpha_series_partial_sums(op, kp.sigma, 8)
+    sums = alpha_series_partial_sums(window_matrix(f, kp, 256), kp.sigma, 8)
     h = hs_norm_sq(half_operator(f, kp, n_op=256)[0])
     tail_bound_8 = h**9 / (1 - h)
     assert abs(pure - sums[-1]) <= tail_bound_8 + 1e-13
@@ -500,7 +513,7 @@ def test_series_tail_decays_geometrically(grid_mid, rng, sign):
     f = random_smooth_field(grid_mid, rng, amplitude=0.4)
     op = build_operator(f, kp, n_op=256)
     pure = op.log_det
-    sums = alpha_series_partial_sums(op, kp.sigma, 10)
+    sums = alpha_series_partial_sums(window_matrix(f, kp, 256), kp.sigma, 10)
     tails = np.abs(pure - sums)
     h = hs_norm_sq(half_operator(f, kp, n_op=256)[0])
     floor = 1e-12 * max(1.0, abs(pure))
@@ -517,7 +530,8 @@ def test_alpha_terms_parts(grid_mid, rng, sign):
     alpha, a2, a4, op = alpha_terms(f, kp, n_op=256)
     assert (a2, a4) == (alpha2(f, 0.5), alpha4(f, kp))
     assert alpha == op.remainder + (a2 + a4)
-    low = alpha_series_partial_sums(op, kp.sigma, 2)[-1]
+    A = window_matrix(f, kp, 256, stride=op.stride)
+    low = alpha_series_partial_sums(A, kp.sigma, 2)[-1]
     assert abs(op.remainder - (op.log_det - low)) <= 1e-14
 
 
@@ -601,8 +615,8 @@ def test_operator_eigenvalues_match_exact_sech_spectrum(grid_small, kappa):
     """The 4 largest |eigenvalues| of the stride-1 window matrix of 0.6 sech x against
     A^2 / (n + 1/2 + kappa)^2; measured within 5.2e-5 (kappa = 1/2) and 1.6e-4 (kappa = 1)
     relative.  The spectrum does not depend on the sign."""
-    op = build_operator(sech_field(grid_small, 0.6), SpectralParameter(kappa), 128)
-    top = np.sort(np.abs(np.linalg.eigvals(op.matrix)))[::-1][:4]
+    A = window_matrix(sech_field(grid_small, 0.6), SpectralParameter(kappa), 128)
+    top = np.sort(np.abs(np.linalg.eigvals(A)))[::-1][:4]
     exact = sech_eigenvalues(0.6, kappa, 4)
     assert np.max(np.abs(top - exact) / exact) <= 3e-4
 
@@ -718,7 +732,9 @@ def test_small_window_shrinks_the_first_stride(grid_small, monkeypatch, n_op, fi
     alpha, _, _, op = alpha_terms(f, SpectralParameter(0.5), n_op=n_op)
     assert strides[0] == 2 * first and n_op // strides[0] == 2
     assert strides[1:] == [first >> j for j in range(len(strides) - 1)]
-    assert op.stride == strides[-1] and len(op.matrix) == n_op // op.stride
+    assert op.stride == strides[-1]
+    assert window_matrix(f, SpectralParameter(0.5), n_op, stride=op.stride).shape == (
+        n_op // op.stride,) * 2
     assert np.isfinite(alpha)
 
 
@@ -728,7 +744,8 @@ def test_trace_matches_oracle_at_chosen_stride(grid_ref, rng):
         f = random_smooth_field(grid_ref, rng, carrier=carrier)
         _, _, _, op = alpha_terms(f, kp)
         oracle = quadratic_trace_windowed(f, kp, stride=op.stride)
-        assert len(op.matrix) == DEFAULT_N_OP // op.stride
+        A = window_matrix(f, kp, DEFAULT_N_OP, stride=op.stride)
+        assert len(A) == DEFAULT_N_OP // op.stride
         assert abs(op.trace - oracle) <= 1e-10
 
 
@@ -739,7 +756,7 @@ def test_strided_window_is_a_subset_of_the_lattice_window(grid_ref, rng):
     kp = SpectralParameter(1.0)
     full = half_operator(f, kp, n_op=256, center=-1.0)[0]
     sub = half_operator(f, kp, n_op=256, center=-1.0, stride=4)[0]
-    assert build_operator(f, kp, n_op=256, center=-1.0, stride=4).matrix.shape == (64, 64)
+    assert window_matrix(f, kp, 256, center=-1.0, stride=4).shape == (64, 64)
     assert np.allclose(sub, 4.0 * full[::4, ::4], rtol=1e-13, atol=0.0)
     with pytest.raises(ValueError, match="cap"):
         build_operator(f, kp, n_op=4 * 4096, stride=4)  # 4096 points
@@ -757,9 +774,10 @@ def test_window_past_the_lattice_is_the_zero_padded_window(rng):
     f2 = Field.from_spectrum(g2, spec)
     kp = SpectralParameter(0.5)
     for stride in (1, 2, 4):  # xi from -22 to 10; the (n, L) lattice starts at -16
-        op = build_operator(f, kp, n_op=256, center=-6.0, stride=stride)
-        op2 = build_operator(f2, kp, n_op=256, center=-6.0, stride=stride)
-        assert np.array_equal(op.matrix, op2.matrix)
+        op = build_operator(f, kp, 256, -6.0, stride)
+        assert op == build_operator(f2, kp, 256, -6.0, stride)
+        assert np.array_equal(window_matrix(f, kp, 256, -6.0, stride),
+                              window_matrix(f2, kp, 256, -6.0, stride))
         assert np.array_equal(half_operator(f, kp, 256, -6.0, stride)[0],
                               half_operator(f2, kp, 256, -6.0, stride)[0])
 

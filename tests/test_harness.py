@@ -2,6 +2,7 @@ import csv
 import itertools
 import json
 import math
+import re
 import struct
 
 import numpy as np
@@ -198,6 +199,10 @@ def test_unknown_family_kind(grid_small, rng):
     # a band range that selects no frequency on any grid
     ({"family": {"kind": "random_band", "kmin": 3, "kmax": -3}}, "kmin"),
     ({"family": {"kind": "band_indicator", "lo": 2.0, "hi": 1.0}}, "lo"),
+    # conserve also evaluates 2 kappa, whose 8 (2 kappa)^3 overflows above 1.4e102
+    ({"kappas": [0.5, 1e160]}, "kappas"),
+    ({"kappas": [2e102]}, "kappas"),
+    ({"kappas": [1e102]}, "kappas"),
 ])
 def test_config_rejects_bad_nested_maps(over, match):
     with pytest.raises(ConfigError, match=match):
@@ -622,6 +627,13 @@ def test_conservation_reports_trace_imag():
     assert entry and entry[0].passed and entry[0].measured <= 1e-8
 
 
+def test_conservation_at_a_huge_kappa():
+    """kappa = 1e100, and so 2 kappa, runs clean (a numpy warning is an error here);
+    a larger one is a config error (test_config_rejects_bad_nested_maps)."""
+    res = run_conservation(small_cfg(kappas=[1e100]))
+    assert res.all_pass and {row[2] for row in res.rows} == {1e100}
+
+
 def test_galilei_driver_small(monkeypatch):
     from modspec.harness import experiments
 
@@ -632,7 +644,7 @@ def test_galilei_driver_small(monkeypatch):
         return evolve_batch(fields, fs, times, ks)
 
     monkeypatch.setattr(experiments, "evolve_batch", counted)
-    cfg = small_cfg(boosts=[0, 1, -1, 1, 0], t_final=0.05)
+    cfg = small_cfg(boosts=[0, 1, -1], t_final=0.05)
     res = run_galilei(cfg)
     assert res.all_pass
     dts = {r[1] for r in res.rows}
@@ -644,17 +656,20 @@ def test_galilei_driver_small(monkeypatch):
     assert all(fs.equation == "mkdv" and ks == [0.0, 1.0] for fs, ks in calls)
     assert res.meta["evolved_boosts"] == [0.0, 1.0]
     k0 = [r for r in res.rows if r[0] == 0.0]
-    assert len(k0) == 4 and all(r[2] == 0.0 for r in k0)  # the unboosted path against itself
+    assert len(k0) == 2 and all(r[2] == 0.0 for r in k0)  # the unboosted path against itself
 
 
 @pytest.mark.parametrize("eq", ["mkdv", "nls"])
 def test_galilei_repeated_and_zero_boosts_move_no_other_row(eq):
-    """Batch rows are independent, so a k = 0 or a repeated k changes no other
-    row's distance, bit for bit."""
-    rows = [r for r in run_galilei(small_cfg(equation=eq, boosts=[-1, 0, 1, 1])).rows
+    """Batch rows are independent, so a k = 0 changes no other row's distance, bit
+    for bit; a repeated k, which would write its rows and criterion twice, is
+    refused at load."""
+    rows = [r for r in run_galilei(small_cfg(equation=eq, boosts=[-1, 0, 1])).rows
             if r[0] != 0.0]
     ref = run_galilei(small_cfg(equation=eq, boosts=[-1, 1])).rows
-    assert rows == ref + ref[len(ref) // 2:]
+    assert rows == ref
+    with pytest.raises(ConfigError, match="'boosts' lists an entry more than once"):
+        small_cfg(equation=eq, boosts=[-1, 0, 1, 1])
 
 
 @pytest.mark.parametrize("eq, family, evolved", [
@@ -765,10 +780,12 @@ def test_every_ps_pair_sees_the_same_fields():
     cols = [r[5:] for r in res.rows]  # beta2, beta4, beta_geq6, tail2, tail3
     assert half and cols[:half] == cols[half:]
 
-    res = run_apriori(small_cfg(family=family, ps=[[2.0, 0.0], [2.0, 0.0]]))
-    half = len(res.rows) // 2
-    norms = [r[4] for r in res.rows]
-    assert half and norms[:half] == norms[half:]
+    # a pair run alone draws the family first, so each block of a two-pair run
+    # equals that pair's own run only if both blocks read the one draw
+    pairs = [[2.0, 0.0], [1.0, 0.0]]
+    both = run_apriori(small_cfg(family=family, ps=pairs)).rows
+    alone = [run_apriori(small_cfg(family=family, ps=[ps])).rows for ps in pairs]
+    assert alone[0] and both == alone[0] + alone[1]
 
 
 def test_scaling_driver(tmp_path):
@@ -947,19 +964,21 @@ def test_normequiv_sweep_tail_counts_every_band_without_a_boost():
     assert len(one_sided) == len(symmetric) and not any(e.passed for e in one_sided)
 
 
-def test_normequiv_and_tails_count_a_repeated_boost_once():
-    """The boost sweep is a set: listing a boost again moves no row and no criterion."""
-    ref = run_norm_equivalence(config_from_dict({"version": 1}))
-    rep = run_norm_equivalence(config_from_dict(
-        {"version": 1, "boosts": list(range(-8, 9)) + [0, 0, 0]}))
-    assert rep.rows == ref.rows
-    assert [(e.criterion, e.measured) for e in rep.summary] == [
-        (e.criterion, e.measured) for e in ref.summary]
-    ref = run_tails(small_cfg(t_final=0.01, boosts=[0, 1]))
-    rep = run_tails(small_cfg(t_final=0.01, boosts=[0, 1, 0, 1]))
-    assert rep.rows == ref.rows
-    assert [(e.criterion, e.measured) for e in rep.summary] == [
-        (e.criterion, e.measured) for e in ref.summary]
+def test_a_repeated_list_entry_is_a_config_error(tmp_path, capsys):
+    """Each entry of kappas, boosts, ps and lambdas names CSV rows and criteria,
+    which a repeat would write twice: a repeat is refused at load (exit 2), as a
+    repeated key is, also where 2 == 2.0.  amplitudes are data and may repeat."""
+    for key, vals in (("kappas", [0.5, 1.0, 0.5]), ("boosts", [1, 1, 0]),
+                      ("ps", [[2.0, 0.0], [2, 0]]), ("lambdas", [0.5, 2.0, 2])):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"field '{key}' lists an entry more than once, got {vals!r}")):
+            config_from_dict({"version": 1, key: vals})
+    assert config_from_dict({"version": 1, "amplitudes": [0.1, 0.1]}).amplitudes == [0.1, 0.1]
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"version": 1, "boosts": [1, 1, 0]}))
+    assert main(["galilei", "--config", str(cfgp), "--out", str(tmp_path / "out")]) == 2
+    assert "more than once" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_norm_equivalence_single_band_bracket():
