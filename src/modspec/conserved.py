@@ -195,23 +195,6 @@ class OperatorPair:
     doubling_gap: float | None = None
 
 
-def _log_det(A: np.ndarray, radius_bound: float, sigma: float) -> float:
-    """sigma log|det(A + sigma I)|, which is Re log det(I + A) for sigma = +1 and
-    -Re log det(I - A) for sigma = -1, taken on A itself: sigma is added to its
-    diagonal and the saved diagonal put back, so only slogdet's copy is formed.
-    For sigma = -1 the bits are those of slogdet(I - A): A - I is exactly
-    -(I - A), whose LU is the negated LU of I - A."""
-    if not radius_bound < 1.0:
-        return np.nan
-    diag = A.diagonal().copy()
-    try:
-        A.flat[:: len(A) + 1] += sigma
-        val = sigma * np.linalg.slogdet(A)[1]
-    finally:
-        A.flat[:: len(A) + 1] = diag
-    return float(val) if np.isfinite(val) else np.nan
-
-
 def _window(g: GridSpec, n_op: int, center: float, stride: int = 1) -> np.ndarray:
     """The frequencies of a window n_op lattice points wide sampled at `stride`:
     n_op // stride points spaced stride * dxi apart, the middle one at the lattice
@@ -263,8 +246,9 @@ def build_operator(f: Field, kp: SpectralParameter, n_op: int = DEFAULT_N_OP,
     is (S V-bar)^T.  Row r of A reads only row r of the left factor, so A is
     formed over the left factor's array ROW_BLOCKS row blocks at a time through
     one block buffer: the product holds two m x m arrays and one block.  The
-    log-determinant then holds A and slogdet's copy, and the remainder A and
-    the product A * A^T that sums tr(A^2).  A is freed on return."""
+    trace and the product A * A^T that sums tr(A^2) are read off A next; then
+    sigma is added to A's diagonal, and the log-determinant, A's last reader,
+    holds A and slogdet's copy.  A is freed on return."""
     left, V, s_minus, d_half = half_operator(f, kp, n_op, center, stride)
     left *= d_half
     right = V.conj()
@@ -284,10 +268,14 @@ def build_operator(f: Field, kp: SpectralParameter, n_op: int = DEFAULT_N_OP,
     bound = float(np.linalg.norm(A))
     if bound >= 1.0:
         bound = float(np.max(np.abs(np.linalg.eigvals(A))))
-    logdet = _log_det(A, bound, kp.sigma)
     trace = complex(np.trace(A))
-    remainder = logdet - (trace.real - (0.5 * kp.sigma) * complex(np.sum(A * A.T)).real)
-    return OperatorPair(bound, logdet, trace, remainder, stride)
+    low = trace.real - (0.5 * kp.sigma) * complex(np.sum(A * A.T)).real  # the j <= 2 terms
+    logdet = np.nan
+    if bound < 1.0:
+        A.flat[:: m + 1] += kp.sigma  # sigma = -1: A - I is -(I - A), slogdet(I - A)'s bits
+        logdet = float(kp.sigma * np.linalg.slogdet(A)[1])
+    logdet = logdet if np.isfinite(logdet) else np.nan
+    return OperatorPair(bound, logdet, trace, logdet - low, stride)
 
 
 # ---------------------------------------------------------------------------

@@ -272,9 +272,7 @@ def gaussian_samples(grid: GridSpec, width: float = 1.0, amplitude: float = 1.0,
                      center_freq: float = 0.0) -> np.ndarray:
     """Complex samples of amplitude * exp(-x^2 / (2 width^2)) * exp(i center_freq x)."""
     env = amplitude * np.exp(-grid.x**2 / (2.0 * width**2))
-    if center_freq:
-        return env * np.exp(1j * center_freq * grid.x)
-    return env.astype(complex)
+    return env * np.exp(1j * center_freq * grid.x)
 
 
 def gaussian_field(grid: GridSpec, width: float = 1.0, amplitude: float = 1.0,

@@ -147,12 +147,19 @@ _ELEMENTS = {
 }
 
 
+def label(x) -> str:
+    """How a report key writes a number: 6 significant digits, so 2 and 2.0 read alike."""
+    return f"{x:g}"
+
+
 def _check_list(name: str, vals: list, rule: tuple, distinct: bool = False) -> None:
     ok, what = rule
     if not vals or not all(ok(v) for v in vals):
         raise ConfigError(f"{name} must be a non-empty list of {what}, got {vals!r}")
-    if distinct and any(v in vals[:i] for i, v in enumerate(vals)):
-        raise ConfigError(f"{name} lists an entry more than once, got {vals!r}")
+    if distinct:  # entries of one label would write the same report keys
+        labels = [tuple(map(label, v)) if isinstance(v, list) else label(v) for v in vals]
+        if len(set(labels)) < len(labels):
+            raise ConfigError(f"{name} lists an entry more than once, got {vals!r}")
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
@@ -303,7 +310,7 @@ def _suite_blocks(grid: GridSpec, size: int, rng: np.random.Generator, band_span
     edges = np.searchsorted(grid.band_of, np.arange(-band_span, band_span + 3)).tolist()
     for start in range(0, size, SUITE_BLOCK):
         rows = np.zeros((min(SUITE_BLOCK, size - start), grid.n), dtype=complex)
-        gauss, band = slice(start % 2, None, 2), slice(1 - start % 2, None, 2)
+        gauss, band = slice(0, None, 2), slice(1, None, 2)  # SUITE_BLOCK is even, so every start is
         denoms, cfs, runs = [], [], []
         for i, row in enumerate(rows, start):
             if i % 2 == 0:
@@ -325,9 +332,6 @@ def _suite_blocks(grid: GridSpec, size: int, rng: np.random.Generator, band_span
         rows[band, 0] = 0.0
         envs = SUITE_AMPLITUDE * np.exp(-x**2 / np.array(denoms)[:, None])
         for row, env, cf in zip(rows[gauss], envs, cfs):
-            if not cf:
-                row.real = env
-                continue
             if cf not in carriers:
                 carriers[cf] = np.exp(1j * cf * x)
             np.multiply(env, carriers[cf], out=row)

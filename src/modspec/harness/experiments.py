@@ -39,6 +39,7 @@ from .config import (
     ExperimentConfig,
     build_family,
     family_params,
+    label,
     suite_power,
 )
 from .reports import RunResult, criterion
@@ -59,6 +60,12 @@ def _mps(cfg: ExperimentConfig, ps_range: str | None = None) -> list:
         if ps_range and not getattr(mp, ps_range):
             raise ConfigError(f"(p, s) = ({mp.p}, {mp.s}) violates {_PS_RANGES[ps_range]}")
     return mps
+
+
+def _nonzero(driver: str, fields) -> None:
+    """Refuse data whose fields all have all-zero spectra: every check would pass vacuously."""
+    if not any(f.spectrum.any() for f in fields):
+        raise ConfigError(f"{driver} checks nothing on zero data: every field is zero")
 
 
 def _rel_drift(values):
@@ -91,6 +98,7 @@ def run_conservation(cfg: ExperimentConfig) -> RunResult:
     grid = cfg.grid()
     rng = np.random.default_rng(cfg.seed)
     members = build_family(cfg.family, grid, rng)
+    _nonzero("conserve", members)
     fs = FlowSpec(cfg.equation, cfg.sign, cfg.dt)
     times = cfg.snapshot_times()
     kappas = [float(k) for k in cfg.kappas]
@@ -127,8 +135,9 @@ def run_conservation(cfg: ExperimentConfig) -> RunResult:
         for k in kappas:
             a_series = [m[k][0] for m in per_t]
             b_series = [m[k][0] - 0.5 * m[2.0 * k][0] for m in per_t]
-            summary.append(criterion(f"alpha_drift[m{mi},kappa={k:g}]", _rel_drift(a_series), tol))
-            summary.append(criterion(f"beta_drift[m{mi},kappa={k:g}]", _rel_drift(b_series), tol))
+            key = f"m{mi},kappa={label(k)}"
+            summary.append(criterion(f"alpha_drift[{key}]", _rel_drift(a_series), tol))
+            summary.append(criterion(f"beta_drift[{key}]", _rel_drift(b_series), tol))
         # discretized traces should be essentially real before their Re is taken
         worst_imag = np.max([abs(tr.imag) / np.maximum(abs(tr.real), 1e-300)
                              for m in per_t for *_, tr in m.values()])
@@ -146,6 +155,7 @@ def run_norm_equivalence(cfg: ExperimentConfig) -> RunResult:
     grid = cfg.grid()
     rng = np.random.default_rng(cfg.seed)
     members = build_family(cfg.family, grid, rng)
+    _nonzero("normequiv", members)
     fs = FlowSpec(cfg.equation, cfg.sign, cfg.dt)
     times = cfg.snapshot_times()
     mps = _mps(cfg, "equiv_range")
@@ -178,10 +188,7 @@ def run_norm_equivalence(cfg: ExperimentConfig) -> RunResult:
                     lhs = float(lp_norm(terms, mp.p))
                     rhs_terms = c_boost * bracket(ks_boost) ** mp.s * root_b2
                     rhs = float(lp_norm(rhs_terms, mp.p))
-                    if lhs == 0.0 and rhs == 0.0:
-                        ratio = 1.0  # zero data, equal by convention
-                    else:
-                        ratio = lhs / rhs if rhs > 0 else np.inf
+                    ratio = lhs / rhs if rhs > 0 else np.inf
                     ratios.append(ratio)
                     if lhs != 0.0:  # a NaN lhs gives a NaN fraction
                         tail_fracs.append(float(lp_norm(terms[beyond], mp.p)) / lhs)
@@ -189,7 +196,7 @@ def run_norm_equivalence(cfg: ExperimentConfig) -> RunResult:
             # np.max/np.min keep a NaN wherever it sits
             hi, lo = np.max(ratios), np.min(ratios)
             cbr = np.max([hi, 1.0 / lo if lo > 0 else np.inf])
-            tag = f"p={mp.p:g},s={mp.s:g},{mode}"
+            tag = f"p={label(mp.p)},s={label(mp.s)},{mode}"
             summary.append(criterion(f"ratio_bracket[{tag}]", cbr, bracket_tol))
             summary.append(criterion(f"sweep_tail_fraction[{tag}]",
                                      np.max(tail_fracs, initial=0.0), tail_tol))
@@ -246,7 +253,7 @@ def run_apriori(cfg: ExperimentConfig) -> RunResult:
                 if not n0 > small_norm:
                     plain.append(sup / n0)
                 normalized.append(sup / ((1.0 + n0) ** cexp * n0))
-        tag = f"p={mp.p:g},s={mp.s:g}"
+        tag = f"p={label(mp.p)},s={label(mp.s)}"
         if plain:
             summary.append(criterion(f"sup_ratio[{tag}]", np.max(plain), ratio_tol))
         if normalized:
@@ -272,6 +279,7 @@ def run_galilei(cfg: ExperimentConfig) -> RunResult:
     grid = cfg.grid()
     rng = np.random.default_rng(cfg.seed)
     u0 = _one_member("galilei", cfg.family, grid, rng)
+    _nonzero("galilei", [u0])
     eq = cfg.equation
     tol = cfg.tolerance("galilei_distance")
     T = cfg.t_final
@@ -315,7 +323,7 @@ def run_galilei(cfg: ExperimentConfig) -> RunResult:
             dist = float(np.sqrt(np.sum(np.abs(path1.values - path2) ** 2) * grid.dx))
             rows.append((k, dt, dist))
             if dt == cfg.dt:
-                summary.append(criterion(f"two_path_distance[k={k:g}]", dist, tol))
+                summary.append(criterion(f"two_path_distance[k={label(k)}]", dist, tol))
     # row i of every batch evolves evolved_boosts[i]; a boost not listed is read as a conjugate
     meta = {"config": cfg.to_dict(), "evolved_boosts": evolved}
     return RunResult.from_rows("galilei", header, rows, summary, meta)
@@ -356,7 +364,7 @@ def run_scaling(cfg: ExperimentConfig) -> RunResult:
         prof_l = band_profile(power, g)
         for mp, base, r in zip(mps, bases, ratios):
             r[:, li] = profile_norm(prof_l, mp) / (scaling_bound_factor(lam, mp) * base)
-    unresolved = {f"{lam:g}": float(np.max(frac))
+    unresolved = {label(lam): float(np.max(frac))
                   for lam, frac in zip(lams, unresolved_mass_fraction(power, grids))}
     sobolev = {sigma: sobolev_norm(power, sigma, grid) for sigma in set(sigmas)}
 
@@ -366,7 +374,7 @@ def run_scaling(cfg: ExperimentConfig) -> RunResult:
     for mp, sigma, base, r in zip(mps, sigmas, bases, ratios):
         emb = sobolev[sigma] / base
         blocks.append(np.column_stack([r, emb]).ravel())
-        tag = f"p={mp.p:g},s={mp.s:g}"
+        tag = f"p={label(mp.p)},s={label(mp.s)}"
         summary.append(criterion(f"scaling_constant[{tag}]", np.max(r, initial=0.0), sc_tol))
         summary.append(criterion(f"embedding_constant[{tag}]", np.max(emb, initial=0.0), emb_tol))
     header = ["check", "field", "p", "s", "lam", "ratio"]
@@ -428,6 +436,7 @@ def run_tails(cfg: ExperimentConfig) -> RunResult:
 
     u0s = [_one_member("tails", dict(cfg.family, amplitude=float(eps)), grid, rng)
            for eps in cfg.amplitudes]
+    _nonzero("tails", u0s)
     # (amplitude index, t, band profile) of each nonzero snapshot, and its rows, boost by boost
     snaps, frames = [], []
     for i, traj in enumerate(evolve_batch(u0s, fs, cfg.snapshot_times())):
@@ -461,7 +470,7 @@ def run_tails(cfg: ExperimentConfig) -> RunResult:
         # np.max/np.min keep a NaN (an amplitude with every boost skipped) wherever it sits
         hi = np.max(by_eps, axis=0, initial=0.0)
         spread = hi / np.min(by_eps, axis=0) if len(by_eps) else (1.0, 1.0)
-        tag = f"p={mp.p:g},s={mp.s:g}"
+        tag = f"p={label(mp.p)},s={label(mp.s)}"
         summary += [criterion(f"{name}_constant[{tag}]", c, const_tol)
                     for name, c in zip(("sextic", "quartic"), hi)]
         summary += [criterion(f"{name}_eps_stability[{tag}]", r, stab_tol)

@@ -409,11 +409,10 @@ def test_run_result_from_rows_checks_widths_and_transposes():
 # drivers
 
 def test_conservation_zero_data():
+    """Zero data conserve every functional vacuously: it is refused."""
     cfg = small_cfg(family={"kind": "gaussian", "amplitude": 0.0})
-    res = run_conservation(cfg)
-    assert res.all_pass
-    vals = np.array([r[3:8] for r in res.rows], dtype=float)
-    assert np.all(vals == 0.0)
+    with pytest.raises(ConfigError, match="conserve checks nothing on zero data"):
+        run_conservation(cfg)
 
 
 def test_conservation_divergence_precondition(monkeypatch):
@@ -455,10 +454,13 @@ def test_conservation_driver_determinism(tmp_path):
 
 
 def test_norm_equivalence_zero_data():
+    """Both sides of zero data vanish, so no ratio compares them: they are refused,
+    as are galilei's, whose two paths agree on zero data whatever the flow."""
     cfg = small_cfg(family={"kind": "gaussian", "amplitude": 0.0}, ps=[[2.0, 0.0]])
-    res = run_norm_equivalence(cfg)
-    ratios = [r[-1] for r in res.rows]
-    assert all(r == 1.0 for r in ratios)  # both sides vanish; ratio 1 by convention
+    with pytest.raises(ConfigError, match="normequiv checks nothing on zero data"):
+        run_norm_equivalence(cfg)
+    with pytest.raises(ConfigError, match="galilei checks nothing on zero data"):
+        run_galilei(cfg)
 
 
 def test_norm_equivalence_range_validation():
@@ -967,9 +969,13 @@ def test_normequiv_sweep_tail_counts_every_band_without_a_boost():
 def test_a_repeated_list_entry_is_a_config_error(tmp_path, capsys):
     """Each entry of kappas, boosts, ps and lambdas names CSV rows and criteria,
     which a repeat would write twice: a repeat is refused at load (exit 2), as a
-    repeated key is, also where 2 == 2.0.  amplitudes are data and may repeat."""
+    repeated key is, also where 2 == 2.0 and where two entries share a key's label
+    (0.5 and 0.5000001 both read 0.5).  amplitudes are data and may repeat."""
     for key, vals in (("kappas", [0.5, 1.0, 0.5]), ("boosts", [1, 1, 0]),
-                      ("ps", [[2.0, 0.0], [2, 0]]), ("lambdas", [0.5, 2.0, 2])):
+                      ("ps", [[2.0, 0.0], [2, 0]]), ("lambdas", [0.5, 2.0, 2]),
+                      # distinct entries that read alike in a key's 6 significant digits
+                      ("kappas", [0.5, 0.5000001]), ("lambdas", [1.0, 1.0000001]),
+                      ("ps", [[2, 0], [2.0000001, 0]]), ("boosts", [1234567, 1234568])):
         with pytest.raises(ConfigError, match=re.escape(
                 f"field '{key}' lists an entry more than once, got {vals!r}")):
             config_from_dict({"version": 1, key: vals})
@@ -981,6 +987,20 @@ def test_a_repeated_list_entry_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_every_driver_writes_distinct_keys():
+    """Two or more entries in every list, close ones included, give every driver
+    distinct criterion names, and scaling one max_unresolved_fraction key per
+    lambda (weights checks one (p, s) pair)."""
+    lists = dict(kappas=[0.5, 0.500001], boosts=[0, 1, -1], lambdas=[0.5, 1.0, 1.00001],
+                 ps=[[2.0, 0.0], [2.00001, 0.0], [2.0, 0.5]], amplitudes=[0.1, 0.2])
+    results = {cmd: driver(small_cfg(t_final=0.01, **lists | (
+        {"ps": [[2.0, 0.0]]} if cmd == "weights" else {}))) for cmd, driver in DRIVERS.items()}
+    for cmd, res in results.items():
+        names = [e.criterion for e in res.summary]
+        assert len(names) > 1 and len(set(names)) == len(names), cmd
+    assert list(results["scaling"].meta["max_unresolved_fraction"]) == ["0.5", "1", "1.00001"]
+
+
 def test_norm_equivalence_single_band_bracket():
     cfg = small_cfg(family={"kind": "band_indicator", "lo": -0.5, "hi": 0.5},
                     ps=[[2.0, 0.0]], boosts=[-2, -1, 0, 1, 2])
@@ -989,17 +1009,16 @@ def test_norm_equivalence_single_band_bracket():
     assert max(brackets) <= 10.0
 
 
-def test_tails_driver_zero_data():
+def test_tails_driver_zero_data(monkeypatch):
+    """With no nonzero amplitude, tails has no ratio to compare: it is refused before
+    any flow runs, whatever the family's own amplitude."""
+    monkeypatch.setattr(experiments, "evolve_batch", None)
     cfg = small_cfg(
         grid_n=512, grid_length=16 * math.pi, boosts=[0, 1], snapshots=2,
-        t_final=0.02, dt=1e-2, amplitudes=[0.0], ps=[[2.0, 0.0]], n_op=192,
-        family={"kind": "gaussian", "amplitude": 0.0},
+        t_final=0.02, dt=1e-2, amplitudes=[0.0, 0.0], ps=[[2.0, 0.0]], n_op=192,
     )
-    res = run_tails(cfg)  # both sides vanish; nothing diverges, nothing crashes
-    assert all(np.isfinite([e.measured for e in res.summary]).tolist())
-    assert res.rows == []  # a zero snapshot writes no boost rows
-    assert all(e.measured == 1.0 and e.passed
-               for e in res.summary if "eps_stability" in e.criterion)
+    with pytest.raises(ConfigError, match="tails checks nothing on zero data"):
+        run_tails(cfg)
 
 
 def test_tails_zero_amplitude_does_not_mask_stability():
@@ -1235,6 +1254,16 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     ["weights", "--grid", "16,100"],
     # p = 1000 leaves no Sobolev index sigma > -1/2 for the embedding check
     ["scaling", {"ps": [[1000, 0]]}],
+    # zero data pass every check vacuously
+    ["conserve", {"family": {"kind": "gaussian", "amplitude": 0.0}}],
+    ["normequiv", {"family": {"kind": "random_band", "amplitude": 0.0}}],
+    ["galilei", {"family": {"kind": "band_indicator", "amplitude": 0.0}}],
+    ["tails", {"amplitudes": [0.0]}],
+    # distinct entries that share a report key's label
+    ["conserve", {"kappas": [0.5, 0.5000001]}],
+    ["scaling", {"lambdas": [1.0, 1.0000001]}],
+    ["apriori", {"ps": [[2, 0], [2.0000001, 0]]}],
+    ["galilei", {"boosts": [1234567, 1234568]}],
     # a zero weights family bounds no tail, and weights checks one (p, s) pair
     ["weights", {"family": {"kind": "gaussian_mix", "amplitude": 0.0}}],
     # weights builds the mix of a gaussian's widths, so its width must be one of them
