@@ -17,6 +17,7 @@ from ..equicont import build_weights, verify_weights
 from ..flows import FlowSpec, evolve_batch
 from ..grid import band_profile, gaussian_field, make_grid, unresolved_mass_fraction
 from ..norms import (
+    _TINY,
     ModulationParams,
     admissible_sigma,
     band_terms,
@@ -63,9 +64,13 @@ def _mps(cfg: ExperimentConfig, ps_range: str | None = None) -> list:
 
 
 def _nonzero(driver: str, fields) -> None:
-    """Refuse data whose fields all have all-zero spectra: every check would pass vacuously."""
-    if not any(f.spectrum.any() for f in fields):
-        raise ConfigError(f"{driver} checks nothing on zero data: every field is zero")
+    """Refuse data unless some field's squared spectrum sums to a normal float64: on
+    zero data every check would pass vacuously, and on data whose squares underflow
+    it would pass vacuously or fail on subnormal arithmetic."""
+    if not any(np.sum(np.abs(f.spectrum) ** 2) >= _TINY for f in fields):
+        raise ConfigError(f"{driver} checks nothing on zero data: every field's squared "
+                          f"spectrum is zero or sums below the smallest normal float64 "
+                          f"({_TINY:.4g})")
 
 
 def _rel_drift(values):

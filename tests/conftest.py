@@ -1,3 +1,9 @@
+import os
+
+# one BLAS thread unless the caller chose a count: reports are byte-reproducible
+# only at a fixed count, and tests/test_runs.py compares a rerun in a child process
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 import pytest
 

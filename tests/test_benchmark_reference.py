@@ -5,28 +5,13 @@ This uses perfbench's own checks, read-only: a driver whose outputs drift past
 a reference tolerance fails here before the benchmark reports it.
 """
 
-import importlib.util
 import json
-import sys
-from pathlib import Path
 
 import pytest
 
 from modspec.harness import experiments
 from modspec.harness.config import config_from_dict
-
-WORKLOADS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-
-
-def _load_workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PY)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up there
-    spec.loader.exec_module(module)
-    return module
-
-
-workloads = _load_workloads()
+from runs import workloads
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
